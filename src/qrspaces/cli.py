@@ -156,7 +156,7 @@ def _parse_params(text: str) -> dict:
 def _real(params, key, default=None):
     if key not in params:
         if default is None:
-            raise InvalidParameterError(f"missing map parameter {key!r}")
+            raise InvalidParameterError(f"missing parameter {key!r}")
         return default
     val = params[key]
     if isinstance(val, list) or abs(complex(val).imag) > 0:
@@ -350,16 +350,16 @@ CONSTANT_KINDS = ("sigma-deriv", "overlap", "morrey", "qs")
 def compute_constant(cfg: RunConfig):
     name, _, rest = cfg.constant.partition(":")
     name = name.strip().lower()
-    params = {k: _real({k: v}, k) for k, v in _parse_params(rest).items()}
+    params = _parse_params(rest)
     kw = dict(radial=cfg.radial, angular=cfg.angular)
     if name == "sigma-deriv":
-        return sigma_deriv_constant(params["p"], params["alpha"], **kw)
+        return sigma_deriv_constant(_real(params, "p"), _real(params, "alpha"), **kw)
     if name == "overlap":
-        return weight_overlap_constant(params["q"], params["s"], **kw)
+        return weight_overlap_constant(_real(params, "q"), _real(params, "s"), **kw)
     if name == "morrey":
-        return morrey_constant(params["lam"], **kw)
+        return morrey_constant(_real(params, "lam"), **kw)
     if name == "qs":
-        return qs_constant(params["s"], **kw)
+        return qs_constant(_real(params, "s"), **kw)
     raise InvalidParameterError(
         f"unknown constant kind {name!r}; choose from {CONSTANT_KINDS}"
     )

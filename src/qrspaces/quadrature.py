@@ -129,7 +129,7 @@ def angular_count_for(rho: float, pole_exponent: float,
     return ladder[-1]
 
 
-def _refine_loop(evaluate, radial, angular, tol, refine_cap, cap_factor=None):
+def _refine_loop(evaluate, radial, angular, tol, refine_cap):
     """Run ``evaluate(radial, angular)`` under node doubling until stable."""
     v_prev = evaluate(radial, angular)
     for k in range(1, refine_cap + 1):

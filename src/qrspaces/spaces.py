@@ -21,10 +21,20 @@ used near the boundary.
 
 Composition-based evaluation (Faa di Bruno) remains as the path for jet
 orders n >= 2, where no pullback of this form exists.
+
+Every sup over a in the disk (engine, composition, Green, Bloch, and the u/v
+pairs of the conjugate checks) runs through ``_sup_search``: one lattice, one
+compass ascent per objective, every objective on the union of the compass
+points, each evaluated once per distinct a.  The rotation-invariant constants
+use a golden section along the radius.  ``_norm_result`` builds every
+NormResult; its error is node doubling at the maximizer (engine, composition,
+constants), the Green cap-refinement estimate, or only the 1e-12 floor (Bloch).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -175,12 +185,17 @@ SpaceParams = Union[Qnpa, Fpqs, Mpqs, Morrey, BergmanMorrey, Qs, BlochAlpha]
 # --- search specification and results ----------------------------------------
 
 DEFAULT_SEARCH_RADII = tuple(0.0 if j == 0 else 1.0 - 2.0 ** -j for j in range(11))
-DEFAULT_RADIUS_CAP = 1.0 - 2.0 ** -10
+RADIUS_CAP = 1.0 - 2.0 ** -10
+# compass refinement: the step halves when no direction improves, down to
+# COMPASS_STOP; the evaluation budget guards against pathological integrands
+COMPASS_SHRINK = 0.5
+COMPASS_STOP = 1e-3
+COMPASS_BUDGET = 2000
 
 
 @dataclass(frozen=True)
 class SupSearchSpec:
-    """Coarse polar grid plus compass refinement for sup_{a in D}.
+    """Coarse polar lattice for sup_{a in D}, refined by compass ascent.
 
     The search is heuristic: integrals of the test maps are smooth in a, and
     the trace is always reported so a missed sup is diagnosable.
@@ -188,14 +203,17 @@ class SupSearchSpec:
 
     radii: Sequence[float] = DEFAULT_SEARCH_RADII
     angles_per_radius: int = 16
-    compass_shrink: float = 0.5
-    compass_stop: float = 1e-3
-    radius_cap: float = DEFAULT_RADIUS_CAP
+
+    def __post_init__(self):
+        if len(self.radii) == 0 or self.angles_per_radius < 1:
+            raise InvalidParameterError(
+                "the sup search needs at least one radius and one angle per radius"
+            )
 
     def candidates(self):
         out = []
         for r in self.radii:
-            r = min(float(r), self.radius_cap)
+            r = min(float(r), RADIUS_CAP)
             if r <= 0.0:
                 out.append(0.0 + 0.0j)
                 continue
@@ -230,23 +248,25 @@ class NormResult:
         return np.asarray([v for _, v in self.trace])
 
 
-def _compass_max(objective: Callable[[complex], float], start: complex,
-                 value: float, cap: float, step0: float,
-                 shrink: float, stop: float, budget: int = 2000):
-    """Four-direction local ascent inside |a| <= cap.
+def _by_value(av):
+    return av[1]
 
-    Returns (argmax, value, visited) with visited the evaluated points.  The
-    evaluation budget guards against pathological integrands; the search is
-    heuristic either way and the trace records what was explored.
+
+def _compass_max(objective: Callable[[complex], float], start: complex,
+                 value: float):
+    """Four-direction local ascent inside |a| <= RADIUS_CAP.
+
+    Returns the visited points as (a, value) pairs.  The first step is a
+    quarter of the distance from ``start`` to the boundary, at least 0.05.
     """
     best_a, best_v = start, value
     visited = []
-    step = step0
-    while step > stop and len(visited) < budget:
+    step = max(0.05, 0.25 * (1.0 - abs(start)))
+    while step > COMPASS_STOP and len(visited) < COMPASS_BUDGET:
         moved = False
         for d in (step, -step, 1j * step, -1j * step):
             cand = best_a + d
-            if abs(cand) > cap:
+            if abs(cand) > RADIUS_CAP:
                 continue
             v = objective(cand)
             visited.append((cand, v))
@@ -254,8 +274,54 @@ def _compass_max(objective: Callable[[complex], float], start: complex,
                 best_a, best_v, moved = cand, v, True
                 break
         if not moved:
-            step *= shrink
-    return best_a, best_v, visited
+            step *= COMPASS_SHRINK
+    return visited
+
+
+def _sup_search(objectives: Sequence[Callable[[complex], float]],
+                search: SupSearchSpec):
+    """One (argmax, value, trace) per objective over a shared candidate set.
+
+    Lattice, one compass ascent per objective, then every objective on the
+    union of all compass points, so pointwise-dominated objectives come out
+    with dominated sups.  Memoized: one evaluation per objective and distinct
+    a.  The argmax is the first trace point with the largest value.
+    """
+    objectives = [functools.lru_cache(maxsize=None)(f) for f in objectives]
+    lattice = search.candidates()
+    traces = [[(a, f(a)) for a in lattice] for f in objectives]
+    union = []
+    for f, trace in zip(objectives, traces):
+        union.extend(a for a, _ in _compass_max(f, *max(trace, key=_by_value)))
+    for f, trace in zip(objectives, traces):
+        trace.extend((a, f(a)) for a in union)
+    return [(*max(trace, key=_by_value), trace) for trace in traces]
+
+
+def _norm_result(best, err_raw: float, p_root: float, grid: dict,
+                 value_at_zero=None, warnings=()) -> NormResult:
+    """NormResult of a sup ``(argmax, raw value, trace)`` on the 1/p_root scale.
+
+    ``err_raw`` is the error of the raw sup; it goes through the root to
+    first order and is floored at summation noise, 1e-12 of the value.
+    """
+    best_a, best_v, trace = best
+    value = best_v ** (1.0 / p_root) if p_root != 1.0 else best_v
+    if best_v > 0.0 and p_root != 1.0:
+        err_value = value * err_raw / (p_root * best_v)
+    else:
+        err_value = err_raw
+    return NormResult(
+        value=value,
+        sup_a=complex(best_a),
+        trace=tuple((complex(a), float(v)) for a, v in trace),
+        error_estimate=float(max(err_value, 1e-12 * abs(value))),
+        grid=grid,
+        raw_sup=float(best_v),
+        p_root=float(p_root),
+        value_at_zero=value_at_zero,
+        warnings=tuple(warnings),
+    )
 
 
 # --- the weighted sup engine --------------------------------------------------
@@ -267,22 +333,30 @@ class WeightedSupProblem:
     Base values are tabulated once on a (radial x max_angular) master grid;
     per-a integrals reuse nested angular subsets chosen by the aliasing
     ladder, so near-boundary parameters get the resolution they need without
-    repricing the interior ones.
+    repricing the interior ones.  The subsets are strided views of the master
+    grid, so ``base_angular`` must divide ``max_angular``.
     """
 
     def __init__(self, base_fn: Callable, q_eff: float, s_eff: float,
                  radial: int = DEFAULT_RADIAL,
-                 base_angular: int = DEFAULT_ANGULAR,
-                 max_angular: int = ANGULAR_LADDER[-1]):
+                 base_angular: int = DEFAULT_ANGULAR):
         if q_eff + s_eff <= -1.0:
             raise InvalidParameterError(
                 "combined radial exponent must exceed -1 for the Jacobi rule"
+            )
+        self.max_angular = ANGULAR_LADDER[-1]
+        if radial < 2:
+            raise InvalidParameterError(f"need at least 2 radial nodes, got {radial}")
+        if base_angular < 4 or self.max_angular % base_angular:
+            raise InvalidParameterError(
+                "angular node count must be a power of two from 4 to "
+                f"{self.max_angular}, got {base_angular}"
             )
         self.q_eff = float(q_eff)
         self.s_eff = float(s_eff)
         self.radial = int(radial)
         self.base_angular = int(base_angular)
-        self.max_angular = int(max_angular)
+        self._base_fn = base_fn
         self._t, self._w = _jacobi_01(self.radial, self.q_eff + self.s_eff)
         theta = angular_nodes(self.max_angular)
         self._z = np.sqrt(self._t)[:, None] * np.exp(1j * theta)[None, :]
@@ -327,7 +401,7 @@ class WeightedSupProblem:
         )
         theta = angular_nodes(count)
         z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-        base = np.asarray(self._base_refine_fn(z), dtype=np.float64)
+        base = np.asarray(self._base_fn(z), dtype=np.float64)
         if self.s_eff == 0.0:
             mob = 1.0
         else:
@@ -336,76 +410,14 @@ class WeightedSupProblem:
         ang = (base * mob).mean(axis=1) * (2.0 * np.pi)
         return float(0.5 * np.dot(w, ang))
 
-    # set by the norm wrappers so refinement can re-evaluate the base
-    _base_refine_fn: Callable = None
-
-
-def _sup_search(problem: WeightedSupProblem, search: SupSearchSpec):
-    candidates = search.candidates()
-    trace = [(a, problem.integral_at(a)) for a in candidates]
-    best_a, best_v = max(trace, key=lambda av: av[1])
-    step0 = max(0.05, 0.25 * (1.0 - abs(best_a)))
-    a_ref, v_ref, visited = _compass_max(
-        problem.integral_at, best_a, best_v, search.radius_cap,
-        step0, search.compass_shrink, search.compass_stop,
-    )
-    trace.extend(visited)
-    return a_ref, v_ref, trace
-
-
-def _sup_search_joint(problems: Sequence[WeightedSupProblem], search: SupSearchSpec):
-    """Run the sup search for several problems over a shared candidate set.
-
-    Each problem contributes its own compass trajectory; every problem is then
-    evaluated on the union, so pointwise-dominated integrands always come out
-    with dominated sups.
-    """
-    candidates = list(search.candidates())
-    traces = [[(a, pr.integral_at(a)) for a in candidates] for pr in problems]
-    extra = []
-    for pr, tr in zip(problems, traces):
-        best_a, best_v = max(tr, key=lambda av: av[1])
-        step0 = max(0.05, 0.25 * (1.0 - abs(best_a)))
-        _, _, visited = _compass_max(
-            pr.integral_at, best_a, best_v, search.radius_cap,
-            step0, search.compass_shrink, search.compass_stop,
-        )
-        extra.extend(a for a, _ in visited)
-    results = []
-    for pr, tr in zip(problems, traces):
-        tr = tr + [(a, pr.integral_at(a)) for a in extra]
-        best_a, best_v = max(tr, key=lambda av: av[1])
-        results.append((best_a, best_v, tr))
-    return results
-
 
 def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,
-                 p_root: float, value_at_zero=None, warnings=(),
-                 precomputed=None) -> NormResult:
-    if precomputed is None:
-        best_a, best_v, trace = _sup_search(problem, search)
-    else:
-        best_a, best_v, trace = precomputed
-    err_raw = 0.0
-    if problem._base_refine_fn is not None:
-        refined = problem.refined_integral_at(best_a)
-        err_raw = abs(refined - best_v)
-    value = best_v ** (1.0 / p_root) if p_root != 1.0 else best_v
-    if best_v > 0.0 and p_root != 1.0:
-        err_value = value * err_raw / (p_root * best_v)
-    else:
-        err_value = err_raw
-    return NormResult(
-        value=value,
-        sup_a=complex(best_a),
-        trace=tuple((complex(a), float(v)) for a, v in trace),
-        error_estimate=float(max(err_value, 1e-12 * abs(value))),
-        grid=problem.grid_metadata(),
-        raw_sup=float(best_v),
-        p_root=float(p_root),
-        value_at_zero=value_at_zero,
-        warnings=tuple(warnings),
-    )
+                 p_root: float, value_at_zero=None, warnings=()) -> NormResult:
+    """Sup of one engine problem, with a node-doubling error at the argmax."""
+    best = _sup_search([problem.integral_at], search)[0]
+    err_raw = abs(problem.refined_integral_at(best[0]) - best[1])
+    return _norm_result(best, err_raw, p_root, problem.grid_metadata(),
+                        value_at_zero, warnings)
 
 
 # --- base tabulators ----------------------------------------------------------
@@ -432,13 +444,6 @@ def _values_pow(values_fn: Callable, p: float):
 # --- norm functionals ----------------------------------------------------------
 
 
-def _problem(base_fn, q_eff, s_eff, radial, base_angular) -> WeightedSupProblem:
-    pr = WeightedSupProblem(base_fn, q_eff, s_eff, radial=radial,
-                            base_angular=base_angular)
-    pr._base_refine_fn = base_fn
-    return pr
-
-
 def q_npa_norm(f: AnalyticFn, params: Qnpa,
                search: Optional[SupSearchSpec] = None,
                radial: int = DEFAULT_RADIAL,
@@ -458,9 +463,9 @@ def q_npa_norm(f: AnalyticFn, params: Qnpa,
         )
     f0 = abs(f(0.0))
     if params.n == 1:
-        pr = _problem(_analytic_deriv_base(f, params.p),
-                      params.p - 2.0, params.alpha + 2.0 - params.p,
-                      radial, angular)
+        pr = WeightedSupProblem(_analytic_deriv_base(f, params.p),
+                                params.p - 2.0, params.alpha + 2.0 - params.p,
+                                radial, angular)
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
                             warnings=warnings)
     return _q_norm_composed([f], params, search, radial, angular, f0, warnings)
@@ -481,9 +486,9 @@ def qh_npa_norm(f: HarmonicMap, params: Qnpa,
         warnings = ("trivial range: n*p exceeds alpha+2",)
     f0 = abs(f(0.0))
     if params.n == 1:
-        pr = _problem(_harmonic_lambda_pow(f, params.p),
-                      params.p - 2.0, params.alpha + 2.0 - params.p,
-                      radial, angular)
+        pr = WeightedSupProblem(_harmonic_lambda_pow(f, params.p),
+                                params.p - 2.0, params.alpha + 2.0 - params.p,
+                                radial, angular)
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
                             warnings=warnings)
     return _q_norm_composed([f.h, f.g], params, search, radial, angular, f0,
@@ -505,29 +510,10 @@ def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings)
             total += np.abs(compose_mobius(part, m).jet(z, n, n)[n])
         return tensor_integral(total ** p, grid)
 
-    candidates = search.candidates()
-    trace = [(a, integral_at(a)) for a in candidates]
-    best_a, best_v = max(trace, key=lambda av: av[1])
-    step0 = max(0.05, 0.25 * (1.0 - abs(best_a)))
-    best_a, best_v, visited = _compass_max(
-        integral_at, best_a, best_v, search.radius_cap,
-        step0, search.compass_shrink, search.compass_stop,
-    )
-    trace.extend(visited)
-    value = best_v ** (1.0 / p)
-    refined = integral_at(best_a, nr=2 * radial, na=2 * angular)
-    err_value = value * abs(refined - best_v) / (p * best_v) if best_v > 0 else 0.0
-    return NormResult(
-        value=value,
-        sup_a=complex(best_a),
-        trace=tuple((complex(a), float(v)) for a, v in trace),
-        error_estimate=float(max(err_value, 1e-12 * value)),
-        grid={"grid_radial": radial, "grid_angular": angular, "jet_order": n},
-        raw_sup=float(best_v),
-        p_root=float(p),
-        value_at_zero=f0,
-        warnings=tuple(warnings),
-    )
+    best = _sup_search([integral_at], search)[0]
+    refined = integral_at(best[0], nr=2 * radial, na=2 * angular)
+    grid = {"grid_radial": radial, "grid_angular": angular, "jet_order": n}
+    return _norm_result(best, abs(refined - best[1]), p, grid, f0, warnings)
 
 
 def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
@@ -542,38 +528,25 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
     """
     params.validate()
     search = search or SupSearchSpec()
+    base = _harmonic_lambda_pow(f, params.p)
     if weight_form == "mobius":
-        pr = _problem(_harmonic_lambda_pow(f, params.p),
-                      params.q, params.s, radial, angular)
+        pr = WeightedSupProblem(base, params.q, params.s, radial, angular)
         return _finish_norm(pr, search, params.p)
     if weight_form != "green":
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
 
-    base = _harmonic_lambda_pow(f, params.p)
+    # the cap-refinement error of each per-a integral, kept for the argmax
+    errors = {}
 
     def integral_at(a):
         res = disk_integral_green(base, params.q, params.s, MobiusMap(a),
                                   radial=radial, angular=angular, tol=1e-7)
+        errors[a] = res.abs_error_estimate
         return res.value
 
-    candidates = search.candidates()
-    trace = [(a, integral_at(a)) for a in candidates]
-    best_a, best_v = max(trace, key=lambda av: av[1])
-    step0 = max(0.05, 0.25 * (1.0 - abs(best_a)))
-    best_a, best_v, visited = _compass_max(
-        integral_at, best_a, best_v, search.radius_cap,
-        step0, search.compass_shrink, search.compass_stop,
-    )
-    trace.extend(visited)
-    return NormResult(
-        value=best_v ** (1.0 / params.p),
-        sup_a=complex(best_a),
-        trace=tuple((complex(a), float(v)) for a, v in trace),
-        error_estimate=1e-7 * best_v ** (1.0 / params.p),
-        grid={"grid_radial": radial, "grid_angular": angular, "weight": "green"},
-        raw_sup=float(best_v),
-        p_root=float(params.p),
-    )
+    best = _sup_search([integral_at], search)[0]
+    grid = {"grid_radial": radial, "grid_angular": angular, "weight": "green"}
+    return _norm_result(best, errors[best[0]], params.p, grid)
 
 
 def m_pqs_norm(values_fn: Callable, f0: complex, params: Mpqs,
@@ -586,22 +559,11 @@ def m_pqs_norm(values_fn: Callable, f0: complex, params: Mpqs,
     """
     params.validate()
     search = search or SupSearchSpec()
-    pr = _problem(_values_pow(values_fn, params.p), params.q, params.s,
-                  radial, angular)
-    res = _finish_norm(pr, search, params.p, value_at_zero=abs(complex(f0)))
-    if abs(complex(f0)) == 0.0:
-        return res
-    return NormResult(
-        value=abs(complex(f0)) + res.value,
-        sup_a=res.sup_a,
-        trace=res.trace,
-        error_estimate=res.error_estimate,
-        grid=res.grid,
-        raw_sup=res.raw_sup,
-        p_root=res.p_root,
-        value_at_zero=res.value_at_zero,
-        warnings=res.warnings,
-    )
+    pr = WeightedSupProblem(_values_pow(values_fn, params.p), params.q,
+                            params.s, radial, angular)
+    f0 = abs(complex(f0))
+    res = _finish_norm(pr, search, params.p, value_at_zero=f0)
+    return dataclasses.replace(res, value=f0 + res.value)
 
 
 def _lambda_values(f):
@@ -627,8 +589,8 @@ def specialized_norm(f, scale, search: Optional[SupSearchSpec] = None,
         return _bloch_norm(f, scale, search)
     fparams = scale.f_scale()
     deriv_fn, f0 = _lambda_values(f)
-    pr = _problem(_values_pow(deriv_fn, fparams.p), fparams.q, fparams.s,
-                  radial, angular)
+    pr = WeightedSupProblem(_values_pow(deriv_fn, fparams.p), fparams.q,
+                            fparams.s, radial, angular)
     res = _finish_norm(pr, search, fparams.p, value_at_zero=f0)
     if f0 == 0.0:
         return res
@@ -638,36 +600,24 @@ def specialized_norm(f, scale, search: Optional[SupSearchSpec] = None,
         value = (f0 ** fparams.p + res.raw_sup) ** (1.0 / fparams.p)
     else:  # Qs
         value = math.sqrt(f0 ** 2 + res.raw_sup)
-    return NormResult(value, res.sup_a, res.trace, res.error_estimate,
-                      res.grid, res.raw_sup, res.p_root, f0, res.warnings)
+    return dataclasses.replace(res, value=value)
 
 
 def _bloch_norm(f, scale: BlochAlpha, search: SupSearchSpec) -> NormResult:
+    """|f(0)| + sup_z (1-|z|^2)^alpha Lambda_f(z), searched like a sup over a.
+
+    A pointwise sup has no quadrature error: only the summation-noise floor
+    is reported.
+    """
     deriv_fn, f0 = _lambda_values(f)
 
     def objective(z):
         z = np.asarray(complex(z))
         return float((1.0 - abs(complex(z)) ** 2) ** scale.alpha * deriv_fn(z))
 
-    candidates = search.candidates()
-    trace = [(z, objective(z)) for z in candidates]
-    best_z, best_v = max(trace, key=lambda av: av[1])
-    step0 = max(0.05, 0.25 * (1.0 - abs(best_z)))
-    best_z, best_v, visited = _compass_max(
-        objective, best_z, best_v, search.radius_cap,
-        step0, search.compass_shrink, search.compass_stop,
-    )
-    trace.extend(visited)
-    return NormResult(
-        value=f0 + best_v,
-        sup_a=complex(best_z),
-        trace=tuple((complex(z), float(v)) for z, v in trace),
-        error_estimate=1e-12 * (f0 + best_v),
-        grid={"search_points": len(trace)},
-        raw_sup=float(best_v),
-        p_root=1.0,
-        value_at_zero=f0,
-    )
+    best = _sup_search([objective], search)[0]
+    res = _norm_result(best, 0.0, 1.0, {"search_points": len(best[2])}, f0)
+    return dataclasses.replace(res, value=f0 + res.value)
 
 
 # --- sup-type constants --------------------------------------------------------
@@ -682,7 +632,7 @@ def _constant_sup(base_problem: WeightedSupProblem, label: str,
     Coarse scan along the real axis, divergence detection, then golden
     section on the bracketing interval.
     """
-    radii = [min(r, DEFAULT_RADIUS_CAP) for r in CONSTANT_SCAN_RADII]
+    radii = [min(r, RADIUS_CAP) for r in CONSTANT_SCAN_RADII]
     vals = [base_problem.integral_at(r) for r in radii]
     trace = list(zip(radii, vals))
     if vals[-1] > 10.0 * max(vals[0], 1e-300) and vals[-1] > vals[-2] > vals[-3]:
@@ -708,18 +658,10 @@ def _constant_sup(base_problem: WeightedSupProblem, label: str,
             f1 = base_problem.integral_at(x1)
         trace.append((x1, f1))
         trace.append((x2, f2))
-    best_rho, best_v = max(trace, key=lambda av: av[1])
-    refined = base_problem.refined_integral_at(best_rho) \
-        if base_problem._base_refine_fn else best_v
-    return NormResult(
-        value=float(best_v),
-        sup_a=complex(best_rho),
-        trace=tuple((complex(r), float(v)) for r, v in trace),
-        error_estimate=float(max(abs(refined - best_v), 1e-12 * abs(best_v))),
-        grid=base_problem.grid_metadata(),
-        raw_sup=float(best_v),
-        p_root=1.0,
-    )
+    best_rho, best_v = max(trace, key=_by_value)
+    refined = base_problem.refined_integral_at(best_rho)
+    return _norm_result((best_rho, best_v, trace), abs(refined - best_v), 1.0,
+                        base_problem.grid_metadata())
 
 
 def _unit_base(z):
@@ -738,7 +680,7 @@ def sigma_deriv_constant(p: float, alpha: float,
         raise InvalidParameterError("alpha must exceed -1")
     if p <= 0.0:
         raise InvalidParameterError("p must be positive")
-    pr = _problem(_unit_base, p - 2.0, alpha + 2.0 - p, radial, angular)
+    pr = WeightedSupProblem(_unit_base, p - 2.0, alpha + 2.0 - p, radial, angular)
     return _constant_sup(pr, f"C({p:g};{alpha:g})")
 
 
@@ -747,7 +689,7 @@ def weight_overlap_constant(q: float, s: float,
                             angular: int = DEFAULT_ANGULAR) -> NormResult:
     """sup_a int (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z)."""
     Fpqs(1.0, q, s).validate()
-    pr = _problem(_unit_base, q, s, radial, angular)
+    pr = WeightedSupProblem(_unit_base, q, s, radial, angular)
     return _constant_sup(pr, f"C({q:g},{s:g})")
 
 

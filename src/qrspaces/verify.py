@@ -50,8 +50,9 @@ from .spaces import (
     Qs,
     Qnpa,
     SupSearchSpec,
-    _problem,
-    _sup_search_joint,
+    WeightedSupProblem,
+    _analytic_deriv_base,
+    _sup_search,
     sigma_deriv_constant,
     weight_overlap_constant,
 )
@@ -152,11 +153,11 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
     """(norm_u, norm_v) on the shared candidate set; values on the 1/p scale."""
     F, G = conjugate_parts(f)
     # bases are |F'|^p and |G'|^p; the (1-t)^q_eff part belongs to the rule
-    pr_u = _problem(lambda z: np.abs(F.jet(z, 1, 1)[1]) ** p, q_eff, s_eff,
-                    radial, angular)
-    pr_v = _problem(lambda z: np.abs(G.jet(z, 1, 1)[1]) ** p, q_eff, s_eff,
-                    radial, angular)
-    (au, su, tru), (av, sv, trv) = _sup_search_joint([pr_u, pr_v], search)
+    pr_u = WeightedSupProblem(_analytic_deriv_base(F, p), q_eff, s_eff, radial, angular)
+    pr_v = WeightedSupProblem(_analytic_deriv_base(G, p), q_eff, s_eff, radial, angular)
+    (au, su, tru), (av, sv, trv) = _sup_search(
+        [pr_u.integral_at, pr_v.integral_at], search
+    )
     return (su ** (1.0 / p), au, tru), (sv ** (1.0 / p), av, trv), pr_u.grid_metadata()
 
 

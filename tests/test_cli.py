@@ -61,9 +61,21 @@ def test_norm_trivial_warning(tmp_path, capsys):
     assert "trivial" in capsys.readouterr().err
 
 
-def test_norm_malformed_scale_exit_2(tmp_path):
-    assert main(["norm", "--map", "identity", "--scale", "XX(1)",
+@pytest.mark.parametrize("args", [
+    ["--scale", "XX(1)"],
+    ["--angular", "100"],  # not a divisor of the master grid's 2048 angles
+    ["--angular", "0"],
+    ["--radial", "0"],
+    ["--radial", "1"],
+    ["--search-max-j", "-1"],
+    ["--search-angles", "0"],
+], ids=["malformed-scale", "angular-100", "angular-0", "radial-0", "radial-1",
+        "search-max-j-negative", "search-angles-0"])
+def test_norm_malformed_scale_exit_2(tmp_path, capsys, args):
+    assert main(["norm", "--map", "identity", *args,
                  "--out", str(tmp_path / "x.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unwritable_out_exit_4(tmp_path):
@@ -78,6 +90,13 @@ def test_constants_command(tmp_path):
     rec = read_jsonl(out)[0]
     assert rec["value"] == pytest.approx(math.pi / 2, rel=1e-8)
     assert rec["sup_rho"] <= 1e-3
+
+
+def test_constants_missing_parameter_exit_2(tmp_path, capsys):
+    assert main(["constants", "--constant", "overlap:q=0",
+                 "--out", str(tmp_path / "c.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: missing parameter 's'\n"
 
 
 def test_verify_command_pass_and_fields(tmp_path):

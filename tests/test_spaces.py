@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -18,6 +19,9 @@ from qrspaces.spaces import (
     Qs,
     SupSearchSpec,
     WeightedSupProblem,
+    _by_value,
+    _compass_max,
+    _sup_search,
     fh_pqs_norm,
     m_pqs_norm,
     morrey_constant,
@@ -127,6 +131,8 @@ def test_fh_green_form_close_to_mobius_form():
     # identical at a = 0 (both reduce to radial closed forms with value pi/2)
     assert g.raw_sup == pytest.approx(math.pi / 2.0, rel=1e-8)
     assert 0.2 < g.raw_sup / m.raw_sup < 5.0
+    # measured cap-refinement error, not a fixed fraction of the value
+    assert g.error_estimate < 1e-7 * g.value
 
 
 def test_fh_invalid_weight_form():
@@ -221,6 +227,47 @@ def test_per_a_monotone_under_domination():
     pr2 = WeightedSupProblem(lambda z: np.abs(z) ** 2 + 0.5, 0.0, 1.0)
     for a in (0.0, 0.3, 0.6j, -0.5 + 0.4j, 0.96):
         assert pr1.integral_at(a) < pr2.integral_at(a)
+
+
+def _bump(center, width):
+    return lambda a: math.exp(-abs(a - center) ** 2 / width)
+
+
+def test_sup_search_evaluates_each_point_once():
+    calls = [collections.Counter(), collections.Counter()]
+
+    def counted(i, objective):
+        def wrapped(a):
+            calls[i][a] += 1
+            return objective(a)
+        return wrapped
+
+    objectives = [_bump(0.3 - 0.2j, 0.5), _bump(-0.6j, 0.1)]
+    results = _sup_search([counted(i, f) for i, f in enumerate(objectives)],
+                          SMALL_SEARCH)
+    for count, (_, _, trace) in zip(calls, results):
+        assert set(count.values()) == {1}
+        assert set(count) == {a for a, _ in trace}
+
+
+def test_sup_search_dominated_objectives_dominated_sups():
+    f = _bump(0.3 - 0.2j, 0.5)
+    bump = _bump(-0.6j, 0.1)
+    g = lambda a: f(a) + bump(a)  # noqa: E731
+    (_, sup_f, trace_f), (_, sup_g, trace_g) = _sup_search([f, g], SMALL_SEARCH)
+    assert sup_f <= sup_g
+    assert [a for a, _ in trace_f] == [a for a, _ in trace_g]
+    assert len(trace_f) > len(SMALL_SEARCH.candidates())
+
+
+def test_sup_search_single_objective_is_lattice_then_compass():
+    f = _bump(0.3 - 0.2j, 0.5)
+    (best_a, best_v, trace), = _sup_search([f], SMALL_SEARCH)
+    lattice = [(a, f(a)) for a in SMALL_SEARCH.candidates()]
+    start, value = max(lattice, key=_by_value)
+    expected = lattice + _compass_max(f, start, value)
+    assert trace == expected
+    assert (best_a, best_v) == max(expected, key=_by_value)
 
 
 def test_qh_real_part_representation(rng):
