@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -30,10 +31,13 @@ import numpy as np
 from .analytic import cayley_half, derivative, identity, koebe, poly
 from .errors import (
     AccuracyError,
+    HypothesisViolationError,
     InfiniteConstantError,
     InvalidParameterError,
     NonQuasiregularError,
+    PoleError,
     QrspacesError,
+    SingularityError,
 )
 from .families import (
     GROWTH_TARGETS,
@@ -257,7 +261,12 @@ def _is_analytic(f: HarmonicMap) -> bool:
 
 
 def _estimate_K(f: HarmonicMap) -> float:
-    return estimate_quasiregularity(f).K_est
+    K = estimate_quasiregularity(f).K_est
+    if not math.isfinite(K):
+        raise NonQuasiregularError(
+            "distortion is unbounded on the sample grid, so no K can be estimated"
+        )
+    return K
 
 
 # --- output helpers -------------------------------------------------------------
@@ -664,7 +673,8 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args, _explicit_flags(argv))
         return COMMANDS[cfg.command](cfg)
-    except (InvalidParameterError, NonQuasiregularError) as exc:
+    except (InvalidParameterError, NonQuasiregularError, PoleError,
+            SingularityError, HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (AccuracyError, InfiniteConstantError) as exc:

@@ -16,6 +16,7 @@ The fast routes to interesting maps:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -57,8 +58,8 @@ class OrderModel:
     alpha_K: Optional[float] = None
 
     def __post_init__(self):
-        if self.K < 1.0:
-            raise InvalidParameterError("K must be >= 1")
+        if not 1.0 <= self.K < math.inf:
+            raise InvalidParameterError("K must be finite and >= 1")
         if self.alpha_K is None:
             object.__setattr__(self, "alpha_K", (3.0 * self.K + 1.0) / (self.K + 1.0))
         if self.alpha_K <= 0.0:

@@ -199,7 +199,9 @@ def estimate_quasiregularity(f: HarmonicMap, grid: Optional[SampleGrid] = None,
     """Estimate the distortion of f on a polar sample grid.
 
     K_est is the max of D_f = Lambda/lambda over samples with J > 0, sharpened
-    by a compass refinement around the maximizer.  The residual reports
+    by a compass refinement around the maximizer.  With no J > 0 sample it is
+    inf when some sample reverses sense (J < 0) or is degenerate, and 1 for a
+    constant map (J = 0 everywhere).  The residual reports
     max(Lambda^2 - K J) for the supplied K (default: the estimated K).  With
     ``require_k`` set, samples where lambda vanishes while Lambda does not
     raise :class:`NonQuasiregularError` (D_f unbounded there).
@@ -219,7 +221,7 @@ def estimate_quasiregularity(f: HarmonicMap, grid: Optional[SampleGrid] = None,
     ratio = lam_big / np.maximum(lam_small, _RATIO_GUARD)
     usable = w.jacobian > 0
     if not np.any(usable):
-        K_est = math.inf if n_degenerate else 1.0
+        K_est = math.inf if n_degenerate or np.any(w.jacobian < 0) else 1.0
         argmax = 0j
     else:
         idx = int(np.argmax(np.where(usable, ratio, -np.inf)))

@@ -245,6 +245,10 @@ def disk_integral_green(integrand, q: float, s: float, m: MobiusMap,
         raise InvalidParameterError(
             "q + s must exceed -1 (the boundary factor (1-t)^(q+s) diverges)"
         )
+    if radial < 2:
+        raise InvalidParameterError(f"need at least 2 radial nodes, got {radial}")
+    if angular < 4:
+        raise InvalidParameterError(f"need at least 4 angular nodes, got {angular}")
     a = m.param
     rho = abs(a)
     pref = (1.0 - rho ** 2) ** (q + 2.0)

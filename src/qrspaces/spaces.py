@@ -24,11 +24,14 @@ orders n >= 2, where no pullback of this form exists.
 
 Every sup over a in the disk (engine, composition, Green, Bloch, and the u/v
 pairs of the conjugate checks) runs through ``_sup_search``: one lattice, one
-compass ascent per objective, every objective on the union of the compass
-points, each evaluated once per distinct a.  The rotation-invariant constants
-use a golden section along the radius.  ``_norm_result`` builds every
-NormResult; its error is node doubling at the maximizer (engine, composition,
-constants), the Green cap-refinement estimate, or only the 1e-12 floor (Bloch).
+compass ascent per component of a joint objective, every component on the
+union of the compass points, one joint evaluation per distinct a.  An engine
+problem carries every base that shares its weight and grid (|F'|^p and |G'|^p
+of a conjugate pair), so one Mobius factor per a serves all of them; scalar
+sups are the one-component case.  The rotation-invariant constants use a
+golden section along the radius.  ``_norm_result`` builds every NormResult;
+its error is node doubling at the maximizer (engine, composition, constants),
+the Green cap-refinement estimate, or only the 1e-12 floor (Bloch).
 """
 
 from __future__ import annotations
@@ -278,23 +281,28 @@ def _compass_max(objective: Callable[[complex], float], start: complex,
     return visited
 
 
-def _sup_search(objectives: Sequence[Callable[[complex], float]],
+def _sup_search(objective: Callable[[complex], Sequence[float]],
                 search: SupSearchSpec):
-    """One (argmax, value, trace) per objective over a shared candidate set.
+    """One (argmax, value, trace) per component of a joint objective.
 
-    Lattice, one compass ascent per objective, then every objective on the
-    union of all compass points, so pointwise-dominated objectives come out
-    with dominated sups.  Memoized: one evaluation per objective and distinct
-    a.  The argmax is the first trace point with the largest value.
+    ``objective(a)`` returns one value per component (a one-tuple for a
+    scalar sup).  Lattice, one compass ascent per component, then every
+    component on the union of all compass points, so pointwise-dominated
+    components come out with dominated sups.  Memoized: one joint evaluation
+    per distinct a.  The argmax is the first trace point with the largest
+    value.
     """
-    objectives = [functools.lru_cache(maxsize=None)(f) for f in objectives]
+    joint = functools.lru_cache(maxsize=None)(objective)
     lattice = search.candidates()
-    traces = [[(a, f(a)) for a in lattice] for f in objectives]
+    values = [joint(a) for a in lattice]
+    traces = [[(a, v[i]) for a, v in zip(lattice, values)]
+              for i in range(len(values[0]))]
     union = []
-    for f, trace in zip(objectives, traces):
-        union.extend(a for a, _ in _compass_max(f, *max(trace, key=_by_value)))
-    for f, trace in zip(objectives, traces):
-        trace.extend((a, f(a)) for a in union)
+    for i, trace in enumerate(traces):
+        union.extend(a for a, _ in _compass_max(lambda a, i=i: joint(a)[i],
+                                                *max(trace, key=_by_value)))
+    for i, trace in enumerate(traces):
+        trace.extend((a, joint(a)[i]) for a in union)
     return [(*max(trace, key=_by_value), trace) for trace in traces]
 
 
@@ -330,14 +338,17 @@ def _norm_result(best, err_raw: float, p_root: float, grid: dict,
 class WeightedSupProblem:
     """sup over a of int base(z) (1-t)^q_eff (1-|sigma_a z|^2)^s_eff dA.
 
-    Base values are tabulated once on a (radial x max_angular) master grid;
-    per-a integrals reuse nested angular subsets chosen by the aliasing
-    ladder, so near-boundary parameters get the resolution they need without
-    repricing the interior ones.  The subsets are strided views of the master
-    grid, so ``base_angular`` must divide ``max_angular``.
+    One problem carries any number of bases that share the weight and the
+    grid (the u/v pair of a conjugate check); each per-a call computes the
+    Mobius factor once and returns one integral per base.  Base values are
+    tabulated once on a (radial x max_angular) master grid; per-a integrals
+    reuse nested angular subsets chosen by the aliasing ladder, so
+    near-boundary parameters get the resolution they need without repricing
+    the interior ones.  The subsets are strided copies of the master grid, so
+    ``base_angular`` must divide ``max_angular``.
     """
 
-    def __init__(self, base_fn: Callable, q_eff: float, s_eff: float,
+    def __init__(self, base_fns: Sequence[Callable], q_eff: float, s_eff: float,
                  radial: int = DEFAULT_RADIAL,
                  base_angular: int = DEFAULT_ANGULAR):
         if q_eff + s_eff <= -1.0:
@@ -356,14 +367,19 @@ class WeightedSupProblem:
         self.s_eff = float(s_eff)
         self.radial = int(radial)
         self.base_angular = int(base_angular)
-        self._base_fn = base_fn
+        self._base_fns = tuple(base_fns)
         self._t, self._w = _jacobi_01(self.radial, self.q_eff + self.s_eff)
         theta = angular_nodes(self.max_angular)
         self._z = np.sqrt(self._t)[:, None] * np.exp(1j * theta)[None, :]
-        self._base = np.asarray(base_fn(self._z), dtype=np.float64)
-        if self._base.shape != self._z.shape:
-            raise InvalidParameterError("base_fn must return values on the grid")
+        self._bases = self._tabulate(self._z)
         self._const_value = None
+        self._rungs = {}
+
+    def _tabulate(self, z) -> list:
+        bases = [np.asarray(fn(z), dtype=np.float64) for fn in self._base_fns]
+        if any(b.shape != z.shape for b in bases):
+            raise InvalidParameterError("base_fn must return values on the grid")
+        return bases
 
     def grid_metadata(self) -> dict:
         return {
@@ -374,24 +390,55 @@ class WeightedSupProblem:
             "s_eff": self.s_eff,
         }
 
-    def integral_at(self, a: complex) -> float:
+    def _rung(self, count: int):
+        """The master grid and the bases at ``count`` angles as contiguous
+        copies, with work arrays for one per-a call.
+
+        Strided reads (at 256 angles) and fresh temporaries (at 2048) each
+        cost about as much as the arithmetic of a call.
+        """
+        if count not in self._rungs:
+            stride = self.max_angular // count
+            z = np.ascontiguousarray(self._z[:, ::stride])
+            bases = [np.ascontiguousarray(b[:, ::stride]) for b in self._bases]
+            self._rungs[count] = (z, bases, _work_arrays(z.shape))
+        return self._rungs[count]
+
+    def _integrals(self, a: complex, z, bases, w, work) -> tuple:
+        """One integral per base on the grid ``z`` with radial weights ``w``.
+
+        The Mobius factor is computed once; each base then gets its own
+        contraction, since a stacked one would reorder the sums.  ``work``
+        holds the ``_work_arrays`` of the grid's shape that the call writes
+        into.
+        """
+        cbuf, mob, prod = work
+        if self.s_eff == 0.0:
+            mob = 1.0
+        else:
+            diff = np.subtract(1.0, np.multiply(np.conj(a), z, out=cbuf), out=cbuf)
+            mob = np.abs(diff, out=mob)
+            mob **= -2.0 * self.s_eff
+            mob *= (1.0 - abs(a) ** 2) ** self.s_eff
+        return tuple(
+            float(0.5 * np.dot(w, np.multiply(b, mob, out=prod).mean(axis=1)
+                               * (2.0 * np.pi)))
+            for b in bases
+        )
+
+    def integral_at(self, a: complex) -> tuple:
+        """One integral per base at the automorphism parameter a."""
         a = complex(a)
         if self.s_eff == 0.0:
             if self._const_value is None:
-                ang = self._base.mean(axis=1) * (2.0 * np.pi)
-                self._const_value = float(0.5 * np.dot(self._w, ang))
+                z, bases, work = self._rung(self.max_angular)
+                self._const_value = self._integrals(a, z, bases, self._w, work)
             return self._const_value
         count = angular_count_for(abs(a), abs(self.s_eff), self.base_angular)
-        count = min(count, self.max_angular)
-        stride = self.max_angular // count
-        z = self._z[:, ::stride]
-        b = self._base[:, ::stride]
-        pref = (1.0 - abs(a) ** 2) ** self.s_eff
-        mob = pref * np.abs(1.0 - np.conj(a) * z) ** (-2.0 * self.s_eff)
-        ang = (b * mob).mean(axis=1) * (2.0 * np.pi)
-        return float(0.5 * np.dot(self._w, ang))
+        z, bases, work = self._rung(min(count, self.max_angular))
+        return self._integrals(a, z, bases, self._w, work)
 
-    def refined_integral_at(self, a: complex) -> float:
+    def refined_integral_at(self, a: complex) -> tuple:
         """One-off evaluation with doubled node counts (error estimation)."""
         a = complex(a)
         t, w = _jacobi_01(2 * self.radial, self.q_eff + self.s_eff)
@@ -401,23 +448,21 @@ class WeightedSupProblem:
         )
         theta = angular_nodes(count)
         z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-        base = np.asarray(self._base_fn(z), dtype=np.float64)
-        if self.s_eff == 0.0:
-            mob = 1.0
-        else:
-            pref = (1.0 - abs(a) ** 2) ** self.s_eff
-            mob = pref * np.abs(1.0 - np.conj(a) * z) ** (-2.0 * self.s_eff)
-        ang = (base * mob).mean(axis=1) * (2.0 * np.pi)
-        return float(0.5 * np.dot(w, ang))
+        return self._integrals(a, z, self._tabulate(z), w, _work_arrays(z.shape))
+
+
+def _work_arrays(shape) -> tuple:
+    """Scratch for one per-a call: 1 - conj(a) z, the Mobius factor, a product."""
+    return np.empty(shape, complex), np.empty(shape), np.empty(shape)
 
 
 def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,
                  p_root: float, value_at_zero=None, warnings=()) -> NormResult:
-    """Sup of one engine problem, with a node-doubling error at the argmax."""
-    best = _sup_search([problem.integral_at], search)[0]
-    err_raw = abs(problem.refined_integral_at(best[0]) - best[1])
-    return _norm_result(best, err_raw, p_root, problem.grid_metadata(),
-                        value_at_zero, warnings)
+    """Sup of a one-base engine problem, node-doubling error at the argmax."""
+    (best,) = _sup_search(problem.integral_at, search)
+    (refined,) = problem.refined_integral_at(best[0])
+    return _norm_result(best, abs(refined - best[1]), p_root,
+                        problem.grid_metadata(), value_at_zero, warnings)
 
 
 # --- base tabulators ----------------------------------------------------------
@@ -463,7 +508,7 @@ def q_npa_norm(f: AnalyticFn, params: Qnpa,
         )
     f0 = abs(f(0.0))
     if params.n == 1:
-        pr = WeightedSupProblem(_analytic_deriv_base(f, params.p),
+        pr = WeightedSupProblem([_analytic_deriv_base(f, params.p)],
                                 params.p - 2.0, params.alpha + 2.0 - params.p,
                                 radial, angular)
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
@@ -486,7 +531,7 @@ def qh_npa_norm(f: HarmonicMap, params: Qnpa,
         warnings = ("trivial range: n*p exceeds alpha+2",)
     f0 = abs(f(0.0))
     if params.n == 1:
-        pr = WeightedSupProblem(_harmonic_lambda_pow(f, params.p),
+        pr = WeightedSupProblem([_harmonic_lambda_pow(f, params.p)],
                                 params.p - 2.0, params.alpha + 2.0 - params.p,
                                 radial, angular)
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
@@ -508,10 +553,10 @@ def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings)
         total = np.zeros(z.shape)
         for part in parts:
             total += np.abs(compose_mobius(part, m).jet(z, n, n)[n])
-        return tensor_integral(total ** p, grid)
+        return (tensor_integral(total ** p, grid),)
 
-    best = _sup_search([integral_at], search)[0]
-    refined = integral_at(best[0], nr=2 * radial, na=2 * angular)
+    (best,) = _sup_search(integral_at, search)
+    (refined,) = integral_at(best[0], nr=2 * radial, na=2 * angular)
     grid = {"grid_radial": radial, "grid_angular": angular, "jet_order": n}
     return _norm_result(best, abs(refined - best[1]), p, grid, f0, warnings)
 
@@ -530,7 +575,7 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
     search = search or SupSearchSpec()
     base = _harmonic_lambda_pow(f, params.p)
     if weight_form == "mobius":
-        pr = WeightedSupProblem(base, params.q, params.s, radial, angular)
+        pr = WeightedSupProblem([base], params.q, params.s, radial, angular)
         return _finish_norm(pr, search, params.p)
     if weight_form != "green":
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
@@ -542,9 +587,9 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
         res = disk_integral_green(base, params.q, params.s, MobiusMap(a),
                                   radial=radial, angular=angular, tol=1e-7)
         errors[a] = res.abs_error_estimate
-        return res.value
+        return (res.value,)
 
-    best = _sup_search([integral_at], search)[0]
+    (best,) = _sup_search(integral_at, search)
     grid = {"grid_radial": radial, "grid_angular": angular, "weight": "green"}
     return _norm_result(best, errors[best[0]], params.p, grid)
 
@@ -559,7 +604,7 @@ def m_pqs_norm(values_fn: Callable, f0: complex, params: Mpqs,
     """
     params.validate()
     search = search or SupSearchSpec()
-    pr = WeightedSupProblem(_values_pow(values_fn, params.p), params.q,
+    pr = WeightedSupProblem([_values_pow(values_fn, params.p)], params.q,
                             params.s, radial, angular)
     f0 = abs(complex(f0))
     res = _finish_norm(pr, search, params.p, value_at_zero=f0)
@@ -589,7 +634,7 @@ def specialized_norm(f, scale, search: Optional[SupSearchSpec] = None,
         return _bloch_norm(f, scale, search)
     fparams = scale.f_scale()
     deriv_fn, f0 = _lambda_values(f)
-    pr = WeightedSupProblem(_values_pow(deriv_fn, fparams.p), fparams.q,
+    pr = WeightedSupProblem([_values_pow(deriv_fn, fparams.p)], fparams.q,
                             fparams.s, radial, angular)
     res = _finish_norm(pr, search, fparams.p, value_at_zero=f0)
     if f0 == 0.0:
@@ -613,9 +658,9 @@ def _bloch_norm(f, scale: BlochAlpha, search: SupSearchSpec) -> NormResult:
 
     def objective(z):
         z = np.asarray(complex(z))
-        return float((1.0 - abs(complex(z)) ** 2) ** scale.alpha * deriv_fn(z))
+        return (float((1.0 - abs(complex(z)) ** 2) ** scale.alpha * deriv_fn(z)),)
 
-    best = _sup_search([objective], search)[0]
+    (best,) = _sup_search(objective, search)
     res = _norm_result(best, 0.0, 1.0, {"search_points": len(best[2])}, f0)
     return dataclasses.replace(res, value=f0 + res.value)
 
@@ -630,10 +675,15 @@ def _constant_sup(base_problem: WeightedSupProblem, label: str,
     """1-D sup over rho in [0, 1) of a rotation-invariant per-a integral.
 
     Coarse scan along the real axis, divergence detection, then golden
-    section on the bracketing interval.
+    section on the bracketing interval.  ``base_problem`` has one base.
     """
+
+    def value(rho):
+        (v,) = base_problem.integral_at(rho)
+        return v
+
     radii = [min(r, RADIUS_CAP) for r in CONSTANT_SCAN_RADII]
-    vals = [base_problem.integral_at(r) for r in radii]
+    vals = [value(r) for r in radii]
     trace = list(zip(radii, vals))
     if vals[-1] > 10.0 * max(vals[0], 1e-300) and vals[-1] > vals[-2] > vals[-3]:
         raise InfiniteConstantError(
@@ -646,20 +696,20 @@ def _constant_sup(base_problem: WeightedSupProblem, label: str,
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1, f2 = base_problem.integral_at(x1), base_problem.integral_at(x2)
+    f1, f2 = value(x1), value(x2)
     while hi - lo > xtol:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + invphi * (hi - lo)
-            f2 = base_problem.integral_at(x2)
+            f2 = value(x2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - invphi * (hi - lo)
-            f1 = base_problem.integral_at(x1)
+            f1 = value(x1)
         trace.append((x1, f1))
         trace.append((x2, f2))
     best_rho, best_v = max(trace, key=_by_value)
-    refined = base_problem.refined_integral_at(best_rho)
+    (refined,) = base_problem.refined_integral_at(best_rho)
     return _norm_result((best_rho, best_v, trace), abs(refined - best_v), 1.0,
                         base_problem.grid_metadata())
 
@@ -680,7 +730,7 @@ def sigma_deriv_constant(p: float, alpha: float,
         raise InvalidParameterError("alpha must exceed -1")
     if p <= 0.0:
         raise InvalidParameterError("p must be positive")
-    pr = WeightedSupProblem(_unit_base, p - 2.0, alpha + 2.0 - p, radial, angular)
+    pr = WeightedSupProblem([_unit_base], p - 2.0, alpha + 2.0 - p, radial, angular)
     return _constant_sup(pr, f"C({p:g};{alpha:g})")
 
 
@@ -689,7 +739,7 @@ def weight_overlap_constant(q: float, s: float,
                             angular: int = DEFAULT_ANGULAR) -> NormResult:
     """sup_a int (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z)."""
     Fpqs(1.0, q, s).validate()
-    pr = WeightedSupProblem(_unit_base, q, s, radial, angular)
+    pr = WeightedSupProblem([_unit_base], q, s, radial, angular)
     return _constant_sup(pr, f"C({q:g},{s:g})")
 
 

@@ -131,6 +131,8 @@ def _require_qh_range(p: float, alpha: float):
 
 def _require_k_quasiregular(f: HarmonicMap, K: float):
     est = estimate_quasiregularity(f)
+    if not math.isfinite(est.K_est):
+        raise NonQuasiregularError("distortion is unbounded on the sample grid")
     if est.K_est > K + _QR_SLACK:
         raise NonQuasiregularError(
             f"estimated distortion {est.K_est:.6f} exceeds claimed K = {K:g}"
@@ -152,13 +154,12 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
                          search: SupSearchSpec, radial: int, angular: int):
     """(norm_u, norm_v) on the shared candidate set; values on the 1/p scale."""
     F, G = conjugate_parts(f)
-    # bases are |F'|^p and |G'|^p; the (1-t)^q_eff part belongs to the rule
-    pr_u = WeightedSupProblem(_analytic_deriv_base(F, p), q_eff, s_eff, radial, angular)
-    pr_v = WeightedSupProblem(_analytic_deriv_base(G, p), q_eff, s_eff, radial, angular)
-    (au, su, tru), (av, sv, trv) = _sup_search(
-        [pr_u.integral_at, pr_v.integral_at], search
-    )
-    return (su ** (1.0 / p), au, tru), (sv ** (1.0 / p), av, trv), pr_u.grid_metadata()
+    # bases are |F'|^p and |G'|^p; the (1-t)^q_eff part belongs to the rule,
+    # and one Mobius factor per a serves both
+    pr = WeightedSupProblem([_analytic_deriv_base(F, p), _analytic_deriv_base(G, p)],
+                            q_eff, s_eff, radial, angular)
+    (au, su, tru), (av, sv, trv) = _sup_search(pr.integral_at, search)
+    return (su ** (1.0 / p), au, tru), (sv ** (1.0 / p), av, trv), pr.grid_metadata()
 
 
 def check_conjugate_bound_qh(f: HarmonicMap, K: float, p: float, alpha: float,

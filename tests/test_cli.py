@@ -4,8 +4,13 @@ import math
 
 import pytest
 
-from qrspaces.cli import build_map, main, parse_scale
-from qrspaces.errors import InvalidParameterError
+from qrspaces.cli import COMMANDS, build_map, main, parse_scale
+from qrspaces.errors import (
+    HypothesisViolationError,
+    InvalidParameterError,
+    PoleError,
+    SingularityError,
+)
 from qrspaces.spaces import Fpqs, Morrey, Qnpa
 
 
@@ -69,13 +74,27 @@ def test_norm_trivial_warning(tmp_path, capsys):
     ["--radial", "1"],
     ["--search-max-j", "-1"],
     ["--search-angles", "0"],
+    ["--scale", "F(2,0,1)", "--weight-form", "green", "--radial", "0"],
+    ["--scale", "F(2,0,1)", "--weight-form", "green", "--angular", "0"],
 ], ids=["malformed-scale", "angular-100", "angular-0", "radial-0", "radial-1",
-        "search-max-j-negative", "search-angles-0"])
+        "search-max-j-negative", "search-angles-0", "green-radial-0",
+        "green-angular-0"])
 def test_norm_malformed_scale_exit_2(tmp_path, capsys, args):
     assert main(["norm", "--map", "identity", *args,
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [PoleError, SingularityError,
+                                   HypothesisViolationError])
+def test_package_errors_exit_2(monkeypatch, capsys, error):
+    def fail(cfg):
+        raise error("bad input")
+
+    monkeypatch.setitem(COMMANDS, "norm", fail)
+    assert main(["norm", "--map", "identity"]) == 2
+    assert capsys.readouterr().err == "error: bad input\n"
 
 
 def test_unwritable_out_exit_4(tmp_path):
@@ -126,6 +145,19 @@ def test_verify_estimates_K_when_omitted(tmp_path):
     assert code == 0
     rec = read_jsonl(out)[0]
     assert rec["K"] == pytest.approx(1.2 / 0.8, rel=1e-6)
+
+
+@pytest.mark.parametrize("args", [
+    ["--theorem", "3.1", "--scale", "Q(1,1.5,0)"],
+    ["--theorem", "3.1", "--scale", "Q(1,1.5,0)", "--K", "inf"],
+    ["--theorem", "4.1", "--scale", "M(0.8,0,1)"],
+], ids=["3.1-estimated-K", "3.1-K-inf", "4.1-estimated-K"])
+def test_verify_sense_reversing_map_exit_2(tmp_path, capsys, args):
+    # z - 2 conj(z): |G'| = 3 |F'|, J < 0 everywhere, so no finite K bounds it
+    assert main(["verify", "--map", "hpoly:h=0,1;g=0,-2", *args,
+                 "--out", str(tmp_path / "v.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_sweep_command(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,5 @@ def test_order_model_defaults():
     assert OrderModel(5.0).alpha_K >= 1.0
     with pytest.raises(InvalidParameterError):
         OrderModel(0.5)
+    with pytest.raises(InvalidParameterError):
+        OrderModel(math.inf)

@@ -158,6 +158,13 @@ def test_estimate_quasiregularity():
     assert est.Kprime_residual == pytest.approx(4.0, rel=1e-12)
     assert est.degenerate_points > 0
 
+    # z + 2 conj(z): J = 1 - 4 < 0 at every sample, so no K bounds it
+    est = estimate_quasiregularity(HarmonicMap(identity(), poly([0.0, 2.0])))
+    assert est.K_est == math.inf
+    # a constant map has J = 0 everywhere and keeps K = 1
+    est = estimate_quasiregularity(HarmonicMap(poly([1.0]), poly([0.0])))
+    assert est.K_est == 1.0
+
 
 def test_estimate_nonconstant_dilatation():
     # w(z) = 0.5 z: sup |w| approaches 0.5 at the rim

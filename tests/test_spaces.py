@@ -9,6 +9,7 @@ from qrspaces.errors import InfiniteConstantError, InvalidParameterError
 from qrspaces.families import affine_extremal
 from qrspaces.harmonic import HarmonicMap, analytic_as_harmonic
 from qrspaces.mobius import MobiusMap
+from qrspaces.quadrature import angular_count_for
 from qrspaces.spaces import (
     BergmanMorrey,
     BlochAlpha,
@@ -199,15 +200,15 @@ def test_constants_closed_forms():
 
 def test_constants_rotation_invariance():
     problems = [
-        WeightedSupProblem(lambda z: np.ones(z.shape), 1.5 - 2.0, 0.0 + 2.0 - 1.5),
-        WeightedSupProblem(lambda z: np.ones(z.shape), 0.0, 1.0),
-        WeightedSupProblem(lambda z: np.ones(z.shape), 0.5, 0.5),
-        WeightedSupProblem(lambda z: np.ones(z.shape), 0.0, 2.0),
+        WeightedSupProblem([lambda z: np.ones(z.shape)], 1.5 - 2.0, 0.0 + 2.0 - 1.5),
+        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.0, 1.0),
+        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.5, 0.5),
+        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.0, 2.0),
     ]
     for pr in problems:
-        ref = pr.integral_at(0.6)
+        (ref,) = pr.integral_at(0.6)
         for k in range(8):
-            val = pr.integral_at(0.6 * np.exp(2j * np.pi * k / 8))
+            (val,) = pr.integral_at(0.6 * np.exp(2j * np.pi * k / 8))
             assert val == pytest.approx(ref, rel=1e-8)
 
 
@@ -223,10 +224,29 @@ def test_weight_overlap_validation():
 
 def test_per_a_monotone_under_domination():
     # positive weights: pointwise-dominated bases give dominated integrals
-    pr1 = WeightedSupProblem(lambda z: np.abs(z) ** 2, 0.0, 1.0)
-    pr2 = WeightedSupProblem(lambda z: np.abs(z) ** 2 + 0.5, 0.0, 1.0)
+    pr1 = WeightedSupProblem([lambda z: np.abs(z) ** 2], 0.0, 1.0)
+    pr2 = WeightedSupProblem([lambda z: np.abs(z) ** 2 + 0.5], 0.0, 1.0)
     for a in (0.0, 0.3, 0.6j, -0.5 + 0.4j, 0.96):
-        assert pr1.integral_at(a) < pr2.integral_at(a)
+        assert pr1.integral_at(a)[0] < pr2.integral_at(a)[0]
+
+
+@pytest.mark.parametrize("q_eff, s_eff", [(0.0, 1.0), (-0.5, 0.5), (0.3, 0.0)])
+def test_joint_kernel_equals_single_base_problems(q_eff, s_eff):
+    # one Mobius factor per a, one contraction per base: the same bits as
+    # separate problems, on every rung of the angular ladder
+    bases = [lambda z: np.abs(1.0 + z) ** 1.5,
+             lambda z: np.abs(z - 0.5j) ** 2 + 0.1]
+    joint = WeightedSupProblem(bases, q_eff, s_eff)
+    singles = [WeightedSupProblem([b], q_eff, s_eff) for b in bases]
+    params = (0.0, 0.3j, -0.5 + 0.4j, 0.9, 0.95j, -0.99, 0.999)
+    if s_eff:
+        assert {256, 2048} <= {angular_count_for(abs(a), s_eff) for a in params}
+    for a in params:
+        vals = joint.integral_at(a)
+        assert len(vals) == 2
+        assert vals == tuple(pr.integral_at(a)[0] for pr in singles)
+        refined = joint.refined_integral_at(a)
+        assert refined == tuple(pr.refined_integral_at(a)[0] for pr in singles)
 
 
 def _bump(center, width):
@@ -234,27 +254,26 @@ def _bump(center, width):
 
 
 def test_sup_search_evaluates_each_point_once():
-    calls = [collections.Counter(), collections.Counter()]
+    calls = collections.Counter()
+    components = [_bump(0.3 - 0.2j, 0.5), _bump(-0.6j, 0.1)]
 
-    def counted(i, objective):
-        def wrapped(a):
-            calls[i][a] += 1
-            return objective(a)
-        return wrapped
+    def joint(a):
+        calls[a] += 1
+        return tuple(f(a) for f in components)
 
-    objectives = [_bump(0.3 - 0.2j, 0.5), _bump(-0.6j, 0.1)]
-    results = _sup_search([counted(i, f) for i, f in enumerate(objectives)],
-                          SMALL_SEARCH)
-    for count, (_, _, trace) in zip(calls, results):
-        assert set(count.values()) == {1}
-        assert set(count) == {a for a, _ in trace}
+    results = _sup_search(joint, SMALL_SEARCH)
+    assert len(results) == len(components)
+    assert set(calls.values()) == {1}
+    for _, _, trace in results:
+        assert set(calls) == {a for a, _ in trace}
 
 
 def test_sup_search_dominated_objectives_dominated_sups():
     f = _bump(0.3 - 0.2j, 0.5)
     bump = _bump(-0.6j, 0.1)
     g = lambda a: f(a) + bump(a)  # noqa: E731
-    (_, sup_f, trace_f), (_, sup_g, trace_g) = _sup_search([f, g], SMALL_SEARCH)
+    (_, sup_f, trace_f), (_, sup_g, trace_g) = _sup_search(
+        lambda a: (f(a), g(a)), SMALL_SEARCH)
     assert sup_f <= sup_g
     assert [a for a, _ in trace_f] == [a for a, _ in trace_g]
     assert len(trace_f) > len(SMALL_SEARCH.candidates())
@@ -262,7 +281,7 @@ def test_sup_search_dominated_objectives_dominated_sups():
 
 def test_sup_search_single_objective_is_lattice_then_compass():
     f = _bump(0.3 - 0.2j, 0.5)
-    (best_a, best_v, trace), = _sup_search([f], SMALL_SEARCH)
+    (best_a, best_v, trace), = _sup_search(lambda a: (f(a),), SMALL_SEARCH)
     lattice = [(a, f(a)) for a in SMALL_SEARCH.candidates()]
     start, value = max(lattice, key=_by_value)
     expected = lattice + _compass_max(f, start, value)

@@ -1,3 +1,4 @@
+import collections
 import math
 
 import pytest
@@ -12,9 +13,10 @@ from qrspaces.families import (
     kkprime_example,
     koebe_shear,
 )
-from qrspaces.harmonic import analytic_as_harmonic
-from qrspaces.spaces import Fpqs, Mpqs, SupSearchSpec
+from qrspaces.harmonic import HarmonicMap, analytic_as_harmonic
+from qrspaces.spaces import Fpqs, Mpqs, SupSearchSpec, WeightedSupProblem
 from qrspaces.verify import (
+    _conjugate_norm_pair,
     check_conjugate_bound_fh,
     check_conjugate_bound_qh,
     check_inhomogeneous_bound_fh,
@@ -60,6 +62,25 @@ def test_qh_bound_requires_quasiregularity():
         check_conjugate_bound_qh(affine_extremal(0.5), 1.5, 1.5, 0.0, FAST)
     with pytest.raises(NonQuasiregularError):
         check_conjugate_bound_qh(kkprime_example(), 2.0, 1.5, 0.0, FAST)
+    sense_reversing = HarmonicMap(identity(), poly([0.0, 2.0]))  # J < 0
+    with pytest.raises(NonQuasiregularError):
+        check_conjugate_bound_qh(sense_reversing, 3.0, 1.5, 0.0, FAST)
+
+
+def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
+    calls = collections.Counter()
+    kernel = WeightedSupProblem.integral_at
+
+    def counted(self, a):
+        calls[complex(a)] += 1
+        return kernel(self, a)
+
+    monkeypatch.setattr(WeightedSupProblem, "integral_at", counted)
+    (_, _, tru), (_, _, trv), _ = _conjugate_norm_pair(
+        cayley_shear(0.5), 0.0, 1.0, 2.0, FAST, 32, 16)
+    assert [a for a, _ in tru] == [a for a, _ in trv]
+    assert set(calls.values()) == {1}
+    assert set(calls) == {a for a, _ in tru}
 
 
 def test_fh_bound_affine_and_shear():
