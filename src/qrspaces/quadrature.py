@@ -34,7 +34,8 @@ DEFAULT_REFINE_CAP = 4
 DEFAULT_REL_TOL = 1e-8
 
 # Nested angular ladder: every entry divides the largest, so base values
-# tabulated on the finest grid can be reused through strided views.
+# tabulated on the finest grid can be reused at every rung (the engine keeps
+# one contiguous copy per rung).
 ANGULAR_LADDER = (256, 512, 1024, 2048)
 
 
@@ -175,6 +176,36 @@ def _check_mobius_params(q: float, s: float):
         raise InvalidParameterError("q + s must exceed -1")
 
 
+def work_arrays(shape) -> tuple:
+    """Scratch for one ``mobius_integrals`` call on a grid of ``shape``:
+    1 - conj(a) z, the Mobius factor, and a product."""
+    return np.empty(shape, complex), np.empty(shape), np.empty(shape)
+
+
+def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
+    """One integral per base of base(z) (1-|a|^2)^s / |1 - conj(a) z|^(2s).
+
+    ``z`` holds the nodes of a tensor rule (radial x angular), ``bases`` the
+    tabulated bases on it, ``w`` the radial weights (with any (1-t)-power
+    absorbed) and ``work`` the ``work_arrays`` of the grid's shape, which the
+    call writes into.  The Mobius factor is computed once; each base then
+    gets its own contraction, since a stacked one would reorder the sums.
+    """
+    cbuf, mob, prod = work
+    if s == 0.0:
+        mob = 1.0
+    else:
+        diff = np.subtract(1.0, np.multiply(np.conj(a), z, out=cbuf), out=cbuf)
+        mob = np.abs(diff, out=mob)
+        mob **= -2.0 * s
+        mob *= (1.0 - abs(a) ** 2) ** s
+    return tuple(
+        float(0.5 * np.dot(w, np.multiply(b, mob, out=prod).mean(axis=1)
+                           * (2.0 * np.pi)))
+        for b in bases
+    )
+
+
 def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
                                 radial: int = DEFAULT_RADIAL,
                                 angular: int = DEFAULT_ANGULAR,
@@ -183,19 +214,19 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
     """int_D integrand(z) (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z).
 
     The rule absorbs (1-t)^(q+s) radially; the remaining bounded factor is
-    (1-|a|^2)^s / |1 - conj(a) z|^{2s}.
+    (1-|a|^2)^s / |1 - conj(a) z|^{2s}, integrated by ``mobius_integrals``.
     """
     _check_mobius_params(q, s)
     a = m.param
-    pref = (1.0 - abs(a) ** 2) ** s
     base_angular = angular_count_for(abs(a), s, angular)
 
     def evaluate(nr, na):
         grid = build_grid(nr, q + s, na)
         z = grid_points(grid)
-        mob = pref / np.abs(1.0 - np.conj(a) * z) ** (2.0 * s)
-        vals = np.asarray(integrand(z), dtype=np.float64) * mob
-        return tensor_integral(vals, grid)
+        base = np.asarray(integrand(z), dtype=np.float64)
+        (value,) = mobius_integrals(a, s, z, [base], grid.radial_weights,
+                                    work_arrays(z.shape))
+        return value
 
     return _refine_loop(evaluate, radial, base_angular, tol, refine_cap)
 
@@ -237,14 +268,7 @@ def disk_integral_green(integrand, q: float, s: float, m: MobiusMap,
     The split radius delta is halved until the cap contribution stabilizes
     within the requested tolerance.
     """
-    if q <= -2.0:
-        raise InvalidParameterError("q must exceed -2")
-    if s <= 0.0:
-        raise InvalidParameterError("s must be positive")
-    if q + s <= -1.0:
-        raise InvalidParameterError(
-            "q + s must exceed -1 (the boundary factor (1-t)^(q+s) diverges)"
-        )
+    _check_mobius_params(q, s)
     if radial < 2:
         raise InvalidParameterError(f"need at least 2 radial nodes, got {radial}")
     if angular < 4:
@@ -315,23 +339,3 @@ def truncated_radial_rule(R: float, points_per_panel: int = 24):
         ws.append(half * w)
     return np.concatenate(ts), np.concatenate(ws)
 
-
-def disk_integral_truncated(integrand, q: float, s: float, m: MobiusMap,
-                            R: float, angular: int = DEFAULT_ANGULAR) -> float:
-    """int_{|z| <= R} integrand(z) (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z).
-
-    Single-shot rule (no doubling): used inside truncation sweeps where the
-    quantity of interest is the trend of values across R.
-    """
-    _check_mobius_params(q, s)
-    a = m.param
-    t, w = truncated_radial_rule(R)
-    na = angular_count_for(max(abs(a), R), s, angular)
-    theta = angular_nodes(na)
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    weight = ((1.0 - t) ** (q + s))[:, None] * (
-        (1.0 - abs(a) ** 2) ** s / np.abs(1.0 - np.conj(a) * z) ** (2.0 * s)
-    )
-    vals = np.asarray(integrand(z), dtype=np.float64) * weight
-    ang = vals.mean(axis=1) * (2.0 * np.pi)
-    return float(0.5 * np.dot(w, ang))

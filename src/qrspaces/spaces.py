@@ -58,7 +58,9 @@ from .quadrature import (
     build_grid,
     disk_integral_green,
     grid_points,
+    mobius_integrals,
     tensor_integral,
+    work_arrays,
 )
 
 # --- parameter records -------------------------------------------------------
@@ -339,13 +341,14 @@ class WeightedSupProblem:
     """sup over a of int base(z) (1-t)^q_eff (1-|sigma_a z|^2)^s_eff dA.
 
     One problem carries any number of bases that share the weight and the
-    grid (the u/v pair of a conjugate check); each per-a call computes the
-    Mobius factor once and returns one integral per base.  Base values are
-    tabulated once on a (radial x max_angular) master grid; per-a integrals
-    reuse nested angular subsets chosen by the aliasing ladder, so
-    near-boundary parameters get the resolution they need without repricing
-    the interior ones.  The subsets are strided copies of the master grid, so
-    ``base_angular`` must divide ``max_angular``.
+    grid (the u/v pair of a conjugate check); each per-a call is one
+    ``quadrature.mobius_integrals``, which computes the Mobius factor once and
+    returns one integral per base.  Base values are tabulated once on a
+    (radial x max_angular) master grid; per-a integrals run on the rung of the
+    nested angular ladder that the aliasing bound picks, so near-boundary
+    parameters get the resolution they need without repricing the interior
+    ones.  Each rung keeps a contiguous copy of every ``max_angular //
+    count``-th master column, so ``base_angular`` must divide ``max_angular``.
     """
 
     def __init__(self, base_fns: Sequence[Callable], q_eff: float, s_eff: float,
@@ -401,30 +404,8 @@ class WeightedSupProblem:
             stride = self.max_angular // count
             z = np.ascontiguousarray(self._z[:, ::stride])
             bases = [np.ascontiguousarray(b[:, ::stride]) for b in self._bases]
-            self._rungs[count] = (z, bases, _work_arrays(z.shape))
+            self._rungs[count] = (z, bases, work_arrays(z.shape))
         return self._rungs[count]
-
-    def _integrals(self, a: complex, z, bases, w, work) -> tuple:
-        """One integral per base on the grid ``z`` with radial weights ``w``.
-
-        The Mobius factor is computed once; each base then gets its own
-        contraction, since a stacked one would reorder the sums.  ``work``
-        holds the ``_work_arrays`` of the grid's shape that the call writes
-        into.
-        """
-        cbuf, mob, prod = work
-        if self.s_eff == 0.0:
-            mob = 1.0
-        else:
-            diff = np.subtract(1.0, np.multiply(np.conj(a), z, out=cbuf), out=cbuf)
-            mob = np.abs(diff, out=mob)
-            mob **= -2.0 * self.s_eff
-            mob *= (1.0 - abs(a) ** 2) ** self.s_eff
-        return tuple(
-            float(0.5 * np.dot(w, np.multiply(b, mob, out=prod).mean(axis=1)
-                               * (2.0 * np.pi)))
-            for b in bases
-        )
 
     def integral_at(self, a: complex) -> tuple:
         """One integral per base at the automorphism parameter a."""
@@ -432,11 +413,12 @@ class WeightedSupProblem:
         if self.s_eff == 0.0:
             if self._const_value is None:
                 z, bases, work = self._rung(self.max_angular)
-                self._const_value = self._integrals(a, z, bases, self._w, work)
+                self._const_value = mobius_integrals(a, self.s_eff, z, bases,
+                                                     self._w, work)
             return self._const_value
         count = angular_count_for(abs(a), abs(self.s_eff), self.base_angular)
         z, bases, work = self._rung(min(count, self.max_angular))
-        return self._integrals(a, z, bases, self._w, work)
+        return mobius_integrals(a, self.s_eff, z, bases, self._w, work)
 
     def refined_integral_at(self, a: complex) -> tuple:
         """One-off evaluation with doubled node counts (error estimation)."""
@@ -448,12 +430,8 @@ class WeightedSupProblem:
         )
         theta = angular_nodes(count)
         z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-        return self._integrals(a, z, self._tabulate(z), w, _work_arrays(z.shape))
-
-
-def _work_arrays(shape) -> tuple:
-    """Scratch for one per-a call: 1 - conj(a) z, the Mobius factor, a product."""
-    return np.empty(shape, complex), np.empty(shape), np.empty(shape)
+        return mobius_integrals(a, self.s_eff, z, self._tabulate(z), w,
+                                work_arrays(z.shape))
 
 
 def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,

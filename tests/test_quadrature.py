@@ -7,15 +7,20 @@ from scipy.special import beta as beta_fn
 from qrspaces.errors import InvalidParameterError
 from qrspaces.mobius import MobiusMap
 from qrspaces.quadrature import (
+    _jacobi_01,
     angular_count_for,
+    angular_nodes,
     build_grid,
     disk_integral_alpha,
     disk_integral_green,
     disk_integral_mobius_weight,
-    disk_integral_truncated,
     grid_points,
+    mobius_integrals,
     tensor_integral,
+    truncated_radial_rule,
+    work_arrays,
 )
+from qrspaces.verify import _truncated_sup_norm
 
 
 def mobius_area_series(rho):
@@ -148,13 +153,29 @@ def test_angular_ladder_monotone():
 
 
 def test_truncated_integral_approaches_full():
+    # sup_a int_{|z|<=R} (1-|sigma_a z|^2) dA sits at a = 0:
+    # int_{|z|<=R} (1-|z|^2) dA = pi (R^2 - R^4/2)
     one = lambda z: np.ones(z.shape)
-    m = MobiusMap(0.3)
-    full = disk_integral_mobius_weight(one, 0.0, 1.0, m).value
-    approx = disk_integral_truncated(one, 0.0, 1.0, m, R=1.0 - 2.0 ** -12)
-    assert approx == pytest.approx(full, rel=1e-3)
-    small = disk_integral_truncated(one, 0.0, 1.0, m, R=0.5)
-    assert small < approx
+    for R in (0.5, 1.0 - 2.0 ** -6, 1.0 - 2.0 ** -9):
+        value = _truncated_sup_norm(one, p=1.0, q=0.0, s=1.0, R=R)
+        assert value == pytest.approx(math.pi * (R ** 2 - R ** 4 / 2.0), rel=1e-13)
+
+
+def test_mobius_integrals_matches_explicit_formula():
+    theta = angular_nodes(512)
+    for t, w in (_jacobi_01(64, 1.5), truncated_radial_rule(1.0 - 2.0 ** -6)):
+        z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
+        bases = [np.ones(z.shape), np.abs(1.0 + z) ** 3]
+        work = work_arrays(z.shape)
+        for s in (0.0, 0.5, 2.0):
+            for a in (0.0, 0.3, 0.9j, -0.5 + 0.4j, 1.0 - 2.0 ** -10):
+                pref = (1.0 - abs(a) ** 2) ** s
+                mob = pref / np.abs(1.0 - np.conj(a) * z) ** (2.0 * s)
+                got = mobius_integrals(a, s, z, bases, w, work)
+                assert len(got) == len(bases)
+                for b, value in zip(bases, got):
+                    explicit = np.pi * np.sum(w[:, None] * b * mob) / len(theta)
+                    assert value == pytest.approx(explicit, rel=1e-14)
 
 
 def test_tensor_integral_shape():

@@ -200,6 +200,35 @@ def test_membership_derivative_targets():
         verify_membership(f, model, Mpqs(0.3, 0.0, 1.0), target="nonsense")
 
 
+def test_membership_honours_tol():
+    # final relative change 0.1693 against the 1e-3 threshold: margin -0.168
+    f = koebe_shear(0.0)
+    model = OrderModel(K=1.0)
+    strict = verify_membership(f, model, Mpqs(0.8, 0.0, 1.0),
+                               truncation_js=(3, 4, 5), tol=1e-6)
+    loose = verify_membership(f, model, Mpqs(0.8, 0.0, 1.0),
+                              truncation_js=(3, 4, 5), tol=1e3)
+    assert strict.extra["in_range"] and loose.extra["in_range"]
+    assert strict.lhs == loose.lhs == pytest.approx(0.1693, abs=1e-4)
+    assert not strict.passed
+    assert "divergence_exponent" in strict.extra
+    assert loose.passed
+    assert "divergence_exponent" not in loose.extra
+    for rep in (strict, loose):
+        rec = rep.to_record()
+        assert recompute_pass(rec) == rec["pass"]
+
+
+def test_membership_out_of_range_pass_recomputable():
+    rep = verify_membership(koebe_shear(0.0), OrderModel(K=1.0),
+                            Mpqs(1.2, 0.0, 1.0), truncation_js=(3, 4, 5))
+    rec = rep.to_record()
+    assert not rec["in_range"]
+    assert rec["margin"] < -rec["tol"] * abs(rec["rhs"])
+    assert rec["pass"]
+    assert recompute_pass(rec)
+
+
 def test_report_pass_recomputable():
     rep = check_conjugate_bound_qh(affine_extremal(0.5, -1), 3.0, 1.5, 0.0, FAST)
     rec = rep.to_record()
