@@ -71,6 +71,7 @@ from .spaces import (
 )
 from .verify import (
     COROLLARY_IDS,
+    DEFAULT_TRUNCATION_JS,
     check_conjugate_bound_fh,
     check_conjugate_bound_qh,
     check_inhomogeneous_bound_fh,
@@ -115,7 +116,7 @@ class RunConfig:
     out: str = ""
     search_max_j: int = 10
     search_angles: int = 16
-    truncation_max_j: int = 12
+    truncation_max_j: int = DEFAULT_TRUNCATION_JS[-1]
     gnuplot: bool = False
     maps: list = field(default_factory=list)
     cells: list = field(default_factory=list)
@@ -440,8 +441,9 @@ def run_verification(cfg: RunConfig):
     if tid == "4.2" and not isinstance(scale, Fpqs):
         raise InvalidParameterError("theorem 4.2 takes an F(p,q,s) scale")
     model = OrderModel(K, cfg.alpha_K if cfg.alpha_K > 0 else None)
+    js = range(DEFAULT_TRUNCATION_JS[0], cfg.truncation_max_j + 1)
     return verify_membership(f, model, scale, target=cfg.target,
-                             truncation_js=range(3, cfg.truncation_max_j + 1),
+                             truncation_js=js,
                              tol=cfg.tol, angular=cfg.angular,
                              rng_seed=cfg.seed)
 
@@ -568,7 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                        default=_env_default("threads", int, 1))
         p.add_argument("--search-max-j", type=int, default=10)
         p.add_argument("--search-angles", type=int, default=16)
-        p.add_argument("--truncation-max-j", type=int, default=12,
+        p.add_argument("--truncation-max-j", type=int,
+                       default=DEFAULT_TRUNCATION_JS[-1],
                        help="deepest truncation radius 1 - 2^-j for 4.1/4.2")
 
     p = sub.add_parser("norm", help="compute a norm of a map")

@@ -182,6 +182,21 @@ def work_arrays(shape) -> tuple:
     return np.empty(shape, complex), np.empty(shape), np.empty(shape)
 
 
+def _mobius_factor(a: complex, s: float, z, cbuf, mob):
+    """(1-|a|^2)^s / |1 - conj(a) z|^(2s), written into ``mob``; 1.0 if s = 0."""
+    if s == 0.0:
+        return 1.0
+    diff = np.subtract(1.0, np.multiply(np.conj(a), z, out=cbuf), out=cbuf)
+    mob = np.abs(diff, out=mob)
+    mob **= -2.0 * s
+    mob *= (1.0 - abs(a) ** 2) ** s
+    return mob
+
+
+def _contract(w, prod) -> float:
+    return float(0.5 * np.dot(w, prod.mean(axis=1) * (2.0 * np.pi)))
+
+
 def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
     """One integral per base of base(z) (1-|a|^2)^s / |1 - conj(a) z|^(2s).
 
@@ -192,18 +207,37 @@ def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
     gets its own contraction, since a stacked one would reorder the sums.
     """
     cbuf, mob, prod = work
-    if s == 0.0:
-        mob = 1.0
-    else:
-        diff = np.subtract(1.0, np.multiply(np.conj(a), z, out=cbuf), out=cbuf)
-        mob = np.abs(diff, out=mob)
-        mob **= -2.0 * s
-        mob *= (1.0 - abs(a) ** 2) ** s
-    return tuple(
-        float(0.5 * np.dot(w, np.multiply(b, mob, out=prod).mean(axis=1)
-                           * (2.0 * np.pi)))
-        for b in bases
-    )
+    mob = _mobius_factor(a, s, z, cbuf, mob)
+    return tuple(_contract(w, np.multiply(b, mob, out=prod)) for b in bases)
+
+
+def mobius_ring_integrals(r: float, s: float, z, base, w, work,
+                          turns: int) -> tuple:
+    """``mobius_integrals`` of one base at a = r e^(2 pi i k/turns), k < turns,
+    for s > 0 (the M and F scales validate it).
+
+    On the trapezoid grid ``z`` a rotation of a by 2 pi k/turns moves the
+    Mobius factor by k * count/turns columns, so the factor is computed once,
+    at a = r, and each turn multiplies the base against its shifted columns.
+    Every product lands in the column the direct kernel uses, so the sums run
+    in the same order and k = 0 is bit-identical to ``mobius_integrals(r)``.
+    """
+    count = z.shape[1]
+    if count % turns:
+        raise InvalidParameterError(
+            f"{count} angular nodes do not split into {turns} turns")
+    cbuf, mob, prod = work
+    mob = _mobius_factor(complex(r), s, z, cbuf, mob)
+    values = []
+    for k in range(turns):
+        sh = k * (count // turns)
+        if sh == 0:
+            np.multiply(base, mob, out=prod)
+        else:
+            np.multiply(base[:, sh:], mob[:, :-sh], out=prod[:, sh:])
+            np.multiply(base[:, :sh], mob[:, -sh:], out=prod[:, :sh])
+        values.append(_contract(w, prod))
+    return tuple(values)
 
 
 def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,

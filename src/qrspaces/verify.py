@@ -41,6 +41,7 @@ from .quadrature import (
     disk_integral_green,
     disk_integral_mobius_weight,
     mobius_integrals,
+    mobius_ring_integrals,
     truncated_radial_rule,
     work_arrays,
 )
@@ -411,13 +412,22 @@ def _pow2_at_least(x: float) -> int:
 
 
 def _truncated_sup_norm(values_fn, p: float, q: float, s: float, R: float,
-                        angular: int = DEFAULT_ANGULAR) -> float:
+                        angular: int = DEFAULT_ANGULAR):
     """sup over |a| <= R (coarse lattice) of the truncated weighted integral.
+
+    Returns the sup and the grid it used: ``radial`` nodes, ``angular``
+    nodes and the number of ``candidates`` a (a = 0 plus
+    ``_TRUNC_SEARCH_ANGLES`` per ring r = 1 - 2^-i <= R).
 
     The automorphism search radius grows with the truncation radius so that
     sup-driven divergence (integrals unbounded in a) stays visible.  The
     angular count tracks both the Mobius-factor aliasing ladder and the
-    width 1-R of any boundary ridge of the integrand.
+    width 1-R of any boundary ridge of the integrand, up to
+    ``_TRUNC_MAX_ANGULAR``: at j = 12 the 8192 cap sits below the
+    4/(1-R) = 16384 the ridge rule asks for (kept, so the reference values
+    of the default ladder stay put).  The count is a power of two of at
+    least 256, so the lattice angles of a ring are column shifts of one
+    Mobius factor (``mobius_ring_integrals``).
     """
     t, w = truncated_radial_rule(R)
     count = max(angular_count_for(R, s, angular),
@@ -425,18 +435,19 @@ def _truncated_sup_norm(values_fn, p: float, q: float, s: float, R: float,
     count = min(count, _TRUNC_MAX_ANGULAR)
     theta = angular_nodes(count)
     z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    bases = [np.asarray(values_fn(z), dtype=np.float64) ** p]
+    base = np.asarray(values_fn(z), dtype=np.float64) ** p
     w = w * (1.0 - t) ** (q + s)
     work = work_arrays(z.shape)
-    candidates = [0.0 + 0.0j]
+    values = list(mobius_integrals(0.0 + 0.0j, s, z, [base], w, work))
     j_max = int(-math.log2(1.0 - R) + 0.5)
     for i in range(1, j_max + 1):
         r = 1.0 - 2.0 ** -i
         if r > R:
             break
-        for jj in range(_TRUNC_SEARCH_ANGLES):
-            candidates.append(r * np.exp(2j * np.pi * jj / _TRUNC_SEARCH_ANGLES))
-    return max(mobius_integrals(a, s, z, bases, w, work)[0] for a in candidates)
+        values.extend(mobius_ring_integrals(r, s, z, base, w, work,
+                                            _TRUNC_SEARCH_ANGLES))
+    grid = {"radial": len(t), "angular": count, "candidates": len(values)}
+    return max(values), grid
 
 
 def verify_membership(f: HarmonicMap, model: OrderModel, scale,
@@ -448,15 +459,21 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
                       rng_seed: int = 0) -> VerificationReport:
     """Truncation-stabilization check of membership in an M or F scale.
 
-    The truncated norm N(R) is computed at R = 1 - 2^-j; "finite" means the
-    final successive relative change (lhs) is at most ``stabilization_tol``
-    (rhs) up to the relative ``tol`` of every check, margin >= -tol * rhs;
-    otherwise a divergence exponent is fitted.  Out-of-range parameters give
-    an informational divergence report (pass is not withheld), since the
-    membership assertion is one-directional.
+    The truncated norm N(R) is computed at R = 1 - 2^-j for at least two j,
+    and each ``truncation_trace`` entry records the grid that radius used.
+    "Finite" means the final successive relative change (lhs) is at most
+    ``stabilization_tol`` (rhs) up to the relative ``tol`` of every check,
+    margin >= -tol * rhs; otherwise a divergence exponent is fitted.
+    Out-of-range parameters give an informational divergence report (pass
+    is not withheld), since the membership assertion is one-directional.
     """
     if target not in MEMBERSHIP_TARGETS:
         raise InvalidParameterError(f"unknown membership target {target!r}")
+    truncation_js = tuple(truncation_js)
+    if len(truncation_js) < 2:
+        raise InvalidParameterError(
+            "a truncation ladder needs at least 2 radii, "
+            f"got j = {list(truncation_js)}")
     scale.validate()
     exponent = model.alpha_K + _growth_offset(scale, target)
     rc = membership_range(scale.p, scale.q, scale.s, exponent)
@@ -488,24 +505,25 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
                 f"|{target}| exceeds (1+k)|h'| at a sample (margin {worst:.3e})"
             )
 
-    radii, norms, raws = [], [], []
+    radii, norms, raws, grids = [], [], [], []
     for j in truncation_js:
         R = 1.0 - 2.0 ** -j
-        raw = _truncated_sup_norm(values_fn, scale.p, scale.q, scale.s, R,
-                                  angular=angular)
+        raw, grid = _truncated_sup_norm(values_fn, scale.p, scale.q, scale.s,
+                                        R, angular=angular)
         norm = at0 + raw ** (1.0 / scale.p)
         radii.append(R)
         norms.append(norm)
         raws.append(raw)
+        grids.append(grid)
     changes = [abs(b - a) / max(abs(b), 1e-300)
                for a, b in zip(norms, norms[1:])]
-    lhs = changes[-1] if changes else math.inf
+    lhs = changes[-1]
     margin = stabilization_tol - lhs
     stabilized = _within_tol(margin, stabilization_tol, tol)
     extra["truncation_trace"] = [
-        {"R": r, "norm": n} for r, n in zip(radii, norms)
+        {"R": r, "norm": n, **g} for r, n, g in zip(radii, norms, grids)
     ]
-    extra["final_relative_change"] = changes[-1] if changes else None
+    extra["final_relative_change"] = lhs
     if not stabilized and len(raws) >= 3:
         x = np.asarray([-math.log1p(-r * r) for r in radii])
         y = np.log(np.maximum(raws, 1e-300))

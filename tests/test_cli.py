@@ -252,6 +252,17 @@ def test_env_override(tmp_path, monkeypatch):
     assert read_jsonl(out2)[0]["config"]["radial"] == 96
 
 
+@pytest.mark.parametrize("max_j", ["2", "3"])
+def test_verify_short_truncation_ladder_exit_2(tmp_path, capsys, max_j):
+    # j <= 3 leaves fewer than two radii, so no relative change exists
+    assert main(["verify", "--theorem", "4.1", "--map", "koebe",
+                 "--scale", "M(0.8,0,1)", "--K", "1",
+                 "--truncation-max-j", max_j,
+                 "--out", str(tmp_path / "v.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_membership_via_cli(tmp_path):
     out = tmp_path / "m.jsonl"
     cfg = {"command": "verify", "theorem": "4.1", "map_spec": "koebe",
@@ -264,6 +275,10 @@ def test_verify_membership_via_cli(tmp_path):
     rec = read_jsonl(out)[0]
     assert rec["theorem"] == "4.1"
     assert rec["in_range"] is True
+    trace = rec["truncation_trace"]
+    assert len(trace) == 10  # the default ladder j = 3..12
+    assert [e["candidates"] for e in trace] == [1 + 8 * j for j in range(3, 13)]
+    assert trace[-1]["angular"] == 8192
 
 
 def test_verify_inhomogeneous_fold_via_cli(tmp_path):

@@ -16,6 +16,7 @@ from qrspaces.quadrature import (
     disk_integral_mobius_weight,
     grid_points,
     mobius_integrals,
+    mobius_ring_integrals,
     tensor_integral,
     truncated_radial_rule,
     work_arrays,
@@ -157,7 +158,7 @@ def test_truncated_integral_approaches_full():
     # int_{|z|<=R} (1-|z|^2) dA = pi (R^2 - R^4/2)
     one = lambda z: np.ones(z.shape)
     for R in (0.5, 1.0 - 2.0 ** -6, 1.0 - 2.0 ** -9):
-        value = _truncated_sup_norm(one, p=1.0, q=0.0, s=1.0, R=R)
+        value, _ = _truncated_sup_norm(one, p=1.0, q=0.0, s=1.0, R=R)
         assert value == pytest.approx(math.pi * (R ** 2 - R ** 4 / 2.0), rel=1e-13)
 
 
@@ -176,6 +177,39 @@ def test_mobius_integrals_matches_explicit_formula():
                 for b, value in zip(bases, got):
                     explicit = np.pi * np.sum(w[:, None] * b * mob) / len(theta)
                     assert value == pytest.approx(explicit, rel=1e-14)
+
+
+def test_mobius_ring_integrals_match_rotated_kernel():
+    # the truncation grid at R = 1 - 2^-9 (2048 angles) with the koebe base
+    # rotated by e^(i pi/4): it is not symmetric under z -> conj(z), so
+    # shifting the columns the wrong way (a -> conj(a)) shows
+    R = 1.0 - 2.0 ** -9
+    t, w = truncated_radial_rule(R)
+    theta = angular_nodes(2048)
+    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
+    zr = np.exp(1j * np.pi / 4) * z
+    base = np.abs(zr / (1.0 - zr) ** 2) ** 0.8
+    w = w * (1.0 - t) ** 1.0
+    work = work_arrays(z.shape)
+    for i in range(1, 10):
+        r = 1.0 - 2.0 ** -i
+        ring = mobius_ring_integrals(r, 1.0, z, base, w, work, 8)
+        assert len(ring) == 8
+        for k, value in enumerate(ring):
+            a = r * np.exp(2j * np.pi * k / 8)
+            (direct,) = mobius_integrals(a, 1.0, z, [base], w, work)
+            if k == 0:
+                assert value == direct
+            else:
+                assert value == pytest.approx(direct, rel=1e-12)
+
+
+def test_mobius_ring_integrals_reject_uneven_turns():
+    z = np.sqrt(np.array([0.25, 0.5]))[:, None] * np.exp(
+        1j * angular_nodes(12))[None, :]
+    with pytest.raises(InvalidParameterError):
+        mobius_ring_integrals(0.5, 1.0, z, np.ones(z.shape), np.ones(2),
+                              work_arrays(z.shape), 8)
 
 
 def test_tensor_integral_shape():

@@ -1,6 +1,7 @@
 import collections
 import math
 
+import numpy as np
 import pytest
 
 from qrspaces.analytic import identity, koebe, poly
@@ -14,9 +15,17 @@ from qrspaces.families import (
     koebe_shear,
 )
 from qrspaces.harmonic import HarmonicMap, analytic_as_harmonic
+from qrspaces.quadrature import (
+    angular_nodes,
+    mobius_integrals,
+    truncated_radial_rule,
+    work_arrays,
+)
 from qrspaces.spaces import Fpqs, Mpqs, SupSearchSpec, WeightedSupProblem
 from qrspaces.verify import (
     _conjugate_norm_pair,
+    _membership_values,
+    _truncated_sup_norm,
     check_conjugate_bound_fh,
     check_conjugate_bound_qh,
     check_inhomogeneous_bound_fh,
@@ -180,6 +189,13 @@ def test_membership_smoke_coarse():
     assert rep.extra["in_range"]
     assert rep.theorem_id == "4.1"
     assert len(rep.extra["truncation_trace"]) == 4
+    for j, entry in zip(range(3, 7), rep.extra["truncation_trace"]):
+        R = 1.0 - 2.0 ** -j
+        assert entry["R"] == R
+        assert entry["radial"] == len(truncated_radial_rule(R)[0])
+        n = entry["angular"]
+        assert n >= 256 and n & (n - 1) == 0  # a power of two, so 8 | n
+        assert entry["candidates"] == 1 + 8 * j
     rep2 = verify_membership(f, model, Fpqs(0.5, 0.0, 1.0),
                              truncation_js=range(3, 7))
     assert rep2.theorem_id == "4.2"
@@ -198,6 +214,44 @@ def test_membership_derivative_targets():
     assert rep2.extra["truncation_trace"][0]["norm"] > 1.0  # includes |h'(0)| = 1
     with pytest.raises(InvalidParameterError):
         verify_membership(f, model, Mpqs(0.3, 0.0, 1.0), target="nonsense")
+
+
+def _direct_truncated_sup(values_fn, p, q, s, R, count):
+    # every candidate a = 0, r e^(2 pi i k/8) through the one-a kernel
+    t, w = truncated_radial_rule(R)
+    z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
+    base = np.asarray(values_fn(z), dtype=np.float64) ** p
+    w = w * (1.0 - t) ** (q + s)
+    work = work_arrays(z.shape)
+    candidates = [0.0 + 0.0j]
+    for i in range(1, round(-math.log2(1.0 - R)) + 1):
+        r = 1.0 - 2.0 ** -i
+        candidates += [r * np.exp(2j * np.pi * k / 8) for k in range(8)]
+    return max(mobius_integrals(a, s, z, [base], w, work)[0]
+               for a in candidates)
+
+
+def test_truncated_sup_norm_equals_direct_max():
+    values, _ = _membership_values(analytic_as_harmonic(koebe()),
+                                   Mpqs(0.8, 0.0, 1.0), "f")
+    rot = np.exp(1j * math.pi / 4)
+    rotated = lambda z: values(rot * z)  # its max lies off the real axis
+    for j in (3, 6, 9):
+        R = 1.0 - 2.0 ** -j
+        value, grid = _truncated_sup_norm(values, 0.8, 0.0, 1.0, R)
+        assert grid["candidates"] == 1 + 8 * j
+        direct = _direct_truncated_sup(values, 0.8, 0.0, 1.0, R, grid["angular"])
+        assert value == direct
+        value, grid = _truncated_sup_norm(rotated, 0.8, 0.0, 1.0, R)
+        direct = _direct_truncated_sup(rotated, 0.8, 0.0, 1.0, R, grid["angular"])
+        assert value == pytest.approx(direct, rel=1e-15)
+
+
+@pytest.mark.parametrize("js", [(3,), ()])
+def test_membership_needs_two_radii(js):
+    with pytest.raises(InvalidParameterError):
+        verify_membership(koebe_shear(0.0), OrderModel(K=1.0),
+                          Mpqs(0.8, 0.0, 1.0), truncation_js=js)
 
 
 def test_membership_honours_tol():
