@@ -130,6 +130,15 @@ def angular_count_for(rho: float, pole_exponent: float,
     return ladder[-1]
 
 
+def check_angular(angular: int):
+    """A base angular count of the sup engine, composition, Green and
+    membership paths must be a rung of ``ANGULAR_LADDER``: every a != 0 gets
+    at least the first rung, so a coarser count would reach a = 0 alone."""
+    if angular not in ANGULAR_LADDER:
+        raise InvalidParameterError(
+            f"angular node count must be one of {ANGULAR_LADDER}, got {angular}")
+
+
 def _refine_loop(evaluate, radial, angular, tol, refine_cap):
     """Run ``evaluate(radial, angular)`` under node doubling until stable."""
     v_prev = evaluate(radial, angular)
@@ -211,16 +220,17 @@ def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
     return tuple(_contract(w, np.multiply(b, mob, out=prod)) for b in bases)
 
 
-def mobius_ring_integrals(r: float, s: float, z, base, w, work,
-                          turns: int) -> tuple:
-    """``mobius_integrals`` of one base at a = r e^(2 pi i k/turns), k < turns,
-    for s > 0 (the M and F scales validate it).
+def mobius_ring_integrals(r: float, s: float, z, bases, w, work,
+                          turns: int) -> list:
+    """``mobius_integrals`` at a = r e^(2 pi i k/turns), k < turns, for s != 0:
+    one tuple per turn, holding one integral per base.
 
     On the trapezoid grid ``z`` a rotation of a by 2 pi k/turns moves the
     Mobius factor by k * count/turns columns, so the factor is computed once,
-    at a = r, and each turn multiplies the base against its shifted columns.
-    Every product lands in the column the direct kernel uses, so the sums run
-    in the same order and k = 0 is bit-identical to ``mobius_integrals(r)``.
+    at a = r, and each turn multiplies every base against its shifted
+    columns.  Every product lands in the column the direct kernel uses, so
+    the sums run in the same order and k = 0 is bit-identical to
+    ``mobius_integrals(r)``.
     """
     count = z.shape[1]
     if count % turns:
@@ -228,16 +238,17 @@ def mobius_ring_integrals(r: float, s: float, z, base, w, work,
             f"{count} angular nodes do not split into {turns} turns")
     cbuf, mob, prod = work
     mob = _mobius_factor(complex(r), s, z, cbuf, mob)
-    values = []
-    for k in range(turns):
-        sh = k * (count // turns)
+
+    def turn(b, sh):
         if sh == 0:
-            np.multiply(base, mob, out=prod)
+            np.multiply(b, mob, out=prod)
         else:
-            np.multiply(base[:, sh:], mob[:, :-sh], out=prod[:, sh:])
-            np.multiply(base[:, :sh], mob[:, -sh:], out=prod[:, :sh])
-        values.append(_contract(w, prod))
-    return tuple(values)
+            np.multiply(b[:, sh:], mob[:, :-sh], out=prod[:, sh:])
+            np.multiply(b[:, :sh], mob[:, -sh:], out=prod[:, :sh])
+        return _contract(w, prod)
+
+    return [tuple(turn(b, k * (count // turns)) for b in bases)
+            for k in range(turns)]
 
 
 def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,

@@ -28,7 +28,11 @@ compass ascent per component of a joint objective, every component on the
 union of the compass points, one joint evaluation per distinct a.  An engine
 problem carries every base that shares its weight and grid (|F'|^p and |G'|^p
 of a conjugate pair), so one Mobius factor per a serves all of them; scalar
-sups are the one-component case.  The rotation-invariant constants use a
+sups are the one-component case.  The engine's lattice is computed one ring
+at a time: one Mobius factor per distinct lattice radius r, at a = r, whose
+column shifts give the other angles of the ring (``ring_integrals``).  Direct
+per-a calls remain for a = 0, the compass points, s_eff = 0 and angle counts
+that do not divide the rung.  The rotation-invariant constants use a
 golden section along the radius.  ``_norm_result`` builds every NormResult;
 its error is node doubling at the maximizer (engine, composition, constants),
 the Green cap-refinement estimate, or only the 1e-12 floor (Bloch).
@@ -37,7 +41,6 @@ the Green cap-refinement estimate, or only the 1e-12 floor (Bloch).
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
@@ -56,9 +59,11 @@ from .quadrature import (
     angular_count_for,
     angular_nodes,
     build_grid,
+    check_angular,
     disk_integral_green,
     grid_points,
     mobius_integrals,
+    mobius_ring_integrals,
     tensor_integral,
     work_arrays,
 )
@@ -215,16 +220,22 @@ class SupSearchSpec:
                 "the sup search needs at least one radius and one angle per radius"
             )
 
+    def _ring(self, r: float) -> list:
+        n = self.angles_per_radius
+        return [r * np.exp(1j * (2.0 * np.pi * j / n)) for j in range(n)]
+
+    def rings(self) -> dict:
+        """The lattice points of each distinct radius r > 0, clipped to
+        RADIUS_CAP: a = r e^(2 pi i j/angles_per_radius), the very values
+        ``candidates`` yields."""
+        radii = (min(float(r), RADIUS_CAP) for r in self.radii)
+        return {r: self._ring(r) for r in dict.fromkeys(radii) if r > 0.0}
+
     def candidates(self):
         out = []
         for r in self.radii:
             r = min(float(r), RADIUS_CAP)
-            if r <= 0.0:
-                out.append(0.0 + 0.0j)
-                continue
-            for j in range(self.angles_per_radius):
-                theta = 2.0 * np.pi * j / self.angles_per_radius
-                out.append(r * np.exp(1j * theta))
+            out.extend(self._ring(r) if r > 0.0 else [0.0 + 0.0j])
         # deterministic, duplicate-free order
         seen, uniq = set(), []
         for a in out:
@@ -284,17 +295,30 @@ def _compass_max(objective: Callable[[complex], float], start: complex,
 
 
 def _sup_search(objective: Callable[[complex], Sequence[float]],
-                search: SupSearchSpec):
+                search: SupSearchSpec, ring: Optional[Callable] = None):
     """One (argmax, value, trace) per component of a joint objective.
 
     ``objective(a)`` returns one value per component (a one-tuple for a
     scalar sup).  Lattice, one compass ascent per component, then every
     component on the union of all compass points, so pointwise-dominated
     components come out with dominated sups.  Memoized: one joint evaluation
-    per distinct a.  The argmax is the first trace point with the largest
-    value.
+    per distinct a.  ``ring(r, turns)``, if given, returns the objective at
+    every lattice point of the radius r at once, or None to leave them to
+    ``objective``; its values seed the memo.  The argmax is the first trace
+    point with the largest value.
     """
-    joint = functools.lru_cache(maxsize=None)(objective)
+    memo = {}
+    if ring is not None:
+        for r, points in search.rings().items():
+            values = ring(r, len(points))
+            if values is not None:
+                memo.update(zip(points, values))
+
+    def joint(a):
+        if a not in memo:
+            memo[a] = objective(a)
+        return memo[a]
+
     lattice = search.candidates()
     values = [joint(a) for a in lattice]
     traces = [[(a, v[i]) for a, v in zip(lattice, values)]
@@ -343,12 +367,17 @@ class WeightedSupProblem:
     One problem carries any number of bases that share the weight and the
     grid (the u/v pair of a conjugate check); each per-a call is one
     ``quadrature.mobius_integrals``, which computes the Mobius factor once and
-    returns one integral per base.  Base values are tabulated once on a
+    returns one integral per base, and ``ring_integrals`` serves a whole
+    lattice ring from one factor.  Base values are tabulated once on a
     (radial x max_angular) master grid; per-a integrals run on the rung of the
     nested angular ladder that the aliasing bound picks, so near-boundary
     parameters get the resolution they need without repricing the interior
     ones.  Each rung keeps a contiguous copy of every ``max_angular //
-    count``-th master column, so ``base_angular`` must divide ``max_angular``.
+    count``-th master column; ``base_angular`` must be a rung, since every
+    a != 0 gets at least the first one.  ``evaluations`` counts the per-a
+    evaluations by route: ``direct`` (``integral_at``), ``ring_factor`` and
+    ``ring_turns`` (Mobius factors and the lattice points they served) and
+    ``refined`` (``refined_integral_at``).
     """
 
     def __init__(self, base_fns: Sequence[Callable], q_eff: float, s_eff: float,
@@ -361,11 +390,7 @@ class WeightedSupProblem:
         self.max_angular = ANGULAR_LADDER[-1]
         if radial < 2:
             raise InvalidParameterError(f"need at least 2 radial nodes, got {radial}")
-        if base_angular < 4 or self.max_angular % base_angular:
-            raise InvalidParameterError(
-                "angular node count must be a power of two from 4 to "
-                f"{self.max_angular}, got {base_angular}"
-            )
+        check_angular(base_angular)
         self.q_eff = float(q_eff)
         self.s_eff = float(s_eff)
         self.radial = int(radial)
@@ -377,6 +402,8 @@ class WeightedSupProblem:
         self._bases = self._tabulate(self._z)
         self._const_value = None
         self._rungs = {}
+        self.evaluations = dict.fromkeys(
+            ("direct", "ring_factor", "ring_turns", "refined"), 0)
 
     def _tabulate(self, z) -> list:
         bases = [np.asarray(fn(z), dtype=np.float64) for fn in self._base_fns]
@@ -391,6 +418,7 @@ class WeightedSupProblem:
             "grid_angular_max": self.max_angular,
             "q_eff": self.q_eff,
             "s_eff": self.s_eff,
+            "kernel_evaluations": dict(self.evaluations),
         }
 
     def _rung(self, count: int):
@@ -407,27 +435,46 @@ class WeightedSupProblem:
             self._rungs[count] = (z, bases, work_arrays(z.shape))
         return self._rungs[count]
 
+    def _count_for(self, rho: float) -> int:
+        return min(angular_count_for(rho, abs(self.s_eff), self.base_angular),
+                   self.max_angular)
+
     def integral_at(self, a: complex) -> tuple:
         """One integral per base at the automorphism parameter a."""
         a = complex(a)
+        self.evaluations["direct"] += 1
         if self.s_eff == 0.0:
             if self._const_value is None:
                 z, bases, work = self._rung(self.max_angular)
                 self._const_value = mobius_integrals(a, self.s_eff, z, bases,
                                                      self._w, work)
             return self._const_value
-        count = angular_count_for(abs(a), abs(self.s_eff), self.base_angular)
-        z, bases, work = self._rung(min(count, self.max_angular))
+        z, bases, work = self._rung(self._count_for(abs(a)))
         return mobius_integrals(a, self.s_eff, z, bases, self._w, work)
+
+    def ring_integrals(self, r: float, turns: int):
+        """``integral_at(r e^(2 pi i k/turns))`` for k < turns, from one Mobius
+        factor on the rung ``integral_at(r)`` uses (k = 0 is bit-identical).
+
+        None where a ring cannot stand in for direct calls: s_eff = 0, whose
+        one value ``integral_at`` caches, or a rung that ``turns`` does not
+        divide.
+        """
+        count = self._count_for(r)
+        if self.s_eff == 0.0 or count % turns:
+            return None
+        z, bases, work = self._rung(count)
+        self.evaluations["ring_factor"] += 1
+        self.evaluations["ring_turns"] += turns
+        return mobius_ring_integrals(r, self.s_eff, z, bases, self._w, work,
+                                     turns)
 
     def refined_integral_at(self, a: complex) -> tuple:
         """One-off evaluation with doubled node counts (error estimation)."""
         a = complex(a)
+        self.evaluations["refined"] += 1
         t, w = _jacobi_01(2 * self.radial, self.q_eff + self.s_eff)
-        count = 2 * min(
-            angular_count_for(abs(a), abs(self.s_eff), self.base_angular),
-            self.max_angular,
-        )
+        count = 2 * self._count_for(abs(a))
         theta = angular_nodes(count)
         z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
         return mobius_integrals(a, self.s_eff, z, self._tabulate(z), w,
@@ -437,7 +484,7 @@ class WeightedSupProblem:
 def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,
                  p_root: float, value_at_zero=None, warnings=()) -> NormResult:
     """Sup of a one-base engine problem, node-doubling error at the argmax."""
-    (best,) = _sup_search(problem.integral_at, search)
+    (best,) = _sup_search(problem.integral_at, search, problem.ring_integrals)
     (refined,) = problem.refined_integral_at(best[0])
     return _norm_result(best, abs(refined - best[1]), p_root,
                         problem.grid_metadata(), value_at_zero, warnings)
@@ -520,6 +567,7 @@ def qh_npa_norm(f: HarmonicMap, params: Qnpa,
 
 def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings):
     """Composition path for jet orders n >= 2."""
+    check_angular(angular)
     n, p = params.n, params.p
     pole = 0.5 * p * (n + 1)
 
@@ -557,6 +605,7 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
         return _finish_norm(pr, search, params.p)
     if weight_form != "green":
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
+    check_angular(angular)
 
     # the cap-refinement error of each per-a integral, kept for the argmax
     errors = {}

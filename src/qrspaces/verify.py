@@ -38,6 +38,7 @@ from .quadrature import (
     DEFAULT_RADIAL,
     angular_count_for,
     angular_nodes,
+    check_angular,
     disk_integral_green,
     disk_integral_mobius_weight,
     mobius_integrals,
@@ -167,7 +168,8 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
     # and one Mobius factor per a serves both
     pr = WeightedSupProblem([_analytic_deriv_base(F, p), _analytic_deriv_base(G, p)],
                             q_eff, s_eff, radial, angular)
-    (au, su, tru), (av, sv, trv) = _sup_search(pr.integral_at, search)
+    (au, su, tru), (av, sv, trv) = _sup_search(pr.integral_at, search,
+                                               pr.ring_integrals)
     return (su ** (1.0 / p), au, tru), (sv ** (1.0 / p), av, trv), pr.grid_metadata()
 
 
@@ -192,7 +194,8 @@ def check_conjugate_bound_qh(f: HarmonicMap, K: float, p: float, alpha: float,
     return _report("3.1", f, scale.label(), K, 0.0,
                    lhs=nv, rhs=K * nu, tol=tol, grid=grid,
                    extra={"norm_u": nu, "norm_v": nv,
-                          "sup_a_u": repr(au), "sup_a_v": repr(av)})
+                          "sup_a_u": repr(au), "sup_a_v": repr(av),
+                          "kernel_evaluations": grid["kernel_evaluations"]})
 
 
 def check_conjugate_bound_fh(f: HarmonicMap, K: float, params: Fpqs,
@@ -212,7 +215,8 @@ def check_conjugate_bound_fh(f: HarmonicMap, K: float, params: Fpqs,
     return _report(theorem_id, f, scale_label or params.label(), K, 0.0,
                    lhs=nv, rhs=K * nu, tol=tol, grid=grid,
                    extra={"norm_u": nu, "norm_v": nv,
-                          "sup_a_u": repr(au), "sup_a_v": repr(av)})
+                          "sup_a_u": repr(au), "sup_a_v": repr(av),
+                          "kernel_evaluations": grid["kernel_evaluations"]})
 
 
 def check_inhomogeneous_bound_qh(f: HarmonicMap, K: float, Kprime: float,
@@ -240,7 +244,8 @@ def check_inhomogeneous_bound_qh(f: HarmonicMap, K: float, Kprime: float,
                    lhs=lhs, rhs=rhs, tol=tol, grid=grid,
                    extra={"norm_u": nu, "norm_v": nv,
                           "constant": c_res.value,
-                          "constant_sup_rho": abs(c_res.sup_a)})
+                          "constant_sup_rho": abs(c_res.sup_a),
+                          "kernel_evaluations": grid["kernel_evaluations"]})
 
 
 def check_inhomogeneous_bound_fh(f: HarmonicMap, K: float, Kprime: float,
@@ -272,7 +277,8 @@ def check_inhomogeneous_bound_fh(f: HarmonicMap, K: float, Kprime: float,
                    lhs=lhs, rhs=rhs, tol=tol, grid=grid,
                    extra={"norm_u": nu, "norm_v": nv,
                           "constant": c_res.value,
-                          "constant_sup_rho": abs(c_res.sup_a)})
+                          "constant_sup_rho": abs(c_res.sup_a),
+                          "kernel_evaluations": grid["kernel_evaluations"]})
 
 
 COROLLARY_IDS = ("cor3.1", "cor3.2", "cor3.3", "cor3.4", "cor3.5", "cor3.6")
@@ -444,8 +450,8 @@ def _truncated_sup_norm(values_fn, p: float, q: float, s: float, R: float,
         r = 1.0 - 2.0 ** -i
         if r > R:
             break
-        values.extend(mobius_ring_integrals(r, s, z, base, w, work,
-                                            _TRUNC_SEARCH_ANGLES))
+        values.extend(v for (v,) in mobius_ring_integrals(
+            r, s, z, [base], w, work, _TRUNC_SEARCH_ANGLES))
     grid = {"radial": len(t), "angular": count, "candidates": len(values)}
     return max(values), grid
 
@@ -475,6 +481,7 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
             "a truncation ladder needs at least 2 radii, "
             f"got j = {list(truncation_js)}")
     scale.validate()
+    check_angular(angular)
     exponent = model.alpha_K + _growth_offset(scale, target)
     rc = membership_range(scale.p, scale.q, scale.s, exponent)
     values_fn, at0 = _membership_values(f, scale, target)

@@ -68,7 +68,7 @@ def test_norm_trivial_warning(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["--scale", "XX(1)"],
-    ["--angular", "100"],  # not a divisor of the master grid's 2048 angles
+    ["--angular", "100"],  # not a rung of the angular ladder
     ["--angular", "0"],
     ["--radial", "0"],
     ["--radial", "1"],
@@ -84,6 +84,24 @@ def test_norm_malformed_scale_exit_2(tmp_path, capsys, args):
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("angular", ["4", "100", "4096"])
+@pytest.mark.parametrize("args", [
+    ["norm", "--map", "identity", "--scale", "Q(1,1.5,0)"],
+    ["norm", "--map", "identity", "--scale", "Q(2,1,1)"],
+    ["norm", "--map", "identity", "--scale", "F(2,0,1)",
+     "--weight-form", "green"],
+    ["verify", "--theorem", "4.1", "--map", "koebe", "--scale", "M(0.8,0,1)"],
+], ids=["engine", "composition", "green", "membership"])
+def test_angular_off_ladder_exit_2(tmp_path, capsys, args, angular):
+    # every a != 0 gets at least the first rung (256 angles), so a count off
+    # the ladder would only reach a = 0 while the record claimed it
+    assert main([*args, "--angular", angular,
+                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(256, 512, 1024, 2048)" in err
 
 
 @pytest.mark.parametrize("error", [PoleError, SingularityError,

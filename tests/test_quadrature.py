@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
 from qrspaces.errors import InvalidParameterError
@@ -21,6 +23,7 @@ from qrspaces.quadrature import (
     truncated_radial_rule,
     work_arrays,
 )
+from qrspaces.spaces import RADIUS_CAP
 from qrspaces.verify import _truncated_sup_norm
 
 
@@ -182,33 +185,62 @@ def test_mobius_integrals_matches_explicit_formula():
 def test_mobius_ring_integrals_match_rotated_kernel():
     # the truncation grid at R = 1 - 2^-9 (2048 angles) with the koebe base
     # rotated by e^(i pi/4): it is not symmetric under z -> conj(z), so
-    # shifting the columns the wrong way (a -> conj(a)) shows
+    # shifting the columns the wrong way (a -> conj(a)) shows; a second base
+    # checks that every base gets the same shift
     R = 1.0 - 2.0 ** -9
     t, w = truncated_radial_rule(R)
     theta = angular_nodes(2048)
     z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
     zr = np.exp(1j * np.pi / 4) * z
-    base = np.abs(zr / (1.0 - zr) ** 2) ** 0.8
+    bases = [np.abs(zr / (1.0 - zr) ** 2) ** 0.8, np.abs(1.0 + zr) ** 3]
     w = w * (1.0 - t) ** 1.0
     work = work_arrays(z.shape)
     for i in range(1, 10):
         r = 1.0 - 2.0 ** -i
-        ring = mobius_ring_integrals(r, 1.0, z, base, w, work, 8)
+        ring = mobius_ring_integrals(r, 1.0, z, bases, w, work, 8)
         assert len(ring) == 8
-        for k, value in enumerate(ring):
+        for k, values in enumerate(ring):
             a = r * np.exp(2j * np.pi * k / 8)
-            (direct,) = mobius_integrals(a, 1.0, z, [base], w, work)
+            direct = mobius_integrals(a, 1.0, z, bases, w, work)
+            assert len(values) == len(bases)
             if k == 0:
-                assert value == direct
+                assert values == direct
             else:
-                assert value == pytest.approx(direct, rel=1e-12)
+                assert values == pytest.approx(direct, rel=1e-12)
+
+
+_coefficients = st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1,
+                         max_size=5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(r=st.floats(1e-3, RADIUS_CAP), count_exp=st.integers(2, 11),
+       turns_exp=st.integers(0, 5), s=st.floats(0.25, 2.0),
+       p=st.floats(0.5, 3.0), bases=st.lists(_coefficients, min_size=1,
+                                             max_size=3))
+def test_mobius_ring_integrals_property(r, count_exp, turns_exp, s, p, bases):
+    # any radius up to the cap, power-of-two grids, turn counts dividing
+    # them, polynomial bases: the ring is the direct kernel at each turn
+    count, turns = 2 ** count_exp, 2 ** min(turns_exp, count_exp)
+    t, w = _jacobi_01(16, 0.5)
+    z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
+    tabulated = [np.abs(np.polyval(c, z)) ** p for c in bases]
+    work = work_arrays(z.shape)
+    ring = mobius_ring_integrals(r, s, z, tabulated, w, work, turns)
+    for k, values in enumerate(ring):
+        a = r * np.exp(2j * np.pi * k / turns)
+        direct = mobius_integrals(a, s, z, tabulated, w, work)
+        if k == 0:
+            assert values == direct
+        else:
+            assert values == pytest.approx(direct, rel=1e-12)
 
 
 def test_mobius_ring_integrals_reject_uneven_turns():
     z = np.sqrt(np.array([0.25, 0.5]))[:, None] * np.exp(
         1j * angular_nodes(12))[None, :]
     with pytest.raises(InvalidParameterError):
-        mobius_ring_integrals(0.5, 1.0, z, np.ones(z.shape), np.ones(2),
+        mobius_ring_integrals(0.5, 1.0, z, [np.ones(z.shape)], np.ones(2),
                               work_arrays(z.shape), 8)
 
 

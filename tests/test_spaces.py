@@ -6,11 +6,12 @@ import pytest
 
 from qrspaces.analytic import compose_mobius, constant, identity, koebe, poly
 from qrspaces.errors import InfiniteConstantError, InvalidParameterError
-from qrspaces.families import affine_extremal
-from qrspaces.harmonic import HarmonicMap, analytic_as_harmonic
+from qrspaces.families import affine_extremal, cayley_shear
+from qrspaces.harmonic import HarmonicMap, analytic_as_harmonic, conjugate_parts
 from qrspaces.mobius import MobiusMap
 from qrspaces.quadrature import angular_count_for
 from qrspaces.spaces import (
+    DEFAULT_SEARCH_RADII,
     BergmanMorrey,
     BlochAlpha,
     Fpqs,
@@ -20,6 +21,7 @@ from qrspaces.spaces import (
     Qs,
     SupSearchSpec,
     WeightedSupProblem,
+    _analytic_deriv_base,
     _by_value,
     _compass_max,
     _sup_search,
@@ -247,6 +249,64 @@ def test_joint_kernel_equals_single_base_problems(q_eff, s_eff):
         assert vals == tuple(pr.integral_at(a)[0] for pr in singles)
         refined = joint.refined_integral_at(a)
         assert refined == tuple(pr.refined_integral_at(a)[0] for pr in singles)
+
+
+def _cayley_shear_pair():
+    # |F'|^2 and |G'|^2 of a map that is not rotation invariant, turned by
+    # e^(i pi/4) so that it is not symmetric under z -> conj(z) either: a
+    # shift by the wrong number of columns or in the wrong direction shows
+    turn = np.exp(0.25j * np.pi)
+    bases = [_analytic_deriv_base(part, 2.0)
+             for part in conjugate_parts(cayley_shear(0.5))]
+    return WeightedSupProblem([lambda z, b=b: b(turn * z) for b in bases],
+                              0.0, 1.0)
+
+
+def test_ring_integrals_match_rotated_kernel():
+    pr = _cayley_shear_pair()
+    spec = SupSearchSpec()
+    rungs = set()
+    for r, points in spec.rings().items():
+        rungs.add(angular_count_for(r, pr.s_eff))
+        ring = pr.ring_integrals(r, len(points))
+        assert len(ring) == spec.angles_per_radius == 16
+        for k, (a, values) in enumerate(zip(points, ring)):
+            direct = pr.integral_at(a)
+            assert len(values) == 2
+            if k == 0:
+                assert values == direct
+            else:
+                assert values == pytest.approx(direct, rel=1e-12)
+    assert {256, 2048} <= rungs
+
+
+def test_sup_search_ring_matches_direct():
+    spec = SupSearchSpec(radii=DEFAULT_SEARCH_RADII[:9])
+    ringed, direct = _cayley_shear_pair(), _cayley_shear_pair()
+    with_ring = _sup_search(ringed.integral_at, spec, ringed.ring_integrals)
+    without = _sup_search(direct.integral_at, spec)
+    assert ringed.evaluations["ring_factor"] == len(spec.rings())
+    assert direct.evaluations["ring_factor"] == 0
+    for (a1, v1, tr1), (a2, v2, tr2) in zip(with_ring, without):
+        assert [a for a, _ in tr1] == [a for a, _ in tr2]
+        assert a1 == a2
+        assert v1 == pytest.approx(v2, rel=1e-13)
+        for (_, x), (_, y) in zip(tr1, tr2):
+            assert x == pytest.approx(y, rel=1e-13)
+
+
+@pytest.mark.parametrize("params, angles", [
+    (Qnpa(1, 1.5, 0.0), 3),  # 3 does not divide the rung counts
+    (Qnpa(1, 2.0, 0.0), 8),  # s_eff = 0: one cached value per problem
+], ids=["angles-3", "s-eff-0"])
+def test_ring_fallbacks_equal_direct_path(monkeypatch, params, angles):
+    spec = SupSearchSpec(radii=SMALL_SEARCH.radii, angles_per_radius=angles)
+    f = poly([0.0, 1.0, 0.3j, 0.1])
+    ringed = q_npa_norm(f, params, spec)
+    assert ringed.grid["kernel_evaluations"]["ring_factor"] == 0
+    monkeypatch.setattr(WeightedSupProblem, "ring_integrals",
+                        lambda self, r, turns: None)
+    assert ringed == q_npa_norm(f, params, spec)
 
 
 def _bump(center, width):

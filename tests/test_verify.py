@@ -77,6 +77,8 @@ def test_qh_bound_requires_quasiregularity():
 
 
 def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
+    # every distinct a of the trace is evaluated once: by a direct call or
+    # as a turn of its lattice ring, never both, and the counters say so
     calls = collections.Counter()
     kernel = WeightedSupProblem.integral_at
 
@@ -85,11 +87,20 @@ def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
         return kernel(self, a)
 
     monkeypatch.setattr(WeightedSupProblem, "integral_at", counted)
-    (_, _, tru), (_, _, trv), _ = _conjugate_norm_pair(
-        cayley_shear(0.5), 0.0, 1.0, 2.0, FAST, 32, 16)
+    (_, _, tru), (_, _, trv), grid = _conjugate_norm_pair(
+        cayley_shear(0.5), 0.0, 1.0, 2.0, FAST, 32, 256)
+    traced = {a for a, _ in tru}
+    ring_points = {a for points in FAST.rings().values() for a in points}
     assert [a for a, _ in tru] == [a for a, _ in trv]
     assert set(calls.values()) == {1}
-    assert set(calls) == {a for a, _ in tru}
+    assert not set(calls) & ring_points
+    assert set(calls) | ring_points == traced
+    evaluations = grid["kernel_evaluations"]
+    assert evaluations["direct"] == len(calls)
+    assert evaluations["ring_factor"] == len(FAST.rings())
+    assert evaluations["ring_turns"] == len(ring_points)
+    assert evaluations["direct"] + evaluations["ring_turns"] == len(traced)
+    assert evaluations["refined"] == 0
 
 
 def test_fh_bound_affine_and_shear():
