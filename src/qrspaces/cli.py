@@ -16,6 +16,7 @@ Flags mirror environment variables with the prefix ``QRSPACES_``
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import dataclasses
 import json
@@ -142,7 +143,12 @@ class RunConfig:
 
 
 def _parse_values(text: str):
-    vals = [complex(part.strip().replace(" ", "")) for part in text.split(",")]
+    try:
+        vals = [complex(part.strip().replace(" ", "")) for part in text.split(",")]
+    except ValueError as exc:
+        raise InvalidParameterError(f"malformed parameter values {text!r}") from exc
+    if not all(cmath.isfinite(v) for v in vals):
+        raise InvalidParameterError(f"parameter values must be finite, got {text!r}")
     return vals[0] if len(vals) == 1 else vals
 
 
@@ -223,6 +229,8 @@ def parse_scale(spec: str):
         args = [float(x) for x in args_text.split(",")] if args_text else []
     except ValueError as exc:
         raise InvalidParameterError(f"malformed scale numbers in {spec!r}") from exc
+    if not all(math.isfinite(x) for x in args):
+        raise InvalidParameterError(f"scale numbers must be finite in {spec!r}")
 
     def need(n):
         if len(args) != n:
@@ -314,6 +322,7 @@ def _norm_record(cfg: RunConfig, res, scale_label: str) -> dict:
         "raw_sup": res.raw_sup,
         "value_at_zero": res.value_at_zero,
         "sup_a": [res.sup_a.real, res.sup_a.imag],
+        "sup_on_cap": res.sup_on_cap,
         "error_estimate": res.error_estimate,
         "warnings": list(res.warnings),
         "grid": res.grid,
@@ -382,6 +391,7 @@ def cmd_constants(cfg: RunConfig) -> int:
         "constant": cfg.constant,
         "value": res.value,
         "sup_rho": abs(res.sup_a),
+        "sup_on_cap": res.sup_on_cap,
         "error_estimate": res.error_estimate,
         "trace": [[a.real, v] for a, v in res.trace],
         "config": cfg.to_dict(),
@@ -633,6 +643,18 @@ def _explicit_flags(argv) -> set:
     return given
 
 
+def _check_run_numbers(cfg: RunConfig):
+    """K, K', the growth order and tol are finite and >= 0 (0 for K and the
+    growth order means: estimate / use the default)."""
+    for name in ("K", "Kprime", "alpha_K", "tol"):
+        value = getattr(cfg, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value) or value < 0):
+            raise InvalidParameterError(
+                f"--{name.replace('_', '-')} must be a finite number >= 0, "
+                f"got {value!r}")
+
+
 def _merge_config(args: argparse.Namespace, explicit: set) -> RunConfig:
     """Precedence: explicit flags > config file > env/parser defaults."""
     file_cfg = {}
@@ -650,6 +672,7 @@ def _merge_config(args: argparse.Namespace, explicit: set) -> RunConfig:
                                       or f.name in explicit):
             setattr(cfg, f.name, getattr(args, f.name))
     cfg.command = args.command
+    _check_run_numbers(cfg)
     if not cfg.out:
         cfg.out = (f"qrspaces-{cfg.command}.jsonl"
                    if cfg.command != "sweep" else "qrspaces-sweep.csv")

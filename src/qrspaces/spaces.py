@@ -35,7 +35,8 @@ per-a calls remain for a = 0, the compass points, s_eff = 0 and angle counts
 that do not divide the rung.  The rotation-invariant constants use a
 golden section along the radius.  ``_norm_result`` builds every NormResult;
 its error is node doubling at the maximizer (engine, composition, constants),
-the Green cap-refinement estimate, or only the 1e-12 floor (Bloch).
+the Green cap-refinement estimate, or only the 1e-12 floor (Bloch), and it
+flags a maximizer on RADIUS_CAP (``sup_on_cap``).
 """
 
 from __future__ import annotations
@@ -259,9 +260,16 @@ class NormResult:
     p_root: float
     value_at_zero: Optional[float] = None
     warnings: tuple = ()
+    sup_on_cap: bool = False
 
     def trace_values(self):
         return np.asarray([v for _, v in self.trace])
+
+
+def on_cap(a: complex) -> bool:
+    """Whether |a| sits on RADIUS_CAP, up to the rounding of a lattice point
+    rotated off the real axis (1 ulp): a sup there may lie beyond the search."""
+    return bool(abs(abs(a) - RADIUS_CAP) <= 1e-12)
 
 
 def _by_value(av):
@@ -355,6 +363,7 @@ def _norm_result(best, err_raw: float, p_root: float, grid: dict,
         p_root=float(p_root),
         value_at_zero=value_at_zero,
         warnings=tuple(warnings),
+        sup_on_cap=on_cap(best_a),
     )
 
 
@@ -457,11 +466,13 @@ class WeightedSupProblem:
         factor on the rung ``integral_at(r)`` uses (k = 0 is bit-identical).
 
         None where a ring cannot stand in for direct calls: s_eff = 0, whose
-        one value ``integral_at`` caches, or a rung that ``turns`` does not
-        divide.
+        one value ``integral_at`` caches, a rung that ``turns`` does not
+        divide, or turns^2 > count, where the ring's (radial, turns, turns)
+        product would outgrow the grid (``--search-angles 2048`` would ask
+        for 4 GB on the top rung).
         """
         count = self._count_for(r)
-        if self.s_eff == 0.0 or count % turns:
+        if self.s_eff == 0.0 or count % turns or turns * turns > count:
             return None
         z, bases, work = self._rung(count)
         self.evaluations["ring_factor"] += 1

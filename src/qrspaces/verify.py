@@ -57,6 +57,7 @@ from .spaces import (
     WeightedSupProblem,
     _analytic_deriv_base,
     _sup_search,
+    on_cap,
     sigma_deriv_constant,
     weight_overlap_constant,
 )
@@ -173,6 +174,16 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
     return (su ** (1.0 / p), au, tru), (sv ** (1.0 / p), av, trv), pr.grid_metadata()
 
 
+def _conjugate_extra(nu, au, nv, av, grid) -> dict:
+    """Record fields of a conjugate pair: both norms, their argmaxes as
+    [re, im], whether each sat on the radius cap, and the kernel count."""
+    au, av = complex(au), complex(av)
+    return {"norm_u": nu, "norm_v": nv,
+            "sup_a_u": [au.real, au.imag], "sup_a_v": [av.real, av.imag],
+            "sup_on_cap_u": on_cap(au), "sup_on_cap_v": on_cap(av),
+            "kernel_evaluations": grid["kernel_evaluations"]}
+
+
 def check_conjugate_bound_qh(f: HarmonicMap, K: float, p: float, alpha: float,
                              search: Optional[SupSearchSpec] = None,
                              tol: float = DEFAULT_VERIFY_TOL,
@@ -193,9 +204,7 @@ def check_conjugate_bound_qh(f: HarmonicMap, K: float, p: float, alpha: float,
     scale = Qnpa(1, p, alpha)
     return _report("3.1", f, scale.label(), K, 0.0,
                    lhs=nv, rhs=K * nu, tol=tol, grid=grid,
-                   extra={"norm_u": nu, "norm_v": nv,
-                          "sup_a_u": repr(au), "sup_a_v": repr(av),
-                          "kernel_evaluations": grid["kernel_evaluations"]})
+                   extra=_conjugate_extra(nu, au, nv, av, grid))
 
 
 def check_conjugate_bound_fh(f: HarmonicMap, K: float, params: Fpqs,
@@ -214,9 +223,7 @@ def check_conjugate_bound_fh(f: HarmonicMap, K: float, params: Fpqs,
     )
     return _report(theorem_id, f, scale_label or params.label(), K, 0.0,
                    lhs=nv, rhs=K * nu, tol=tol, grid=grid,
-                   extra={"norm_u": nu, "norm_v": nv,
-                          "sup_a_u": repr(au), "sup_a_v": repr(av),
-                          "kernel_evaluations": grid["kernel_evaluations"]})
+                   extra=_conjugate_extra(nu, au, nv, av, grid))
 
 
 def check_inhomogeneous_bound_qh(f: HarmonicMap, K: float, Kprime: float,
@@ -233,7 +240,7 @@ def check_inhomogeneous_bound_qh(f: HarmonicMap, K: float, Kprime: float,
     _require_qh_range(p, alpha)
     _require_kkprime(f, K, Kprime)
     search = search or SupSearchSpec()
-    (nu, _, _), (nv, _, _), grid = _conjugate_norm_pair(
+    (nu, au, _), (nv, av, _), grid = _conjugate_norm_pair(
         f, p - 2.0, alpha + 2.0 - p, p, search, radial, angular
     )
     c_res = sigma_deriv_constant(p, alpha, radial=radial, angular=angular)
@@ -242,10 +249,9 @@ def check_inhomogeneous_bound_qh(f: HarmonicMap, K: float, Kprime: float,
                                       + Kprime ** (p / 2.0) * c_res.value)
     return _report("3.5", f, Qnpa(1, p, alpha).label(), K, Kprime,
                    lhs=lhs, rhs=rhs, tol=tol, grid=grid,
-                   extra={"norm_u": nu, "norm_v": nv,
+                   extra={**_conjugate_extra(nu, au, nv, av, grid),
                           "constant": c_res.value,
-                          "constant_sup_rho": abs(c_res.sup_a),
-                          "kernel_evaluations": grid["kernel_evaluations"]})
+                          "constant_sup_rho": abs(c_res.sup_a)})
 
 
 def check_inhomogeneous_bound_fh(f: HarmonicMap, K: float, Kprime: float,
@@ -264,7 +270,7 @@ def check_inhomogeneous_bound_fh(f: HarmonicMap, K: float, Kprime: float,
     params.validate()
     _require_kkprime(f, K, Kprime)
     search = search or SupSearchSpec()
-    (nu, _, _), (nv, _, _), grid = _conjugate_norm_pair(
+    (nu, au, _), (nv, av, _), grid = _conjugate_norm_pair(
         f, params.q, params.s, params.p, search, radial, angular
     )
     c_res = weight_overlap_constant(params.q, params.s, radial=radial,
@@ -275,10 +281,9 @@ def check_inhomogeneous_bound_fh(f: HarmonicMap, K: float, Kprime: float,
                                       + Kprime ** (p / 2.0) * c_res.value)
     return _report(theorem_id, f, scale_label or params.label(), K, Kprime,
                    lhs=lhs, rhs=rhs, tol=tol, grid=grid,
-                   extra={"norm_u": nu, "norm_v": nv,
+                   extra={**_conjugate_extra(nu, au, nv, av, grid),
                           "constant": c_res.value,
-                          "constant_sup_rho": abs(c_res.sup_a),
-                          "kernel_evaluations": grid["kernel_evaluations"]})
+                          "constant_sup_rho": abs(c_res.sup_a)})
 
 
 COROLLARY_IDS = ("cor3.1", "cor3.2", "cor3.3", "cor3.4", "cor3.5", "cor3.6")
@@ -433,7 +438,9 @@ def _truncated_sup_norm(values_fn, p: float, q: float, s: float, R: float,
     4/(1-R) = 16384 the ridge rule asks for (kept, so the reference values
     of the default ladder stay put).  The count is a power of two of at
     least 256, so the lattice angles of a ring are column shifts of one
-    Mobius factor (``mobius_ring_integrals``).
+    Mobius factor, and ``mobius_ring_integrals`` gets all of them from one
+    batched matrix product: the a = r angle is bit-identical to the direct
+    kernel, the other angles agree with it to about 1e-15 relative.
     """
     t, w = truncated_radial_rule(R)
     count = max(angular_count_for(R, s, angular),

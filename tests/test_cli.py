@@ -86,6 +86,63 @@ def test_norm_malformed_scale_exit_2(tmp_path, capsys, args):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["norm", "--scale", "F(2,0,inf)"],
+    ["norm", "--scale", "Q(1,nan,0)"],
+    ["norm", "--scale", "Qs(inf)"],
+    ["norm", "--scale", "M(1,0,nan)"],
+    ["norm", "--scale", "F(nan,0,1)"],
+    ["norm", "--scale", "Bloch(inf)"],
+    ["norm", "--map", "affine:k=nan"],
+    ["norm", "--map", "affine:k=abc"],
+    ["constants", "--constant", "overlap:q=nan;s=1"],
+    ["constants", "--constant", "sigma-deriv:p=2;alpha=inf"],
+    ["verify", "--theorem", "3.5", "--map", "fold", "--Kprime", "nan"],
+    ["verify", "--K", "-1"],
+    ["verify", "--K", "nan"],
+    ["verify", "--Kprime", "-1"],
+    ["verify", "--alpha-K", "-1"],
+    ["verify", "--tol", "-1"],
+    ["verify", "--tol", "inf"],
+    ["sweep", "--K", "nan", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
+])
+def test_non_finite_or_negative_numbers_exit_2(tmp_path, capsys, args):
+    # scale, map and constant numbers must be well-formed and finite; K, K',
+    # the growth order and tol finite and >= 0 (K = 0 still means: estimate)
+    assert main([*args, "--out", str(tmp_path / "x.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_sup_on_cap_flags_a_maximizer_on_the_radius_cap(tmp_path):
+    # koebe's F(2,0,1) integral grows without bound in |a|, so the search
+    # ends on the cap; an affine map's peaks at a = 0
+    flags = {}
+    for spec in ("koebe", "affine:k=0.5;sign=-1"):
+        out = tmp_path / "n.jsonl"
+        assert main(["norm", "--map", spec, "--scale", "F(2,0,1)",
+                     "--out", str(out)]) == 0
+        flags[spec] = read_jsonl(out)[0]["sup_on_cap"]
+    assert flags == {"koebe": True, "affine:k=0.5;sign=-1": False}
+
+
+@pytest.mark.parametrize("map_spec, on_cap", [
+    ("koebe-dilatation:k=0.5", True),   # argmax on a lattice ring
+    ("affine:k=0.5;sign=-1", False),    # argmax at a = 0, a direct call
+])
+def test_conjugate_record_round_trips_through_json(tmp_path, map_spec, on_cap):
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--theorem", "3.2", "--map", map_spec,
+                 "--scale", "F(2,0,1)", "--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    assert json.loads(json.dumps(rec)) == rec
+    for side in ("u", "v"):
+        sup_a = rec[f"sup_a_{side}"]
+        assert isinstance(sup_a, list) and len(sup_a) == 2
+        assert all(isinstance(x, float) for x in sup_a)
+        assert rec[f"sup_on_cap_{side}"] is on_cap
+
+
 @pytest.mark.parametrize("angular", ["4", "100", "4096"])
 @pytest.mark.parametrize("args", [
     ["norm", "--map", "identity", "--scale", "Q(1,1.5,0)"],

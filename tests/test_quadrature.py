@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,47 @@ def test_mobius_ring_integrals_property(r, count_exp, turns_exp, s, p, bases):
             assert values == direct
         else:
             assert values == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("turns", [1, 32], ids=["one-turn", "turns-eq-count"])
+def test_mobius_ring_integrals_edge_turn_counts(turns):
+    # one turn (a single block of every column) and one column per block
+    t, w = _jacobi_01(16, 0.5)
+    z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(32))[None, :]
+    bases = [np.abs(1.0 + 0.7 * z) ** 2.5, np.abs(z - 0.3j) ** 1.5]
+    work = work_arrays(z.shape)
+    ring = mobius_ring_integrals(0.9, 1.5, z, bases, w, work, turns)
+    assert len(ring) == turns
+    for k, values in enumerate(ring):
+        a = 0.9 * np.exp(2j * np.pi * k / turns)
+        direct = mobius_integrals(a, 1.5, z, bases, w, work)
+        if k == 0:
+            assert values == direct
+        else:
+            assert values == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, n_bases, turns", [
+    ((288, 8192), 1, 8),    # the j = 12 membership truncation grid
+    ((128, 2048), 2, 16),   # the engine's top rung, u/v pair, 16 angles
+], ids=["ladder-j12", "engine-2048"])
+def test_mobius_ring_integrals_make_no_grid_sized_temporary(shape, n_bases,
+                                                            turns):
+    # the blocks are views of the base and the factor: a grid-sized copy
+    # (288 x 8192 doubles = 18.9 MB) would show here
+    radial, count = shape
+    t, w = _jacobi_01(radial, 1.0)
+    z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
+    bases = [np.abs(1.0 + (0.5 + 0.1j * i) * z) ** 2.5 for i in range(n_bases)]
+    work = work_arrays(z.shape)
+    mobius_ring_integrals(0.99, 1.0, z, bases, w, work, turns)
+    tracemalloc.start()
+    try:
+        mobius_ring_integrals(0.99, 1.0, z, bases, w, work, turns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_mobius_ring_integrals_reject_uneven_turns():

@@ -298,7 +298,8 @@ def test_sup_search_ring_matches_direct():
 @pytest.mark.parametrize("params, angles", [
     (Qnpa(1, 1.5, 0.0), 3),  # 3 does not divide the rung counts
     (Qnpa(1, 2.0, 0.0), 8),  # s_eff = 0: one cached value per problem
-], ids=["angles-3", "s-eff-0"])
+    (Qnpa(1, 1.5, 0.0), 64),  # 64^2 exceeds every rung count
+], ids=["angles-3", "s-eff-0", "angles-64"])
 def test_ring_fallbacks_equal_direct_path(monkeypatch, params, angles):
     spec = SupSearchSpec(radii=SMALL_SEARCH.radii, angles_per_radius=angles)
     f = poly([0.0, 1.0, 0.3j, 0.1])
