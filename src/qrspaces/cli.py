@@ -9,8 +9,9 @@ written to a temporary name and renamed, so failures leave no partial files.
 Exit codes: 0 success (for ``verify``: all checks passed), 1 a check failed,
 2 invalid parameters, 3 quadrature/accuracy failure, 4 I/O failure.
 
-Flags mirror environment variables with the prefix ``QRSPACES_``
-(e.g. ``QRSPACES_RADIAL`` for ``--radial``); flags win over the environment.
+Precedence: flags (a prefix argparse accepts counts) > the ``--config`` JSON
+file, whose values must have their fields' JSON types > the environment
+(``QRSPACES_`` + CONFIG, OUT, RADIAL, ANGULAR, TOL, SEED, THREADS) > defaults.
 """
 
 from __future__ import annotations
@@ -51,7 +52,9 @@ from .families import (
     koebe_shear,
 )
 from .harmonic import HarmonicMap, analytic_as_harmonic, estimate_quasiregularity
+from .quadrature import DEFAULT_ANGULAR, DEFAULT_RADIAL
 from .spaces import (
+    RADIUS_CAP_J,
     BergmanMorrey,
     BlochAlpha,
     Fpqs,
@@ -60,6 +63,7 @@ from .spaces import (
     Qnpa,
     Qs,
     SupSearchSpec,
+    dyadic_radii,
     fh_pqs_norm,
     m_pqs_norm,
     morrey_constant,
@@ -73,6 +77,7 @@ from .spaces import (
 from .verify import (
     COROLLARY_IDS,
     DEFAULT_TRUNCATION_JS,
+    DEFAULT_VERIFY_TOL,
     check_conjugate_bound_fh,
     check_conjugate_bound_qh,
     check_inhomogeneous_bound_fh,
@@ -109,14 +114,14 @@ class RunConfig:
     alpha_K: float = 0.0  # 0 means: conjectured default for K
     weight_form: str = "mobius"
     growth_target: str = "hprime"
-    radial: int = 128
-    angular: int = 256
-    tol: float = 1e-6
+    radial: int = DEFAULT_RADIAL
+    angular: int = DEFAULT_ANGULAR
+    tol: float = DEFAULT_VERIFY_TOL
     seed: int = 0
     threads: int = 1
     out: str = ""
-    search_max_j: int = 10
-    search_angles: int = 16
+    search_max_j: int = RADIUS_CAP_J
+    search_angles: int = SupSearchSpec.angles_per_radius
     truncation_max_j: int = DEFAULT_TRUNCATION_JS[-1]
     gnuplot: bool = False
     maps: list = field(default_factory=list)
@@ -125,18 +130,9 @@ class RunConfig:
     def to_dict(self):
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**d)
-
     def search(self) -> SupSearchSpec:
-        radii = tuple(0.0 if j == 0 else 1.0 - 2.0 ** -j
-                      for j in range(self.search_max_j + 1))
-        return SupSearchSpec(radii=radii, angles_per_radius=self.search_angles)
+        return SupSearchSpec(radii=dyadic_radii(self.search_max_j),
+                             angles_per_radius=self.search_angles)
 
 
 # --- map and scale parsing -----------------------------------------------------
@@ -487,11 +483,13 @@ def _sweep_cell(cfg: RunConfig, map_spec: str, cell) -> dict:
 
 def cmd_sweep(cfg: RunConfig) -> int:
     cells = [(m, c) for m in cfg.maps for c in cfg.cells]
-    if cfg.threads > 1 and cells:
+    if cfg.threads == 1:
+        # inline: a worker thread allocates from its own glibc malloc arena,
+        # which raises peak RSS by about 10 % after a large item in-process
+        rows = [_sweep_cell(cfg, m, c) for m, c in cells]
+    else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
             rows = list(pool.map(lambda mc: _sweep_cell(cfg, *mc), cells))
-    else:
-        rows = [_sweep_cell(cfg, m, c) for m, c in cells]
 
     def emit(fh):
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -506,11 +504,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 def cmd_growth(cfg: RunConfig) -> int:
     f = build_map(cfg.map_spec)
-    if cfg.growth_target not in GROWTH_TARGETS:
-        raise InvalidParameterError(
-            f"unknown growth target {cfg.growth_target!r}; "
-            f"choose from {GROWTH_TARGETS}"
-        )
     fit = growth_exponent(f, cfg.growth_target)
     rec = {
         "command": "growth",
@@ -544,17 +537,16 @@ def cmd_growth(cfg: RunConfig) -> int:
 
 # --- argument handling -------------------------------------------------------------
 
-
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name.upper())
-    if raw is None:
-        return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise InvalidParameterError(
-            f"bad value for {ENV_PREFIX + name.upper()}: {raw!r}"
-        )
+# Defaults that differ between subcommands; every other default is RunConfig's.
+COMMAND_DEFAULTS = {
+    "norm": {"map_spec": "identity", "scale_spec": "Q(1,2,0)"},
+    "constants": {"constant": "qs:s=1"},
+    "verify": {"theorem": "3.1", "map_spec": "affine:k=0.5;sign=-1",
+               "scale_spec": "Q(1,1.5,0)"},
+    "sweep": {"theorem": "3.1"},
+    "growth": {"map_spec": "koebe"},
+}
+ENV_FIELDS = ("out", "radial", "angular", "tol", "seed", "threads")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -564,114 +556,120 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=_env_default("config", str, ""),
-                       help="JSON run configuration (flags override)")
-        p.add_argument("--out", default=_env_default("out", str, ""),
-                       help="output path (reports: JSON lines)")
-        p.add_argument("--radial", type=int,
-                       default=_env_default("radial", int, 128))
-        p.add_argument("--angular", type=int,
-                       default=_env_default("angular", int, 256))
-        p.add_argument("--tol", type=float,
-                       default=_env_default("tol", float, 1e-6))
-        p.add_argument("--seed", type=int, default=_env_default("seed", int, 0))
-        p.add_argument("--threads", type=int,
-                       default=_env_default("threads", int, 1))
-        p.add_argument("--search-max-j", type=int, default=10)
-        p.add_argument("--search-angles", type=int, default=16)
+    def command(name, help):
+        p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", help="JSON run configuration (flags override)")
+        p.add_argument("--out", help="output path (reports: JSON lines)")
+        p.add_argument("--radial", type=int)
+        p.add_argument("--angular", type=int)
+        p.add_argument("--tol", type=float)
+        p.add_argument("--seed", type=int)
+        p.add_argument("--threads", type=int)
+        p.add_argument("--search-max-j", type=int)
+        p.add_argument("--search-angles", type=int)
         p.add_argument("--truncation-max-j", type=int,
-                       default=DEFAULT_TRUNCATION_JS[-1],
                        help="deepest truncation radius 1 - 2^-j for 4.1/4.2")
+        return p
 
-    p = sub.add_parser("norm", help="compute a norm of a map")
-    common(p)
-    p.add_argument("--map", dest="map_spec", default="identity")
-    p.add_argument("--scale", dest="scale_spec", default="Q(1,2,0)")
-    p.add_argument("--weight-form", dest="weight_form", default="mobius",
-                   choices=("mobius", "green"))
+    def checks(p):
+        p.add_argument("--theorem", help=f"one of {THEOREM_IDS}")
+        p.add_argument("--K", type=float,
+                       help="claimed distortion bound (0: estimate from the map)")
+        p.add_argument("--Kprime", type=float)
+        p.add_argument("--target", help="membership target for 4.1/4.2 "
+                                        "(f, fz, fzbar, ftheta, bfb)")
+        p.add_argument("--alpha-K", type=float,
+                       help="growth order override (0: conjectured default)")
 
-    p = sub.add_parser("constants", help="compute a sup-type constant")
-    common(p)
-    p.add_argument("--constant", default="qs:s=1",
+    p = command("norm", "compute a norm of a map")
+    p.add_argument("--map", dest="map_spec")
+    p.add_argument("--scale", dest="scale_spec")
+    p.add_argument("--weight-form", choices=("mobius", "green"))
+
+    p = command("constants", "compute a sup-type constant")
+    p.add_argument("--constant",
                    help="e.g. sigma-deriv:p=2;alpha=0.5 | overlap:q=0;s=1 "
                         "| morrey:lam=0.5 | qs:s=1")
 
-    p = sub.add_parser("verify", help="check one stability or membership bound")
-    common(p)
-    p.add_argument("--theorem", default="3.1", help=f"one of {THEOREM_IDS}")
-    p.add_argument("--map", dest="map_spec", default="affine:k=0.5;sign=-1")
-    p.add_argument("--scale", dest="scale_spec", default="Q(1,1.5,0)")
-    p.add_argument("--K", type=float, default=0.0,
-                   help="claimed distortion bound (0: estimate from the map)")
-    p.add_argument("--Kprime", type=float, default=0.0)
-    p.add_argument("--target", default="f",
-                   help="membership target for 4.1/4.2 "
-                        "(f, fz, fzbar, ftheta, bfb)")
-    p.add_argument("--alpha-K", dest="alpha_K", type=float, default=0.0,
-                   help="growth order override (0: conjectured default)")
+    p = command("verify", "check one stability or membership bound")
+    checks(p)
+    p.add_argument("--map", dest="map_spec")
+    p.add_argument("--scale", dest="scale_spec")
 
-    p = sub.add_parser("sweep", help="verify a grid of (map, scale) cells")
-    common(p)
-    p.add_argument("--theorem", default="3.1")
-    p.add_argument("--K", type=float, default=0.0)
-    p.add_argument("--Kprime", type=float, default=0.0)
-    p.add_argument("--target", default="f")
-    p.add_argument("--alpha-K", dest="alpha_K", type=float, default=0.0)
-    p.add_argument("--maps", nargs="*", default=[],
+    p = command("sweep", "verify a grid of (map, scale) cells")
+    checks(p)
+    p.add_argument("--maps", nargs="*",
                    help="map specs (cross product with --cells)")
-    p.add_argument("--cells", nargs="*", default=[],
-                   help="scale specs, e.g. 'Q(1,1.5,0)'")
+    p.add_argument("--cells", nargs="*", help="scale specs, e.g. 'Q(1,1.5,0)'")
 
-    p = sub.add_parser("growth", help="fit a boundary growth exponent")
-    common(p)
-    p.add_argument("--map", dest="map_spec", default="koebe")
-    p.add_argument("--which", dest="growth_target", default="hprime",
-                   choices=GROWTH_TARGETS)
+    p = command("growth", "fit a boundary growth exponent")
+    p.add_argument("--map", dest="map_spec")
+    p.add_argument("--which", dest="growth_target", choices=GROWTH_TARGETS)
     p.add_argument("--gnuplot", action="store_true",
                    help="also emit a data file and gnuplot script")
 
     return parser
 
 
-def _explicit_flags(argv) -> set:
-    """Names of options literally present on the command line."""
-    given = set()
-    for token in argv:
-        if token.startswith("--"):
-            given.add(token[2:].split("=", 1)[0].replace("-", "_"))
-    return given
+def _read_config_file(path: str, defaults: dict) -> dict:
+    """The --config file's fields, the one layer not typed by construction:
+    each value needs its field's JSON type (an int passes for a float, a bool
+    not for an int, a list holds strings)."""
+    with open(path) as fh:
+        try:
+            file_cfg = json.load(fh)
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(file_cfg, dict):
+        raise InvalidParameterError(f"config file {path} must hold a JSON object")
+    unknown = set(file_cfg) - set(defaults)
+    if unknown:
+        raise InvalidParameterError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in file_cfg.items():
+        default = defaults[name]
+        if isinstance(default, float) and type(value) is int:
+            value = file_cfg[name] = float(value)
+        if type(value) is not type(default) or (
+                isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+            kind = "list of strings" if isinstance(default, list) else type(default).__name__
+            raise InvalidParameterError(
+                f"config value {name!r} must have type {kind}, got {value!r}")
+    return file_cfg
 
 
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
-    growth order means: estimate / use the default)."""
+    growth order means: estimate / use the default); threads is >= 1."""
     for name in ("K", "Kprime", "alpha_K", "tol"):
         value = getattr(cfg, name)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not math.isfinite(value) or value < 0):
+        if not math.isfinite(value) or value < 0:
             raise InvalidParameterError(
                 f"--{name.replace('_', '-')} must be a finite number >= 0, "
                 f"got {value!r}")
+    if cfg.threads < 1:
+        raise InvalidParameterError(f"--threads must be >= 1, got {cfg.threads}")
 
 
-def _merge_config(args: argparse.Namespace, explicit: set) -> RunConfig:
-    """Precedence: explicit flags > config file > env/parser defaults."""
-    file_cfg = {}
-    if getattr(args, "config", ""):
-        with open(args.config) as fh:
-            file_cfg = json.load(fh)
-        RunConfig.from_dict(file_cfg)  # validates keys
-    alias = {"map": "map_spec", "scale": "scale_spec", "which": "growth_target"}
-    explicit = {alias.get(name, name) for name in explicit}
-    cfg = RunConfig()
-    for f in dataclasses.fields(RunConfig):
-        if f.name in file_cfg:
-            setattr(cfg, f.name, file_cfg[f.name])
-        if hasattr(args, f.name) and (f.name not in file_cfg
-                                      or f.name in explicit):
-            setattr(cfg, f.name, getattr(args, f.name))
-    cfg.command = args.command
+def resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Layer, lowest first: RunConfig defaults, the subcommand's defaults,
+    the environment, the --config file, the flags given."""
+    given = dict(vars(args))
+    command = given.pop("command")
+    defaults = RunConfig().to_dict()
+    merged = {**defaults, **COMMAND_DEFAULTS[command]}
+    for name in ENV_FIELDS:
+        raw = os.environ.get(ENV_PREFIX + name.upper())
+        if raw is not None:
+            try:
+                merged[name] = type(defaults[name])(raw)
+            except ValueError:
+                raise InvalidParameterError(
+                    f"bad value for {ENV_PREFIX + name.upper()}: {raw!r}") from None
+    path = given.pop("config", os.environ.get(ENV_PREFIX + "CONFIG", ""))
+    if path:
+        merged.update(_read_config_file(path, defaults))
+    cfg = RunConfig(**{**merged, **given, "command": command})
     _check_run_numbers(cfg)
     if not cfg.out:
         cfg.out = (f"qrspaces-{cfg.command}.jsonl"
@@ -689,15 +687,12 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _merge_config(args, _explicit_flags(argv))
+        cfg = resolve_config(args)
         return COMMANDS[cfg.command](cfg)
     except (InvalidParameterError, NonQuasiregularError, PoleError,
             SingularityError, HypothesisViolationError) as exc:

@@ -186,7 +186,8 @@ def growth_exponent(f: HarmonicMap, which: str,
     (h', h'', g', g'', or |f| itself).  Radii must increase toward 1.
     """
     if which not in GROWTH_TARGETS:
-        raise InvalidParameterError(f"unknown growth target {which!r}")
+        raise InvalidParameterError(
+            f"unknown growth target {which!r}; choose from {GROWTH_TARGETS}")
     radii = tuple(float(r) for r in radii)
     if any(not 0.0 < r < 1.0 for r in radii) or any(
         b <= a for a, b in zip(radii, radii[1:])

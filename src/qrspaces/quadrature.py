@@ -105,8 +105,7 @@ def grid_points(grid: QuadratureGrid) -> np.ndarray:
 
 def tensor_integral(values: np.ndarray, grid: QuadratureGrid) -> float:
     """Contract tabulated integrand values against the tensor rule."""
-    ang = values.mean(axis=1) * (2.0 * np.pi)
-    return float(0.5 * np.dot(grid.radial_weights, ang))
+    return _contract(grid.radial_weights, values)
 
 
 def angular_count_for(rho: float, pole_exponent: float,

@@ -195,8 +195,15 @@ SpaceParams = Union[Qnpa, Fpqs, Mpqs, Morrey, BergmanMorrey, Qs, BlochAlpha]
 
 # --- search specification and results ----------------------------------------
 
-DEFAULT_SEARCH_RADII = tuple(0.0 if j == 0 else 1.0 - 2.0 ** -j for j in range(11))
-RADIUS_CAP = 1.0 - 2.0 ** -10
+
+def dyadic_radii(max_j: int) -> tuple:
+    """The radii 0 and 1 - 2^-j for j = 1, ..., max_j."""
+    return tuple(1.0 - 2.0 ** -j for j in range(max_j + 1))
+
+
+RADIUS_CAP_J = 10
+DEFAULT_SEARCH_RADII = dyadic_radii(RADIUS_CAP_J)
+RADIUS_CAP = DEFAULT_SEARCH_RADII[-1]
 # compass refinement: the step halves when no direction improves, down to
 # COMPASS_STOP; the evaluation budget guards against pathological integrands
 COMPASS_SHRINK = 0.5
@@ -705,8 +712,6 @@ def _bloch_norm(f, scale: BlochAlpha, search: SupSearchSpec) -> NormResult:
 
 # --- sup-type constants --------------------------------------------------------
 
-CONSTANT_SCAN_RADII = tuple(0.0 if j == 0 else 1.0 - 2.0 ** -j for j in range(11))
-
 
 def _constant_sup(base_problem: WeightedSupProblem, label: str,
                   xtol: float = 1e-4) -> NormResult:
@@ -720,7 +725,7 @@ def _constant_sup(base_problem: WeightedSupProblem, label: str,
         (v,) = base_problem.integral_at(rho)
         return v
 
-    radii = [min(r, RADIUS_CAP) for r in CONSTANT_SCAN_RADII]
+    radii = [min(r, RADIUS_CAP) for r in DEFAULT_SEARCH_RADII]
     vals = [value(r) for r in radii]
     trace = list(zip(radii, vals))
     if vals[-1] > 10.0 * max(vals[0], 1e-300) and vals[-1] > vals[-2] > vals[-3]:

@@ -57,6 +57,7 @@ from .spaces import (
     WeightedSupProblem,
     _analytic_deriv_base,
     _sup_search,
+    dyadic_radii,
     on_cap,
     sigma_deriv_constant,
     weight_overlap_constant,
@@ -452,9 +453,7 @@ def _truncated_sup_norm(values_fn, p: float, q: float, s: float, R: float,
     w = w * (1.0 - t) ** (q + s)
     work = work_arrays(z.shape)
     values = list(mobius_integrals(0.0 + 0.0j, s, z, [base], w, work))
-    j_max = int(-math.log2(1.0 - R) + 0.5)
-    for i in range(1, j_max + 1):
-        r = 1.0 - 2.0 ** -i
+    for r in dyadic_radii(int(-math.log2(1.0 - R) + 0.5))[1:]:
         if r > R:
             break
         values.extend(v for (v,) in mobius_ring_integrals(

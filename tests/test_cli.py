@@ -1,10 +1,14 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qrspaces.cli import COMMANDS, build_map, main, parse_scale
+from qrspaces.cli import COMMANDS, RunConfig, build_map, main, parse_scale
 from qrspaces.errors import (
     HypothesisViolationError,
     InvalidParameterError,
@@ -105,6 +109,8 @@ def test_norm_malformed_scale_exit_2(tmp_path, capsys, args):
     ["verify", "--tol", "-1"],
     ["verify", "--tol", "inf"],
     ["sweep", "--K", "nan", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
+    ["sweep", "--threads", "0"],
+    ["sweep", "--threads", "-3", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
 ])
 def test_non_finite_or_negative_numbers_exit_2(tmp_path, capsys, args):
     # scale, map and constant numbers must be well-formed and finite; K, K',
@@ -314,17 +320,98 @@ def test_config_round_trip(tmp_path):
 
 
 def test_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("QRSPACES_RADIAL", "64")
+    # precedence: flags given > config file > environment > defaults
     out = tmp_path / "n.jsonl"
-    assert main(["norm", "--map", "identity", "--scale", "Q(1,2,0)",
-                 "--out", str(out), "--search-max-j", "3"]) == 0
-    rec = read_jsonl(out)[0]
-    assert rec["config"]["radial"] == 64
-    # explicit flag wins over the environment
-    out2 = tmp_path / "n2.jsonl"
-    assert main(["norm", "--map", "identity", "--scale", "Q(1,2,0)",
-                 "--radial", "96", "--out", str(out2), "--search-max-j", "3"]) == 0
-    assert read_jsonl(out2)[0]["config"]["radial"] == 96
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"radial": 32}))
+    base = ["norm", "--map", "identity", "--scale", "Q(1,2,0)",
+            "--out", str(out), "--search-max-j", "3"]
+
+    def radial(*flags):
+        assert main([*base, *flags]) == 0
+        return read_jsonl(out)[0]["config"]["radial"]
+
+    assert radial() == 128
+    monkeypatch.setenv("QRSPACES_RADIAL", "64")
+    assert radial() == 64
+    assert radial("--radial", "96") == 96
+    assert radial("--config", str(cfg_path)) == 32
+    monkeypatch.setenv("QRSPACES_CONFIG", str(cfg_path))
+    assert radial() == 32
+    # every spelling argparse accepts counts as the flag, a prefix included
+    for flag in (["--radial", "64"], ["--rad", "64"], ["--radial=64"]):
+        assert radial(*flag) == 64
+
+
+@pytest.mark.parametrize("content, command", [
+    pytest.param({"radial": "64"}, "norm", id="str-for-int"),
+    pytest.param({"search_max_j": 2.5}, "norm", id="float-for-int"),
+    pytest.param({"maps": "identity", "cells": ["Q(1,1.5,0)"]}, "sweep",
+                 id="str-for-list"),
+    pytest.param({"maps": ["identity", 5], "cells": ["Q(1,1.5,0)"]}, "sweep",
+                 id="int-in-list"),
+    pytest.param({"gnuplot": "no"}, "growth", id="str-for-bool"),
+    pytest.param({"threads": 0}, "sweep", id="zero-threads"),
+    pytest.param(5, "norm", id="scalar"),
+    pytest.param([], "norm", id="array"),
+    pytest.param('{"radial": ', "norm", id="malformed"),
+    pytest.param("", "norm", id="empty"),
+])
+def test_bad_config_file_exit_2(tmp_path, capsys, content, command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(content if isinstance(content, str) else json.dumps(content))
+    assert main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "x.out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name, value", [
+    ("RADIAL", "abc"), ("ANGULAR", "1.5"), ("TOL", "x"), ("SEED", ""),
+    ("THREADS", "0"),
+])
+def test_bad_environment_exit_2(tmp_path, monkeypatch, capsys, name, value):
+    monkeypatch.setenv("QRSPACES_" + name, value)
+    assert main(["sweep", "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# JSON kinds a config value can take, and the kinds each field type accepts
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "int": st.integers(),
+    "float": st.floats(allow_nan=False),
+    "str": st.text(max_size=8),
+    "list": st.lists(st.text(max_size=4), max_size=3),
+    "int-list": st.lists(st.integers(), min_size=1, max_size=3),
+    "object": st.dictionaries(st.text(max_size=4), st.integers(), max_size=2),
+}
+ACCEPTED_KINDS = {str: {"str"}, int: {"int"}, float: {"int", "float"},
+                  bool: {"bool"}, list: {"list"}}
+
+
+@st.composite
+def wrongly_typed_config(draw):
+    name, default = draw(st.sampled_from(sorted(RunConfig().to_dict().items())))
+    kinds = sorted(set(JSON_KINDS) - ACCEPTED_KINDS[type(default)])
+    value = draw(JSON_KINDS[draw(st.sampled_from(kinds))])
+    return {name: value}
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(cfg=wrongly_typed_config(),
+       command=st.sampled_from(["norm", "constants", "verify", "sweep", "growth"]))
+def test_wrong_json_type_exit_2(tmp_path_factory, cfg, command):
+    cfg_path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--config", str(cfg_path),
+                     "--out", str(cfg_path.with_suffix(".out"))])
+    assert code == 2
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 @pytest.mark.parametrize("max_j", ["2", "3"])

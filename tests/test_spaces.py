@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import hyp2f1
 
 from qrspaces.analytic import compose_mobius, constant, identity, koebe, poly
 from qrspaces.errors import InfiniteConstantError, InvalidParameterError
@@ -230,6 +231,25 @@ def test_per_a_monotone_under_domination():
     pr2 = WeightedSupProblem([lambda z: np.abs(z) ** 2 + 0.5], 0.0, 1.0)
     for a in (0.0, 0.3, 0.6j, -0.5 + 0.4j, 0.96):
         assert pr1.integral_at(a)[0] < pr2.integral_at(a)[0]
+
+
+@pytest.mark.parametrize("q, s", [(0.0, 1.0), (-0.5, 2.0), (1.0, 0.5), (0.5, 1.0)])
+def test_weight_integral_matches_forelli_rudin_closed_form(q, s):
+    # int_D (1-|z|^2)^q (1-|sigma_a z|^2)^s dA
+    #   = pi (1-|a|^2)^s / (q+s+1) 2F1(s, s; q+s+2; |a|^2)
+    # Up to |a| = 1 - 2^-6; closer to the cap the top angular rung aliases.
+    pr = WeightedSupProblem([lambda z: np.ones(z.shape)], q, s)
+    for j in range(7):
+        r = 1.0 - 2.0 ** -j if j else 0.0
+        exact = (math.pi * (1.0 - r * r) ** s / (q + s + 1.0)
+                 * hyp2f1(s, s, q + s + 2.0, r * r))
+        for a in (r, r * np.exp(0.7j), -1j * r):
+            assert pr.integral_at(a)[0] == pytest.approx(exact, rel=1e-13)
+        if j:
+            ring = pr.ring_integrals(r, 16)
+            assert len(ring) == 16
+            for (value,) in ring:
+                assert value == pytest.approx(exact, rel=1e-13)
 
 
 @pytest.mark.parametrize("q_eff, s_eff", [(0.0, 1.0), (-0.5, 0.5), (0.3, 0.0)])
