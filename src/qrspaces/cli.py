@@ -75,9 +75,10 @@ from .spaces import (
     weight_overlap_constant,
 )
 from .verify import (
-    COROLLARY_IDS,
+    COROLLARY_SCALES,
     DEFAULT_TRUNCATION_JS,
     DEFAULT_VERIFY_TOL,
+    TRUNCATION_MAX_J,
     check_conjugate_bound_fh,
     check_conjugate_bound_qh,
     check_inhomogeneous_bound_fh,
@@ -397,55 +398,41 @@ def cmd_constants(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-THEOREM_IDS = ("3.1", "3.2", "3.5", "3.6") + COROLLARY_IDS + ("4.1", "4.2")
+# The scale kind each theorem id takes, and its form for messages.
+SCALE_FORMS = {Qnpa: "a Q(1,p,alpha)", Fpqs: "an F(p,q,s)", Mpqs: "an M(p,q,s)",
+               Morrey: "a Morrey(lam)", BergmanMorrey: "a BergmanMorrey(p,lam)",
+               Qs: "a Qs(s)"}
+THEOREM_SCALES = {"3.1": Qnpa, "3.2": Fpqs, "3.5": Qnpa, "3.6": Fpqs,
+                  **COROLLARY_SCALES, "4.1": Mpqs, "4.2": Fpqs}
+THEOREM_IDS = tuple(THEOREM_SCALES)
 
 
 def run_verification(cfg: RunConfig):
-    if cfg.theorem not in THEOREM_IDS:
+    tid = cfg.theorem
+    if tid not in THEOREM_SCALES:
         raise InvalidParameterError(
-            f"unknown theorem id {cfg.theorem!r}; choose from {THEOREM_IDS}"
+            f"unknown theorem id {tid!r}; choose from {THEOREM_IDS}"
         )
     f = build_map(cfg.map_spec)
     K = cfg.K if cfg.K > 0 else _estimate_K(f)
-    search = cfg.search()
-    kw = dict(search=search, tol=cfg.tol, radial=cfg.radial, angular=cfg.angular)
-    tid = cfg.theorem
-    if tid in ("3.1", "3.5"):
-        scale = parse_scale(cfg.scale_spec)
-        if not isinstance(scale, Qnpa) or scale.n != 1:
-            raise InvalidParameterError(f"theorem {tid} takes a Q(1,p,alpha) scale")
-        if tid == "3.1":
-            return check_conjugate_bound_qh(f, K, scale.p, scale.alpha, **kw)
+    kw = dict(search=cfg.search(), tol=cfg.tol, radial=cfg.radial,
+              angular=cfg.angular)
+    scale = parse_scale(cfg.scale_spec)
+    kind = THEOREM_SCALES[tid]
+    if not isinstance(scale, kind) or (kind is Qnpa and scale.n != 1):
+        raise InvalidParameterError(
+            f"theorem {tid} takes {SCALE_FORMS[kind]} scale")
+    if tid == "3.1":
+        return check_conjugate_bound_qh(f, K, scale.p, scale.alpha, **kw)
+    if tid == "3.5":
         return check_inhomogeneous_bound_qh(f, K, cfg.Kprime, scale.p,
                                             scale.alpha, **kw)
-    if tid in ("3.2", "3.6"):
-        scale = parse_scale(cfg.scale_spec)
-        if not isinstance(scale, Fpqs):
-            raise InvalidParameterError(f"theorem {tid} takes an F(p,q,s) scale")
-        if tid == "3.2":
-            return check_conjugate_bound_fh(f, K, scale, **kw)
+    if tid == "3.2":
+        return check_conjugate_bound_fh(f, K, scale, **kw)
+    if tid == "3.6":
         return check_inhomogeneous_bound_fh(f, K, cfg.Kprime, scale, **kw)
-    if tid in COROLLARY_IDS:
-        scale = parse_scale(cfg.scale_spec)
-        ckw = {}
-        if isinstance(scale, Morrey):
-            ckw["lam"] = scale.lam
-        elif isinstance(scale, BergmanMorrey):
-            ckw["lam"] = scale.lam
-            ckw["p"] = scale.p
-        elif isinstance(scale, Qs):
-            ckw["s"] = scale.s
-        else:
-            raise InvalidParameterError(
-                "corollaries take Morrey/BergmanMorrey/Qs scales"
-            )
-        return verify_corollary(f, tid, K=K, Kprime=cfg.Kprime, **ckw, **kw)
-    # 4.1 / 4.2: membership sweeps
-    scale = parse_scale(cfg.scale_spec)
-    if tid == "4.1" and not isinstance(scale, Mpqs):
-        raise InvalidParameterError("theorem 4.1 takes an M(p,q,s) scale")
-    if tid == "4.2" and not isinstance(scale, Fpqs):
-        raise InvalidParameterError("theorem 4.2 takes an F(p,q,s) scale")
+    if tid in COROLLARY_SCALES:
+        return verify_corollary(f, tid, scale, K, cfg.Kprime, **kw)
     model = OrderModel(K, cfg.alpha_K if cfg.alpha_K > 0 else None)
     js = range(DEFAULT_TRUNCATION_JS[0], cfg.truncation_max_j + 1)
     return verify_membership(f, model, scale, target=cfg.target,
@@ -640,7 +627,10 @@ def _read_config_file(path: str, defaults: dict) -> dict:
 
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
-    growth order means: estimate / use the default); threads is >= 1."""
+    growth order means: estimate / use the default); threads is >= 1.  The
+    search depth is at most RADIUS_CAP_J, since deeper radii would be clipped
+    to the cap, and the truncation depth at most TRUNCATION_MAX_J, since
+    deeper radii 1 - 2^-j round to 1."""
     for name in ("K", "Kprime", "alpha_K", "tol"):
         value = getattr(cfg, name)
         if not math.isfinite(value) or value < 0:
@@ -649,6 +639,12 @@ def _check_run_numbers(cfg: RunConfig):
                 f"got {value!r}")
     if cfg.threads < 1:
         raise InvalidParameterError(f"--threads must be >= 1, got {cfg.threads}")
+    for name, most in (("search_max_j", RADIUS_CAP_J),
+                       ("truncation_max_j", TRUNCATION_MAX_J)):
+        if getattr(cfg, name) > most:
+            raise InvalidParameterError(
+                f"--{name.replace('_', '-')} must be at most {most}, "
+                f"got {getattr(cfg, name)}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:

@@ -82,6 +82,13 @@ class WirtingerData:
         # |grad f|^2 = |f_x|^2 + |f_y|^2 = 2(|f_z|^2 + |f_zbar|^2)
         return np.sqrt(2.0 * (np.abs(self.fz) ** 2 + np.abs(self.fzbar) ** 2))
 
+    @property
+    def conjugate_moduli(self):
+        """(|F'|, |G'|) = (|grad u|, |grad v|) of the pair F = h + g, G = h - g,
+        from the h' = f_z and g' = conj(f_zbar) already at hand."""
+        gp = np.conj(self.fzbar)
+        return np.abs(self.fz + gp), np.abs(self.fz - gp)
+
 
 @dataclass(frozen=True)
 class QrParams:
@@ -278,11 +285,10 @@ def pointwise_conjugate_bound(f: HarmonicMap, params: QrParams, samples) -> Marg
     :class:`HypothesisViolationError` carrying the report.
     """
     z = np.ravel(np.asarray(as_complex(samples)))
-    F, G = conjugate_parts(f)
     root = math.sqrt(params.Kprime)
-    conj_margins = (params.K * np.abs(F.jet(z, 1, min_order=1)[1]) + root
-                    - np.abs(G.jet(z, 1, min_order=1)[1]))
     w = wirtinger(f, z)
+    grad_u, grad_v = w.conjugate_moduli
+    conj_margins = params.K * grad_u + root - grad_v
     dist_margins = params.K * w.lambda_small + root - w.lambda_big
     margins = np.minimum(conj_margins, dist_margins)
     idx = int(np.argmin(margins))

@@ -26,9 +26,10 @@ Every sup over a in the disk (engine, composition, Green, Bloch, and the u/v
 pairs of the conjugate checks) runs through ``_sup_search``: one lattice, one
 compass ascent per component of a joint objective, every component on the
 union of the compass points, one joint evaluation per distinct a.  An engine
-problem carries every base that shares its weight and grid (|F'|^p and |G'|^p
-of a conjugate pair), so one Mobius factor per a serves all of them; scalar
-sups are the one-component case.  The engine's lattice is computed one ring
+problem carries every base that shares its weight and grid, tabulated by one
+call (|F'|^p and |G'|^p of a conjugate pair, from one jet of h and one of g),
+so one Mobius factor per a serves all of them; scalar sups are the
+one-component case.  The engine's lattice is computed one ring
 at a time: one Mobius factor per distinct lattice radius r, at a = r, whose
 column shifts give the other angles of the ring (``ring_integrals``).  Direct
 per-a calls remain for a = 0, the compass points, s_eff = 0 and angle counts
@@ -95,6 +96,12 @@ class Qnpa:
 
     def label(self):
         return f"Q({self.n},{self.p:g},{self.alpha:g})"
+
+
+def pullback_exponents(p: float, alpha: float) -> tuple:
+    """(q_eff, s_eff) of the pulled-back Q(1,p,alpha) integral (module
+    docstring): the base |f'|^p carries (1-t)^(p-2), the weight the rest."""
+    return p - 2.0, alpha + 2.0 - p
 
 
 @dataclass(frozen=True)
@@ -381,7 +388,10 @@ class WeightedSupProblem:
     """sup over a of int base(z) (1-t)^q_eff (1-|sigma_a z|^2)^s_eff dA.
 
     One problem carries any number of bases that share the weight and the
-    grid (the u/v pair of a conjugate check); each per-a call is one
+    grid: ``tabulate(z)`` returns every base's values on the points z at
+    once, so bases built from the same data share its evaluation (the u/v
+    pair of a conjugate check takes |h'+g'|^p and |h'-g'|^p from one jet of
+    h and one of g).  Each per-a call is one
     ``quadrature.mobius_integrals``, which computes the Mobius factor once and
     returns one integral per base, and ``ring_integrals`` serves a whole
     lattice ring from one factor.  Base values are tabulated once on a
@@ -396,7 +406,7 @@ class WeightedSupProblem:
     ``refined`` (``refined_integral_at``).
     """
 
-    def __init__(self, base_fns: Sequence[Callable], q_eff: float, s_eff: float,
+    def __init__(self, tabulate: Callable, q_eff: float, s_eff: float,
                  radial: int = DEFAULT_RADIAL,
                  base_angular: int = DEFAULT_ANGULAR):
         if q_eff + s_eff <= -1.0:
@@ -411,7 +421,7 @@ class WeightedSupProblem:
         self.s_eff = float(s_eff)
         self.radial = int(radial)
         self.base_angular = int(base_angular)
-        self._base_fns = tuple(base_fns)
+        self._tabulator = tabulate
         self._t, self._w = _jacobi_01(self.radial, self.q_eff + self.s_eff)
         theta = angular_nodes(self.max_angular)
         self._z = np.sqrt(self._t)[:, None] * np.exp(1j * theta)[None, :]
@@ -422,9 +432,9 @@ class WeightedSupProblem:
             ("direct", "ring_factor", "ring_turns", "refined"), 0)
 
     def _tabulate(self, z) -> list:
-        bases = [np.asarray(fn(z), dtype=np.float64) for fn in self._base_fns]
+        bases = [np.asarray(b, dtype=np.float64) for b in self._tabulator(z)]
         if any(b.shape != z.shape for b in bases):
-            raise InvalidParameterError("base_fn must return values on the grid")
+            raise InvalidParameterError("tabulate must return values on the grid")
         return bases
 
     def grid_metadata(self) -> dict:
@@ -511,22 +521,18 @@ def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,
 # --- base tabulators ----------------------------------------------------------
 
 
-def _analytic_deriv_base(f: AnalyticFn, p: float):
-    def base(z):
-        return np.abs(f.jet(z, 1, 1)[1]) ** p
-    return base
+def _pow_tabulator(values_fn: Callable, p: float):
+    """Tabulator of the one base |values_fn(z)|^p."""
+    def tabulate(z):
+        return (np.abs(np.asarray(values_fn(z))) ** p,)
+    return tabulate
 
 
-def _harmonic_lambda_pow(f: HarmonicMap, p: float):
-    def base(z):
-        return wirtinger(f, z).lambda_big ** p
-    return base
-
-
-def _values_pow(values_fn: Callable, p: float):
-    def base(z):
-        return np.abs(np.asarray(values_fn(z))) ** p
-    return base
+def _lambda_fn(f):
+    """|f'| for analytic input, Lambda_f for harmonic input."""
+    if isinstance(f, HarmonicMap):
+        return lambda z: wirtinger(f, z).lambda_big
+    return lambda z: np.abs(f.jet(z, 1, 1)[1])
 
 
 # --- norm functionals ----------------------------------------------------------
@@ -551,8 +557,8 @@ def q_npa_norm(f: AnalyticFn, params: Qnpa,
         )
     f0 = abs(f(0.0))
     if params.n == 1:
-        pr = WeightedSupProblem([_analytic_deriv_base(f, params.p)],
-                                params.p - 2.0, params.alpha + 2.0 - params.p,
+        pr = WeightedSupProblem(_pow_tabulator(_lambda_fn(f), params.p),
+                                *pullback_exponents(params.p, params.alpha),
                                 radial, angular)
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
                             warnings=warnings)
@@ -574,8 +580,8 @@ def qh_npa_norm(f: HarmonicMap, params: Qnpa,
         warnings = ("trivial range: n*p exceeds alpha+2",)
     f0 = abs(f(0.0))
     if params.n == 1:
-        pr = WeightedSupProblem([_harmonic_lambda_pow(f, params.p)],
-                                params.p - 2.0, params.alpha + 2.0 - params.p,
+        pr = WeightedSupProblem(_pow_tabulator(_lambda_fn(f), params.p),
+                                *pullback_exponents(params.p, params.alpha),
                                 radial, angular)
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
                             warnings=warnings)
@@ -617,9 +623,9 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
     """
     params.validate()
     search = search or SupSearchSpec()
-    base = _harmonic_lambda_pow(f, params.p)
+    tabulate = _pow_tabulator(_lambda_fn(f), params.p)
     if weight_form == "mobius":
-        pr = WeightedSupProblem([base], params.q, params.s, radial, angular)
+        pr = WeightedSupProblem(tabulate, params.q, params.s, radial, angular)
         return _finish_norm(pr, search, params.p)
     if weight_form != "green":
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
@@ -629,7 +635,8 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
     errors = {}
 
     def integral_at(a):
-        res = disk_integral_green(base, params.q, params.s, MobiusMap(a),
+        res = disk_integral_green(lambda z: tabulate(z)[0], params.q,
+                                  params.s, MobiusMap(a),
                                   radial=radial, angular=angular, tol=1e-7)
         errors[a] = res.abs_error_estimate
         return (res.value,)
@@ -649,18 +656,11 @@ def m_pqs_norm(values_fn: Callable, f0: complex, params: Mpqs,
     """
     params.validate()
     search = search or SupSearchSpec()
-    pr = WeightedSupProblem([_values_pow(values_fn, params.p)], params.q,
+    pr = WeightedSupProblem(_pow_tabulator(values_fn, params.p), params.q,
                             params.s, radial, angular)
     f0 = abs(complex(f0))
     res = _finish_norm(pr, search, params.p, value_at_zero=f0)
     return dataclasses.replace(res, value=f0 + res.value)
-
-
-def _lambda_values(f):
-    """Adapter: |f'| for analytic input, Lambda_f for harmonic input."""
-    if isinstance(f, HarmonicMap):
-        return lambda z: wirtinger(f, z).lambda_big, abs(f(0.0))
-    return lambda z: np.abs(f.jet(z, 1, 1)[1]), abs(f(0.0))
 
 
 def specialized_norm(f, scale, search: Optional[SupSearchSpec] = None,
@@ -678,8 +678,8 @@ def specialized_norm(f, scale, search: Optional[SupSearchSpec] = None,
     if isinstance(scale, BlochAlpha):
         return _bloch_norm(f, scale, search)
     fparams = scale.f_scale()
-    deriv_fn, f0 = _lambda_values(f)
-    pr = WeightedSupProblem([_values_pow(deriv_fn, fparams.p)], fparams.q,
+    f0 = abs(f(0.0))
+    pr = WeightedSupProblem(_pow_tabulator(_lambda_fn(f), fparams.p), fparams.q,
                             fparams.s, radial, angular)
     res = _finish_norm(pr, search, fparams.p, value_at_zero=f0)
     if f0 == 0.0:
@@ -699,7 +699,7 @@ def _bloch_norm(f, scale: BlochAlpha, search: SupSearchSpec) -> NormResult:
     A pointwise sup has no quadrature error: only the summation-noise floor
     is reported.
     """
-    deriv_fn, f0 = _lambda_values(f)
+    deriv_fn, f0 = _lambda_fn(f), abs(f(0.0))
 
     def objective(z):
         z = np.asarray(complex(z))
@@ -757,8 +757,8 @@ def _constant_sup(base_problem: WeightedSupProblem, label: str,
                         base_problem.grid_metadata())
 
 
-def _unit_base(z):
-    return np.ones(z.shape)
+def _unit_tabulator(z):
+    return (np.ones(z.shape),)
 
 
 def sigma_deriv_constant(p: float, alpha: float,
@@ -773,7 +773,8 @@ def sigma_deriv_constant(p: float, alpha: float,
         raise InvalidParameterError("alpha must exceed -1")
     if p <= 0.0:
         raise InvalidParameterError("p must be positive")
-    pr = WeightedSupProblem([_unit_base], p - 2.0, alpha + 2.0 - p, radial, angular)
+    pr = WeightedSupProblem(_unit_tabulator, *pullback_exponents(p, alpha),
+                            radial, angular)
     return _constant_sup(pr, f"C({p:g};{alpha:g})")
 
 
@@ -782,7 +783,7 @@ def weight_overlap_constant(q: float, s: float,
                             angular: int = DEFAULT_ANGULAR) -> NormResult:
     """sup_a int (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z)."""
     Fpqs(1.0, q, s).validate()
-    pr = WeightedSupProblem([_unit_base], q, s, radial, angular)
+    pr = WeightedSupProblem(_unit_tabulator, q, s, radial, angular)
     return _constant_sup(pr, f"C({q:g},{s:g})")
 
 

@@ -5,7 +5,15 @@ rhs - lhs together with everything needed to recompute the verdict.  The
 conjugate-pair norms of u = Re f and v = Im f are evaluated over a shared
 automorphism candidate set (coarse lattice plus the union of both compass
 trajectories), so pointwise-dominated integrands always produce dominated
-sups and margins never go negative through search asymmetry alone.
+sups and margins never go negative through search asymmetry alone.  Their
+bases |F'|^p and |G'|^p are tabulated from one jet of h and one of g.
+
+Theorems 3.1, 3.2, 3.5, 3.6 and Corollaries 3.1-3.6 are one computation,
+``_conjugate_check``: the quasiregularity requirement (K, or (K, K') when a
+constant enters), the u/v norm pair on the engine problem (q_eff, s_eff),
+the record fields, and ||v|| <= K ||u|| or its (K, K') form.  The public
+checks only validate their scale and pick (q_eff, s_eff) and the constant;
+a corollary is Theorem 3.2 or 3.6 on the F-scale its scale maps to.
 
 Membership in the M/F scales is an asymptotic statement; it is
 operationalized as truncation stabilization: the truncated norm is computed
@@ -19,19 +27,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analytic import AnalyticFn
 from .errors import InvalidParameterError, NonQuasiregularError
 from .families import OrderModel
-from .harmonic import (
-    HarmonicMap,
-    conjugate_parts,
-    estimate_quasiregularity,
-    wirtinger,
-)
+from .harmonic import HarmonicMap, estimate_quasiregularity, wirtinger
 from .mobius import MobiusMap
 from .quadrature import (
     DEFAULT_ANGULAR,
@@ -55,10 +59,12 @@ from .spaces import (
     Qnpa,
     SupSearchSpec,
     WeightedSupProblem,
-    _analytic_deriv_base,
+    _lambda_fn,
+    _pow_tabulator,
     _sup_search,
     dyadic_radii,
     on_cap,
+    pullback_exponents,
     sigma_deriv_constant,
     weight_overlap_constant,
 )
@@ -114,24 +120,6 @@ def recompute_pass(record: dict) -> bool:
             or record.get("in_range") is False)
 
 
-def _report(theorem_id, f, scale_label, K, Kprime, lhs, rhs, tol, grid, extra=None):
-    margin = rhs - lhs
-    return VerificationReport(
-        theorem_id=theorem_id,
-        map_description=getattr(f, "description", str(f)),
-        scale_label=scale_label,
-        K=K,
-        Kprime=Kprime,
-        lhs=lhs,
-        rhs=rhs,
-        margin=margin,
-        passed=_within_tol(margin, rhs, tol),
-        tol=tol,
-        grid=dict(grid),
-        extra=dict(extra or {}),
-    )
-
-
 def _require_qh_range(p: float, alpha: float):
     if alpha <= -1.0:
         raise InvalidParameterError("alpha must exceed -1")
@@ -164,168 +152,140 @@ def _require_kkprime(f: HarmonicMap, K: float, Kprime: float):
 
 def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
                          search: SupSearchSpec, radial: int, angular: int):
-    """(norm_u, norm_v) on the shared candidate set; values on the 1/p scale."""
-    F, G = conjugate_parts(f)
-    # bases are |F'|^p and |G'|^p; the (1-t)^q_eff part belongs to the rule,
-    # and one Mobius factor per a serves both
-    pr = WeightedSupProblem([_analytic_deriv_base(F, p), _analytic_deriv_base(G, p)],
-                            q_eff, s_eff, radial, angular)
+    """(norm_u, norm_v) on the shared candidate set; values on the 1/p scale.
+
+    The bases |F'|^p and |G'|^p are tabulated together from one jet of h and
+    one of g per node; the (1-t)^q_eff part belongs to the rule, and one
+    Mobius factor per a serves both.
+    """
+    def tabulate(z):
+        return [m ** p for m in wirtinger(f, z).conjugate_moduli]
+
+    pr = WeightedSupProblem(tabulate, q_eff, s_eff, radial, angular)
     (au, su, tru), (av, sv, trv) = _sup_search(pr.integral_at, search,
                                                pr.ring_integrals)
     return (su ** (1.0 / p), au, tru), (sv ** (1.0 / p), av, trv), pr.grid_metadata()
 
 
-def _conjugate_extra(nu, au, nv, av, grid) -> dict:
-    """Record fields of a conjugate pair: both norms, their argmaxes as
-    [re, im], whether each sat on the radius cap, and the kernel count."""
+def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
+                     K: float, Kprime: float, p: float, q_eff: float,
+                     s_eff: float, constant: Optional[Callable] = None,
+                     search: Optional[SupSearchSpec] = None,
+                     tol: float = DEFAULT_VERIFY_TOL,
+                     radial: int = DEFAULT_RADIAL,
+                     angular: int = DEFAULT_ANGULAR) -> VerificationReport:
+    """The body of every conjugate check: norms of u and v in the engine
+    problem (q_eff, s_eff) on the 1/p scale, compared as ||v|| <= K ||u|| for
+    a K-quasiregular map, or, given ``constant(radial=, angular=)`` (a
+    NormResult C), on the p-th power scale for a (K, K') map:
+
+    ||v||^p <= 2^max(p-1,0) (K^p ||u||^p + K'^(p/2) C).
+    """
+    if constant is None:
+        _require_k_quasiregular(f, K)
+    else:
+        _require_kkprime(f, K, Kprime)
+    (nu, au, _), (nv, av, _), grid = _conjugate_norm_pair(
+        f, q_eff, s_eff, p, search or SupSearchSpec(), radial, angular
+    )
     au, av = complex(au), complex(av)
-    return {"norm_u": nu, "norm_v": nv,
-            "sup_a_u": [au.real, au.imag], "sup_a_v": [av.real, av.imag],
-            "sup_on_cap_u": on_cap(au), "sup_on_cap_v": on_cap(av),
-            "kernel_evaluations": grid["kernel_evaluations"]}
+    # both norms, their argmaxes as [re, im], whether each sat on the radius
+    # cap, and the kernel count
+    extra = {"norm_u": nu, "norm_v": nv,
+             "sup_a_u": [au.real, au.imag], "sup_a_v": [av.real, av.imag],
+             "sup_on_cap_u": on_cap(au), "sup_on_cap_v": on_cap(av),
+             "kernel_evaluations": grid["kernel_evaluations"]}
+    if constant is None:
+        lhs, rhs = nv, K * nu
+    else:
+        c_res = constant(radial=radial, angular=angular)
+        lhs = nv ** p
+        rhs = 2.0 ** max(p - 1.0, 0.0) * (K ** p * nu ** p
+                                          + Kprime ** (p / 2.0) * c_res.value)
+        extra.update(constant=c_res.value, constant_sup_rho=abs(c_res.sup_a))
+    margin = rhs - lhs
+    return VerificationReport(
+        theorem_id=theorem_id, map_description=f.description,
+        scale_label=scale_label, K=K, Kprime=Kprime, lhs=lhs, rhs=rhs,
+        margin=margin, passed=_within_tol(margin, rhs, tol), tol=tol,
+        grid=grid, extra=extra)
 
 
 def check_conjugate_bound_qh(f: HarmonicMap, K: float, p: float, alpha: float,
                              search: Optional[SupSearchSpec] = None,
-                             tol: float = DEFAULT_VERIFY_TOL,
-                             radial: int = DEFAULT_RADIAL,
-                             angular: int = DEFAULT_ANGULAR) -> VerificationReport:
-    """||v|| <= K ||u|| in the harmonic derivative scale Q_h(1,p,alpha).
-
-    Requires alpha+1 < p < alpha+2 and a K-quasiregular map; the per-a
-    integrals use the pulled-back exponents (p-2, alpha+2-p).
-    """
+                             **kw) -> VerificationReport:
+    """Theorem 3.1: ||v|| <= K ||u|| in the harmonic derivative scale
+    Q_h(1,p,alpha), for alpha+1 < p < alpha+2 and a K-quasiregular map; the
+    per-a integrals use the pulled-back exponents (p-2, alpha+2-p)."""
     _require_qh_range(p, alpha)
-    _require_k_quasiregular(f, K)
-    search = search or SupSearchSpec()
-    # pullback: base carries |.|^p (1-t)^(p-2) jointly via q_eff = p-2
-    (nu, au, _), (nv, av, _), grid = _conjugate_norm_pair(
-        f, p - 2.0, alpha + 2.0 - p, p, search, radial, angular
-    )
-    scale = Qnpa(1, p, alpha)
-    return _report("3.1", f, scale.label(), K, 0.0,
-                   lhs=nv, rhs=K * nu, tol=tol, grid=grid,
-                   extra=_conjugate_extra(nu, au, nv, av, grid))
+    return _conjugate_check("3.1", f, Qnpa(1, p, alpha).label(), K, 0.0, p,
+                            *pullback_exponents(p, alpha), search=search, **kw)
 
 
 def check_conjugate_bound_fh(f: HarmonicMap, K: float, params: Fpqs,
                              search: Optional[SupSearchSpec] = None,
-                             tol: float = DEFAULT_VERIFY_TOL,
-                             radial: int = DEFAULT_RADIAL,
-                             angular: int = DEFAULT_ANGULAR,
-                             theorem_id: str = "3.2",
-                             scale_label: Optional[str] = None) -> VerificationReport:
-    """||v|| <= K ||u|| in the harmonic F-scale (Mobius weight form)."""
+                             **kw) -> VerificationReport:
+    """Theorem 3.2: ||v|| <= K ||u|| in the harmonic F-scale (Mobius weight
+    form)."""
     params.validate()
-    _require_k_quasiregular(f, K)
-    search = search or SupSearchSpec()
-    (nu, au, _), (nv, av, _), grid = _conjugate_norm_pair(
-        f, params.q, params.s, params.p, search, radial, angular
-    )
-    return _report(theorem_id, f, scale_label or params.label(), K, 0.0,
-                   lhs=nv, rhs=K * nu, tol=tol, grid=grid,
-                   extra=_conjugate_extra(nu, au, nv, av, grid))
+    return _conjugate_check("3.2", f, params.label(), K, 0.0, params.p,
+                            params.q, params.s, search=search, **kw)
 
 
 def check_inhomogeneous_bound_qh(f: HarmonicMap, K: float, Kprime: float,
                                  p: float, alpha: float,
                                  search: Optional[SupSearchSpec] = None,
-                                 tol: float = DEFAULT_VERIFY_TOL,
-                                 radial: int = DEFAULT_RADIAL,
-                                 angular: int = DEFAULT_ANGULAR) -> VerificationReport:
-    """(K,K') bound in Q_h(1,p,alpha), on the p-th power scale:
-
-    ||v||^p <= 2^max(p-1,0) (K^p ||u||^p + K'^(p/2) C(p,alpha)),
-    C(p,alpha) = sup_a int |sigma_a'|^p (1-t)^alpha dA.
-    """
+                                 **kw) -> VerificationReport:
+    """Theorem 3.5: the (K,K') bound in Q_h(1,p,alpha), on the p-th power
+    scale, with C(p,alpha) = sup_a int |sigma_a'|^p (1-t)^alpha dA."""
     _require_qh_range(p, alpha)
-    _require_kkprime(f, K, Kprime)
-    search = search or SupSearchSpec()
-    (nu, au, _), (nv, av, _), grid = _conjugate_norm_pair(
-        f, p - 2.0, alpha + 2.0 - p, p, search, radial, angular
-    )
-    c_res = sigma_deriv_constant(p, alpha, radial=radial, angular=angular)
-    lhs = nv ** p
-    rhs = 2.0 ** max(p - 1.0, 0.0) * (K ** p * nu ** p
-                                      + Kprime ** (p / 2.0) * c_res.value)
-    return _report("3.5", f, Qnpa(1, p, alpha).label(), K, Kprime,
-                   lhs=lhs, rhs=rhs, tol=tol, grid=grid,
-                   extra={**_conjugate_extra(nu, au, nv, av, grid),
-                          "constant": c_res.value,
-                          "constant_sup_rho": abs(c_res.sup_a)})
+    return _conjugate_check("3.5", f, Qnpa(1, p, alpha).label(), K, Kprime, p,
+                            *pullback_exponents(p, alpha),
+                            constant=partial(sigma_deriv_constant, p, alpha),
+                            search=search, **kw)
 
 
 def check_inhomogeneous_bound_fh(f: HarmonicMap, K: float, Kprime: float,
                                  params: Fpqs,
                                  search: Optional[SupSearchSpec] = None,
-                                 tol: float = DEFAULT_VERIFY_TOL,
-                                 radial: int = DEFAULT_RADIAL,
-                                 angular: int = DEFAULT_ANGULAR,
-                                 theorem_id: str = "3.6",
-                                 scale_label: Optional[str] = None) -> VerificationReport:
-    """(K,K') bound in F_h(p,q,s):
-
-    ||v||^p <= 2^max(p-1,0) (K^p ||u||^p + K'^(p/2) C(q,s)),
-    C(q,s) = sup_a int (1-t)^q (1-|sigma_a z|^2)^s dA.
-    """
+                                 **kw) -> VerificationReport:
+    """Theorem 3.6: the (K,K') bound in F_h(p,q,s), with
+    C(q,s) = sup_a int (1-t)^q (1-|sigma_a z|^2)^s dA."""
     params.validate()
-    _require_kkprime(f, K, Kprime)
-    search = search or SupSearchSpec()
-    (nu, au, _), (nv, av, _), grid = _conjugate_norm_pair(
-        f, params.q, params.s, params.p, search, radial, angular
-    )
-    c_res = weight_overlap_constant(params.q, params.s, radial=radial,
-                                    angular=angular)
-    p = params.p
-    lhs = nv ** p
-    rhs = 2.0 ** max(p - 1.0, 0.0) * (K ** p * nu ** p
-                                      + Kprime ** (p / 2.0) * c_res.value)
-    return _report(theorem_id, f, scale_label or params.label(), K, Kprime,
-                   lhs=lhs, rhs=rhs, tol=tol, grid=grid,
-                   extra={**_conjugate_extra(nu, au, nv, av, grid),
-                          "constant": c_res.value,
-                          "constant_sup_rho": abs(c_res.sup_a)})
+    return _conjugate_check("3.6", f, params.label(), K, Kprime, params.p,
+                            params.q, params.s,
+                            constant=partial(weight_overlap_constant, params.q,
+                                             params.s),
+                            search=search, **kw)
 
 
-COROLLARY_IDS = ("cor3.1", "cor3.2", "cor3.3", "cor3.4", "cor3.5", "cor3.6")
+# The scale each corollary takes: cor3.1-cor3.3 specialize Theorem 3.2 (the
+# K-quasiregular form), cor3.4-cor3.6 Theorem 3.6 (the (K, K') form).
+COROLLARY_SCALES = {"cor3.1": Morrey, "cor3.2": BergmanMorrey, "cor3.3": Qs,
+                    "cor3.4": Morrey, "cor3.5": BergmanMorrey, "cor3.6": Qs}
 
 
-def verify_corollary(f: HarmonicMap, which: str, K: float, Kprime: float = 0.0,
-                     lam: Optional[float] = None, p: Optional[float] = None,
-                     s: Optional[float] = None, **kw) -> VerificationReport:
-    """Specializations of the F-scale bounds under the standard mappings.
-
-    cor3.1/cor3.4: Morrey (lam in (0,1)); cor3.2/cor3.5: Bergman-Morrey
-    (p, lam in (0,2)); cor3.3/cor3.6: Qs (s > 0).  The first three take the
-    K-quasiregular form, the last three the (K, K') form.
-    """
-    if which not in COROLLARY_IDS:
+def verify_corollary(f: HarmonicMap, which: str, scale, K: float,
+                     Kprime: float = 0.0, **kw) -> VerificationReport:
+    """The F-scale bound of ``which`` on ``scale.f_scale()``, the standard
+    mapping of its Morrey (lam in (0,1)), Bergman-Morrey or Qs scale."""
+    kind = COROLLARY_SCALES.get(which)
+    if kind is None:
         raise InvalidParameterError(f"unknown corollary id {which!r}")
-    if which in ("cor3.1", "cor3.4"):
-        if lam is None or not 0.0 < lam < 1.0:
-            raise InvalidParameterError("Morrey corollaries need lam in (0, 1)")
-        scale = Morrey(lam)
-        fp = scale.f_scale()
-        label = scale.label()
-    elif which in ("cor3.2", "cor3.5"):
-        if lam is None or p is None:
-            raise InvalidParameterError("Bergman-Morrey corollaries need p and lam")
-        scale = BergmanMorrey(p, lam)
-        scale.validate()
-        fp = scale.f_scale()
-        label = scale.label()
-    else:
-        if s is None:
-            raise InvalidParameterError("Qs corollaries need s")
-        scale = Qs(s)
-        scale.validate()
-        fp = scale.f_scale()
-        label = scale.label()
+    if not isinstance(scale, kind):
+        raise InvalidParameterError(
+            f"corollary {which} takes a {kind.__name__} scale, got {scale!r}")
+    scale.validate()
+    if kind is Morrey and not scale.lam < 1.0:
+        raise InvalidParameterError(
+            f"corollary {which} takes a Morrey(lam) scale with lam in (0, 1)")
+    fp = scale.f_scale()
     if which in ("cor3.1", "cor3.2", "cor3.3"):
-        return check_conjugate_bound_fh(f, K, fp, theorem_id=which,
-                                        scale_label=label, **kw)
-    return check_inhomogeneous_bound_fh(f, K, Kprime, fp, theorem_id=which,
-                                        scale_label=label, **kw)
+        Kprime, constant = 0.0, None
+    else:
+        constant = partial(weight_overlap_constant, fp.q, fp.s)
+    return _conjugate_check(which, f, scale.label(), K, Kprime, fp.p, fp.q,
+                            fp.s, constant=constant, **kw)
 
 
 # --- membership ranges (truncation stabilization) ------------------------------
@@ -414,6 +374,8 @@ def _membership_values(f: HarmonicMap, scale, target: str):
 # searches do: relative changes cross the stabilization threshold at j = 12
 # for the slowest in-range acceptance case.
 DEFAULT_TRUNCATION_JS = tuple(range(3, 13))
+# from j = 54 on, the radius 1 - 2^-j rounds to 1.0
+TRUNCATION_MAX_J = 53
 _TRUNC_MAX_ANGULAR = 8192
 # lattice angles per automorphism radius in the truncated sup
 _TRUNC_SEARCH_ANGLES = 8
@@ -486,6 +448,11 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
         raise InvalidParameterError(
             "a truncation ladder needs at least 2 radii, "
             f"got j = {list(truncation_js)}")
+    bad = [j for j in truncation_js if not 1 <= j <= TRUNCATION_MAX_J]
+    if bad:
+        raise InvalidParameterError(
+            f"truncation depths j must lie in 1..{TRUNCATION_MAX_J}, "
+            f"got j = {bad}")
     scale.validate()
     check_angular(angular)
     exponent = model.alpha_K + _growth_offset(scale, target)
@@ -581,7 +548,11 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
     """
     if q + s <= -1.0:
         raise InvalidParameterError("q + s must exceed -1")
-    base = _analytic_deriv_base(f, p)
+    tabulate = _pow_tabulator(_lambda_fn(f), p)
+
+    def base(z):
+        return tabulate(z)[0]
+
     entries = []
     for a in a_grid:
         m = MobiusMap(a)

@@ -239,16 +239,16 @@ def test_criterion_8_constants():
     ok = abs(cs.value - math.pi / 2) <= 1e-8 * (math.pi / 2)
     ok &= abs(cs.sup_a) <= 1e-3
     # series oracle at a nonzero parameter validates the integral itself
-    pr = WeightedSupProblem([lambda z: np.ones(z.shape)], 0.0, 1.0)
+    pr = WeightedSupProblem(lambda z: [np.ones(z.shape)], 0.0, 1.0)
     for rho_a in (0.0, 0.5, 0.9):
         oracle = series_overlap_constant(rho_a ** 2)
         ok &= abs(pr.integral_at(rho_a)[0] - oracle) <= 1e-8 * oracle
     # rotation invariance of all four constant integrands
     problems = [
-        WeightedSupProblem([lambda z: np.ones(z.shape)], -0.5, 0.5),  # C(p,alpha)
-        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.0, 1.0),   # C(q,s)
-        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.5, 0.5),   # Morrey
-        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.0, 2.0),   # Qs
+        WeightedSupProblem(lambda z: [np.ones(z.shape)], -0.5, 0.5),  # C(p,alpha)
+        WeightedSupProblem(lambda z: [np.ones(z.shape)], 0.0, 1.0),   # C(q,s)
+        WeightedSupProblem(lambda z: [np.ones(z.shape)], 0.5, 0.5),   # Morrey
+        WeightedSupProblem(lambda z: [np.ones(z.shape)], 0.0, 2.0),   # Qs
     ]
     for prob in problems:
         (ref,) = prob.integral_at(0.6)

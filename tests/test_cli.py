@@ -111,10 +111,18 @@ def test_norm_malformed_scale_exit_2(tmp_path, capsys, args):
     ["sweep", "--K", "nan", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
     ["sweep", "--threads", "0"],
     ["sweep", "--threads", "-3", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
+    ["norm", "--map", "cayley-shear:k=0.5", "--scale", "F(2,0,1)",
+     "--search-max-j", "11"],
+    ["norm", "--map", "cayley-shear:k=0.5", "--scale", "F(2,0,1)",
+     "--search-max-j", "40"],
+    ["verify", "--theorem", "4.1", "--map", "koebe", "--scale", "M(0.8,0,1)",
+     "--truncation-max-j", "60"],
 ])
 def test_non_finite_or_negative_numbers_exit_2(tmp_path, capsys, args):
     # scale, map and constant numbers must be well-formed and finite; K, K',
-    # the growth order and tol finite and >= 0 (K = 0 still means: estimate)
+    # the growth order and tol finite and >= 0 (K = 0 still means: estimate);
+    # the search depth at most the radius cap's 10, the truncation depth at
+    # most 53 (1 - 2^-54 rounds to 1)
     assert main([*args, "--out", str(tmp_path / "x.out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -211,6 +219,35 @@ def test_verify_command_pass_and_fields(tmp_path):
         assert key in rec
     assert rec["pass"] is True
     assert abs(rec["margin"]) <= 1e-6 * rec["rhs"]
+
+
+# The scale form each theorem id takes, and one example of every scale kind.
+THEOREM_FORMS = {"3.1": "Q(1,p,alpha)", "3.2": "F(p,q,s)", "3.5": "Q(1,p,alpha)",
+                 "3.6": "F(p,q,s)", "cor3.1": "Morrey(lam)",
+                 "cor3.2": "BergmanMorrey(p,lam)", "cor3.3": "Qs(s)",
+                 "cor3.4": "Morrey(lam)", "cor3.5": "BergmanMorrey(p,lam)",
+                 "cor3.6": "Qs(s)", "4.1": "M(p,q,s)", "4.2": "F(p,q,s)"}
+SCALE_EXAMPLES = {"Q(1,p,alpha)": "Q(1,1.5,0)", "F(p,q,s)": "F(2,0,1)",
+                  "M(p,q,s)": "M(0.8,0,1)", "Morrey(lam)": "Morrey(0.5)",
+                  "BergmanMorrey(p,lam)": "BergmanMorrey(1.5,0.5)",
+                  "Qs(s)": "Qs(1)", "Bloch(alpha)": "Bloch(1)",
+                  "Q(n,p,alpha)": "Q(2,1,1)"}
+
+
+@pytest.mark.parametrize("theorem, scale", [
+    (theorem, example) for theorem, form in THEOREM_FORMS.items()
+    for kind, example in SCALE_EXAMPLES.items() if kind != form
+] + [("cor3.1", "Morrey(1)"), ("cor3.4", "Morrey(1)")])
+def test_verify_wrong_scale_kind_exit_2(tmp_path, capsys, theorem, scale):
+    # every theorem id takes one scale kind; any other kind (and Morrey(1) for
+    # the Morrey corollaries) exits 2 naming the theorem and the form it takes
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--theorem", theorem, "--map", "affine:k=0.5;sign=-1",
+                 "--K", "3", "--scale", scale, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f" {theorem} " in err and THEOREM_FORMS[theorem] in err
+    assert not out.exists()
 
 
 def test_verify_unknown_theorem_exit_2(tmp_path):

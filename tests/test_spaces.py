@@ -22,7 +22,6 @@ from qrspaces.spaces import (
     Qs,
     SupSearchSpec,
     WeightedSupProblem,
-    _analytic_deriv_base,
     _by_value,
     _compass_max,
     _sup_search,
@@ -203,10 +202,10 @@ def test_constants_closed_forms():
 
 def test_constants_rotation_invariance():
     problems = [
-        WeightedSupProblem([lambda z: np.ones(z.shape)], 1.5 - 2.0, 0.0 + 2.0 - 1.5),
-        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.0, 1.0),
-        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.5, 0.5),
-        WeightedSupProblem([lambda z: np.ones(z.shape)], 0.0, 2.0),
+        WeightedSupProblem(lambda z: [np.ones(z.shape)], 1.5 - 2.0, 0.0 + 2.0 - 1.5),
+        WeightedSupProblem(lambda z: [np.ones(z.shape)], 0.0, 1.0),
+        WeightedSupProblem(lambda z: [np.ones(z.shape)], 0.5, 0.5),
+        WeightedSupProblem(lambda z: [np.ones(z.shape)], 0.0, 2.0),
     ]
     for pr in problems:
         (ref,) = pr.integral_at(0.6)
@@ -227,8 +226,8 @@ def test_weight_overlap_validation():
 
 def test_per_a_monotone_under_domination():
     # positive weights: pointwise-dominated bases give dominated integrals
-    pr1 = WeightedSupProblem([lambda z: np.abs(z) ** 2], 0.0, 1.0)
-    pr2 = WeightedSupProblem([lambda z: np.abs(z) ** 2 + 0.5], 0.0, 1.0)
+    pr1 = WeightedSupProblem(lambda z: [np.abs(z) ** 2], 0.0, 1.0)
+    pr2 = WeightedSupProblem(lambda z: [np.abs(z) ** 2 + 0.5], 0.0, 1.0)
     for a in (0.0, 0.3, 0.6j, -0.5 + 0.4j, 0.96):
         assert pr1.integral_at(a)[0] < pr2.integral_at(a)[0]
 
@@ -238,7 +237,7 @@ def test_weight_integral_matches_forelli_rudin_closed_form(q, s):
     # int_D (1-|z|^2)^q (1-|sigma_a z|^2)^s dA
     #   = pi (1-|a|^2)^s / (q+s+1) 2F1(s, s; q+s+2; |a|^2)
     # Up to |a| = 1 - 2^-6; closer to the cap the top angular rung aliases.
-    pr = WeightedSupProblem([lambda z: np.ones(z.shape)], q, s)
+    pr = WeightedSupProblem(lambda z: [np.ones(z.shape)], q, s)
     for j in range(7):
         r = 1.0 - 2.0 ** -j if j else 0.0
         exact = (math.pi * (1.0 - r * r) ** s / (q + s + 1.0)
@@ -258,8 +257,9 @@ def test_joint_kernel_equals_single_base_problems(q_eff, s_eff):
     # separate problems, on every rung of the angular ladder
     bases = [lambda z: np.abs(1.0 + z) ** 1.5,
              lambda z: np.abs(z - 0.5j) ** 2 + 0.1]
-    joint = WeightedSupProblem(bases, q_eff, s_eff)
-    singles = [WeightedSupProblem([b], q_eff, s_eff) for b in bases]
+    joint = WeightedSupProblem(lambda z: [b(z) for b in bases], q_eff, s_eff)
+    singles = [WeightedSupProblem(lambda z, b=b: [b(z)], q_eff, s_eff)
+               for b in bases]
     params = (0.0, 0.3j, -0.5 + 0.4j, 0.9, 0.95j, -0.99, 0.999)
     if s_eff:
         assert {256, 2048} <= {angular_count_for(abs(a), s_eff) for a in params}
@@ -276,10 +276,10 @@ def _cayley_shear_pair():
     # e^(i pi/4) so that it is not symmetric under z -> conj(z) either: a
     # shift by the wrong number of columns or in the wrong direction shows
     turn = np.exp(0.25j * np.pi)
-    bases = [_analytic_deriv_base(part, 2.0)
-             for part in conjugate_parts(cayley_shear(0.5))]
-    return WeightedSupProblem([lambda z, b=b: b(turn * z) for b in bases],
-                              0.0, 1.0)
+    parts = conjugate_parts(cayley_shear(0.5))
+    return WeightedSupProblem(
+        lambda z: [np.abs(part.jet(turn * z, 1, 1)[1]) ** 2.0 for part in parts],
+        0.0, 1.0)
 
 
 def test_ring_integrals_match_rotated_kernel():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qrspaces.analytic import identity, koebe, poly
+from qrspaces.analytic import AnalyticFn, derivative, identity, koebe, poly
 from qrspaces.errors import InvalidParameterError, NonQuasiregularError
 from qrspaces.families import (
     OrderModel,
@@ -14,14 +14,26 @@ from qrspaces.families import (
     kkprime_example,
     koebe_shear,
 )
-from qrspaces.harmonic import HarmonicMap, analytic_as_harmonic
+from qrspaces.harmonic import (
+    HarmonicMap,
+    analytic_as_harmonic,
+    estimate_quasiregularity,
+)
 from qrspaces.quadrature import (
     angular_nodes,
     mobius_integrals,
     truncated_radial_rule,
     work_arrays,
 )
-from qrspaces.spaces import Fpqs, Mpqs, SupSearchSpec, WeightedSupProblem
+from qrspaces.spaces import (
+    BergmanMorrey,
+    Fpqs,
+    Morrey,
+    Mpqs,
+    Qs,
+    SupSearchSpec,
+    WeightedSupProblem,
+)
 from qrspaces.verify import (
     _conjugate_norm_pair,
     _membership_values,
@@ -147,34 +159,88 @@ def test_inhomogeneous_fh_variable_dilatation():
 
 def test_corollaries_delegate():
     f = affine_extremal(0.5, -1)
-    cor = verify_corollary(f, "cor3.3", K=3.0, s=1.0, search=FAST)
+    cor = verify_corollary(f, "cor3.3", Qs(1.0), K=3.0, search=FAST)
     thm = check_conjugate_bound_fh(f, 3.0, Fpqs(2.0, 0.0, 1.0), FAST)
     assert cor.lhs == thm.lhs and cor.rhs == thm.rhs  # same code path
     assert cor.scale_label == "Qs(1)"
 
-    mor = verify_corollary(f, "cor3.1", K=3.0, lam=0.5, search=FAST)
+    mor = verify_corollary(f, "cor3.1", Morrey(0.5), K=3.0, search=FAST)
     assert mor.margin == pytest.approx(0.0, abs=1e-9 * mor.rhs)
 
-    bm = verify_corollary(f, "cor3.2", K=3.0, lam=0.5, p=1.5, search=FAST)
+    bm = verify_corollary(f, "cor3.2", BergmanMorrey(1.5, 0.5), K=3.0,
+                          search=FAST)
     assert bm.passed
 
-    qskk = verify_corollary(kkprime_example(), "cor3.6", K=1.0, Kprime=4.0,
-                            s=1.0, search=FAST)
+    qskk = verify_corollary(kkprime_example(), "cor3.6", Qs(1.0), K=1.0,
+                            Kprime=4.0, search=FAST)
     assert qskk.passed
     assert qskk.extra["constant"] == pytest.approx(math.pi / 2.0, rel=1e-8)
 
-    morkk = verify_corollary(affine_extremal(0.9, +1), "cor3.4", K=1.0,
-                             Kprime=2 * 0.9 * 1.9, lam=0.5, search=FAST)
+    morkk = verify_corollary(affine_extremal(0.9, +1), "cor3.4", Morrey(0.5),
+                             K=1.0, Kprime=2 * 0.9 * 1.9, search=FAST)
     assert morkk.passed
 
-    bmkk = verify_corollary(affine_extremal(0.9, +1), "cor3.5", K=1.0,
-                            Kprime=2 * 0.9 * 1.9, lam=0.5, p=1.5, search=FAST)
+    bmkk = verify_corollary(affine_extremal(0.9, +1), "cor3.5",
+                            BergmanMorrey(1.5, 0.5), K=1.0,
+                            Kprime=2 * 0.9 * 1.9, search=FAST)
     assert bmkk.passed
 
     with pytest.raises(InvalidParameterError):
-        verify_corollary(f, "cor9.9", K=3.0)
+        verify_corollary(f, "cor9.9", Qs(1.0), K=3.0)
     with pytest.raises(InvalidParameterError):
-        verify_corollary(f, "cor3.1", K=3.0, lam=1.0)
+        verify_corollary(f, "cor3.1", Morrey(1.0), K=3.0)
+    with pytest.raises(InvalidParameterError):
+        verify_corollary(f, "cor3.1", Qs(1.0), K=3.0)
+
+    # cor3.1-3.3 are Theorem 3.2 and cor3.4-3.6 Theorem 3.6 on scale.f_scale(),
+    # bit for bit; only the id and the label differ
+    kw = dict(search=FAST, radial=32, angular=256)
+    fkk, kprime = affine_extremal(0.9, +1), 2 * 0.9 * 1.9
+    for i, scale in enumerate((Morrey(0.5), BergmanMorrey(1.5, 0.5), Qs(1.0))):
+        pairs = [
+            (verify_corollary(f, f"cor3.{i + 1}", scale, K=3.0, **kw),
+             check_conjugate_bound_fh(f, 3.0, scale.f_scale(), **kw)),
+            (verify_corollary(fkk, f"cor3.{i + 4}", scale, K=1.0, Kprime=kprime,
+                              **kw),
+             check_inhomogeneous_bound_fh(fkk, 1.0, kprime, scale.f_scale(),
+                                          **kw)),
+        ]
+        for cor, thm in pairs:
+            assert cor.scale_label == scale.label()
+            assert (cor.K, cor.Kprime) == (thm.K, thm.Kprime)
+            assert cor.lhs == thm.lhs and cor.rhs == thm.rhs
+            assert cor.extra == thm.extra
+
+
+def _counting(fn: AnalyticFn, sizes: list) -> AnalyticFn:
+    def evaluator(z, order, min_order):
+        sizes.append(z.size)
+        return fn.jet(z, order, min_order)
+    return AnalyticFn(evaluator, fn.max_order, fn.description, fn.constant_value)
+
+
+def test_conjugate_check_takes_one_jet_of_h_and_g_per_node():
+    # |F'|^p and |G'|^p come from one h' and one g' per master-grid node; the
+    # only other points are the distortion estimate's samples
+    f = from_dilatation(derivative(koebe()), poly([0.0, 0.5]))
+
+    def counted():
+        h_sizes, g_sizes = [], []
+        return (HarmonicMap(_counting(f.h, h_sizes), _counting(f.g, g_sizes),
+                            f.description), h_sizes, g_sizes)
+
+    fc, h_sizes, g_sizes = counted()
+    rep = check_conjugate_bound_fh(fc, 3.0, Fpqs(2.0, 0.0, 1.0), FAST,
+                                   radial=32, angular=256)
+    assert rep == check_conjugate_bound_fh(f, 3.0, Fpqs(2.0, 0.0, 1.0), FAST,
+                                           radial=32, angular=256)
+    # the same map, its g(0) = 0 check and its distortion estimate only
+    fs, h_sample, g_sample = counted()
+    estimate_quasiregularity(fs)
+    master = 32 * 2048
+    for sizes, sample in ((h_sizes, h_sample), (g_sizes, g_sample)):
+        assert sizes.count(master) == 1
+        assert sum(sizes) == master + sum(sample)
 
 
 def test_membership_range_bookkeeping():
@@ -258,11 +324,17 @@ def test_truncated_sup_norm_equals_direct_max():
         assert value == pytest.approx(direct, rel=1e-15)
 
 
-@pytest.mark.parametrize("js", [(3,), ()])
-def test_membership_needs_two_radii(js):
+@pytest.mark.parametrize("js", [(3,), (), (3, 54)])
+def test_membership_needs_two_radii(monkeypatch, js):
+    # at least two radii, each 1 - 2^-j with j <= 53 (1 - 2^-54 rounds to 1),
+    # and the whole ladder is checked before the first radius runs
+    calls = []
+    monkeypatch.setattr("qrspaces.verify._truncated_sup_norm",
+                        lambda *args, **kw: calls.append(args))
     with pytest.raises(InvalidParameterError):
         verify_membership(koebe_shear(0.0), OrderModel(K=1.0),
                           Mpqs(0.8, 0.0, 1.0), truncation_js=js)
+    assert calls == []
 
 
 def test_membership_honours_tol():
