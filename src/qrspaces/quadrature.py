@@ -190,7 +190,7 @@ def work_arrays(shape) -> tuple:
     return np.empty(shape, complex), np.empty(shape), np.empty(shape)
 
 
-def _mobius_factor(a: complex, s: float, z, cbuf, mob):
+def mobius_factor(a: complex, s: float, z, cbuf, mob):
     """(1-|a|^2)^s / |1 - conj(a) z|^(2s), written into ``mob``; 1.0 if s = 0."""
     if s == 0.0:
         return 1.0
@@ -201,8 +201,12 @@ def _mobius_factor(a: complex, s: float, z, cbuf, mob):
     return mob
 
 
+def _radial_contract(w, row_means) -> float:
+    return float(0.5 * np.dot(w, row_means * (2.0 * np.pi)))
+
+
 def _contract(w, prod) -> float:
-    return float(0.5 * np.dot(w, prod.mean(axis=1) * (2.0 * np.pi)))
+    return _radial_contract(w, prod.mean(axis=1))
 
 
 def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
@@ -215,8 +219,36 @@ def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
     gets its own contraction, since a stacked one would reorder the sums.
     """
     cbuf, mob, prod = work
-    mob = _mobius_factor(a, s, z, cbuf, mob)
+    mob = mobius_factor(a, s, z, cbuf, mob)
     return tuple(_contract(w, np.multiply(b, mob, out=prod)) for b in bases)
+
+
+def mobius_ring_rows(b, mob, turns: int, prod=None) -> tuple:
+    """The row stage of ``mobius_ring_integrals`` for one base ``b`` and the
+    Mobius factor ``mob`` at a = r, both (radial, count) and contiguous:
+    the row means of b * mob (turn k = 0) and the (radial, turns, turns)
+    block products G.  Every row's partials depend on that row alone, so
+    the rows of a rule may be computed in pieces and concatenated.
+    ``prod`` is scratch of b's shape (allocated when None).
+    """
+    radial, count = b.shape
+    block = count // turns
+    m3 = mob.reshape(radial, turns, block).transpose(0, 2, 1)
+    blocks = np.matmul(b.reshape(radial, turns, block), m3)
+    return np.multiply(b, mob, out=prod).mean(axis=1), blocks
+
+
+def mobius_ring_contract(w, row_means, blocks, count: int) -> list:
+    """The contraction stage of ``mobius_ring_integrals``: the ring's turn
+    values from the row partials of a whole rule and its radial weights
+    ``w``, on ``count`` angles."""
+    turns = blocks.shape[-1]
+    m = np.arange(turns)
+    diagonals = (m[None, :], (m[None, :] - m[:, None]) % turns)
+    g = np.tensordot(w, blocks, 1)
+    turn_values = (g[diagonals].sum(axis=1) * (np.pi / count)).tolist()
+    turn_values[0] = _radial_contract(w, row_means)
+    return turn_values
 
 
 def mobius_ring_integrals(r: float, s: float, z, bases, w, work,
@@ -236,24 +268,19 @@ def mobius_ring_integrals(r: float, s: float, z, bases, w, work,
     product holds radial * turns^2 values).  k = 0 is contracted the
     direct way and stays bit-identical to ``mobius_integrals(r)``; the other
     turns sum in another order and agree with the direct kernel to about
-    1e-15 relative.
+    1e-15 relative.  The work is two stages, ``mobius_ring_rows`` per base
+    and ``mobius_ring_contract``, which the truncation ladder also runs on
+    rules assembled from shared panels.
     """
-    radial, count = z.shape
+    count = z.shape[1]
     if count % turns:
         raise InvalidParameterError(
             f"{count} angular nodes do not split into {turns} turns")
     cbuf, mob, prod = work
-    mob = _mobius_factor(complex(r), s, z, cbuf, mob)
-    block = count // turns
-    m3 = mob.reshape(radial, turns, block).transpose(0, 2, 1)
-    m = np.arange(turns)
-    diagonals = (m[None, :], (m[None, :] - m[:, None]) % turns)
-    per_base = []
-    for b in bases:
-        g = np.tensordot(w, np.matmul(b.reshape(radial, turns, block), m3), 1)
-        turn_values = (g[diagonals].sum(axis=1) * (np.pi / count)).tolist()
-        turn_values[0] = _contract(w, np.multiply(b, mob, out=prod))
-        per_base.append(turn_values)
+    mob = mobius_factor(complex(r), s, z, cbuf, mob)
+    per_base = [mobius_ring_contract(w, *mobius_ring_rows(b, mob, turns, prod),
+                                     count)
+                for b in bases]
     return list(zip(*per_base))
 
 
@@ -364,11 +391,14 @@ def disk_integral_green(integrand, q: float, s: float, m: MobiusMap,
     raise AccuracyError("Green-weight integral did not stabilize under cap refinement")
 
 
-def truncated_radial_rule(R: float, points_per_panel: int = 24):
-    """Composite Gauss-Legendre nodes/weights on t in [0, R^2].
+def truncated_panels(R: float, points_per_panel: int = 24) -> list:
+    """The Gauss-Legendre panels of t in [0, R^2], as ((lo, hi), t, w).
 
     Panels shrink geometrically toward the outer edge, where (1-t)-power
-    weights and boundary-singular integrands vary fastest.
+    weights and boundary-singular integrands vary fastest: for
+    R = 1 - 2^-j they are the dyadic [1 - 2^(1-m), 1 - 2^-m], m < j, and a
+    tail ending at R^2.  A panel's nodes and weights depend on its edges
+    alone, so the radii of a truncation ladder share all but their tails.
     """
     if not 0.0 < R < 1.0:
         raise InvalidParameterError("truncation radius must lie in (0, 1)")
@@ -379,14 +409,17 @@ def truncated_radial_rule(R: float, points_per_panel: int = 24):
         edges.append(1.0 - gap)
         gap *= 0.5
     edges.append(T)
-    edges = np.asarray(edges)
     x, w = np.polynomial.legendre.leggauss(points_per_panel)
-    ts, ws = [], []
+    panels = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
         half = 0.5 * (hi - lo)
-        ts.append(lo + half * (x + 1.0))
-        ws.append(half * w)
-    return np.concatenate(ts), np.concatenate(ws)
+        panels.append(((lo, hi), lo + half * (x + 1.0), half * w))
+    return panels
 
+
+def truncated_radial_rule(R: float, points_per_panel: int = 24):
+    """Composite Gauss-Legendre nodes/weights on t in [0, R^2]: the
+    ``truncated_panels`` of R, concatenated."""
+    panels = truncated_panels(R, points_per_panel)
+    return (np.concatenate([t for _, t, _ in panels]),
+            np.concatenate([w for _, _, w in panels]))

@@ -19,8 +19,13 @@ Membership in the M/F scales is an asymptotic statement; it is
 operationalized as truncation stabilization: the truncated norm is computed
 at radii R = 1 - 2^-j and declared finite when successive relative changes
 drop below a documented threshold, divergent otherwise (with a fitted
-exponent).  Out-of-range parameters yield an informational divergence
-report, not a failure, since only sufficiency is asserted.
+exponent).  The radii of a ladder are one pass, ``_truncated_sup_norms``:
+they share their inner radial panels and nested power-of-two angular
+counts, so each panel's base and per-ring Mobius factors are computed once
+and every radius contracts the shared row partials with its own weights,
+with the values a radius computed alone would give.  Out-of-range
+parameters yield an informational divergence report, not a failure, since
+only sufficiency is asserted.
 """
 
 from __future__ import annotations
@@ -45,9 +50,11 @@ from .quadrature import (
     check_angular,
     disk_integral_green,
     disk_integral_mobius_weight,
-    mobius_integrals,
-    mobius_ring_integrals,
-    truncated_radial_rule,
+    _radial_contract,
+    mobius_factor,
+    mobius_ring_contract,
+    mobius_ring_rows,
+    truncated_panels,
     work_arrays,
 )
 from .spaces import (
@@ -385,43 +392,92 @@ def _pow2_at_least(x: float) -> int:
     return 1 << max(0, math.ceil(math.log2(max(x, 1.0))))
 
 
-def _truncated_sup_norm(values_fn, p: float, q: float, s: float, R: float,
-                        angular: int = DEFAULT_ANGULAR):
-    """sup over |a| <= R (coarse lattice) of the truncated weighted integral.
+def _truncation_count(R: float, s: float, angular: int) -> int:
+    """Angular nodes of the truncation radius R: the Mobius-factor aliasing
+    ladder and the ridge width 1-R, as a power of two capped at
+    ``_TRUNC_MAX_ANGULAR``; non-decreasing in R."""
+    count = max(angular_count_for(R, s, angular),
+                _pow2_at_least(4.0 / (1.0 - R)))
+    return min(count, _TRUNC_MAX_ANGULAR)
 
-    Returns the sup and the grid it used: ``radial`` nodes, ``angular``
-    nodes and the number of ``candidates`` a (a = 0 plus
+
+def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
+                         radii: Sequence[float],
+                         angular: int = DEFAULT_ANGULAR) -> list:
+    """sup over |a| <= R (coarse lattice) of the truncated weighted integral,
+    for each R of ``radii`` (a ladder; one radius is a one-element ladder).
+
+    Returns one (sup, grid) per radius, the grid holding its ``radial``
+    nodes, ``angular`` nodes and the number of ``candidates`` a (a = 0 plus
     ``_TRUNC_SEARCH_ANGLES`` per ring r = 1 - 2^-i <= R).
 
     The automorphism search radius grows with the truncation radius so that
     sup-driven divergence (integrals unbounded in a) stays visible.  The
-    angular count tracks both the Mobius-factor aliasing ladder and the
-    width 1-R of any boundary ridge of the integrand, up to
-    ``_TRUNC_MAX_ANGULAR``: at j = 12 the 8192 cap sits below the
-    4/(1-R) = 16384 the ridge rule asks for (kept, so the reference values
-    of the default ladder stay put).  The count is a power of two of at
-    least 256, so the lattice angles of a ring are column shifts of one
-    Mobius factor, and ``mobius_ring_integrals`` gets all of them from one
-    batched matrix product: the a = r angle is bit-identical to the direct
-    kernel, the other angles agree with it to about 1e-15 relative.
+    angular count (``_truncation_count``) tracks both the Mobius-factor
+    aliasing ladder and the width 1-R of any boundary ridge of the
+    integrand, up to ``_TRUNC_MAX_ANGULAR``: at j = 12 the 8192 cap sits
+    below the 4/(1-R) = 16384 the ridge rule asks for (kept, so the
+    reference values of the default ladder stay put).  The count is a power
+    of two of at least 256, so the lattice angles of a ring are column
+    shifts of one Mobius factor, and the ring kernel gets all of them from
+    one batched matrix product: the a = r angle is bit-identical to the
+    direct kernel, the other angles agree with it to about 1e-15 relative.
+
+    The radii share work.  Their rules are ``truncated_panels``, and a
+    panel's nodes depend on its edges alone; their angular counts are
+    powers of two, and the nodes at count c are every (C/c)-th of those at
+    C.  So each distinct panel is tabulated once, at the largest count a
+    radius uses it at, and the Mobius factor of each ring once per panel at
+    that count; lower counts take contiguous copies of strided columns,
+    which hold the same bits.  The row stage of the ring kernel
+    (``mobius_ring_rows``) runs once per panel, ring and count, and a = 0,
+    whose factor is exactly 1.0, takes the base's row means.  Each radius
+    then concatenates its panels' row partials and contracts them with its
+    own weights, so every value is the one a radius computed alone would
+    give.  Only panel-sized arrays and row partials are held.
     """
-    t, w = truncated_radial_rule(R)
-    count = max(angular_count_for(R, s, angular),
-                _pow2_at_least(4.0 / (1.0 - R)))
-    count = min(count, _TRUNC_MAX_ANGULAR)
-    theta = angular_nodes(count)
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    base = np.asarray(values_fn(z), dtype=np.float64) ** p
-    w = w * (1.0 - t) ** (q + s)
-    work = work_arrays(z.shape)
-    values = list(mobius_integrals(0.0 + 0.0j, s, z, [base], w, work))
-    for r in dyadic_radii(int(-math.log2(1.0 - R) + 0.5))[1:]:
-        if r > R:
-            break
-        values.extend(v for (v,) in mobius_ring_integrals(
-            r, s, z, [base], w, work, _TRUNC_SEARCH_ANGLES))
-    grid = {"radial": len(t), "angular": count, "candidates": len(values)}
-    return max(values), grid
+    counts = [_truncation_count(R, s, angular) for R in radii]
+    rings = [[r for r in dyadic_radii(int(-math.log2(1.0 - R) + 0.5))[1:]
+              if r <= R] for R in radii]
+    rules = [truncated_panels(R) for R in radii]
+    users = {}  # panel edges -> (its nodes t, indices of the radii using it)
+    for n, rule in enumerate(rules):
+        for edges, t, _ in rule:
+            users.setdefault(edges, (t, []))[1].append(n)
+
+    def strided(x, top, c):
+        return x if c == top else np.ascontiguousarray(x[:, ::top // c])
+
+    rows = {}  # (panel edges, count, ring r or None for a = 0) -> partials
+    for edges, (t, ns) in users.items():
+        top = max(counts[n] for n in ns)
+        z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(top))[None, :]
+        base = np.asarray(values_fn(z), dtype=np.float64) ** p
+        for c in {counts[n] for n in ns}:
+            rows[edges, c, None] = strided(base, top, c).mean(axis=1)
+        cbuf, mob, prod = work_arrays(z.shape)
+        for r in sorted({r for n in ns for r in rings[n]}):
+            mob = mobius_factor(complex(r), s, z, cbuf, mob)
+            for c in {counts[n] for n in ns if r in rings[n]}:
+                rows[edges, c, r] = mobius_ring_rows(
+                    strided(base, top, c), strided(mob, top, c),
+                    _TRUNC_SEARCH_ANGLES, prod if c == top else None)
+
+    results = []
+    for R, c, ring, rule in zip(radii, counts, rings, rules):
+        t = np.concatenate([panel[1] for panel in rule])
+        w = np.concatenate([panel[2] for panel in rule]) * (1.0 - t) ** (q + s)
+        values = [_radial_contract(
+            w, np.concatenate([rows[edges, c, None] for edges, _, _ in rule]))]
+        for r in ring:
+            parts = [rows[edges, c, r] for edges, _, _ in rule]
+            values.extend(mobius_ring_contract(
+                w, np.concatenate([m for m, _ in parts]),
+                np.concatenate([g for _, g in parts]), c))
+        results.append((max(values),
+                        {"radial": len(t), "angular": c,
+                         "candidates": len(values)}))
+    return results
 
 
 def verify_membership(f: HarmonicMap, model: OrderModel, scale,
@@ -433,8 +489,11 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
                       rng_seed: int = 0) -> VerificationReport:
     """Truncation-stabilization check of membership in an M or F scale.
 
-    The truncated norm N(R) is computed at R = 1 - 2^-j for at least two j,
-    and each ``truncation_trace`` entry records the grid that radius used.
+    The truncated norm N(R) is computed at R = 1 - 2^-j for at least two
+    strictly increasing j in 1..``TRUNCATION_MAX_J`` (checked before any
+    radius runs; a repeated or falling j would compare a radius with itself
+    or backwards), in one ``_truncated_sup_norms`` pass, and each
+    ``truncation_trace`` entry records the grid that radius used.
     "Finite" means the final successive relative change (lhs) is at most
     ``stabilization_tol`` (rhs) up to the relative ``tol`` of every check,
     margin >= -tol * rhs; otherwise a divergence exponent is fitted.
@@ -453,6 +512,10 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
         raise InvalidParameterError(
             f"truncation depths j must lie in 1..{TRUNCATION_MAX_J}, "
             f"got j = {bad}")
+    if any(b <= a for a, b in zip(truncation_js, truncation_js[1:])):
+        raise InvalidParameterError(
+            "truncation depths j must be strictly increasing, "
+            f"got j = {list(truncation_js)}")
     scale.validate()
     check_angular(angular)
     exponent = model.alpha_K + _growth_offset(scale, target)
@@ -485,16 +548,10 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
                 f"|{target}| exceeds (1+k)|h'| at a sample (margin {worst:.3e})"
             )
 
-    radii, norms, raws, grids = [], [], [], []
-    for j in truncation_js:
-        R = 1.0 - 2.0 ** -j
-        raw, grid = _truncated_sup_norm(values_fn, scale.p, scale.q, scale.s,
-                                        R, angular=angular)
-        norm = at0 + raw ** (1.0 / scale.p)
-        radii.append(R)
-        norms.append(norm)
-        raws.append(raw)
-        grids.append(grid)
+    radii = [1.0 - 2.0 ** -j for j in truncation_js]
+    raws, grids = zip(*_truncated_sup_norms(values_fn, scale.p, scale.q,
+                                            scale.s, radii, angular=angular))
+    norms = [at0 + raw ** (1.0 / scale.p) for raw in raws]
     changes = [abs(b - a) / max(abs(b), 1e-300)
                for a, b in zip(norms, norms[1:])]
     lhs = changes[-1]

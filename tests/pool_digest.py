@@ -1,6 +1,6 @@
 """Digest of every benchmark pool item's CLI outcome, for byte-identity checks.
 
-Usage: ``python tests/pool_digest.py OUT.json``
+Usage: ``python tests/pool_digest.py OUT.json [--against OLD.json]``
 
 Runs each ``bench/pools.py`` ``all_items()`` entry in-process through
 ``qrspaces.cli.main`` (from this checkout's ``src``), with a fixed ``--out``
@@ -8,10 +8,12 @@ path per item, and writes one entry per item: the argv, the exit code, the
 captured stdout and stderr, and the sha256 of the output file (null when the
 item wrote none).  Records embed the ``--out`` path, so the path depends only
 on the item's position.  Two checkouts behave identically on the pools when
-their digests are identical: run the script in each, one after the other
-(they share the output directory, removed at the end), then ``diff`` the
-two files.  Reads ``bench/`` and writes nothing there; pytest does not
-collect this file.
+their digests are identical: run the script in one checkout, then in the
+other with ``--against`` the first digest (one after the other: they share
+the output directory, removed at the end).  ``--against`` prints the argv
+of every item whose exit, stdout, stderr or ``out_sha256`` differ, with the
+fields that differ, and exits 1 if any item differs.  Reads ``bench/`` and
+writes nothing there; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -49,8 +51,25 @@ def digest_item(index: int, argv) -> dict:
             "stderr": stderr.getvalue(), "out_sha256": sha}
 
 
+FIELDS = ("exit", "stdout", "stderr", "out_sha256")
+
+
+def differences(entries, old_entries) -> list:
+    """(argv, differing fields) of every item whose outcome differs; an item
+    present in one digest only differs in every field."""
+    missing = dict.fromkeys(FIELDS)
+    diffs = []
+    for i in range(max(len(entries), len(old_entries))):
+        new = entries[i] if i < len(entries) else missing
+        old = old_entries[i] if i < len(old_entries) else missing
+        fields = [k for k in FIELDS if new[k] != old[k]]
+        if fields:
+            diffs.append((new.get("argv") or old.get("argv"), fields))
+    return diffs
+
+
 def main(argv) -> int:
-    if len(argv) != 1:
+    if len(argv) not in (1, 3) or (len(argv) == 3 and argv[1] != "--against"):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     OUT_DIR.mkdir(exist_ok=True)
@@ -63,7 +82,14 @@ def main(argv) -> int:
         json.dump(entries, fh, indent=1)
         fh.write("\n")
     print(f"{len(entries)} items -> {argv[0]}")
-    return 0
+    if len(argv) == 1:
+        return 0
+    with open(argv[2]) as fh:
+        diffs = differences(entries, json.load(fh))
+    for item_argv, fields in diffs:
+        print(f"differs in {', '.join(fields)}: {json.dumps(item_argv)}")
+    print(f"{len(diffs)} of {len(entries)} items differ from {argv[2]}")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import qrspaces.verify
 from qrspaces.analytic import AnalyticFn, derivative, identity, koebe, poly
 from qrspaces.errors import InvalidParameterError, NonQuasiregularError
 from qrspaces.families import (
@@ -20,6 +24,7 @@ from qrspaces.harmonic import (
     estimate_quasiregularity,
 )
 from qrspaces.quadrature import (
+    ANGULAR_LADDER,
     angular_nodes,
     mobius_integrals,
     truncated_radial_rule,
@@ -35,9 +40,11 @@ from qrspaces.spaces import (
     WeightedSupProblem,
 )
 from qrspaces.verify import (
+    DEFAULT_TRUNCATION_JS,
+    MEMBERSHIP_TARGETS,
     _conjugate_norm_pair,
     _membership_values,
-    _truncated_sup_norm,
+    _truncated_sup_norms,
     check_conjugate_bound_fh,
     check_conjugate_bound_qh,
     check_inhomogeneous_bound_fh,
@@ -315,21 +322,89 @@ def test_truncated_sup_norm_equals_direct_max():
     rotated = lambda z: values(rot * z)  # its max lies off the real axis
     for j in (3, 6, 9):
         R = 1.0 - 2.0 ** -j
-        value, grid = _truncated_sup_norm(values, 0.8, 0.0, 1.0, R)
+        ((value, grid),) = _truncated_sup_norms(values, 0.8, 0.0, 1.0, [R])
         assert grid["candidates"] == 1 + 8 * j
         direct = _direct_truncated_sup(values, 0.8, 0.0, 1.0, R, grid["angular"])
         assert value == direct
-        value, grid = _truncated_sup_norm(rotated, 0.8, 0.0, 1.0, R)
+        ((value, grid),) = _truncated_sup_norms(rotated, 0.8, 0.0, 1.0, [R])
         direct = _direct_truncated_sup(rotated, 0.8, 0.0, 1.0, R, grid["angular"])
         assert value == pytest.approx(direct, rel=1e-15)
 
 
-@pytest.mark.parametrize("js", [(3,), (), (3, 54)])
+# every target of a sheared koebe in both scales, but f itself in M from
+# koebe's closed form (the shear's own values integrate g' numerically)
+_LADDER_BASES = [
+    (koebe_shear(0.0 if (t, kind) == ("f", Mpqs) else 0.3),
+     kind(1.0, 0.0, 1.0), t)
+    for kind in (Mpqs, Fpqs) for t in MEMBERSHIP_TARGETS
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(js=st.lists(st.integers(1, 9), min_size=1, max_size=9, unique=True),
+       p=st.floats(0.5, 3.0), q=st.floats(-0.5, 1.0), s=st.floats(0.25, 2.0),
+       angular=st.sampled_from(ANGULAR_LADDER),
+       turn=st.floats(0.0, 2.0 * math.pi),
+       case=st.sampled_from(_LADDER_BASES))
+def test_truncation_ladder_equals_one_radius_ladders(js, p, q, s, angular,
+                                                     turn, case):
+    # the shared panels, strided counts and shared Mobius factors of a
+    # ladder give each radius the bits it gets alone, also for bases whose
+    # sup lies off the real axis
+    values, _ = _membership_values(*case)
+    rot = np.exp(1j * turn)
+    base = lambda z: values(rot * z)
+    radii = [1.0 - 2.0 ** -j for j in sorted(js)]
+    ladder = _truncated_sup_norms(base, p, q, s, radii, angular)
+    assert len(ladder) == len(radii)
+    for R, shared in zip(radii, ladder):
+        assert shared == _truncated_sup_norms(base, p, q, s, [R], angular)[0]
+
+
+def test_truncation_ladder_work_on_default_ladder(monkeypatch):
+    # koebe in M(0.8,0,1) on j = 3..12 (256, 512, 1024, 2048 x 4, 4096 and
+    # 8192 x 2 angles; 24-node panels): each panel is tabulated once, at the
+    # largest count a radius uses it at, so the 11 dyadic panels at 8192 and
+    # the 10 tails at their own counts; each (panel, ring) gets one Mobius
+    # factor at that count, none at a = 0
+    values, _ = _membership_values(analytic_as_harmonic(koebe()),
+                                   Mpqs(0.8, 0.0, 1.0), "f")
+    points, nodes = [], []
+
+    def counted_values(z):
+        points.append(z.size)
+        return values(z)
+
+    factor = qrspaces.verify.mobius_factor
+
+    def counted_factor(a, s, z, *work):
+        nodes.append(z.size)
+        return factor(a, s, z, *work)
+
+    monkeypatch.setattr("qrspaces.verify.mobius_factor", counted_factor)
+    counts = (256, 512, 1024, 2048, 2048, 2048, 2048, 4096, 8192, 8192)
+    radii = [1.0 - 2.0 ** -j for j in DEFAULT_TRUNCATION_JS]
+    tracemalloc.start()
+    try:
+        ladder = _truncated_sup_norms(counted_values, 0.8, 0.0, 1.0, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [grid["angular"] for _, grid in ladder] == list(counts)
+    assert sum(points) == 24 * (11 * 8192 + sum(counts)) == 2_893_824
+    assert len(nodes) == 11 * 12 + sum(DEFAULT_TRUNCATION_JS) == 207
+    assert sum(nodes) == 24 * (11 * 12 * 8192 + sum(
+        j * c for j, c in zip(DEFAULT_TRUNCATION_JS, counts))) == 33_122_304
+    assert peak < 150_000_000  # one radius at a time held 180 MB
+
+
+@pytest.mark.parametrize("js", [(3,), (), (3, 54), (5, 5), (5, 4, 3)])
 def test_membership_needs_two_radii(monkeypatch, js):
-    # at least two radii, each 1 - 2^-j with j <= 53 (1 - 2^-54 rounds to 1),
-    # and the whole ladder is checked before the first radius runs
+    # at least two strictly increasing radii, each 1 - 2^-j with j <= 53
+    # (1 - 2^-54 rounds to 1), and the whole ladder is checked before the
+    # first radius runs
     calls = []
-    monkeypatch.setattr("qrspaces.verify._truncated_sup_norm",
+    monkeypatch.setattr("qrspaces.verify._truncated_sup_norms",
                         lambda *args, **kw: calls.append(args))
     with pytest.raises(InvalidParameterError):
         verify_membership(koebe_shear(0.0), OrderModel(K=1.0),
