@@ -14,6 +14,7 @@ from .errors import (
 from .mobius import DiskPoint, MobiusMap, green, one_minus_sigma_sq, sigma, sigma_derivatives
 from .analytic import (
     AnalyticFn,
+    RationalLog,
     antiderivative,
     cayley_half,
     combine,

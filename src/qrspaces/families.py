@@ -12,6 +12,12 @@ The fast routes to interesting maps:
 * ``koebe_shear``: shear of z/(1-z)^2 with w = k z, the designated
   quasiconformal stand-in for growth/membership sweeps (the published
   closed-form extremal is not reproduced here).
+
+h and g are antiderivatives of h' and g'.  When phi (or h') and w are
+:class:`~qrspaces.analytic.RationalLog` closed forms, as in every family
+here, h' and g' are rational and h, g are exact antiderivatives with log
+terms (``analytic`` module docstring); other inputs, such as power series,
+take the generic combine tree and the radial quadrature for h and g.
 """
 
 from __future__ import annotations
@@ -84,8 +90,9 @@ def from_dilatation(hprime: AnalyticFn, w: AnalyticFn,
                     grid: Optional[SampleGrid] = None) -> HarmonicMap:
     """Build f with f_z = h' prescribed and g' = w h'.
 
-    h and g are radial antiderivatives vanishing at 0; the map has analytic
-    dilatation w wherever h' does not vanish.
+    h and g are the antiderivatives vanishing at 0 (exact for closed-form
+    h' and w); the map has analytic dilatation w wherever h' does not
+    vanish.
     """
     grid = grid or SampleGrid()
     _check_dilatation_bound(w, grid)

@@ -12,3 +12,12 @@ def disk_samples(rng, n, r_max=0.999):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def generic(f):
+    """``f`` behind a plain jet evaluator, so that operations on it take the
+    generic combine tree and the radial antiderivative quadrature."""
+    from qrspaces.analytic import AnalyticFn
+
+    return AnalyticFn(lambda z, order, min_order: f.jet(z, order, min_order),
+                      max_order=f.max_order, description=f.description)

@@ -1,6 +1,7 @@
 """Digest of every benchmark pool item's CLI outcome, for byte-identity checks.
 
 Usage: ``python tests/pool_digest.py OUT.json [--against OLD.json]``
+   or: ``python tests/pool_digest.py --gate``
 
 Runs each ``bench/pools.py`` ``all_items()`` entry in-process through
 ``qrspaces.cli.main`` (from this checkout's ``src``), with a fixed ``--out``
@@ -12,8 +13,15 @@ their digests are identical: run the script in one checkout, then in the
 other with ``--against`` the first digest (one after the other: they share
 the output directory, removed at the end).  ``--against`` prints the argv
 of every item whose exit, stdout, stderr or ``out_sha256`` differ, with the
-fields that differ, and exits 1 if any item differs.  Reads ``bench/`` and
-writes nothing there; pytest does not collect this file.
+fields that differ, and exits 1 if any item differs.
+
+``--gate`` judges the same runs the way the benchmark does, for changes that
+move values in their last bits: each outcome goes through
+``bench/worker.parse_outcome`` and ``bench/gate.check_item`` against
+``bench/reference.json``.  It prints every item that fails with its
+problems, and the worst relative deviation of every item that moved, and
+exits 1 if any item fails.  Reads ``bench/`` and writes nothing there;
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -29,13 +37,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import gate  # noqa: E402
 import pools  # noqa: E402
 import qrspaces.cli  # noqa: E402
+import worker  # noqa: E402
 
 OUT_DIR = Path(tempfile.gettempdir()) / "qrspaces-pool-digest"
 
 
-def digest_item(index: int, argv) -> dict:
+def digest_item(index: int, argv):
+    """(digest entry, gate outcome) of one item."""
     suffix = ".csv" if argv[0] == "sweep" else ".jsonl"
     out_path = OUT_DIR / f"item-{index:03d}{suffix}"
     if out_path.exists():
@@ -43,12 +54,31 @@ def digest_item(index: int, argv) -> dict:
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = qrspaces.cli.main(list(argv) + ["--out", str(out_path)])
+    outcome = worker.parse_outcome(argv, code, str(out_path))
     sha = None
     if out_path.exists():
         sha = hashlib.sha256(out_path.read_bytes()).hexdigest()
         out_path.unlink()
     return {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
-            "stderr": stderr.getvalue(), "out_sha256": sha}
+            "stderr": stderr.getvalue(), "out_sha256": sha}, outcome
+
+
+def gate_report(runs) -> int:
+    """Print failing and moved items of (entry, outcome) runs; 1 if any fails."""
+    reference = gate.load_reference()
+    failed = moved = 0
+    for entry, outcome in runs:
+        problems, worst = gate.check_item(entry["argv"], outcome, reference)
+        item = json.dumps(entry["argv"])
+        if problems:
+            failed += 1
+            print(f"FAIL {item}: " + "; ".join(problems))
+        elif worst > 0.0:
+            moved += 1
+            print(f"moved {worst:.2e} {item}")
+    print(f"{len(runs)} items: {failed} fail, {moved} moved within "
+          f"{gate.REL_TOL:g}, {len(runs) - failed - moved} identical")
+    return 1 if failed else 0
 
 
 FIELDS = ("exit", "stdout", "stderr", "out_sha256")
@@ -69,15 +99,19 @@ def differences(entries, old_entries) -> list:
 
 
 def main(argv) -> int:
-    if len(argv) not in (1, 3) or (len(argv) == 3 and argv[1] != "--against"):
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+    gating = argv == ["--gate"]
+    if not gating and (len(argv) not in (1, 3)
+                       or (len(argv) == 3 and argv[1] != "--against")):
+        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
         return 2
     OUT_DIR.mkdir(exist_ok=True)
     try:
-        entries = [digest_item(i, item)
-                   for i, item in enumerate(pools.all_items())]
+        runs = [digest_item(i, item) for i, item in enumerate(pools.all_items())]
     finally:
         OUT_DIR.rmdir()
+    if gating:
+        return gate_report(runs)
+    entries = [entry for entry, _ in runs]
     with open(argv[0], "w") as fh:
         json.dump(entries, fh, indent=1)
         fh.write("\n")

@@ -31,6 +31,7 @@ from qrspaces.spaces import (
     Qnpa,
     WeightedSupProblem,
     morrey_constant,
+    pullback_exponents,
     q_npa_norm,
     qs_constant,
     sigma_deriv_constant,
@@ -162,17 +163,17 @@ def conjugate_suite():
     for label, f, K, tag in maps:
         for (p, alpha) in Q_CELLS:
             rep = check_conjugate_bound_qh(f, K, p, alpha)
-            reports.append(("3.1", label, tag, rep))
+            reports.append(("3.1", label, tag, rep, (p, *pullback_exponents(p, alpha))))
         for (p, q, s) in F_CELLS:
             rep = check_conjugate_bound_fh(f, K, Fpqs(p, q, s))
-            reports.append(("3.2", label, tag, rep))
+            reports.append(("3.2", label, tag, rep, (p, q, s)))
     return reports
 
 
 def test_criterion_5_conjugate_bound_suite(conjugate_suite):
     t0 = time.time()
     worst = -math.inf
-    for tid, label, tag, rep in conjugate_suite:
+    for tid, label, tag, rep, _ in conjugate_suite:
         rel = rep.margin / abs(rep.rhs) if rep.rhs else 0.0
         worst = max(worst, -rel)
     ok = worst <= 1e-6
@@ -183,13 +184,33 @@ def test_criterion_5_conjugate_bound_suite(conjugate_suite):
 def test_criterion_6_equality_witness(conjugate_suite):
     worst = 0.0
     n = 0
-    for tid, label, tag, rep in conjugate_suite:
+    for tid, label, tag, rep, _ in conjugate_suite:
         if tag != "equality":
             continue
         n += 1
         worst = max(worst, abs(rep.margin) / abs(rep.rhs))
     report(6, f"equality witness |margin|/rhs over {n} cells "
               f"(worst {worst:.2e})", n > 0 and worst <= 1e-6)
+
+
+def test_criterion_5_affine_closed_form(conjugate_suite):
+    # for z + sign*k*conj(z), |F'| = |1 + sign*k| and |G'| = |1 - sign*k| are
+    # constant, and the engine integral of 1 has its sup pi/(q+s+1) at a = 0,
+    # so each norm is the constant times (pi/(q_eff+s_eff+1))^(1/p)
+    affine = {f"z {'-' if sign < 0 else '+'} {k} conj(z)": (sign, k)
+              for k in K_VALUES for sign in (-1, 1)}
+    worst, n = 0.0, 0
+    for tid, label, tag, rep, (p, q_eff, s_eff) in conjugate_suite:
+        if label not in affine:
+            continue
+        sign, k = affine[label]
+        factor = (math.pi / (q_eff + s_eff + 1.0)) ** (1.0 / p)
+        for got, want in ((rep.extra["norm_u"], abs(1 + sign * k) * factor),
+                          (rep.extra["norm_v"], abs(1 - sign * k) * factor)):
+            worst = max(worst, abs(got - want) / want)
+            n += 1
+    report(5, f"affine norms against the closed form over {n} values "
+              f"(worst rel {worst:.2e})", n == 72 and worst <= 1e-13)
 
 
 # --- 7: inhomogeneous suite -------------------------------------------------------

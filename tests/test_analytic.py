@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from qrspaces.analytic import (
+    RationalLog,
     antiderivative,
     cayley_half,
     combine,
@@ -12,11 +15,13 @@ from qrspaces.analytic import (
     koebe,
     poly,
     power_series,
+    scale,
+    shift,
 )
 from qrspaces.errors import AccuracyError, InvalidParameterError, PoleError
 from qrspaces.mobius import MobiusMap
 
-from conftest import disk_samples
+from conftest import disk_samples, generic
 
 ALL_BUILDERS = [
     lambda: poly([0.2, 1.0, -0.5j]),
@@ -195,7 +200,50 @@ def test_arithmetic_sugar():
 
 
 def test_antiderivative_nonconvergence_raises():
-    # a pole of order 3 within 1e-7 of the path end defeats the panel rule
-    f = antiderivative(koebe(), 0.0)
+    # a pole of order 3 within 1e-7 of the path end defeats the panel rule;
+    # koebe itself integrates exactly, so it goes in behind a plain evaluator
+    f = antiderivative(generic(koebe()), 0.0)
     with pytest.raises(AccuracyError):
         f.jet(np.asarray(complex(1.0 - 1e-9)), 0)
+
+
+def test_closed_form_type_is_kept_where_the_result_is_one():
+    k, c, lin = koebe(), cayley_half(), poly([1.0, -0.3])
+    closed = [poly([1.0, 2.0]), k, c, scale(k, 2j), shift(k, 1.0), derivative(k),
+              k + c, k * c, k / lin, constant(1.0) / lin, antiderivative(k / lin, 0.5),
+              antiderivative(k / lin) + c]
+    assert all(isinstance(f, RationalLog) for f in closed)
+    log = antiderivative(c)
+    assert log.has_logs and not k.has_logs
+    generic_ = [power_series(np.ones(8), 7), compose_mobius(k, MobiusMap(0.3)),
+                log * k, log / lin, k / poly([1.0, 0.0, -0.5]), k / identity(),
+                antiderivative(log)]
+    assert not any(isinstance(f, RationalLog) for f in generic_)
+
+
+def test_exact_antiderivative_matches_quadrature(rng):
+    f = combine("div", derivative(koebe()), poly([1.0, -0.6]))
+    F, Q = antiderivative(f, 0.25 - 1j), antiderivative(generic(f), 0.25 - 1j)
+    assert F(0.0) == 0.25 - 1j
+    z = disk_samples(rng, 200, r_max=0.99)
+    np.testing.assert_allclose(F.jet(z, 0)[0], Q.jet(z, 0)[0], rtol=1e-12)
+    np.testing.assert_allclose(F.jet(z, 2, 1)[1:], f.jet(z, 1), rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("build", [
+    koebe, cayley_half,
+    lambda: constant(1.0) / poly([1.0, -1.0]),
+    lambda: antiderivative(derivative(koebe()) / poly([1.0, -0.5])),
+])
+def test_pole_evaluation_raises_pole_error(build):
+    f = build()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for order, min_order in ((0, 0), (2, 1)):
+            with pytest.raises(PoleError):
+                f.jet(np.asarray([0.5, 1.0 + 0j]), order, min_order)
+
+
+def test_nonfinite_coefficient_rejected():
+    with pytest.raises(InvalidParameterError):
+        poly([0.0, float("nan")])

@@ -480,6 +480,18 @@ def test_verify_membership_via_cli(tmp_path):
     assert trace[-1]["angular"] == 8192
 
 
+def test_verify_membership_of_a_shear_via_cli(tmp_path):
+    # the shear's own values are closed forms, so Theorem 4.1 runs the
+    # default ladder on a K > 1 map (K = (1+k)/(1-k) at k = 0.3)
+    out = tmp_path / "shear.jsonl"
+    assert main(["verify", "--theorem", "4.1", "--map", "koebe-shear:k=0.3",
+                 "--scale", "M(0.8,0,1)", "--K", "1.857142857142857",
+                 "--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    assert len(rec["truncation_trace"]) == 10  # j = 3..12
+    assert rec["in_range"] is True and rec["pass"] is True
+
+
 def test_verify_inhomogeneous_fold_via_cli(tmp_path):
     out = tmp_path / "fold.jsonl"
     code = main(["verify", "--theorem", "3.5", "--map", "fold",

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qrspaces.analytic import cayley_half, koebe, poly
+from qrspaces.analytic import RationalLog, cayley_half, derivative, koebe, poly
 from qrspaces.errors import InvalidParameterError, NonQuasiregularError
 from qrspaces.families import (
     DEFAULT_GROWTH_RADII,
@@ -20,7 +20,7 @@ from qrspaces.families import (
 )
 from qrspaces.harmonic import conjugate_parts, estimate_quasiregularity, wirtinger
 
-from conftest import disk_samples
+from conftest import disk_samples, generic
 
 
 def test_from_dilatation_constant():
@@ -160,3 +160,56 @@ def test_order_model_defaults():
         OrderModel(0.5)
     with pytest.raises(InvalidParameterError):
         OrderModel(math.inf)
+
+
+# h' of each closed-form family at k (g' = k z h'), as an mpmath expression
+FAMILY_HPRIME = {
+    "koebe-shear": lambda z, k: (1 + z) / ((1 - z) ** 3 * (1 - k * z)),
+    "cayley-shear": lambda z, k: 1 / ((1 - z) ** 2 * (1 - k * z)),
+    "koebe-dilatation": lambda z, k: (1 + z) / (1 - z) ** 3,
+}
+
+
+def _family(name, k, wrap=lambda f: f):
+    if name == "koebe-dilatation":
+        return from_dilatation(wrap(derivative(koebe())), wrap(poly([0.0, k])))
+    phi = koebe() if name == "koebe-shear" else cayley_half()
+    return shear(ShearSpec(wrap(phi), wrap(poly([0.0, k]))))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_HPRIME))
+@pytest.mark.parametrize("k", [0.2, 0.5, 0.8])
+def test_closed_form_values_match_mpmath(name, k):
+    # h(z) = z int_0^1 h'(tz) dt and g likewise, by mpmath quadrature; the
+    # angles 2.1 and -2.6 are where |g| is smallest against its partial
+    # fractions (koebe-shear at k = 0.8 loses most there)
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 20
+    f = _family(name, k)
+    assert isinstance(f.h, RationalLog) and isinstance(f.g, RationalLog)
+    hprime = FAMILY_HPRIME[name]
+    worst = 0.0
+    for r in (1e-8, 1e-3, 0.5, 0.9, 1 - 2.0 ** -8, 1 - 2.0 ** -12):
+        for theta in (0.0, 2.1, -2.6):
+            z = complex(r * np.exp(1j * theta))
+            zm = mpmath.mpc(z)
+            for part, weight in ((f.h, lambda t: 1), (f.g, lambda t: k * t * zm)):
+                ref = complex(mpmath.quad(
+                    lambda t: weight(t) * hprime(t * zm, k) * zm,
+                    [0, 0.5, 0.9375, 0.99609375, 1]))
+                err = abs(part(z) - ref) / (1e-13 * abs(ref) + 1e-14)
+                worst = max(worst, err)
+    assert worst <= 1.0
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_HPRIME))
+@pytest.mark.parametrize("k", [0.2, 0.5, 0.8])
+def test_closed_form_jets_match_generic_tree(name, k, rng):
+    # the same inputs behind plain evaluators take the combine tree (jets of
+    # order >= 1 of an antiderivative are its integrand's in both)
+    exact, tree = _family(name, k), _family(name, k, wrap=generic)
+    assert not isinstance(tree.h, RationalLog)
+    z = disk_samples(rng, 400, r_max=0.99)
+    for a, b in ((exact.h, tree.h), (exact.g, tree.g)):
+        want = b.jet(z, 6, 1)[1:]
+        np.testing.assert_allclose(a.jet(z, 6, 1)[1:], want, rtol=1e-13, atol=0)
