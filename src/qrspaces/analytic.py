@@ -115,6 +115,18 @@ class AnalyticFn:
     def __truediv__(self, other):
         return combine("div", self, _as_fn(other))
 
+    def __radd__(self, other):
+        return combine("add", _as_fn(other), self)
+
+    def __rsub__(self, other):
+        return combine("sub", _as_fn(other), self)
+
+    def __rmul__(self, other):
+        return combine("mul", _as_fn(other), self)
+
+    def __rtruediv__(self, other):
+        return combine("div", _as_fn(other), self)
+
 
 def _as_fn(x) -> AnalyticFn:
     if isinstance(x, AnalyticFn):

@@ -52,7 +52,7 @@ from .families import (
     koebe_shear,
 )
 from .harmonic import HarmonicMap, analytic_as_harmonic, estimate_quasiregularity
-from .quadrature import DEFAULT_ANGULAR, DEFAULT_RADIAL
+from .quadrature import ANGULAR_LADDER, DEFAULT_ANGULAR, DEFAULT_RADIAL
 from .spaces import (
     RADIUS_CAP_J,
     BergmanMorrey,
@@ -63,6 +63,7 @@ from .spaces import (
     Qnpa,
     Qs,
     SupSearchSpec,
+    WeightedSupProblem,
     dyadic_radii,
     fh_pqs_norm,
     m_pqs_norm,
@@ -367,18 +368,28 @@ def compute_constant(cfg: RunConfig):
     name, _, rest = cfg.constant.partition(":")
     name = name.strip().lower()
     params = _parse_params(rest)
-    kw = dict(radial=cfg.radial, angular=cfg.angular)
     if name == "sigma-deriv":
-        return sigma_deriv_constant(_real(params, "p"), _real(params, "alpha"), **kw)
+        return sigma_deriv_constant(_real(params, "p"), _real(params, "alpha"))
     if name == "overlap":
-        return weight_overlap_constant(_real(params, "q"), _real(params, "s"), **kw)
+        return weight_overlap_constant(_real(params, "q"), _real(params, "s"))
     if name == "morrey":
-        return morrey_constant(_real(params, "lam"), **kw)
+        return morrey_constant(_real(params, "lam"))
     if name == "qs":
-        return qs_constant(_real(params, "s"), **kw)
+        return qs_constant(_real(params, "s"))
     raise InvalidParameterError(
         f"unknown constant kind {name!r}; choose from {CONSTANT_KINDS}"
     )
+
+
+def _engine_check(cfg: RunConfig, res) -> dict:
+    """The engine integral of base 1 at the constant's maximizer on the run's
+    grid, and its relative deviation from the closed form: one kernel
+    evaluation that judges the engine against the formula on every run."""
+    pr = WeightedSupProblem(lambda z: (np.ones(z.shape),), res.grid["q_eff"],
+                            res.grid["s_eff"], cfg.radial, cfg.angular)
+    (value,) = pr.integral_at(res.sup_a)
+    return {"value": value, "rel_dev": abs(value / res.value - 1.0),
+            **pr.grid_metadata()}
 
 
 def cmd_constants(cfg: RunConfig) -> int:
@@ -391,6 +402,7 @@ def cmd_constants(cfg: RunConfig) -> int:
         "sup_on_cap": res.sup_on_cap,
         "error_estimate": res.error_estimate,
         "trace": [[a.real, v] for a, v in res.trace],
+        "engine_check": _engine_check(cfg, res),
         "config": cfg.to_dict(),
     }
     write_records(cfg.out, [rec])
@@ -627,7 +639,8 @@ def _read_config_file(path: str, defaults: dict) -> dict:
 
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
-    growth order means: estimate / use the default); threads is >= 1.  The
+    growth order means: estimate / use the default); threads is >= 1; the
+    grid has at least 2 radial nodes and an angular count on the ladder.  The
     search depth is at most RADIUS_CAP_J, since deeper radii would be clipped
     to the cap, and the truncation depth at most TRUNCATION_MAX_J, since
     deeper radii 1 - 2^-j round to 1."""
@@ -639,6 +652,11 @@ def _check_run_numbers(cfg: RunConfig):
                 f"got {value!r}")
     if cfg.threads < 1:
         raise InvalidParameterError(f"--threads must be >= 1, got {cfg.threads}")
+    if cfg.radial < 2:
+        raise InvalidParameterError(f"--radial must be >= 2, got {cfg.radial}")
+    if cfg.angular not in ANGULAR_LADDER:
+        raise InvalidParameterError(
+            f"--angular must be one of {ANGULAR_LADDER}, got {cfg.angular}")
     for name, most in (("search_max_j", RADIUS_CAP_J),
                        ("truncation_max_j", TRUNCATION_MAX_J)):
         if getattr(cfg, name) > most:

@@ -37,4 +37,4 @@ class HypothesisViolationError(QrspacesError):
 
 
 class InfiniteConstantError(QrspacesError, ArithmeticError):
-    """A sup-type constant diverges along the parameter scan."""
+    """A sup-type constant is infinite (s < 0)."""

@@ -33,11 +33,24 @@ one-component case.  The engine's lattice is computed one ring
 at a time: one Mobius factor per distinct lattice radius r, at a = r, whose
 column shifts give the other angles of the ring (``ring_integrals``).  Direct
 per-a calls remain for a = 0, the compass points, s_eff = 0 and angle counts
-that do not divide the rung.  The rotation-invariant constants use a
-golden section along the radius.  ``_norm_result`` builds every NormResult;
-its error is node doubling at the maximizer (engine, composition, constants),
-the Green cap-refinement estimate, or only the 1e-12 floor (Bloch), and it
-flags a maximizer on RADIUS_CAP (``sup_on_cap``).
+that do not divide the rung.  ``_norm_result`` builds every NormResult;
+its error is node doubling at the maximizer (engine, composition), the Green
+cap-refinement estimate, or only the 1e-12 floor (Bloch and the constants),
+and it flags a maximizer on RADIUS_CAP (``sup_on_cap``).
+
+The sup-type constants of Theorems 3.5/3.6 are the engine integral of base 1,
+which has a closed form (Forelli-Rudin; Hedenmalm, Korenblum & Zhu, Theory of
+Bergman Spaces, 2000): with x = |a|^2,
+
+    I(a) = pi (1-x)^s/(q+s+1) 2F1(s, s; q+s+2; x).
+
+By Pfaff's transformation (1-x)^s 2F1(s, s; c; x) = 2F1(s, q+2; c; x/(x-1)),
+and for s > 0, q > -2 Euler's integral writes the right side as a positive
+weighted average of (1 - t x/(x-1))^(-s), which falls as x grows.  So
+sup_a I = I(0) = pi/(q+s+1) for s >= 0 (s = 0 does not depend on a).  For
+s < 0 the sup is infinite: (1-x)^s grows without bound while 2F1(s, s; c; 1)
+stays positive and finite.  The constants are that closed form; no search and
+no quadrature.
 """
 
 from __future__ import annotations
@@ -547,6 +560,23 @@ def q_npa_norm(f: AnalyticFn, params: Qnpa,
     For n = 1 the per-a integral is evaluated in pulled-back form (see module
     docstring); higher jet orders go through explicit composition.
     """
+    return _q_norm(f, [f], params, search, radial, angular)
+
+
+def qh_npa_norm(f: HarmonicMap, params: Qnpa,
+                search: Optional[SupSearchSpec] = None,
+                radial: int = DEFAULT_RADIAL,
+                angular: int = DEFAULT_ANGULAR) -> NormResult:
+    """Harmonic derivative scale with integrand (|(h o s)^(n)| + |(g o s)^(n)|)^p.
+
+    For n = 1 this is the Lambda_f form, handled by the pullback engine.
+    """
+    return _q_norm(f, [f.h, f.g], params, search, radial, angular)
+
+
+def _q_norm(f, parts, params: Qnpa, search, radial, angular) -> NormResult:
+    """Body of both derivative scales: the pullback engine on Lambda_f for
+    n = 1, the composition of ``parts`` with sigma_a for n >= 2."""
     params.validate()
     search = search or SupSearchSpec()
     warnings = ()
@@ -562,31 +592,7 @@ def q_npa_norm(f: AnalyticFn, params: Qnpa,
                                 radial, angular)
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
                             warnings=warnings)
-    return _q_norm_composed([f], params, search, radial, angular, f0, warnings)
-
-
-def qh_npa_norm(f: HarmonicMap, params: Qnpa,
-                search: Optional[SupSearchSpec] = None,
-                radial: int = DEFAULT_RADIAL,
-                angular: int = DEFAULT_ANGULAR) -> NormResult:
-    """Harmonic derivative scale with integrand (|(h o s)^(n)| + |(g o s)^(n)|)^p.
-
-    For n = 1 this is the Lambda_f form, handled by the pullback engine.
-    """
-    params.validate()
-    search = search or SupSearchSpec()
-    warnings = ()
-    if params.is_trivial:
-        warnings = ("trivial range: n*p exceeds alpha+2",)
-    f0 = abs(f(0.0))
-    if params.n == 1:
-        pr = WeightedSupProblem(_pow_tabulator(_lambda_fn(f), params.p),
-                                *pullback_exponents(params.p, params.alpha),
-                                radial, angular)
-        return _finish_norm(pr, search, params.p, value_at_zero=f0,
-                            warnings=warnings)
-    return _q_norm_composed([f.h, f.g], params, search, radial, angular, f0,
-                            warnings)
+    return _q_norm_composed(parts, params, search, radial, angular, f0, warnings)
 
 
 def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings):
@@ -713,85 +719,45 @@ def _bloch_norm(f, scale: BlochAlpha, search: SupSearchSpec) -> NormResult:
 # --- sup-type constants --------------------------------------------------------
 
 
-def _constant_sup(base_problem: WeightedSupProblem, label: str,
-                  xtol: float = 1e-4) -> NormResult:
-    """1-D sup over rho in [0, 1) of a rotation-invariant per-a integral.
-
-    Coarse scan along the real axis, divergence detection, then golden
-    section on the bracketing interval.  ``base_problem`` has one base.
-    """
-
-    def value(rho):
-        (v,) = base_problem.integral_at(rho)
-        return v
-
-    radii = [min(r, RADIUS_CAP) for r in DEFAULT_SEARCH_RADII]
-    vals = [value(r) for r in radii]
-    trace = list(zip(radii, vals))
-    if vals[-1] > 10.0 * max(vals[0], 1e-300) and vals[-1] > vals[-2] > vals[-3]:
+def _closed_form_constant(q_eff: float, s_eff: float, label: str) -> NormResult:
+    """sup_a int (1-|z|^2)^q_eff (1-|sigma_a z|^2)^s_eff dA: pi/(q_eff+s_eff+1)
+    at a = 0 for s_eff >= 0, infinite for s_eff < 0 (module docstring)."""
+    if s_eff < 0.0:
         raise InfiniteConstantError(
-            f"{label} diverges along the radius scan "
-            f"(value {vals[-1]:.3e} at rho = {radii[-1]:.6f})"
-        )
-    i = int(np.argmax(vals))
-    lo = radii[i - 1] if i > 0 else 0.0
-    hi = radii[i + 1] if i + 1 < len(radii) else radii[-1]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = value(x1), value(x2)
-    while hi - lo > xtol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = value(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = value(x1)
-        trace.append((x1, f1))
-        trace.append((x2, f2))
-    best_rho, best_v = max(trace, key=_by_value)
-    (refined,) = base_problem.refined_integral_at(best_rho)
-    return _norm_result((best_rho, best_v, trace), abs(refined - best_v), 1.0,
-                        base_problem.grid_metadata())
+            f"{label} is infinite: s = {s_eff:g} < 0, so (1-|a|^2)^s grows "
+            "without bound as |a| -> 1")
+    value = math.pi / (q_eff + s_eff + 1.0)
+    return _norm_result((0.0, value, [(0.0, value)]), 0.0, 1.0,
+                        {"q_eff": q_eff, "s_eff": s_eff})
 
 
-def _unit_tabulator(z):
-    return (np.ones(z.shape),)
-
-
-def sigma_deriv_constant(p: float, alpha: float,
-                         radial: int = DEFAULT_RADIAL,
-                         angular: int = DEFAULT_ANGULAR) -> NormResult:
-    """sup_a int |sigma_a'(z)|^p (1-|z|^2)^alpha dA(z).
+def sigma_deriv_constant(p: float, alpha: float) -> NormResult:
+    """C(p, alpha) = sup_a int |sigma_a'(z)|^p (1-|z|^2)^alpha dA(z).
 
     Pulled back this is the engine integral with base 1 and exponents
-    (p-2, alpha+2-p); it is finite exactly when p <= alpha + 2.
+    (p-2, alpha+2-p), so C = pi/(alpha+1) for p <= alpha + 2 and it is
+    infinite for p > alpha + 2.
     """
     if alpha <= -1.0:
         raise InvalidParameterError("alpha must exceed -1")
     if p <= 0.0:
         raise InvalidParameterError("p must be positive")
-    pr = WeightedSupProblem(_unit_tabulator, *pullback_exponents(p, alpha),
-                            radial, angular)
-    return _constant_sup(pr, f"C({p:g};{alpha:g})")
+    return _closed_form_constant(*pullback_exponents(p, alpha),
+                                 f"C({p:g};{alpha:g})")
 
 
-def weight_overlap_constant(q: float, s: float,
-                            radial: int = DEFAULT_RADIAL,
-                            angular: int = DEFAULT_ANGULAR) -> NormResult:
-    """sup_a int (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z)."""
+def weight_overlap_constant(q: float, s: float) -> NormResult:
+    """C(q, s) = sup_a int (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z) = pi/(q+s+1),
+    attained at a = 0 (module docstring)."""
     Fpqs(1.0, q, s).validate()
-    pr = WeightedSupProblem(_unit_tabulator, q, s, radial, angular)
-    return _constant_sup(pr, f"C({q:g},{s:g})")
+    return _closed_form_constant(q, s, f"C({q:g},{s:g})")
 
 
-def morrey_constant(lam: float, **kw) -> NormResult:
+def morrey_constant(lam: float) -> NormResult:
     Morrey(lam).validate()
-    return weight_overlap_constant(1.0 - lam, lam, **kw)
+    return weight_overlap_constant(1.0 - lam, lam)
 
 
-def qs_constant(s: float, **kw) -> NormResult:
+def qs_constant(s: float) -> NormResult:
     Qs(s).validate()
-    return weight_overlap_constant(0.0, s, **kw)
+    return weight_overlap_constant(0.0, s)

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -62,6 +61,7 @@ from .spaces import (
     Mpqs,
     Morrey,
     BergmanMorrey,
+    NormResult,
     Qs,
     Qnpa,
     SupSearchSpec,
@@ -176,15 +176,15 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
 
 def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
                      K: float, Kprime: float, p: float, q_eff: float,
-                     s_eff: float, constant: Optional[Callable] = None,
+                     s_eff: float, constant: Optional[NormResult] = None,
                      search: Optional[SupSearchSpec] = None,
                      tol: float = DEFAULT_VERIFY_TOL,
                      radial: int = DEFAULT_RADIAL,
                      angular: int = DEFAULT_ANGULAR) -> VerificationReport:
     """The body of every conjugate check: norms of u and v in the engine
     problem (q_eff, s_eff) on the 1/p scale, compared as ||v|| <= K ||u|| for
-    a K-quasiregular map, or, given ``constant(radial=, angular=)`` (a
-    NormResult C), on the p-th power scale for a (K, K') map:
+    a K-quasiregular map, or, given the ``constant`` C (a NormResult), on the
+    p-th power scale for a (K, K') map:
 
     ||v||^p <= 2^max(p-1,0) (K^p ||u||^p + K'^(p/2) C).
     """
@@ -205,11 +205,11 @@ def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
     if constant is None:
         lhs, rhs = nv, K * nu
     else:
-        c_res = constant(radial=radial, angular=angular)
         lhs = nv ** p
         rhs = 2.0 ** max(p - 1.0, 0.0) * (K ** p * nu ** p
-                                          + Kprime ** (p / 2.0) * c_res.value)
-        extra.update(constant=c_res.value, constant_sup_rho=abs(c_res.sup_a))
+                                          + Kprime ** (p / 2.0) * constant.value)
+        extra.update(constant=constant.value,
+                     constant_sup_rho=abs(constant.sup_a))
     margin = rhs - lhs
     return VerificationReport(
         theorem_id=theorem_id, map_description=f.description,
@@ -248,7 +248,7 @@ def check_inhomogeneous_bound_qh(f: HarmonicMap, K: float, Kprime: float,
     _require_qh_range(p, alpha)
     return _conjugate_check("3.5", f, Qnpa(1, p, alpha).label(), K, Kprime, p,
                             *pullback_exponents(p, alpha),
-                            constant=partial(sigma_deriv_constant, p, alpha),
+                            constant=sigma_deriv_constant(p, alpha),
                             search=search, **kw)
 
 
@@ -261,8 +261,7 @@ def check_inhomogeneous_bound_fh(f: HarmonicMap, K: float, Kprime: float,
     params.validate()
     return _conjugate_check("3.6", f, params.label(), K, Kprime, params.p,
                             params.q, params.s,
-                            constant=partial(weight_overlap_constant, params.q,
-                                             params.s),
+                            constant=weight_overlap_constant(params.q, params.s),
                             search=search, **kw)
 
 
@@ -290,7 +289,7 @@ def verify_corollary(f: HarmonicMap, which: str, scale, K: float,
     if which in ("cor3.1", "cor3.2", "cor3.3"):
         Kprime, constant = 0.0, None
     else:
-        constant = partial(weight_overlap_constant, fp.q, fp.s)
+        constant = weight_overlap_constant(fp.q, fp.s)
     return _conjugate_check(which, f, scale.label(), K, Kprime, fp.p, fp.q,
                             fp.s, constant=constant, **kw)
 

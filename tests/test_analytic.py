@@ -247,3 +247,17 @@ def test_pole_evaluation_raises_pole_error(build):
 def test_nonfinite_coefficient_rejected():
     with pytest.raises(InvalidParameterError):
         poly([0.0, float("nan")])
+
+
+@pytest.mark.parametrize("f", [poly([1.0, 0.5]), generic(poly([1.0, 0.5]))],
+                         ids=["rational", "generic"])
+def test_reflected_operators_match_constant_forms(f):
+    # a number on the left goes through combine like constant(c) does
+    z = np.asarray([0.0, 0.3 - 0.2j, -0.7j, 0.9])
+    for c in (2.0, 1.5 - 0.5j):
+        for reflected, explicit in ((c + f, constant(c) + f),
+                                    (c - f, constant(c) - f),
+                                    (c * f, constant(c) * f),
+                                    (c / f, constant(c) / f)):
+            np.testing.assert_array_equal(reflected.jet(z, 2), explicit.jet(z, 2))
+    assert (1.0 / f)(0.5) == pytest.approx(1.0 / 1.25, rel=1e-15)

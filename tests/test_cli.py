@@ -164,10 +164,15 @@ def test_conjugate_record_round_trips_through_json(tmp_path, map_spec, on_cap):
     ["norm", "--map", "identity", "--scale", "F(2,0,1)",
      "--weight-form", "green"],
     ["verify", "--theorem", "4.1", "--map", "koebe", "--scale", "M(0.8,0,1)"],
-], ids=["engine", "composition", "green", "membership"])
+    ["constants", "--constant", "qs:s=1"],
+    ["sweep", "--theorem", "3.1", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
+    ["growth", "--map", "koebe"],
+], ids=["engine", "composition", "green", "membership", "constants", "sweep",
+        "growth"])
 def test_angular_off_ladder_exit_2(tmp_path, capsys, args, angular):
     # every a != 0 gets at least the first rung (256 angles), so a count off
-    # the ladder would only reach a = 0 while the record claimed it
+    # the ladder would only reach a = 0 while the record claimed it; the
+    # flag is checked once, for every subcommand
     assert main([*args, "--angular", angular,
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     err = capsys.readouterr().err
@@ -198,6 +203,40 @@ def test_constants_command(tmp_path):
     rec = read_jsonl(out)[0]
     assert rec["value"] == pytest.approx(math.pi / 2, rel=1e-8)
     assert rec["sup_rho"] <= 1e-3
+
+
+@pytest.mark.parametrize("args", [
+    ["constants", "--constant", "qs:s=1"],
+    ["sweep", "--theorem", "3.1", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
+    ["growth", "--map", "koebe"],
+], ids=["constants", "sweep", "growth"])
+def test_radial_below_two_exit_2(tmp_path, capsys, args):
+    assert main([*args, "--radial", "1", "--out", str(tmp_path / "x.out")]) == 2
+    assert capsys.readouterr().err == "error: --radial must be >= 2, got 1\n"
+
+
+def test_constants_record_is_the_closed_form_with_an_engine_check(tmp_path):
+    out = tmp_path / "c.jsonl"
+    assert main(["constants", "--constant", "morrey:lam=0.3",
+                 "--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    assert rec["value"] == math.pi / 2.0 and rec["sup_rho"] == 0.0
+    assert rec["trace"] == [[0.0, rec["value"]]]
+    check = rec["engine_check"]
+    assert check["rel_dev"] <= 1e-12
+    assert (check["q_eff"], check["s_eff"]) == (0.7, 0.3)
+    assert check["kernel_evaluations"]["direct"] == 1
+
+
+@pytest.mark.parametrize("spec", ["sigma-deriv:p=2.6;alpha=0.5",
+                                  "sigma-deriv:p=2.2;alpha=0"])
+def test_infinite_constant_exit_3(tmp_path, capsys, spec):
+    # p > alpha + 2, however slightly: the constant is infinite
+    out = tmp_path / "c.jsonl"
+    assert main(["constants", "--constant", spec, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("accuracy error: ") and err.count("\n") == 1
+    assert "infinite" in err and not out.exists()
 
 
 def test_constants_missing_parameter_exit_2(tmp_path, capsys):

@@ -13,6 +13,7 @@ from qrspaces.mobius import MobiusMap
 from qrspaces.quadrature import angular_count_for
 from qrspaces.spaces import (
     DEFAULT_SEARCH_RADII,
+    RADIUS_CAP,
     BergmanMorrey,
     BlochAlpha,
     Fpqs,
@@ -25,6 +26,7 @@ from qrspaces.spaces import (
     _by_value,
     _compass_max,
     _sup_search,
+    dyadic_radii,
     fh_pqs_norm,
     m_pqs_norm,
     morrey_constant,
@@ -217,6 +219,45 @@ def test_constants_rotation_invariance():
 def test_constant_divergence_detected():
     with pytest.raises(InfiniteConstantError):
         sigma_deriv_constant(3.5, 0.5)  # p > alpha + 2
+
+
+@pytest.mark.parametrize("p, alpha", [(2.6, 0.5), (2.2, 0.0)])
+def test_constant_infinite_for_small_negative_s(p, alpha):
+    # s_eff = alpha + 2 - p is -0.1 and -0.2: (1-|a|^2)^s grows without
+    # bound, however slowly, so the constant is infinite
+    with pytest.raises(InfiniteConstantError):
+        sigma_deriv_constant(p, alpha)
+
+
+def test_constants_are_the_closed_form_at_zero():
+    for (q, s), res in {(0.0, 1.0): qs_constant(1.0),
+                        (0.5, 0.5): morrey_constant(0.5),
+                        (-0.5, 0.5): sigma_deriv_constant(1.5, 0.0),
+                        (0.0, 0.0): sigma_deriv_constant(2.0, 0.0),
+                        (1.5, 0.5): weight_overlap_constant(1.5, 0.5)}.items():
+        assert res.value == res.raw_sup == math.pi / (q + s + 1.0)
+        assert res.sup_a == 0.0 and not res.sup_on_cap
+        assert res.trace == ((0.0, res.value),)
+        assert res.error_estimate == 1e-12 * res.value
+
+
+# the (q_eff, s_eff) of the benchmark pools' constants and 3.5/3.6 checks,
+# and five more from q = -1.9 to 1.5 and s = 0.2 to 5
+CONSTANT_PAIRS = [(0.0, 0.5), (0.0, 1.0), (0.5, 1.0), (0.7, 0.3), (0.5, 0.5),
+                  (0.3, 0.7), (-0.5, 0.5), (1.5, 0.5),
+                  (-1.9, 1.0), (1.0, 5.0), (-0.5, 2.0), (1.0, 0.2), (-1.5, 0.6)]
+
+
+@pytest.mark.parametrize("q, s", CONSTANT_PAIRS)
+def test_engine_never_exceeds_the_closed_form_constant(q, s):
+    # the closed form claims sup_a I(a) = I(0) = pi/(q+s+1); the engine,
+    # scanned along the radius up to the cap, must agree
+    closed = math.pi / (q + s + 1.0)
+    pr = WeightedSupProblem(lambda z: [np.ones(z.shape)], q, s)
+    radii = dyadic_radii(10) + tuple(np.linspace(0.0, RADIUS_CAP, 41))
+    worst = max(pr.integral_at(r)[0] for r in radii)
+    assert worst <= closed * (1.0 + 1e-12)
+    assert pr.integral_at(0.0)[0] == pytest.approx(closed, rel=1e-12)
 
 
 def test_weight_overlap_validation():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrspaces.verify
-from qrspaces.analytic import AnalyticFn, derivative, identity, koebe, poly
+from qrspaces.analytic import AnalyticFn, derivative, identity, koebe, poly, scale
 from qrspaces.errors import InvalidParameterError, NonQuasiregularError
 from qrspaces.families import (
     OrderModel,
@@ -120,6 +120,28 @@ def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
     assert evaluations["ring_turns"] == len(ring_points)
     assert evaluations["direct"] + evaluations["ring_turns"] == len(traced)
     assert evaluations["refined"] == 0
+
+
+# map builders of the conjugate-sweep families, by name and k
+SWAP_FAMILIES = {"koebe-shear": koebe_shear, "cayley-shear": cayley_shear,
+                 "affine:sign=-1": lambda k: affine_extremal(k, -1),
+                 "affine:sign=1": lambda k: affine_extremal(k, 1)}
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(family=st.sampled_from(sorted(SWAP_FAMILIES)),
+       k=st.floats(0.05, 0.8), p=st.floats(0.8, 2.5), q=st.floats(-0.5, 1.5),
+       s=st.floats(0.3, 2.0))
+def test_negating_g_swaps_the_conjugate_norms(family, k, p, q, s):
+    # h - g has F' and G' of h + g swapped, so the u and v records swap
+    # exactly: same lattice, same union of compass points, same kernel bits
+    f = SWAP_FAMILIES[family](k)
+    flipped = HarmonicMap(f.h, scale(f.g, -1.0), f.description + " (-g)")
+    K = (1.0 + k) / (1.0 - k) + 1e-6
+    a, b = (check_conjugate_bound_fh(m, K, Fpqs(p, q, s), FAST).extra
+            for m in (f, flipped))
+    assert (a["norm_u"], a["sup_a_u"]) == (b["norm_v"], b["sup_a_v"])
+    assert (a["norm_v"], a["sup_a_v"]) == (b["norm_u"], b["sup_a_u"])
 
 
 def test_fh_bound_affine_and_shear():
