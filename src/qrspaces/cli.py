@@ -20,6 +20,7 @@ import argparse
 import cmath
 import csv
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -548,7 +549,10 @@ COMMAND_DEFAULTS = {
 ENV_FIELDS = ("out", "radial", "angular", "tol", "seed", "threads")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once: it reads no environment, and parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qrspaces",
         description="Disk function-space norms and harmonic quasiregular checks",

@@ -48,8 +48,10 @@ class HarmonicMap:
 
     def __call__(self, z):
         zz = np.asarray(as_complex(z))
-        val = self.h.jet(zz, 0)[0] + np.conj(self.g.jet(zz, 0)[0])
-        return complex(val) if np.ndim(np.asarray(as_complex(z))) == 0 else val
+        val = self.h.jet(zz, 0)[0]
+        if self.g.constant_value != 0:  # an analytic f skips its g = 0
+            val = val + np.conj(self.g.jet(zz, 0)[0])
+        return complex(val) if np.ndim(zz) == 0 else val
 
     def fz(self, z):
         return self.h.derivative_at(z)

@@ -9,7 +9,14 @@ The radial factor (1-t)^alpha is exact in a Gauss-Jacobi(alpha, 0) rule, the
 angular integral uses the periodic trapezoid rule (exact for e^{ik theta},
 |k| < M).  Moving Mobius weights (1-|sigma_a z|^2)^s are reduced to the
 bounded ratio (1-|a|^2)^s / |1 - conj(a) z|^{2s} with the (1-t)^s part folded
-into the Jacobi exponent.
+into the Jacobi exponent.  ``mobius_factor`` computes that ratio on a polar
+grid z[i, j] = rho_i e^(i theta_j), theta_j = ``angular_nodes(count)[j]``
+(every caller's grid), as
+
+    ((1-r)(1+r) / ((1 - r rho_i)^2 + 4 r rho_i sin^2((theta_j - phi)/2)))^s
+
+for a = r e^(i phi): real arithmetic on a sum of nonnegative terms, so it
+stays accurate to a few ulps as |a| and rho approach 1.
 
 Near-boundary automorphism parameters make the angular factor oscillate on
 the scale 1-|a|; the module picks the angular node count from a fixed nested
@@ -186,18 +193,48 @@ def _check_mobius_params(q: float, s: float):
 
 def work_arrays(shape) -> tuple:
     """Scratch for one ``mobius_integrals`` call on a grid of ``shape``:
-    1 - conj(a) z, the Mobius factor, and a product."""
-    return np.empty(shape, complex), np.empty(shape), np.empty(shape)
+    the Mobius factor and a product."""
+    return np.empty(shape), np.empty(shape)
 
 
-def mobius_factor(a: complex, s: float, z, cbuf, mob):
-    """(1-|a|^2)^s / |1 - conj(a) z|^(2s), written into ``mob``; 1.0 if s = 0."""
+def mobius_factor(a: complex, s: float, z, mob):
+    """(1-|a|^2)^s / |1 - conj(a) z|^(2s), written into ``mob``; 1.0 if s = 0.
+
+    ``z`` is a polar grid, z[i, j] = rho_i e^(i theta_j) with theta_j =
+    ``angular_nodes(count)[j]``, so only its first column (rho_i, exact,
+    since theta_0 = 0) and its shape are read.  With a = r e^(i phi),
+
+        |1 - conj(a) z|^2 = (1 - r rho)^2 + 4 r rho sin^2((theta - phi)/2),
+
+    two nonnegative terms, and 1 - r rho = (1 - r) + r (1 - rho) holds no
+    cancellation either, so every node is accurate to a few ulps however
+    close r and rho come to 1 (the expanded 1 - 2 Re(conj(a) z) + r^2 rho^2
+    loses about 1e-9 relative at r = 1 - 2^-12).  The ratio is formed
+    first and raised to s in place: not at all at s = 1, and by NumPy's
+    scalar fast path, a square root, at s = 1/2.  For real a the factor is
+    even in theta, so on an even count only the columns 0..count/2 are
+    computed and the rest are their mirror images.
+    """
     if s == 0.0:
         return 1.0
-    diff = np.subtract(1.0, np.multiply(np.conj(a), z, out=cbuf), out=cbuf)
-    mob = np.abs(diff, out=mob)
-    mob **= -2.0 * s
-    mob *= (1.0 - abs(a) ** 2) ** s
+    a = complex(a)
+    rho = z[:, 0].real
+    count = z.shape[1]
+    r, phi = abs(a), math.atan2(a.imag, a.real)
+    cols = count // 2 + 1 if a.imag == 0.0 and count % 2 == 0 else count
+    left = mob[:, :cols]
+    sin2 = np.sin(0.5 * (angular_nodes(count)[:cols] - phi)) ** 2
+    near = (1.0 - r) + r * (1.0 - rho)
+    np.multiply((4.0 * r) * rho[:, None], sin2, out=left)
+    left += (near * near)[:, None]
+    np.divide((1.0 - r) * (1.0 + r), left, out=left)
+    if s != 1.0:
+        left **= s
+    if cols < count:
+        # a slice assignment would copy the reversed columns first (their
+        # memory bounds overlap the target's); a ufunc checks for a true
+        # overlap on large grids and copies nothing there
+        np.positive(mob[:, cols - 2:0:-1], out=mob[:, cols:])
     return mob
 
 
@@ -218,8 +255,8 @@ def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
     call writes into.  The Mobius factor is computed once; each base then
     gets its own contraction, since a stacked one would reorder the sums.
     """
-    cbuf, mob, prod = work
-    mob = mobius_factor(a, s, z, cbuf, mob)
+    mob, prod = work
+    mob = mobius_factor(a, s, z, mob)
     return tuple(_contract(w, np.multiply(b, mob, out=prod)) for b in bases)
 
 
@@ -276,8 +313,8 @@ def mobius_ring_integrals(r: float, s: float, z, bases, w, work,
     if count % turns:
         raise InvalidParameterError(
             f"{count} angular nodes do not split into {turns} turns")
-    cbuf, mob, prod = work
-    mob = mobius_factor(complex(r), s, z, cbuf, mob)
+    mob, prod = work
+    mob = mobius_factor(r, s, z, mob)
     per_base = [mobius_ring_contract(w, *mobius_ring_rows(b, mob, turns, prod),
                                      count)
                 for b in bases]

@@ -461,15 +461,16 @@ class WeightedSupProblem:
         }
 
     def _rung(self, count: int):
-        """The master grid and the bases at ``count`` angles as contiguous
-        copies, with work arrays for one per-a call.
+        """The master grid at ``count`` angles (a strided view: the Mobius
+        factor reads only its first column and shape), the bases there as
+        contiguous copies, and work arrays for one per-a call.
 
-        Strided reads (at 256 angles) and fresh temporaries (at 2048) each
-        cost about as much as the arithmetic of a call.
+        Strided reads of the bases (at 256 angles) and fresh temporaries (at
+        2048) each cost about as much as the arithmetic of a call.
         """
         if count not in self._rungs:
             stride = self.max_angular // count
-            z = np.ascontiguousarray(self._z[:, ::stride])
+            z = self._z[:, ::stride]
             bases = [np.ascontiguousarray(b[:, ::stride]) for b in self._bases]
             self._rungs[count] = (z, bases, work_arrays(z.shape))
         return self._rungs[count]

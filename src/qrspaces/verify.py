@@ -454,9 +454,9 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
         base = np.asarray(values_fn(z), dtype=np.float64) ** p
         for c in {counts[n] for n in ns}:
             rows[edges, c, None] = strided(base, top, c).mean(axis=1)
-        cbuf, mob, prod = work_arrays(z.shape)
+        mob, prod = work_arrays(z.shape)
         for r in sorted({r for n in ns for r in rings[n]}):
-            mob = mobius_factor(complex(r), s, z, cbuf, mob)
+            mob = mobius_factor(r, s, z, mob)
             for c in {counts[n] for n in ns if r in rings[n]}:
                 rows[edges, c, r] = mobius_ring_rows(
                     strided(base, top, c), strided(mob, top, c),

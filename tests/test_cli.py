@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrspaces.cli import COMMANDS, RunConfig, build_map, main, parse_scale
+from qrspaces.cli import (
+    COMMANDS,
+    RunConfig,
+    build_map,
+    build_parser,
+    main,
+    parse_scale,
+)
 from qrspaces.errors import (
     HypothesisViolationError,
     InvalidParameterError,
@@ -34,6 +41,15 @@ def test_parse_scale():
         parse_scale("Q(1,2)")
     with pytest.raises(InvalidParameterError):
         parse_scale("F(2,0,-1)")
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = build_parser()
+    assert build_parser() is parser
+    first = parser.parse_args(["norm", "--radial", "8"])
+    second = parser.parse_args(["norm"])
+    assert first.radial == 8
+    assert not hasattr(second, "radial")
 
 
 def test_build_map_families():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qrspaces.analytic import cayley_half, identity, koebe, poly
+from qrspaces.analytic import AnalyticFn, cayley_half, identity, koebe, poly
 from qrspaces.errors import (
     HypothesisViolationError,
     InvalidParameterError,
@@ -49,6 +49,27 @@ def test_wirtinger_basic_values():
     assert w.lambda_big == pytest.approx(2.0)
     assert w.lambda_small == pytest.approx(0.0)
     assert w.jacobian == pytest.approx(0.0)
+
+
+def test_zero_coanalytic_part_is_not_evaluated(rng):
+    # g = 0 (koebe as a harmonic map) is skipped, and |f| keeps its bits;
+    # a nonzero g (the shear) is still added
+    z = disk_samples(rng, 200)
+    calls = []
+
+    def zero_jet(w, order, min_order):
+        calls.append(order)
+        return np.zeros((order + 1,) + np.shape(w), complex)
+
+    f = HarmonicMap(koebe(), AnalyticFn(zero_jet, constant_value=0j))
+    calls.clear()
+    values = f(z)
+    assert calls == []
+    assert np.array_equal(np.abs(values),
+                          np.abs(koebe().jet(z, 0)[0] + np.conj(zero_jet(z, 0, 0)[0])))
+    assert np.array_equal(analytic_as_harmonic(koebe())(z), koebe().jet(z, 0)[0])
+    shear = HarmonicMap(koebe(), poly([0.0, 0.3]))
+    assert np.array_equal(shear(z), koebe().jet(z, 0)[0] + np.conj(0.3 * z))
 
 
 def test_g_normalization_enforced():

@@ -18,6 +18,7 @@ from qrspaces.quadrature import (
     disk_integral_green,
     disk_integral_mobius_weight,
     grid_points,
+    mobius_factor,
     mobius_integrals,
     mobius_ring_integrals,
     tensor_integral,
@@ -182,6 +183,82 @@ def test_mobius_integrals_matches_explicit_formula():
                 for b, value in zip(bases, got):
                     explicit = np.pi * np.sum(w[:, None] * b * mob) / len(theta)
                     assert value == pytest.approx(explicit, rel=1e-14)
+
+
+def _factor_grids(j):
+    # the truncation rule of R = 1 - 2^-j on the ladder's top count and the
+    # engine's Jacobi rule on its top rung
+    t, _ = truncated_radial_rule(1.0 - 2.0 ** -j)
+    yield np.sqrt(t), 8192
+    t, _ = _jacobi_01(128, 1.0)
+    yield np.sqrt(t), 2048
+
+
+@pytest.mark.parametrize("where", ["ring", "off-axis", "negative-axis"])
+@pytest.mark.parametrize("j", [6, 10, 12])
+def test_mobius_factor_matches_mpmath(j, where):
+    # |a| = 1 - 2^-j; the six rows nearest rho = 1 and the 17 columns around
+    # arg a, against mpmath at the float inputs: rho = z[:, 0].real and the
+    # node angle.  A column k > count/2 of a real a is the mirror image of
+    # column count - k, so it is judged at that column's angle (which equals
+    # 2 pi k/count mod 2 pi more closely than the rounded theta_k does).
+    # Off the positive axis the rounding of |a| and arg a alone moves the
+    # factor by about 1e-16/(1 - r rho); at a = r it enters exactly, and
+    # only the arithmetic's few ulps may remain
+    mpmath = pytest.importorskip("mpmath")
+    r = 1.0 - 2.0 ** -j
+    a = {"ring": r, "off-axis": r * complex(math.cos(2.0), math.sin(2.0)),
+         "negative-axis": -r}[where]
+    for rho, count in _factor_grids(j):
+        theta = angular_nodes(count)
+        z = rho[:, None] * np.exp(1j * theta)[None, :]
+        k0 = round(math.atan2(a.imag, a.real) / (2.0 * math.pi) * count)
+        cols = [(k0 + d) % count for d in range(-8, 9)]
+        rows = range(len(rho) - 6, len(rho))
+        for s in (0.5, 1.0, 2.0):
+            mob = mobius_factor(a, s, z, np.empty(z.shape))
+            naive = ((1.0 - abs(a) ** 2) / (1.0 - 2.0 * (np.conj(a) * z).real
+                                            + abs(a * rho[:, None]) ** 2)) ** s
+            worst = worst_naive = 0.0
+            with mpmath.workdps(40):
+                am = mpmath.mpc(complex(a))
+                for k in cols:
+                    node = count - k if a.imag == 0.0 and 2 * k > count else k
+                    for i in rows:
+                        zm = mpmath.mpf(rho[i]) * mpmath.expj(theta[node])
+                        exact = ((1 - abs(am) ** 2)
+                                 / abs(1 - mpmath.conj(am) * zm) ** 2) ** s
+                        worst = max(worst, float(abs(mob[i, k] / exact - 1)))
+                        worst_naive = max(worst_naive,
+                                          float(abs(naive[i, node] / exact - 1)))
+            assert worst <= (1e-14 if where == "ring" else 1e-12), (
+                count, s, worst)
+            if j >= 10:
+                # the expanded real form cancels near the boundary
+                assert worst_naive > 1e-12, (count, s, worst_naive)
+
+
+@pytest.mark.parametrize("count", [256, 2048])
+def test_mobius_factor_mirror_matches_unmirrored_formula(count):
+    # for real a >= 0 on an even count, the columns past count/2 are mirror
+    # copies; the unmirrored formula, on every column's angle reduced to
+    # (-pi, pi], agrees within 1e-15, and a shift of the mirror by one
+    # column would not
+    k = np.arange(count)
+    reduced = 2.0 * np.pi * np.where(2 * k <= count, k, k - count) / count
+    t, _ = truncated_radial_rule(1.0 - 2.0 ** -12)
+    rho = np.sqrt(t)
+    z = rho[:, None] * np.exp(1j * angular_nodes(count))[None, :]
+    mob = np.empty(z.shape)
+    for i in (1, 3, 6, 9, 12):
+        r = 1.0 - 2.0 ** -i
+        near = (1.0 - r) + r * (1.0 - rho)
+        den = (near ** 2)[:, None] + (4.0 * r * rho)[:, None] * np.sin(
+            0.5 * reduced) ** 2
+        for s in (0.5, 0.8, 1.0):
+            formula = ((1.0 - r) * (1.0 + r) / den) ** s
+            got = mobius_factor(r, s, z, mob)
+            np.testing.assert_allclose(got, formula, rtol=1e-15, atol=0.0)
 
 
 def test_mobius_ring_integrals_match_rotated_kernel():
