@@ -16,7 +16,14 @@ grid z[i, j] = rho_i e^(i theta_j), theta_j = ``angular_nodes(count)[j]``
     ((1-r)(1+r) / ((1 - r rho_i)^2 + 4 r rho_i sin^2((theta_j - phi)/2)))^s
 
 for a = r e^(i phi): real arithmetic on a sum of nonnegative terms, so it
-stays accurate to a few ulps as |a| and rho approach 1.
+stays accurate to a few ulps as |a| and rho approach 1.  Each base is then
+contracted with the factor row by row, as one BLAS dot per row over the
+angular count (``_row_means``), so no grid-sized product is formed; the
+direct kernel and the a = r turn of the ring kernel call that one helper on
+the same arrays, which keeps the two bit-identical.  A blocked dot has the
+forward-error bound of recursive summation, n u sum |b mob| (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), far inside
+the 1e-12 the values are held to.
 
 Near-boundary automorphism parameters make the angular factor oscillate on
 the scale 1-|a|; the module picks the angular node count from a fixed nested
@@ -112,7 +119,7 @@ def grid_points(grid: QuadratureGrid) -> np.ndarray:
 
 def tensor_integral(values: np.ndarray, grid: QuadratureGrid) -> float:
     """Contract tabulated integrand values against the tensor rule."""
-    return _contract(grid.radial_weights, values)
+    return _radial_contract(grid.radial_weights, values.mean(axis=1))
 
 
 def angular_count_for(rho: float, pole_exponent: float,
@@ -191,14 +198,16 @@ def _check_mobius_params(q: float, s: float):
         raise InvalidParameterError("q + s must exceed -1")
 
 
-def work_arrays(shape) -> tuple:
-    """Scratch for one ``mobius_integrals`` call on a grid of ``shape``:
-    the Mobius factor and a product."""
-    return np.empty(shape), np.empty(shape)
+def work_arrays(shape) -> np.ndarray:
+    """Scratch for one ``mobius_integrals`` call on a grid of ``shape``: the
+    Mobius factor.  The bases are contracted with it by row dots, so there
+    is no product array."""
+    return np.empty(shape)
 
 
 def mobius_factor(a: complex, s: float, z, mob):
-    """(1-|a|^2)^s / |1 - conj(a) z|^(2s), written into ``mob``; 1.0 if s = 0.
+    """(1-|a|^2)^s / |1 - conj(a) z|^(2s), written into ``mob``; the scalar
+    1.0 if s = 0 or a = 0, where the factor is identically 1.
 
     ``z`` is a polar grid, z[i, j] = rho_i e^(i theta_j) with theta_j =
     ``angular_nodes(count)[j]``, so only its first column (rho_i, exact,
@@ -215,9 +224,9 @@ def mobius_factor(a: complex, s: float, z, mob):
     even in theta, so on an even count only the columns 0..count/2 are
     computed and the rest are their mirror images.
     """
-    if s == 0.0:
-        return 1.0
     a = complex(a)
+    if s == 0.0 or a == 0.0:
+        return 1.0
     rho = z[:, 0].real
     count = z.shape[1]
     r, phi = abs(a), math.atan2(a.imag, a.real)
@@ -242,8 +251,14 @@ def _radial_contract(w, row_means) -> float:
     return float(0.5 * np.dot(w, row_means * (2.0 * np.pi)))
 
 
-def _contract(w, prod) -> float:
-    return _radial_contract(w, prod.mean(axis=1))
+def _row_means(b, mob) -> np.ndarray:
+    """The row means of b * mob, for a Mobius factor ``mob`` of b's shape:
+    one BLAS dot per row, divided by the count, so no product array is
+    made.  The scalar factor 1.0 (s = 0 or a = 0) takes b's plain row means.
+    """
+    if isinstance(mob, float):
+        return b.mean(axis=1)
+    return np.vecdot(b, mob) / b.shape[1]
 
 
 def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
@@ -252,27 +267,28 @@ def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
     ``z`` holds the nodes of a tensor rule (radial x angular), ``bases`` the
     tabulated bases on it, ``w`` the radial weights (with any (1-t)-power
     absorbed) and ``work`` the ``work_arrays`` of the grid's shape, which the
-    call writes into.  The Mobius factor is computed once; each base then
-    gets its own contraction, since a stacked one would reorder the sums.
+    call writes the factor into.  The Mobius factor is computed once; each
+    base then gets its own contraction, the row dots of ``_row_means`` and
+    the radial weights, since a stacked one would reorder the sums.  At
+    s = 0 and at a = 0 the factor is 1.0 and the bases' row means are used.
     """
-    mob, prod = work
-    mob = mobius_factor(a, s, z, mob)
-    return tuple(_contract(w, np.multiply(b, mob, out=prod)) for b in bases)
+    mob = mobius_factor(a, s, z, work)
+    return tuple(_radial_contract(w, _row_means(b, mob)) for b in bases)
 
 
-def mobius_ring_rows(b, mob, turns: int, prod=None) -> tuple:
+def mobius_ring_rows(b, mob, turns: int) -> tuple:
     """The row stage of ``mobius_ring_integrals`` for one base ``b`` and the
     Mobius factor ``mob`` at a = r, both (radial, count) and contiguous:
-    the row means of b * mob (turn k = 0) and the (radial, turns, turns)
+    the row means of b * mob (turn k = 0), by the same row dots
+    (``_row_means``) as ``mobius_integrals``, and the (radial, turns, turns)
     block products G.  Every row's partials depend on that row alone, so
     the rows of a rule may be computed in pieces and concatenated.
-    ``prod`` is scratch of b's shape (allocated when None).
     """
     radial, count = b.shape
     block = count // turns
     m3 = mob.reshape(radial, turns, block).transpose(0, 2, 1)
     blocks = np.matmul(b.reshape(radial, turns, block), m3)
-    return np.multiply(b, mob, out=prod).mean(axis=1), blocks
+    return _row_means(b, mob), blocks
 
 
 def mobius_ring_contract(w, row_means, blocks, count: int) -> list:
@@ -303,20 +319,20 @@ def mobius_ring_integrals(r: float, s: float, z, bases, w, work,
     of the k-th cyclic diagonal of G.  Both views share memory with their
     arrays, so no grid-sized temporary is made while turns^2 <= count (the
     product holds radial * turns^2 values).  k = 0 is contracted the
-    direct way and stays bit-identical to ``mobius_integrals(r)``; the other
+    direct way, by the row dots ``mobius_integrals(r)`` runs on the same
+    base and the same factor bits, and stays bit-identical to it; the other
     turns sum in another order and agree with the direct kernel to about
     1e-15 relative.  The work is two stages, ``mobius_ring_rows`` per base
     and ``mobius_ring_contract``, which the truncation ladder also runs on
-    rules assembled from shared panels.
+    rules assembled from shared panels.  r must be positive: at a = 0 the
+    factor is the scalar 1.0.
     """
     count = z.shape[1]
     if count % turns:
         raise InvalidParameterError(
             f"{count} angular nodes do not split into {turns} turns")
-    mob, prod = work
-    mob = mobius_factor(r, s, z, mob)
-    per_base = [mobius_ring_contract(w, *mobius_ring_rows(b, mob, turns, prod),
-                                     count)
+    mob = mobius_factor(r, s, z, work)
+    per_base = [mobius_ring_contract(w, *mobius_ring_rows(b, mob, turns), count)
                 for b in bases]
     return list(zip(*per_base))
 

@@ -463,10 +463,13 @@ class WeightedSupProblem:
     def _rung(self, count: int):
         """The master grid at ``count`` angles (a strided view: the Mobius
         factor reads only its first column and shape), the bases there as
-        contiguous copies, and work arrays for one per-a call.
+        contiguous copies, and the factor's work array for one per-a call.
+        Direct calls and the k = 0 turn of a ring contract these same
+        arrays by the same row dots, which keeps the two bit-identical.
 
         Strided reads of the bases (at 256 angles) and fresh temporaries (at
-        2048) each cost about as much as the arithmetic of a call.
+        2048) each cost about as much as the arithmetic of a call; the row
+        dots need no product array.
         """
         if count not in self._rungs:
             stride = self.max_angular // count

@@ -385,6 +385,11 @@ TRUNCATION_MAX_J = 53
 _TRUNC_MAX_ANGULAR = 8192
 # lattice angles per automorphism radius in the truncated sup
 _TRUNC_SEARCH_ANGLES = 8
+# the counters of a ladder's ``ladder_work``: points passed to the base,
+# nodes covered by Mobius factors, ring row stages run, and the strided
+# copies made for lower counts with the values they hold
+LADDER_WORK = ("base_points", "factor_nodes", "row_stages", "strided_copies",
+               "copied_values")
 
 
 def _pow2_at_least(x: float) -> int:
@@ -402,13 +407,16 @@ def _truncation_count(R: float, s: float, angular: int) -> int:
 
 def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
                          radii: Sequence[float],
-                         angular: int = DEFAULT_ANGULAR) -> list:
+                         angular: int = DEFAULT_ANGULAR,
+                         ladder_work: Optional[dict] = None) -> list:
     """sup over |a| <= R (coarse lattice) of the truncated weighted integral,
     for each R of ``radii`` (a ladder; one radius is a one-element ladder).
 
     Returns one (sup, grid) per radius, the grid holding its ``radial``
     nodes, ``angular`` nodes and the number of ``candidates`` a (a = 0 plus
-    ``_TRUNC_SEARCH_ANGLES`` per ring r = 1 - 2^-i <= R).
+    ``_TRUNC_SEARCH_ANGLES`` per ring r = 1 - 2^-i <= R).  ``ladder_work``,
+    if given, is a dict of the ``LADDER_WORK`` counters, which the pass
+    adds its work to, the way ``WeightedSupProblem.evaluations`` counts.
 
     The automorphism search radius grows with the truncation radius so that
     sup-driven divergence (integrals unbounded in a) stays visible.  The
@@ -419,8 +427,9 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     reference values of the default ladder stay put).  The count is a power
     of two of at least 256, so the lattice angles of a ring are column
     shifts of one Mobius factor, and the ring kernel gets all of them from
-    one batched matrix product: the a = r angle is bit-identical to the
-    direct kernel, the other angles agree with it to about 1e-15 relative.
+    one batched matrix product: the a = r angle is the direct kernel's row
+    dots on the same bits and so bit-identical to it, the other angles agree
+    with it to about 1e-15 relative.
 
     The radii share work.  Their rules are ``truncated_panels``, and a
     panel's nodes depend on its edges alone; their angular counts are
@@ -428,13 +437,17 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     C.  So each distinct panel is tabulated once, at the largest count a
     radius uses it at, and the Mobius factor of each ring once per panel at
     that count; lower counts take contiguous copies of strided columns,
-    which hold the same bits.  The row stage of the ring kernel
-    (``mobius_ring_rows``) runs once per panel, ring and count, and a = 0,
-    whose factor is exactly 1.0, takes the base's row means.  Each radius
-    then concatenates its panels' row partials and contracts them with its
-    own weights, so every value is the one a radius computed alone would
-    give.  Only panel-sized arrays and row partials are held.
+    which hold the same bits, one of the base per count and one of the
+    factor per ring and count.  The row stage of the ring kernel
+    (``mobius_ring_rows``: one row dot per row for a = r, and the block
+    products) runs once per panel, ring and count, and a = 0, whose factor
+    is exactly 1.0, takes the base's row means, as the direct kernel does.
+    Each radius then concatenates its panels' row partials and contracts
+    them with its own weights, so every value is the one a radius computed
+    alone would give.  Only panel-sized arrays and row partials are held.
     """
+    if ladder_work is None:
+        ladder_work = dict.fromkeys(LADDER_WORK, 0)
     counts = [_truncation_count(R, s, angular) for R in radii]
     rings = [[r for r in dyadic_radii(int(-math.log2(1.0 - R) + 0.5))[1:]
               if r <= R] for R in radii]
@@ -445,22 +458,29 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
             users.setdefault(edges, (t, []))[1].append(n)
 
     def strided(x, top, c):
-        return x if c == top else np.ascontiguousarray(x[:, ::top // c])
+        if c == top:
+            return x
+        ladder_work["strided_copies"] += 1
+        ladder_work["copied_values"] += x.shape[0] * c
+        return np.ascontiguousarray(x[:, ::top // c])
 
     rows = {}  # (panel edges, count, ring r or None for a = 0) -> partials
     for edges, (t, ns) in users.items():
         top = max(counts[n] for n in ns)
         z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(top))[None, :]
+        ladder_work["base_points"] += z.size
         base = np.asarray(values_fn(z), dtype=np.float64) ** p
-        for c in {counts[n] for n in ns}:
-            rows[edges, c, None] = strided(base, top, c).mean(axis=1)
-        mob, prod = work_arrays(z.shape)
+        bases = {c: strided(base, top, c) for c in {counts[n] for n in ns}}
+        for c, b in bases.items():
+            rows[edges, c, None] = b.mean(axis=1)
+        mob = work_arrays(z.shape)
         for r in sorted({r for n in ns for r in rings[n]}):
+            ladder_work["factor_nodes"] += z.size
             mob = mobius_factor(r, s, z, mob)
             for c in {counts[n] for n in ns if r in rings[n]}:
+                ladder_work["row_stages"] += 1
                 rows[edges, c, r] = mobius_ring_rows(
-                    strided(base, top, c), strided(mob, top, c),
-                    _TRUNC_SEARCH_ANGLES, prod if c == top else None)
+                    bases[c], strided(mob, top, c), _TRUNC_SEARCH_ANGLES)
 
     results = []
     for R, c, ring, rule in zip(radii, counts, rings, rules):
@@ -491,8 +511,9 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
     The truncated norm N(R) is computed at R = 1 - 2^-j for at least two
     strictly increasing j in 1..``TRUNCATION_MAX_J`` (checked before any
     radius runs; a repeated or falling j would compare a radius with itself
-    or backwards), in one ``_truncated_sup_norms`` pass, and each
-    ``truncation_trace`` entry records the grid that radius used.
+    or backwards), in one ``_truncated_sup_norms`` pass; each
+    ``truncation_trace`` entry records the grid that radius used, and
+    ``ladder_work`` the pass's ``LADDER_WORK`` counters.
     "Finite" means the final successive relative change (lhs) is at most
     ``stabilization_tol`` (rhs) up to the relative ``tol`` of every check,
     margin >= -tol * rhs; otherwise a divergence exponent is fitted.
@@ -548,8 +569,10 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
             )
 
     radii = [1.0 - 2.0 ** -j for j in truncation_js]
+    ladder_work = dict.fromkeys(LADDER_WORK, 0)
     raws, grids = zip(*_truncated_sup_norms(values_fn, scale.p, scale.q,
-                                            scale.s, radii, angular=angular))
+                                            scale.s, radii, angular=angular,
+                                            ladder_work=ladder_work))
     norms = [at0 + raw ** (1.0 / scale.p) for raw in raws]
     changes = [abs(b - a) / max(abs(b), 1e-300)
                for a, b in zip(norms, norms[1:])]
@@ -560,6 +583,7 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
         {"R": r, "norm": n, **g} for r, n, g in zip(radii, norms, grids)
     ]
     extra["final_relative_change"] = lhs
+    extra["ladder_work"] = ladder_work
     if not stabilized and len(raws) >= 3:
         x = np.asarray([-math.log1p(-r * r) for r in radii])
         y = np.log(np.maximum(raws, 1e-300))

@@ -19,9 +19,11 @@ fields that differ, and exits 1 if any item differs.
 move values in their last bits: each outcome goes through
 ``bench/worker.parse_outcome`` and ``bench/gate.check_item`` against
 ``bench/reference.json``.  It prints every item that fails with its
-problems, and the worst relative deviation of every item that moved, and
-exits 1 if any item fails.  Reads ``bench/`` and writes nothing there;
-pytest does not collect this file.
+problems, and the worst relative deviation of every item that moved, then
+one summary line per workload: its items, its fails, and its worst
+deviation with the item that has it, so the headroom left under the gate's
+tolerance shows.  It exits 1 if any item fails.  Reads ``bench/`` and
+writes nothing there; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -64,20 +66,28 @@ def digest_item(index: int, argv):
 
 
 def gate_report(runs) -> int:
-    """Print failing and moved items of (entry, outcome) runs; 1 if any fails."""
+    """Print failing and moved items of (entry, outcome) runs and a summary
+    per workload; 1 if any fails."""
     reference = gate.load_reference()
-    failed = moved = 0
+    judged = {}  # argv -> (failed, worst relative deviation)
     for entry, outcome in runs:
         problems, worst = gate.check_item(entry["argv"], outcome, reference)
         item = json.dumps(entry["argv"])
         if problems:
-            failed += 1
             print(f"FAIL {item}: " + "; ".join(problems))
         elif worst > 0.0:
-            moved += 1
             print(f"moved {worst:.2e} {item}")
+        judged[tuple(entry["argv"])] = (bool(problems), worst)
+    failed = sum(fail for fail, _ in judged.values())
+    moved = sum(worst > 0.0 for fail, worst in judged.values() if not fail)
     print(f"{len(runs)} items: {failed} fail, {moved} moved within "
           f"{gate.REL_TOL:g}, {len(runs) - failed - moved} identical")
+    for name, strata in pools.WORKLOADS.items():
+        items = {tuple(argv) for stratum in strata for argv in stratum}
+        fails = sum(judged[argv][0] for argv in items)
+        worst, argv = max((judged[argv][1], argv) for argv in items)
+        print(f"{name}: {len(items)} items, {fails} fail, worst {worst:.2e} "
+              f"of {gate.REL_TOL:g} at {json.dumps(list(argv))}")
     return 1 if failed else 0
 
 

@@ -41,6 +41,7 @@ from qrspaces.spaces import (
 )
 from qrspaces.verify import (
     DEFAULT_TRUNCATION_JS,
+    LADDER_WORK,
     MEMBERSHIP_TARGETS,
     _conjugate_norm_pair,
     _membership_values,
@@ -406,9 +407,11 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
     monkeypatch.setattr("qrspaces.verify.mobius_factor", counted_factor)
     counts = (256, 512, 1024, 2048, 2048, 2048, 2048, 4096, 8192, 8192)
     radii = [1.0 - 2.0 ** -j for j in DEFAULT_TRUNCATION_JS]
+    ladder_work = dict.fromkeys(LADDER_WORK, 0)
     tracemalloc.start()
     try:
-        ladder = _truncated_sup_norms(counted_values, 0.8, 0.0, 1.0, radii)
+        ladder = _truncated_sup_norms(counted_values, 0.8, 0.0, 1.0, radii,
+                                      ladder_work=ladder_work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -418,6 +421,28 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
     assert sum(nodes) == 24 * (11 * 12 * 8192 + sum(
         j * c for j, c in zip(DEFAULT_TRUNCATION_JS, counts))) == 33_122_304
     assert peak < 150_000_000  # one radius at a time held 180 MB
+    # the pass counts the same work itself, plus one row stage per (panel,
+    # ring, count) and one strided copy of the base per (panel, lower count)
+    # and of the factor per (panel, ring, lower count)
+    assert ladder_work == {"base_points": sum(points),
+                           "factor_nodes": sum(nodes), "row_stages": 407,
+                           "strided_copies": 226,
+                           "copied_values": 14_487_552}
+
+
+def test_membership_record_carries_ladder_work():
+    # the record's counters are those of the one ladder pass behind it
+    f = koebe_shear(0.0)
+    scale = Mpqs(0.8, 0.0, 1.0)
+    rec = verify_membership(f, OrderModel(K=1.0), scale,
+                            truncation_js=(3, 4, 5)).to_record()
+    values, _ = _membership_values(f, scale, "f")
+    ladder_work = dict.fromkeys(LADDER_WORK, 0)
+    _truncated_sup_norms(values, 0.8, 0.0, 1.0,
+                         [1.0 - 2.0 ** -j for j in (3, 4, 5)],
+                         ladder_work=ladder_work)
+    assert rec["ladder_work"] == ladder_work
+    assert ladder_work["base_points"] > 0 and ladder_work["row_stages"] > 0
 
 
 @pytest.mark.parametrize("js", [(3,), (), (3, 54), (5, 5), (5, 4, 3)])
