@@ -24,8 +24,10 @@ value (on the generic path, no radial quadrature at all) when only
 derivative entries are consumed, which is what the norm integrands do on
 large node sets.
 
-Composition with a Mobius automorphism uses Faa di Bruno via partial Bell
-polynomials; orders above ``MAX_COMPOSE_ORDER`` are rejected.
+Composition with a Mobius automorphism uses Faa di Bruno: the partial Bell
+polynomials of sigma_a's derivatives are scalars times powers of
+1/(1 - conj(a) z), so a composed jet is one Horner sum in that quotient;
+orders above ``MAX_COMPOSE_ORDER`` are rejected.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import AccuracyError, InvalidParameterError, PoleError
-from .mobius import MobiusMap, as_complex, sigma, sigma_derivatives
+from .mobius import MobiusMap, as_complex
 
 MAX_COMPOSE_ORDER = 6
 
@@ -764,56 +766,71 @@ def derivative(f: AnalyticFn) -> AnalyticFn:
     return AnalyticFn(evaluator, max_order=f.max_order - 1, description=label)
 
 
-def _bell_rows(xs, order):
-    """Partial Bell polynomials B_{n,k}(x1..x_{n-k+1}) for n <= order.
+def _bell_factors(a: complex, order: int) -> list:
+    """The scalars b[n][k] with B_{n,k}(sigma_a', sigma_a'', ...) =
+    b[n][k] (1 - conj(a) z)^-(n+k), for 1 <= k <= n <= order.
 
-    ``xs[i]`` holds x_{i+1} as an array; returns nested list B[n][k].
+    sigma_a^(j) = c_j (1 - conj(a) z)^-(j+1), c_j = -(1-|a|^2) j! conj(a)^(j-1),
+    and every monomial of B_{n,k} is a product of k of them whose orders sum
+    to n, so its power of 1/(1 - conj(a) z) is n + k and b[n][k] is B_{n,k}
+    of the scalars c_j, by the usual recursion
+    B_{n,k} = sum_i C(n-1, i-1) c_i B_{n-i,k-1}.
     """
-    B = [[None] * (order + 1) for _ in range(order + 1)]
-    B[0][0] = 1.0
+    abar = complex(a).conjugate()
+    pref = -(1.0 - abs(a) ** 2)
+    c = [0.0] + [pref * math.factorial(j) * abar ** (j - 1)
+                 for j in range(1, order + 1)]
+    b = [[0.0] * (order + 1) for _ in range(order + 1)]
+    b[0][0] = 1.0
     for nn in range(1, order + 1):
         for k in range(1, nn + 1):
-            acc = 0.0
-            for i in range(1, nn - k + 2):
-                prev = B[nn - i][k - 1]
-                if prev is None:
-                    continue
-                acc = acc + _binom(nn - 1, i - 1) * xs[i - 1] * prev
-            B[nn][k] = acc
-    return B
+            b[nn][k] = sum(_binom(nn - 1, i - 1) * c[i] * b[nn - i][k - 1]
+                           for i in range(1, nn - k + 2))
+    return b
 
 
 def compose_mobius(f: AnalyticFn, m: MobiusMap) -> AnalyticFn:
-    """f composed with sigma_a, jets by Faa di Bruno.
+    """f composed with sigma_a, jets by Faa di Bruno in closed form.
 
-    Order 1 is exactly the chain rule f'(sigma_a(z)) * sigma_a'(z); higher
-    orders (up to ``MAX_COMPOSE_ORDER``) use the Bell-polynomial recursion
-    with the closed-form derivatives of sigma_a.
+    With D = 1 - conj(a) z every partial Bell polynomial of the derivatives
+    of sigma_a is a scalar times a power of 1/D (``_bell_factors``, computed
+    once per map), so
+
+        (f o sigma_a)^(n)(z) = D^-(n+1) sum_k b[n][k] f^(k)(w) D^-(k-1),
+
+    summed by Horner in 1/D, with w = sigma_a(z) = (a - z)/D.  D is formed
+    once per call and w takes the same division as ``mobius.sigma``, so it
+    is bit-identical to it (multiplying by 1/D instead moves w by an ulp,
+    which near a pole of f, where 1 - w cancels, moved koebe's near-cap
+    Q(2,1,1) integral by 1.9e-11).  Orders above ``MAX_COMPOSE_ORDER`` are
+    rejected.
     """
+    a = m.param
+    abar = np.conj(a)
+    max_order = min(f.max_order, MAX_COMPOSE_ORDER)
+    bell = _bell_factors(a, max_order)
 
     def evaluator(z, order, min_order):
-        w = sigma(m, z)
+        D = 1.0 - abar * z
+        w = (a - z) / D
         out = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
-        if order == 0:
-            out[0] = f.jet(w, 0)[0]
-            return out
         fj = f.jet(w, order, min_order=min(1, min_order))
         if min_order == 0:
             out[0] = fj[0]
-        sig = sigma_derivatives(m, z, order)
-        if order == 1:
-            out[1] = fj[1] * sig[0]
+        if order == 0:
             return out
-        B = _bell_rows(sig, order)
+        u = 1.0 / D
         for nn in range(max(1, min_order), order + 1):
-            acc = np.zeros(z.shape, dtype=np.complex128)
-            for k in range(1, nn + 1):
-                acc += fj[k] * B[nn][k]
+            acc = bell[nn][nn] * fj[nn]
+            for k in range(nn - 1, 0, -1):
+                acc *= u
+                acc += bell[nn][k] * fj[k]
+            for _ in range(nn + 1):
+                acc *= u
             out[nn] = acc
         return out
 
-    return AnalyticFn(evaluator,
-                      max_order=min(f.max_order, MAX_COMPOSE_ORDER),
+    return AnalyticFn(evaluator, max_order=max_order,
                       description=f"{f.description} o sigma_{m.param:g}")
 
 

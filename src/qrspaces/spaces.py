@@ -19,8 +19,8 @@ a bounded rational factor and makes the sup search cheap: base values are
 tabulated once on a master grid whose angular resolution nests the ladder
 used near the boundary.
 
-Composition-based evaluation (Faa di Bruno) remains as the path for jet
-orders n >= 2, where no pullback of this form exists.
+Composition-based evaluation (Faa di Bruno, ``composed_integral``) remains
+as the path for jet orders n >= 2, where no pullback of this form exists.
 
 Every sup over a in the disk (engine, composition, Green, Bloch, and the u/v
 pairs of the conjugate checks) runs through ``_sup_search``: one lattice, one
@@ -71,15 +71,15 @@ from .quadrature import (
     DEFAULT_ANGULAR,
     DEFAULT_RADIAL,
     _jacobi_01,
+    _radial_contract,
     angular_count_for,
     angular_nodes,
     build_grid,
     check_angular,
     disk_integral_green,
-    grid_points,
     mobius_integrals,
     mobius_ring_integrals,
-    tensor_integral,
+    polar_row_means,
     work_arrays,
 )
 
@@ -599,25 +599,64 @@ def _q_norm(f, parts, params: Qnpa, search, radial, angular) -> NormResult:
     return _q_norm_composed(parts, params, search, radial, angular, f0, warnings)
 
 
+def composed_rule(radial: int, alpha: float, count: int) -> tuple:
+    """(rho, w, eig) of the Jacobi(alpha) x ``count``-angle trapezoid rule:
+    the node radii, the radial weights and the unit-circle nodes."""
+    grid = build_grid(radial, alpha, count)
+    return (np.sqrt(grid.radial_nodes), grid.radial_weights,
+            np.exp(1j * angular_nodes(count)))
+
+
+def composed_integral(parts, n: int, p: float, a: complex, rule) -> float:
+    """int (sum over ``parts`` of |(part o sigma_a)^(n)|)^p (1-t)^alpha dA on
+    a ``composed_rule``: one ``compose_mobius`` per part, whose jets run on
+    the row blocks of ``quadrature.polar_row_means``."""
+    rho, w, eig = rule
+    m = MobiusMap(a)
+    composed = [compose_mobius(part, m) for part in parts]
+
+    def integrand(z):
+        total = np.abs(composed[0].jet(z, n, n)[n])
+        for c in composed[1:]:
+            total += np.abs(c.jet(z, n, n)[n])
+        return total ** p
+
+    return _radial_contract(w, polar_row_means(integrand, rho, eig))
+
+
 def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings):
-    """Composition path for jet orders n >= 2."""
+    """Composition path for jet orders n >= 2.
+
+    Each per-a integral is a ``composed_integral`` at the angular count
+    that the aliasing bound of the pole order p(n+1)/2 picks for |a|; the
+    rule of each (radial, count) is built once.  The error is node doubling
+    at the argmax: twice the radial nodes and twice the count it used.
+    ``kernel_evaluations`` counts the per-a integrals: ``direct`` (one per
+    distinct a of the search) and ``refined``.
+    """
     check_angular(angular)
     n, p = params.n, params.p
     pole = 0.5 * p * (n + 1)
+    rules = {}
+    evaluations = {"direct": 0, "refined": 0}
 
-    def integral_at(a, nr=radial, na=angular):
-        m = MobiusMap(a)
-        count = angular_count_for(abs(complex(a)), pole, na)
-        grid = build_grid(nr, params.alpha, count)
-        z = grid_points(grid)
-        total = np.zeros(z.shape)
-        for part in parts:
-            total += np.abs(compose_mobius(part, m).jet(z, n, n)[n])
-        return (tensor_integral(total ** p, grid),)
+    def count_for(a):
+        return angular_count_for(abs(complex(a)), pole, angular)
+
+    def integral(a, nr, count):
+        if (nr, count) not in rules:
+            rules[nr, count] = composed_rule(nr, params.alpha, count)
+        return composed_integral(parts, n, p, a, rules[nr, count])
+
+    def integral_at(a):
+        evaluations["direct"] += 1
+        return (integral(a, radial, count_for(a)),)
 
     (best,) = _sup_search(integral_at, search)
-    (refined,) = integral_at(best[0], nr=2 * radial, na=2 * angular)
-    grid = {"grid_radial": radial, "grid_angular": angular, "jet_order": n}
+    evaluations["refined"] += 1
+    refined = integral(best[0], 2 * radial, 2 * count_for(best[0]))
+    grid = {"grid_radial": radial, "grid_angular": angular, "jet_order": n,
+            "kernel_evaluations": evaluations}
     return _norm_result(best, abs(refined - best[1]), p, grid, f0, warnings)
 
 
@@ -643,16 +682,20 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
 
     # the cap-refinement error of each per-a integral, kept for the argmax
     errors = {}
+    evaluations = {"direct": 0, "cap_refinements": 0}
 
     def integral_at(a):
         res = disk_integral_green(lambda z: tabulate(z)[0], params.q,
                                   params.s, MobiusMap(a),
                                   radial=radial, angular=angular, tol=1e-7)
+        evaluations["direct"] += 1
+        evaluations["cap_refinements"] += res.refinements_used
         errors[a] = res.abs_error_estimate
         return (res.value,)
 
     (best,) = _sup_search(integral_at, search)
-    grid = {"grid_radial": radial, "grid_angular": angular, "weight": "green"}
+    grid = {"grid_radial": radial, "grid_angular": angular, "weight": "green",
+            "kernel_evaluations": evaluations}
     return _norm_result(best, errors[best[0]], params.p, grid)
 
 

@@ -1,9 +1,12 @@
+import cmath
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from qrspaces.analytic import (
+    MAX_COMPOSE_ORDER,
     RationalLog,
     antiderivative,
     cayley_half,
@@ -19,7 +22,9 @@ from qrspaces.analytic import (
     shift,
 )
 from qrspaces.errors import AccuracyError, InvalidParameterError, PoleError
-from qrspaces.mobius import MobiusMap
+from qrspaces.families import cayley_shear
+from qrspaces.mobius import MobiusMap, sigma, sigma_derivatives
+from qrspaces.quadrature import _jacobi_01, angular_nodes
 
 from conftest import disk_samples, generic
 
@@ -150,6 +155,48 @@ def test_compose_mobius_higher_order_vs_fd(rng):
     np.testing.assert_allclose(j[2], d2, rtol=1e-5, atol=1e-5)
     d3 = (comp.jet(z + h, 2)[2] - comp.jet(z - h, 2)[2]) / (2 * h)
     np.testing.assert_allclose(j[3], d3, rtol=1e-5, atol=1e-5)
+
+
+def _compose_by_array_bell_rows(f, m, z, order):
+    """(f o sigma_a)^(n), n = 1..order, by the former route: the array
+    derivatives of sigma_a and array-valued partial Bell polynomials."""
+    xs = sigma_derivatives(m, z, order)
+    fj = f.jet(sigma(m, z), order, min_order=1)
+    B = [[None] * (order + 1) for _ in range(order + 1)]
+    B[0][0] = 1.0
+    for nn in range(1, order + 1):
+        for k in range(1, nn + 1):
+            acc = 0.0
+            for i in range(1, nn - k + 2):
+                if B[nn - i][k - 1] is not None:
+                    acc = acc + math.comb(nn - 1, i - 1) * xs[i - 1] * B[nn - i][k - 1]
+            B[nn][k] = acc
+    return [sum(fj[k] * B[nn][k] for k in range(1, nn + 1))
+            for nn in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("a", [0.3, 0.9j, (1.0 - 2.0 ** -10) * cmath.exp(2j)])
+@pytest.mark.parametrize("name", ["koebe", "cayley-shear-h"])
+def test_compose_mobius_bell_factors_match_array_bell_rows(rng, name, a):
+    # the closed-form Bell factors b[n][k] D^-(n+k), summed by Horner in 1/D,
+    # against the array Bell rows of sigma_a's derivatives, orders 1..6
+    f = koebe() if name == "koebe" else cayley_shear(0.3).h
+    m = MobiusMap(a)
+    z = disk_samples(rng, 40, r_max=0.9)
+    jets = compose_mobius(f, m).jet(z, MAX_COMPOSE_ORDER, min_order=1)
+    old = _compose_by_array_bell_rows(f, m, z, MAX_COMPOSE_ORDER)
+    for nn in range(1, MAX_COMPOSE_ORDER + 1):
+        np.testing.assert_allclose(jets[nn], old[nn - 1], rtol=1e-13, atol=0)
+
+
+def test_compose_mobius_point_is_the_sigma_division():
+    # w = (a - z)/D bit for bit, as mobius.sigma forms it: w = (a - z)(1/D)
+    # moves koebe's near-cap Q(2,1,1) integral here by 1.9e-11, through 1 - w
+    m = MobiusMap(0.996875 + 0.003125j)
+    rho = np.sqrt(_jacobi_01(128, 1.0)[0])
+    z = rho[:, None] * np.exp(1j * angular_nodes(2048))[None, :]
+    w = compose_mobius(identity(), m).jet(z, 0)[0]
+    assert np.array_equal(w, sigma(m, z))
 
 
 def test_compose_order_cap():

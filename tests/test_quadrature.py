@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
+from qrspaces import quadrature
+from qrspaces.analytic import koebe
 from qrspaces.errors import InvalidParameterError
 from qrspaces.mobius import MobiusMap
 from qrspaces.quadrature import (
@@ -26,7 +28,7 @@ from qrspaces.quadrature import (
     truncated_radial_rule,
     work_arrays,
 )
-from qrspaces.spaces import RADIUS_CAP
+from qrspaces.spaces import RADIUS_CAP, Qnpa, composed_integral, composed_rule
 from qrspaces.verify import _truncated_sup_norms
 
 
@@ -400,3 +402,53 @@ def test_tensor_integral_shape():
     z = grid_points(g)
     assert z.shape == (16, 32)
     assert tensor_integral(np.ones(z.shape), g) == pytest.approx(math.pi, rel=1e-13)
+
+
+KOEBE_Q211 = Qnpa(2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("count", [256, 2048])
+def test_row_blocks_leave_no_trace_in_composition(monkeypatch, count):
+    # 131 radial nodes: neither 16 rows (a block at 256 angles) nor 2 (at
+    # 2048) divides them; one block of the whole grid is the unblocked
+    # evaluation, and every per-a value must match it bit for bit
+    rule = composed_rule(131, KOEBE_Q211.alpha, count)
+    points = (0.0, 0.6 - 0.3j, 0.99 + 0.01j)
+
+    def values():
+        return [composed_integral([koebe()], 2, 1.0, a, rule) for a in points]
+
+    blocked = values()
+    monkeypatch.setattr(quadrature, "ROW_BLOCK_POINTS", 131 * count)
+    assert blocked == values()
+
+
+@pytest.mark.parametrize("count", [256, 2048])
+def test_row_blocks_leave_no_trace_in_green(monkeypatch, count):
+    base = lambda z: np.abs(1.0 / (1.0 - 0.9 * z)) ** 2
+    m = MobiusMap(0.7 - 0.5j)
+
+    def value():
+        res = disk_integral_green(base, 0.0, 1.0, m, radial=131, angular=count)
+        return res.value, res.abs_error_estimate, res.refinements_used
+
+    blocked = value()
+    monkeypatch.setattr(quadrature, "ROW_BLOCK_POINTS", 10 ** 9)
+    assert blocked == value()
+
+
+def test_composition_makes_no_grid_sized_temporary():
+    # koebe's Q(2,1,1) integral at a near-cap a on 128 x 2048 nodes: the jets
+    # run on row blocks, so the peak (1.1 MB measured) stays below one real
+    # grid-sized array (2.1 MB; a complex one is 4.2 MB, and the unblocked
+    # jets made three (3, 128, 2048) complex arrays)
+    rule = composed_rule(128, 1.0, 2048)
+    call = lambda: composed_integral([koebe()], 2, 1.0, 0.99 + 0.05j, rule)
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2048 * 8
