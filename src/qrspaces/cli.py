@@ -641,13 +641,20 @@ def _read_config_file(path: str, defaults: dict) -> dict:
     return file_cfg
 
 
+# The most radial nodes a run may ask for.  The engine's node-doubling grid
+# has twice the radial nodes and up to 4096 angles, so at 2048 radial nodes
+# its complex nodes alone take 256 MB; without a cap --radial 1000000 would
+# ask for a 32 GB master grid before any check runs.
+MAX_RADIAL = 2048
+
+
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
     growth order means: estimate / use the default); threads is >= 1; the
-    grid has at least 2 radial nodes and an angular count on the ladder.  The
-    search depth is at most RADIUS_CAP_J, since deeper radii would be clipped
-    to the cap, and the truncation depth at most TRUNCATION_MAX_J, since
-    deeper radii 1 - 2^-j round to 1."""
+    grid has 2..MAX_RADIAL radial nodes and an angular count on the
+    ladder.  The search depth is at most RADIUS_CAP_J, since deeper radii
+    would be clipped to the cap, and the truncation depth at most
+    TRUNCATION_MAX_J, since deeper radii 1 - 2^-j round to 1."""
     for name in ("K", "Kprime", "alpha_K", "tol"):
         value = getattr(cfg, name)
         if not math.isfinite(value) or value < 0:
@@ -658,6 +665,9 @@ def _check_run_numbers(cfg: RunConfig):
         raise InvalidParameterError(f"--threads must be >= 1, got {cfg.threads}")
     if cfg.radial < 2:
         raise InvalidParameterError(f"--radial must be >= 2, got {cfg.radial}")
+    if cfg.radial > MAX_RADIAL:
+        raise InvalidParameterError(
+            f"--radial must be at most {MAX_RADIAL}, got {cfg.radial}")
     if cfg.angular not in ANGULAR_LADDER:
         raise InvalidParameterError(
             f"--angular must be one of {ANGULAR_LADDER}, got {cfg.angular}")

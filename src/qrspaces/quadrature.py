@@ -29,10 +29,16 @@ Near-boundary automorphism parameters make the angular factor oscillate on
 the scale 1-|a|; the module picks the angular node count from a fixed nested
 ladder so those integrals stay resolved without repricing interior ones.
 
-Integrands that are evaluated per a rather than tabulated once (the Green
-weight here, the composition path of ``spaces``) go through
-``polar_row_means``, which walks the polar grid in row blocks of
-``ROW_BLOCK_POINTS`` points and keeps only each row's mean.
+Every integrand on a polar grid z[i, j] = rho_i e^(i theta_j) is evaluated
+by one walker, ``_row_blocks``, which hands out the grid in blocks of
+max(1, ``ROW_BLOCK_POINTS`` // count) rows.  ``polar_tabulate`` writes each block's base values
+straight into preallocated (rows, count) arrays: the bases of the sup
+engine's master and node-doubling grids, of the truncation ladder's panels
+and of the Mobius-weight integral.  ``polar_row_means`` keeps only each
+row's mean, for integrands evaluated per a rather than tabulated once (the
+Green weight and ``disk_integral_alpha`` here, the composition path of
+``spaces``).  Every value is pointwise, so the results do not depend on the
+blocking, and no grid-sized temporary is made.
 """
 
 from __future__ import annotations
@@ -115,20 +121,8 @@ def angular_nodes(count: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(count) / count
 
 
-def grid_points(grid: QuadratureGrid) -> np.ndarray:
-    """Complex nodes of shape (radial, angular)."""
-    r = np.sqrt(grid.radial_nodes)
-    theta = angular_nodes(grid.angular_count)
-    return np.outer(r, np.exp(1j * theta))
-
-
-def tensor_integral(values: np.ndarray, grid: QuadratureGrid) -> float:
-    """Contract tabulated integrand values against the tensor rule."""
-    return _radial_contract(grid.radial_weights, values.mean(axis=1))
-
-
-# Points per row block of ``polar_row_means``: 4096 complex values are
-# 64 KiB, so a block's temporaries stay in L2 and below both NumPy's 256 KiB
+# Points per row block of ``_row_blocks``: 4096 complex values are 64 KiB,
+# so a block's temporaries stay in L2 and below both NumPy's 256 KiB
 # temporary-elision size and glibc's default 128 KiB mmap threshold.  On a
 # 2-vCPU Xeon the koebe Q(2,1,1) norm (51 per-a integrals) took 0.52-0.57 s
 # at 4096 points, in a fresh process and after large allocations alike;
@@ -138,22 +132,47 @@ def tensor_integral(values: np.ndarray, grid: QuadratureGrid) -> float:
 ROW_BLOCK_POINTS = 4096
 
 
+def _row_blocks(rho, eig):
+    """(rows, z) for each row block of the polar grid z[i, j] = rho[i] *
+    eig[j]: ``rows`` is the slice of the block's rows, ``z`` its points,
+    formed by that product, as every grid of the package is.  Each block
+    holds max(1, ROW_BLOCK_POINTS // count) rows, read at call time."""
+    step = max(1, ROW_BLOCK_POINTS // eig.size)
+    for lo in range(0, rho.size, step):
+        yield slice(lo, lo + step), rho[lo:lo + step, None] * eig[None, :]
+
+
+def polar_tabulate(tabulate, rho, eig) -> list:
+    """The real bases of ``tabulate(z)``, a sequence of arrays of z's shape,
+    on the polar grid z[i, j] = rho[i] * eig[j]: one (rows, count) float64
+    array per base, preallocated and filled a row block at a time.
+
+    A base value depends on its point alone, so the arrays hold the bits a
+    call on the whole grid would give, and an exception a block raises
+    leaves with its type.
+    """
+    bases = None
+    for rows, z in _row_blocks(rho, eig):
+        values = tabulate(z)
+        if any(np.shape(b) != z.shape for b in values):
+            raise InvalidParameterError("tabulate must return values on the grid")
+        if bases is None:
+            bases = [np.empty((rho.size, eig.size)) for _ in values]
+        for base, b in zip(bases, values):
+            base[rows] = b
+    return bases
+
+
 def polar_row_means(integrand, rho, eig) -> np.ndarray:
     """Row means of the real values ``integrand(z)`` on the polar grid
-    z[i, j] = rho[i] * eig[j], computed a block of rows at a time.
-
-    Each block holds max(1, ROW_BLOCK_POINTS // count) rows; its points are
-    formed by the same product as ``grid_points`` and each row's mean is
-    taken over that row alone, so the means do not depend on the blocking
-    and no grid-sized temporary is made.  Contract them with
+    z[i, j] = rho[i] * eig[j], computed a row block at a time
+    (``_row_blocks``).  Each row's mean is taken over that row alone, so
+    the means do not depend on the blocking.  Contract them with
     ``_radial_contract`` (or any radial rule on rho^2).
     """
-    rows = max(1, ROW_BLOCK_POINTS // eig.size)
     means = np.empty(rho.size)
-    for lo in range(0, rho.size, rows):
-        z = rho[lo:lo + rows, None] * eig[None, :]
-        means[lo:lo + rows] = np.asarray(integrand(z),
-                                         dtype=np.float64).mean(axis=1)
+    for rows, z in _row_blocks(rho, eig):
+        means[rows] = np.asarray(integrand(z), dtype=np.float64).mean(axis=1)
     return means
 
 
@@ -218,8 +237,9 @@ def disk_integral_alpha(integrand, alpha: float,
 
     def evaluate(nr, na):
         grid = build_grid(nr, alpha, na)
-        vals = np.asarray(integrand(grid_points(grid)), dtype=np.float64)
-        return tensor_integral(vals, grid)
+        return _radial_contract(grid.radial_weights, polar_row_means(
+            integrand, np.sqrt(grid.radial_nodes),
+            np.exp(1j * angular_nodes(na))))
 
     return _refine_loop(evaluate, radial, angular, tol, refine_cap)
 
@@ -380,7 +400,8 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
     """int_D integrand(z) (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z).
 
     The rule absorbs (1-t)^(q+s) radially; the remaining bounded factor is
-    (1-|a|^2)^s / |1 - conj(a) z|^{2s}, integrated by ``mobius_integrals``.
+    (1-|a|^2)^s / |1 - conj(a) z|^{2s}, integrated by ``mobius_integrals``
+    against the base ``polar_tabulate`` fills.
     """
     _check_mobius_params(q, s)
     a = m.param
@@ -388,9 +409,10 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
 
     def evaluate(nr, na):
         grid = build_grid(nr, q + s, na)
-        z = grid_points(grid)
-        base = np.asarray(integrand(z), dtype=np.float64)
-        (value,) = mobius_integrals(a, s, z, [base], grid.radial_weights,
+        rho, eig = np.sqrt(grid.radial_nodes), np.exp(1j * angular_nodes(na))
+        z = rho[:, None] * eig[None, :]
+        bases = polar_tabulate(lambda z: (integrand(z),), rho, eig)
+        (value,) = mobius_integrals(a, s, z, bases, grid.radial_weights,
                                     work_arrays(z.shape))
         return value
 

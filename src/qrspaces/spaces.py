@@ -17,7 +17,10 @@ through z = sigma_a(w) (the automorphism derivative |sigma_a'| equals
 standard Mobius weight).  This keeps the moving part of every per-a integral
 a bounded rational factor and makes the sup search cheap: base values are
 tabulated once on a master grid whose angular resolution nests the ladder
-used near the boundary.
+used near the boundary.  The tabulation walks that grid in row blocks of
+``quadrature.ROW_BLOCK_POINTS`` points and writes each block's values
+straight into the base arrays (``quadrature.polar_tabulate``), as does the
+node-doubling grid of the error estimate.
 
 Composition-based evaluation (Faa di Bruno, ``composed_integral``) remains
 as the path for jet orders n >= 2, where no pullback of this form exists.
@@ -80,6 +83,7 @@ from .quadrature import (
     mobius_integrals,
     mobius_ring_integrals,
     polar_row_means,
+    polar_tabulate,
     work_arrays,
 )
 
@@ -411,12 +415,18 @@ class WeightedSupProblem:
     (radial x max_angular) master grid; per-a integrals run on the rung of the
     nested angular ladder that the aliasing bound picks, so near-boundary
     parameters get the resolution they need without repricing the interior
-    ones.  Each rung keeps a contiguous copy of every ``max_angular //
-    count``-th master column; ``base_angular`` must be a rung, since every
-    a != 0 gets at least the first one.  ``evaluations`` counts the per-a
-    evaluations by route: ``direct`` (``integral_at``), ``ring_factor`` and
-    ``ring_turns`` (Mobius factors and the lattice points they served) and
-    ``refined`` (``refined_integral_at``).
+    ones.  The tabulator is called on row blocks of the grid
+    (``quadrature.polar_tabulate``), and each block's values go straight
+    into the (radial, max_angular) base arrays, so its temporaries stay
+    block-sized; a base value depends on its point alone, so the bases do
+    not depend on the blocking.  Each rung keeps a contiguous copy of every
+    ``max_angular // count``-th master column; ``base_angular`` must be a
+    rung, since every a != 0 gets at least the first one.  ``evaluations``
+    counts the per-a evaluations by route: ``direct`` (``integral_at``),
+    ``ring_factor`` and ``ring_turns`` (Mobius factors and the lattice
+    points they served) and ``refined`` (``refined_integral_at``), and
+    ``tabulated_points`` the points the tabulator was given, the master
+    grid's and every node-doubling grid's.
     """
 
     def __init__(self, tabulate: Callable, q_eff: float, s_eff: float,
@@ -435,20 +445,22 @@ class WeightedSupProblem:
         self.radial = int(radial)
         self.base_angular = int(base_angular)
         self._tabulator = tabulate
-        self._t, self._w = _jacobi_01(self.radial, self.q_eff + self.s_eff)
-        theta = angular_nodes(self.max_angular)
-        self._z = np.sqrt(self._t)[:, None] * np.exp(1j * theta)[None, :]
-        self._bases = self._tabulate(self._z)
+        self.tabulated_points = 0
+        self._z, self._w, self._bases = self._tabulate(self.radial,
+                                                       self.max_angular)
         self._const_value = None
         self._rungs = {}
         self.evaluations = dict.fromkeys(
             ("direct", "ring_factor", "ring_turns", "refined"), 0)
 
-    def _tabulate(self, z) -> list:
-        bases = [np.asarray(b, dtype=np.float64) for b in self._tabulator(z)]
-        if any(b.shape != z.shape for b in bases):
-            raise InvalidParameterError("tabulate must return values on the grid")
-        return bases
+    def _tabulate(self, radial: int, count: int) -> tuple:
+        """The nodes z of the problem's (radial, count) rule, its radial
+        weights, and the bases on z, filled a row block at a time."""
+        t, w = _jacobi_01(radial, self.q_eff + self.s_eff)
+        rho, eig = np.sqrt(t), np.exp(1j * angular_nodes(count))
+        z = rho[:, None] * eig[None, :]
+        self.tabulated_points += z.size
+        return z, w, polar_tabulate(self._tabulator, rho, eig)
 
     def grid_metadata(self) -> dict:
         return {
@@ -458,6 +470,7 @@ class WeightedSupProblem:
             "q_eff": self.q_eff,
             "s_eff": self.s_eff,
             "kernel_evaluations": dict(self.evaluations),
+            "tabulated_points": self.tabulated_points,
         }
 
     def _rung(self, count: int):
@@ -518,11 +531,9 @@ class WeightedSupProblem:
         """One-off evaluation with doubled node counts (error estimation)."""
         a = complex(a)
         self.evaluations["refined"] += 1
-        t, w = _jacobi_01(2 * self.radial, self.q_eff + self.s_eff)
-        count = 2 * self._count_for(abs(a))
-        theta = angular_nodes(count)
-        z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-        return mobius_integrals(a, self.s_eff, z, self._tabulate(z), w,
+        z, w, bases = self._tabulate(2 * self.radial,
+                                     2 * self._count_for(abs(a)))
+        return mobius_integrals(a, self.s_eff, z, bases, w,
                                 work_arrays(z.shape))
 
 

@@ -53,6 +53,7 @@ from .quadrature import (
     mobius_factor,
     mobius_ring_contract,
     mobius_ring_rows,
+    polar_tabulate,
     truncated_panels,
     work_arrays,
 )
@@ -197,11 +198,12 @@ def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
     )
     au, av = complex(au), complex(av)
     # both norms, their argmaxes as [re, im], whether each sat on the radius
-    # cap, and the kernel count
+    # cap, and the kernel and tabulation counts
     extra = {"norm_u": nu, "norm_v": nv,
              "sup_a_u": [au.real, au.imag], "sup_a_v": [av.real, av.imag],
              "sup_on_cap_u": on_cap(au), "sup_on_cap_v": on_cap(av),
-             "kernel_evaluations": grid["kernel_evaluations"]}
+             "kernel_evaluations": grid["kernel_evaluations"],
+             "tabulated_points": grid["tabulated_points"]}
     if constant is None:
         lhs, rhs = nv, K * nu
     else:
@@ -435,8 +437,10 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     panel's nodes depend on its edges alone; their angular counts are
     powers of two, and the nodes at count c are every (C/c)-th of those at
     C.  So each distinct panel is tabulated once, at the largest count a
-    radius uses it at, and the Mobius factor of each ring once per panel at
-    that count; lower counts take contiguous copies of strided columns,
+    radius uses it at, a row block at a time straight into the panel's base
+    array (``quadrature.polar_tabulate``, the engine's tabulation), and the
+    Mobius factor of each ring once per panel at that count; lower counts
+    take contiguous copies of strided columns,
     which hold the same bits, one of the base per count and one of the
     factor per ring and count.  The row stage of the ring kernel
     (``mobius_ring_rows``: one row dot per row for a = r, and the block
@@ -448,6 +452,7 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     """
     if ladder_work is None:
         ladder_work = dict.fromkeys(LADDER_WORK, 0)
+    tabulate = _pow_tabulator(values_fn, p)
     counts = [_truncation_count(R, s, angular) for R in radii]
     rings = [[r for r in dyadic_radii(int(-math.log2(1.0 - R) + 0.5))[1:]
               if r <= R] for R in radii]
@@ -467,9 +472,10 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     rows = {}  # (panel edges, count, ring r or None for a = 0) -> partials
     for edges, (t, ns) in users.items():
         top = max(counts[n] for n in ns)
-        z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(top))[None, :]
+        rho, eig = np.sqrt(t), np.exp(1j * angular_nodes(top))
+        z = rho[:, None] * eig[None, :]
         ladder_work["base_points"] += z.size
-        base = np.asarray(values_fn(z), dtype=np.float64) ** p
+        (base,) = polar_tabulate(tabulate, rho, eig)
         bases = {c: strided(base, top, c) for c in {counts[n] for n in ns}}
         for c, b in bases.items():
             rows[edges, c, None] = b.mean(axis=1)

@@ -3,13 +3,17 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qrspaces import cli
+from qrspaces.analytic import power_series
 from qrspaces.cli import (
     COMMANDS,
+    MAX_RADIAL,
     RunConfig,
     build_map,
     build_parser,
@@ -22,6 +26,7 @@ from qrspaces.errors import (
     PoleError,
     SingularityError,
 )
+from qrspaces.harmonic import analytic_as_harmonic
 from qrspaces.spaces import Fpqs, Morrey, Qnpa
 
 
@@ -229,6 +234,45 @@ def test_constants_command(tmp_path):
 def test_radial_below_two_exit_2(tmp_path, capsys, args):
     assert main([*args, "--radial", "1", "--out", str(tmp_path / "x.out")]) == 2
     assert capsys.readouterr().err == "error: --radial must be >= 2, got 1\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["norm", "--map", "identity", "--scale", "Q(1,2,0)"],
+    ["verify", "--theorem", "3.1", "--map", "identity", "--scale",
+     "Q(1,1.5,0)", "--K", "1"],
+    ["constants", "--constant", "qs:s=1"],
+], ids=["norm", "verify", "constants"])
+@pytest.mark.parametrize("radial", [MAX_RADIAL + 1, 10 ** 6])
+def test_radial_above_the_cap_exit_2_before_any_grid(tmp_path, capsys, args,
+                                                      radial):
+    # a 2049 x 2048 complex master grid alone would take 67 MB, and
+    # 10^6 radial nodes 32 GB; the check runs first, so no grid is built
+    tracemalloc.start()
+    try:
+        code = main([*args, "--radial", str(radial),
+                     "--out", str(tmp_path / "x.out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --radial must be at most {MAX_RADIAL}, got {radial}\n")
+    assert peak < 1_000_000
+    assert not (tmp_path / "x.out").exists()
+
+
+def test_base_error_on_one_row_block_keeps_its_exit_code(tmp_path, monkeypatch,
+                                                         capsys):
+    # a power series of radius of convergence 1/2 raises AccuracyError on
+    # the first row block that reaches |z| > 1/2; it leaves the tabulation
+    # with its type and exits 3
+    series = power_series([2.0 ** m for m in range(40)], 39)
+    monkeypatch.setattr(cli, "build_map",
+                        lambda spec: analytic_as_harmonic(series))
+    assert main(["norm", "--map", "series", "--scale", "Q(1,2,0)",
+                 "--out", str(tmp_path / "x.jsonl")]) == 3
+    assert capsys.readouterr().err.startswith(
+        "accuracy error: power series tail is not decreasing")
 
 
 def test_constants_record_is_the_closed_form_with_an_engine_check(tmp_path):

@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
-from qrspaces import quadrature
+from qrspaces import quadrature, spaces, verify
 from qrspaces.analytic import koebe
 from qrspaces.errors import InvalidParameterError
+from qrspaces.families import koebe_shear
+from qrspaces.harmonic import wirtinger
 from qrspaces.mobius import MobiusMap
 from qrspaces.quadrature import (
     _jacobi_01,
+    _radial_contract,
     _row_means,
     angular_count_for,
     angular_nodes,
@@ -20,16 +23,23 @@ from qrspaces.quadrature import (
     disk_integral_alpha,
     disk_integral_green,
     disk_integral_mobius_weight,
-    grid_points,
     mobius_factor,
     mobius_integrals,
     mobius_ring_integrals,
-    tensor_integral,
+    polar_row_means,
+    polar_tabulate,
     truncated_radial_rule,
     work_arrays,
 )
-from qrspaces.spaces import RADIUS_CAP, Qnpa, composed_integral, composed_rule
-from qrspaces.verify import _truncated_sup_norms
+from qrspaces.spaces import (
+    RADIUS_CAP,
+    Mpqs,
+    Qnpa,
+    WeightedSupProblem,
+    composed_integral,
+    composed_rule,
+)
+from qrspaces.verify import _membership_values, _truncated_sup_norms
 
 
 def mobius_area_series(rho):
@@ -131,6 +141,20 @@ def test_green_higher_power_oracle():
     s = 2.0
     res = disk_integral_green(lambda z: np.ones(z.shape), 0.0, s, MobiusMap(0.0))
     assert res.value == pytest.approx(math.pi * math.gamma(s + 1) / 2 ** s, rel=1e-10)
+
+
+@pytest.mark.parametrize("angular", [256, 1024])
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.3 + 0.4j])
+def test_green_integral_oracle(a, angular):
+    # int_D g(z,a) dA(z) = (pi/2)(1-|a|^2): pulled back through
+    # w = sigma_a(z) it is (1-|a|^2)^2 int -log|w| |1 - conj(a) w|^-4 dA(w);
+    # the angular mean of |1 - conj(a) w|^-4 is sum (k+1)^2 |a|^2k |w|^2k,
+    # and 2 pi int_0^1 -log(r) r^(2k+1) dr = 2 pi/(2k+2)^2, so the series
+    # sums to (pi/2) (1-|a|^2)^2 / (1-|a|^2)
+    res = disk_integral_green(lambda z: np.ones(z.shape), 0.0, 1.0,
+                              MobiusMap(a), angular=angular)
+    assert res.value == pytest.approx(0.5 * math.pi * (1.0 - abs(a) ** 2),
+                                      rel=1e-13)
 
 
 def test_green_vs_mobius_cross_validation():
@@ -397,11 +421,19 @@ def test_mobius_ring_integrals_reject_uneven_turns():
                               work_arrays(z.shape), 8)
 
 
-def test_tensor_integral_shape():
+def test_row_blocks_cover_the_grid(monkeypatch):
+    # 3 rows a block on a 16 x 32 grid: the blocks tile the rows in order,
+    # and the row means of 1 contract to the disk's area
+    monkeypatch.setattr(quadrature, "ROW_BLOCK_POINTS", 3 * 32)
     g = build_grid(16, 0.0, 32)
-    z = grid_points(g)
-    assert z.shape == (16, 32)
-    assert tensor_integral(np.ones(z.shape), g) == pytest.approx(math.pi, rel=1e-13)
+    rho, eig = np.sqrt(g.radial_nodes), np.exp(1j * angular_nodes(32))
+    blocks = list(quadrature._row_blocks(rho, eig))
+    assert [z.shape for _, z in blocks] == [(3, 32)] * 5 + [(1, 32)]
+    assert np.array_equal(np.concatenate([z for _, z in blocks]),
+                          rho[:, None] * eig[None, :])
+    means = polar_row_means(lambda z: np.ones(z.shape), rho, eig)
+    assert _radial_contract(g.radial_weights, means) == pytest.approx(
+        math.pi, rel=1e-13)
 
 
 KOEBE_Q211 = Qnpa(2, 1.0, 1.0)
@@ -435,6 +467,58 @@ def test_row_blocks_leave_no_trace_in_green(monkeypatch, count):
     blocked = value()
     monkeypatch.setattr(quadrature, "ROW_BLOCK_POINTS", 10 ** 9)
     assert blocked == value()
+
+
+KOEBE_SHEAR = koebe_shear(0.5)
+
+
+def _conjugate_tabulator(z):
+    return [m ** 1.5 for m in wirtinger(KOEBE_SHEAR, z).conjugate_moduli]
+
+
+def _master_grid():
+    pr = WeightedSupProblem(_conjugate_tabulator, 0.0, 1.0, radial=131)
+    return pr.integral_at(0.6 - 0.3j)
+
+
+def _refined_grid():
+    pr = WeightedSupProblem(_conjugate_tabulator, 0.0, 1.0, radial=131)
+    return pr.refined_integral_at(0.9 + 0.05j)
+
+
+def _ladder_panel():
+    # j = 3: three 24-node panels at 256 angles, 16 rows a block
+    values_fn, _ = _membership_values(KOEBE_SHEAR, Mpqs(0.8, 0.0, 1.0), "f")
+    return _truncated_sup_norms(values_fn, 0.8, 0.0, 1.0, [1.0 - 2.0 ** -3])
+
+
+@pytest.mark.parametrize("path", [_master_grid, _refined_grid, _ladder_panel],
+                         ids=["master", "refined", "ladder-panel"])
+def test_row_blocks_leave_no_trace_in_tabulation(monkeypatch, path):
+    # 131 radial nodes leave a short last block: 2 rows a block at 2048
+    # angles, 4 on the refined 262 x 1024 grid; the ladder's 24-row panels
+    # take 16 + 8 at 256 angles.  One block of the whole grid is the
+    # unblocked tabulation, and every base bit and every value must match it
+    tabulated = []
+
+    def spy(tabulate, rho, eig):
+        calls = []
+        bases = polar_tabulate(lambda z: calls.append(z.size) or tabulate(z),
+                               rho, eig)
+        tabulated.append((len(calls), [b.tobytes() for b in bases]))
+        return bases
+
+    monkeypatch.setattr(spaces, "polar_tabulate", spy)
+    monkeypatch.setattr(verify, "polar_tabulate", spy)
+    blocked = path()
+    blocked_bases, tabulated[:] = tabulated[:], []
+    monkeypatch.setattr(quadrature, "ROW_BLOCK_POINTS", 10 ** 9)
+    whole = path()
+    assert len(blocked_bases) == len(tabulated) >= 1
+    assert all(blocks > 1 for blocks, _ in blocked_bases)
+    assert all(blocks == 1 for blocks, _ in tabulated)
+    assert [b for _, b in blocked_bases] == [b for _, b in tabulated]
+    assert blocked == whole
 
 
 def test_composition_makes_no_grid_sized_temporary():

@@ -1,5 +1,6 @@
 import collections
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,12 @@ from scipy.special import hyp2f1
 from qrspaces.analytic import compose_mobius, constant, identity, koebe, poly
 from qrspaces.errors import InfiniteConstantError, InvalidParameterError
 from qrspaces.families import affine_extremal, cayley_shear
-from qrspaces.harmonic import HarmonicMap, analytic_as_harmonic, conjugate_parts
+from qrspaces.harmonic import (
+    HarmonicMap,
+    analytic_as_harmonic,
+    conjugate_parts,
+    wirtinger,
+)
 from qrspaces.mobius import MobiusMap
 from qrspaces.quadrature import angular_count_for
 from qrspaces.spaces import (
@@ -321,6 +327,45 @@ def _cayley_shear_pair():
     return WeightedSupProblem(
         lambda z: [np.abs(part.jet(turn * z, 1, 1)[1]) ** 2.0 for part in parts],
         0.0, 1.0)
+
+
+def test_conjugate_pair_tabulation_makes_no_grid_sized_temporary():
+    # the tabulator runs on row blocks and writes straight into the two
+    # bases, so building the problem holds the bases (2 x 2.1 MB), the
+    # complex master grid (4.2 MB) and block-sized temporaries only; the
+    # whole-grid tabulation held several (2, 128, 2048) complex jets
+    f = cayley_shear(0.5)
+
+    def build():
+        return WeightedSupProblem(
+            lambda z: [m ** 1.5 for m in wirtinger(f, z).conjugate_moduli],
+            0.0, 1.0, radial=128)
+
+    build()
+    tracemalloc.start()
+    try:
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 128 * 2048 * 8 + 128 * 2048 * 16 + 1_000_000
+
+
+def test_tabulator_must_return_values_on_the_grid():
+    # checked on every row block, before a value is written
+    with pytest.raises(InvalidParameterError, match="values on the grid"):
+        WeightedSupProblem(lambda z: (np.ones(z.shape[1]),), 0.0, 1.0,
+                           radial=8)
+
+
+def test_tabulated_points_count_the_master_and_refined_grids():
+    # the master grid, then one node-doubling grid at the argmax: twice the
+    # radial nodes and twice the angles its integral used
+    f = poly([0.0, 1.0, 0.3j, 0.1])
+    res = q_npa_norm(f, Qnpa(1, 1.5, 0.0), SMALL_SEARCH, radial=32)
+    count = angular_count_for(abs(res.sup_a), res.grid["s_eff"])
+    assert res.grid["tabulated_points"] == 32 * 2048 + 64 * 2 * count
+    assert res.grid["kernel_evaluations"]["refined"] == 1
 
 
 def test_ring_integrals_match_rotated_kernel():
