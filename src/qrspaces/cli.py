@@ -151,15 +151,20 @@ def _parse_values(text: str):
     return vals[0] if len(vals) == 1 else vals
 
 
-def _parse_params(text: str) -> dict:
+def _parse_params(text: str, keys: tuple, owner: str) -> dict:
+    """The ``key=values;...`` parameters of ``owner``, which takes ``keys``."""
     out = {}
     if not text:
         return out
     for item in text.split(";"):
         if "=" not in item:
-            raise InvalidParameterError(f"malformed map parameter {item!r}")
+            raise InvalidParameterError(f"malformed parameter {item!r} of {owner}")
         key, val = item.split("=", 1)
-        out[key.strip()] = _parse_values(val)
+        key = key.strip()
+        if key not in keys:
+            takes = f"takes only {', '.join(keys)}" if keys else "takes no parameters"
+            raise InvalidParameterError(f"{owner} {takes}, got {key!r}")
+        out[key] = _parse_values(val)
     return out
 
 
@@ -174,6 +179,30 @@ def _real(params, key, default=None):
     return complex(val).real
 
 
+def _coeffs(params, key, default):
+    val = params.get(key, default)
+    return val if isinstance(val, list) else [val]
+
+
+# map family -> (the parameter keys it takes, its builder from those parameters)
+MAP_FAMILIES = {
+    "identity": ((), lambda p: analytic_as_harmonic(identity())),
+    "koebe": ((), lambda p: analytic_as_harmonic(koebe())),
+    "cayley": ((), lambda p: analytic_as_harmonic(cayley_half())),
+    "poly": (("coeffs",), lambda p: analytic_as_harmonic(
+        poly(_coeffs(p, "coeffs", [0.0, 1.0])))),
+    "hpoly": (("h", "g"), lambda p: HarmonicMap(
+        poly(_coeffs(p, "h", [0.0, 1.0])), poly(_coeffs(p, "g", [0.0])))),
+    "affine": (("k", "sign"), lambda p: affine_extremal(
+        _real(p, "k"), _real(p, "sign", -1.0))),
+    "fold": ((), lambda p: kkprime_example()),
+    "koebe-shear": (("k",), lambda p: koebe_shear(_real(p, "k"))),
+    "cayley-shear": (("k",), lambda p: cayley_shear(_real(p, "k"))),
+    "koebe-dilatation": (("k",), lambda p: from_dilatation(
+        derivative(koebe()), poly([0.0, _real(p, "k")]))),
+}
+
+
 def build_map(spec: str):
     """Build a map from its textual family spec.
 
@@ -185,36 +214,16 @@ def build_map(spec: str):
     """
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
-    params = _parse_params(rest)
-    if name == "identity":
-        return analytic_as_harmonic(identity())
-    if name == "koebe":
-        return analytic_as_harmonic(koebe())
-    if name == "cayley":
-        return analytic_as_harmonic(cayley_half())
-    if name == "poly":
-        coeffs = params.get("coeffs", [0.0, 1.0])
-        if not isinstance(coeffs, list):
-            coeffs = [coeffs]
-        return analytic_as_harmonic(poly(coeffs))
-    if name == "hpoly":
-        h = params.get("h", [0.0, 1.0])
-        g = params.get("g", [0.0])
-        h = h if isinstance(h, list) else [h]
-        g = g if isinstance(g, list) else [g]
-        return HarmonicMap(poly(h), poly(g))
-    if name == "affine":
-        return affine_extremal(_real(params, "k"), int(_real(params, "sign", -1.0)))
-    if name == "fold":
-        return kkprime_example()
-    if name == "koebe-shear":
-        return koebe_shear(_real(params, "k"))
-    if name == "cayley-shear":
-        return cayley_shear(_real(params, "k"))
-    if name == "koebe-dilatation":
-        k = _real(params, "k")
-        return from_dilatation(derivative(koebe()), poly([0.0, k]))
-    raise InvalidParameterError(f"unknown map family {name!r}")
+    if name not in MAP_FAMILIES:
+        raise InvalidParameterError(f"unknown map family {name!r}")
+    keys, build = MAP_FAMILIES[name]
+    return build(_parse_params(rest, keys, f"map family {name!r}"))
+
+
+# scale name -> its class, whose fields are the spec's numbers in order
+SCALES = {"q": Qnpa, "qh": Qnpa, "f": Fpqs, "fh": Fpqs, "m": Mpqs, "mh": Mpqs,
+          "morrey": Morrey, "bergmanmorrey": BergmanMorrey, "qs": Qs,
+          "bloch": BlochAlpha}
 
 
 def parse_scale(spec: str):
@@ -231,35 +240,20 @@ def parse_scale(spec: str):
     if not all(math.isfinite(x) for x in args):
         raise InvalidParameterError(f"scale numbers must be finite in {spec!r}")
 
-    def need(n):
-        if len(args) != n:
-            raise InvalidParameterError(
-                f"scale {name!r} takes {n} parameters, got {len(args)}"
-            )
-
-    if name in ("q", "qh"):
-        need(3)
-        scale = Qnpa(int(args[0]), args[1], args[2])
-    elif name in ("f", "fh"):
-        need(3)
-        scale = Fpqs(*args)
-    elif name in ("m", "mh"):
-        need(3)
-        scale = Mpqs(*args)
-    elif name == "morrey":
-        need(1)
-        scale = Morrey(args[0])
-    elif name == "bergmanmorrey":
-        need(2)
-        scale = BergmanMorrey(*args)
-    elif name == "qs":
-        need(1)
-        scale = Qs(args[0])
-    elif name == "bloch":
-        need(1)
-        scale = BlochAlpha(args[0])
-    else:
+    if name not in SCALES:
         raise InvalidParameterError(f"unknown scale {name!r}")
+    kind = SCALES[name]
+    count = len(dataclasses.fields(kind))
+    if len(args) != count:
+        raise InvalidParameterError(
+            f"scale {name!r} takes {count} parameters, got {len(args)}"
+        )
+    if kind is Qnpa:
+        if not args[0].is_integer():
+            raise InvalidParameterError(
+                f"jet order n must be an integer, got {args[0]:g} in {spec!r}")
+        args[0] = int(args[0])
+    scale = kind(*args)
     scale.validate()
     return scale
 
@@ -362,24 +356,25 @@ def cmd_norm(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-CONSTANT_KINDS = ("sigma-deriv", "overlap", "morrey", "qs")
+# constant kind -> (its parameters, in the order its function takes them,
+# and a call of that function by its module name, so a wrapper set on the
+# name, as by a tracer, is what runs)
+CONSTANTS = {"sigma-deriv": (("p", "alpha"), lambda *x: sigma_deriv_constant(*x)),
+             "overlap": (("q", "s"), lambda *x: weight_overlap_constant(*x)),
+             "morrey": (("lam",), lambda *x: morrey_constant(*x)),
+             "qs": (("s",), lambda *x: qs_constant(*x))}
 
 
 def compute_constant(cfg: RunConfig):
     name, _, rest = cfg.constant.partition(":")
     name = name.strip().lower()
-    params = _parse_params(rest)
-    if name == "sigma-deriv":
-        return sigma_deriv_constant(_real(params, "p"), _real(params, "alpha"))
-    if name == "overlap":
-        return weight_overlap_constant(_real(params, "q"), _real(params, "s"))
-    if name == "morrey":
-        return morrey_constant(_real(params, "lam"))
-    if name == "qs":
-        return qs_constant(_real(params, "s"))
-    raise InvalidParameterError(
-        f"unknown constant kind {name!r}; choose from {CONSTANT_KINDS}"
-    )
+    if name not in CONSTANTS:
+        raise InvalidParameterError(
+            f"unknown constant kind {name!r}; choose from {tuple(CONSTANTS)}"
+        )
+    keys, constant = CONSTANTS[name]
+    params = _parse_params(rest, keys, f"constant {name!r}")
+    return constant(*(_real(params, key) for key in keys))
 
 
 def _engine_check(cfg: RunConfig, res) -> dict:

@@ -37,9 +37,9 @@ at a time: one Mobius factor per distinct lattice radius r, at a = r, whose
 column shifts give the other angles of the ring (``ring_integrals``).  Direct
 per-a calls remain for a = 0, the compass points, s_eff = 0 and angle counts
 that do not divide the rung.  ``_norm_result`` builds every NormResult;
-its error is node doubling at the maximizer (engine, composition), the Green
-cap-refinement estimate, or only the 1e-12 floor (Bloch and the constants),
-and it flags a maximizer on RADIUS_CAP (``sup_on_cap``).
+its error is node doubling at the maximizer (engine and composition: radial
+nodes and angles; Green: radial nodes alone), or only the 1e-12 floor (Bloch
+and the constants), and it flags a maximizer on RADIUS_CAP (``sup_on_cap``).
 
 The sup-type constants of Theorems 3.5/3.6 are the engine integral of base 1,
 which has a closed form (Forelli-Rudin; Hedenmalm, Korenblum & Zhu, Theory of
@@ -73,6 +73,7 @@ from .quadrature import (
     ANGULAR_LADDER,
     DEFAULT_ANGULAR,
     DEFAULT_RADIAL,
+    GREEN_CAP_NODES,
     _jacobi_01,
     _radial_contract,
     angular_count_for,
@@ -691,21 +692,21 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
     check_angular(angular)
 
-    # the cap-refinement error of each per-a integral, kept for the argmax
+    # the node-doubling error of each per-a integral, kept for the argmax
     errors = {}
-    evaluations = {"direct": 0, "cap_refinements": 0}
+    evaluations = {"direct": 0}
 
     def integral_at(a):
         res = disk_integral_green(lambda z: tabulate(z)[0], params.q,
                                   params.s, MobiusMap(a),
-                                  radial=radial, angular=angular, tol=1e-7)
+                                  radial=radial, angular=angular)
         evaluations["direct"] += 1
-        evaluations["cap_refinements"] += res.refinements_used
         errors[a] = res.abs_error_estimate
         return (res.value,)
 
     (best,) = _sup_search(integral_at, search)
-    grid = {"grid_radial": radial, "grid_angular": angular, "weight": "green",
+    grid = {"grid_radial": radial, "grid_angular": angular,
+            "grid_cap": GREEN_CAP_NODES, "weight": "green",
             "kernel_evaluations": evaluations}
     return _norm_result(best, errors[best[0]], params.p, grid)
 

@@ -643,7 +643,7 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
     for a in a_grid:
         m = MobiusMap(a)
         gval = disk_integral_green(base, q, s, m, radial=radial,
-                                   angular=angular, tol=1e-7).value
+                                   angular=angular).value
         wval = disk_integral_mobius_weight(base, q, s, m, radial=radial,
                                            angular=angular, tol=1e-9).value
         entries.append((complex(a), gval, wval, gval / wval))

@@ -22,8 +22,10 @@ move values in their last bits: each outcome goes through
 problems, and the worst relative deviation of every item that moved, then
 one summary line per workload: its items, its fails, and its worst
 deviation with the item that has it, so the headroom left under the gate's
-tolerance shows.  It exits 1 if any item fails.  Reads ``bench/`` and
-writes nothing there; pytest does not collect this file.
+tolerance shows.  It also runs the ``pools.EXCLUDED`` items, whose contract
+is their error exit: each must exit as ``reference.json`` ``excluded``
+records, and one line sums them up.  It exits 1 if any item fails.  Reads
+``bench/`` and writes nothing there; pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -65,9 +67,26 @@ def digest_item(index: int, argv):
             "stderr": stderr.getvalue(), "out_sha256": sha}, outcome
 
 
-def gate_report(runs) -> int:
+def excluded_report(entries) -> int:
+    """Print every excluded item whose exit differs from its reference exit
+    and one summary line; the number that differ."""
+    with open(gate.REFERENCE_PATH) as fh:
+        reference = json.load(fh)["excluded"]
+    failed = 0
+    for entry in entries:
+        want = reference[gate.item_key(entry["argv"])]["exit"]
+        if entry["exit"] != want:
+            failed += 1
+            print(f"FAIL {json.dumps(entry['argv'])}: exit {entry['exit']}, "
+                  f"reference {want}")
+    exits = ", ".join(str(entry["exit"]) for entry in entries)
+    print(f"excluded: {len(entries)} items, {failed} fail, exits {exits}")
+    return failed
+
+
+def gate_report(runs, excluded) -> int:
     """Print failing and moved items of (entry, outcome) runs and a summary
-    per workload; 1 if any fails."""
+    per workload, then the excluded items' exits; 1 if any fails."""
     reference = gate.load_reference()
     judged = {}  # argv -> (failed, worst relative deviation)
     for entry, outcome in runs:
@@ -88,6 +107,7 @@ def gate_report(runs) -> int:
         worst, argv = max((judged[argv][1], argv) for argv in items)
         print(f"{name}: {len(items)} items, {fails} fail, worst {worst:.2e} "
               f"of {gate.REL_TOL:g} at {json.dumps(list(argv))}")
+    failed += excluded_report(excluded)
     return 1 if failed else 0
 
 
@@ -117,10 +137,13 @@ def main(argv) -> int:
     OUT_DIR.mkdir(exist_ok=True)
     try:
         runs = [digest_item(i, item) for i, item in enumerate(pools.all_items())]
+        if gating:
+            excluded = [digest_item(len(runs) + i, argv)[0]
+                        for i, (argv, _) in enumerate(pools.EXCLUDED)]
     finally:
         OUT_DIR.rmdir()
     if gating:
-        return gate_report(runs)
+        return gate_report(runs, excluded)
     entries = [entry for entry, _ in runs]
     with open(argv[0], "w") as fh:
         json.dump(entries, fh, indent=1)

@@ -101,14 +101,50 @@ def test_norm_trivial_warning(tmp_path, capsys):
     ["--search-angles", "0"],
     ["--scale", "F(2,0,1)", "--weight-form", "green", "--radial", "0"],
     ["--scale", "F(2,0,1)", "--weight-form", "green", "--angular", "0"],
+    ["--scale", "Q(1.5,2,0)"],  # a jet order must be an integer
+    ["--scale", "Q(2.7,1,3)"],
 ], ids=["malformed-scale", "angular-100", "angular-0", "radial-0", "radial-1",
         "search-max-j-negative", "search-angles-0", "green-radial-0",
-        "green-angular-0"])
+        "green-angular-0", "jet-order-1.5", "jet-order-2.7"])
 def test_norm_malformed_scale_exit_2(tmp_path, capsys, args):
     assert main(["norm", "--map", "identity", *args,
                  "--out", str(tmp_path / "x.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["norm", "--map", "cayley-shear:k=0.3;kk=2", "--scale", "Q(1,2,0)"],
+    ["norm", "--map", "identity:k=0.3", "--scale", "Q(1,2,0)"],
+    ["norm", "--map", "poly:coeffs=0,1;h=3", "--scale", "Q(1,2,0)"],
+    ["norm", "--map", "fold:k=0.2", "--scale", "Q(1,2,0)"],
+    ["norm", "--map", "affine:k=0.5;sign=-1.5", "--scale", "Q(1,2,0)"],
+    ["constants", "--constant", "qs:s=1;x=2"],
+    ["constants", "--constant", "sigma-deriv:p=2;alpha=0.5;beta=1"],
+], ids=["cayley-shear-kk", "identity-k", "poly-h", "fold-k", "affine-sign-1.5",
+        "qs-x", "sigma-deriv-beta"])
+def test_unknown_parameter_or_bad_sign_exit_2(tmp_path, capsys, args):
+    # a key the map family or constant kind does not take is rejected, not
+    # ignored, and so is an affine sign other than +-1
+    out = tmp_path / "x.jsonl"
+    assert main([*args, "--radial", "8", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("takes only" in err or "takes no" in err or "sign" in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("map_spec", ["koebe", "cayley-shear:k=0.5"])
+def test_unresolved_green_integral_exit_3(tmp_path, capsys, map_spec):
+    # the Green-weight items the benchmark pools exclude: the integral at
+    # a = 0 already moves under node doubling, so the norm is not reported
+    out = tmp_path / "g.jsonl"
+    assert main(["norm", "--map", map_spec, "--scale", "F(2,0,1)",
+                 "--weight-form", "green", "--search-max-j", "3",
+                 "--search-angles", "4", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("accuracy error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

@@ -1,6 +1,8 @@
+import functools
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from qrspaces.quadrature import (
     disk_integral_alpha,
     disk_integral_green,
     disk_integral_mobius_weight,
+    green_cap_rule,
     mobius_factor,
     mobius_integrals,
     mobius_ring_integrals,
@@ -153,8 +156,44 @@ def test_green_integral_oracle(a, angular):
     # sums to (pi/2) (1-|a|^2)^2 / (1-|a|^2)
     res = disk_integral_green(lambda z: np.ones(z.shape), 0.0, 1.0,
                               MobiusMap(a), angular=angular)
-    assert res.value == pytest.approx(0.5 * math.pi * (1.0 - abs(a) ** 2),
-                                      rel=1e-13)
+    exact = 0.5 * math.pi * (1.0 - abs(a) ** 2)
+    assert res.value == pytest.approx(exact, rel=1e-13)
+    # the node-doubling estimate bounds the true error
+    assert abs(res.value - exact) <= 2.0 * res.abs_error_estimate + 1e-13 * res.value
+
+
+@functools.lru_cache(maxsize=None)
+def _cap_moment(k, q, s):
+    """int_0^(1/2) t^k (1-t)^q (-1/2 log t)^s dt at 30 digits: with
+    t = e^(-u)/2 it is 2^-(k+1) int_0^inf e^(-(k+1)u) (1 - e^(-u)/2)^q
+    ((u + log 2)/2)^s du, whose integrand is smooth; past u = 80/(k+1) it
+    is below 1e-34 of the whole."""
+    with mpmath.workdps(30):
+        half, log2 = mpmath.mpf(1) / 2, mpmath.log(2)
+
+        def f(u):
+            e = mpmath.exp(-u)
+            return e ** (k + 1) * (1 - half * e) ** q * (half * (u + log2)) ** s
+
+        return half ** (k + 1) * mpmath.quad(f, [0, mpmath.mpf(80) / (k + 1)],
+                                             method="gauss-legendre")
+
+
+@pytest.mark.parametrize("m", [32, 64])
+@pytest.mark.parametrize("q, s", [(0, 1), (0, 2), (-0.5, 1), (1, 0.5)])
+def test_green_cap_rule_moments(q, s, m):
+    # an m-node Gauss rule integrates t^k exactly against its weight for
+    # k < 2m; the rule's moments are summed at 30 digits, so only the
+    # rule's own nodes and weights are judged
+    t, w = green_cap_rule(m, q, s)
+    assert t.size == m and np.all(np.diff(t) > 0.0) and np.all(w > 0.0)
+    assert 0.0 < t[0] and t[-1] < 0.5
+    with mpmath.workdps(30):
+        t, w = [mpmath.mpf(float(x)) for x in t], [mpmath.mpf(float(x)) for x in w]
+        for k in range(2 * m):
+            exact = _cap_moment(k, q, s)
+            moment = mpmath.fsum(wi * ti ** k for wi, ti in zip(w, t))
+            assert abs(moment / exact - 1) <= 1e-13, k
 
 
 def test_green_vs_mobius_cross_validation():

@@ -142,8 +142,10 @@ def test_fh_green_form_close_to_mobius_form():
     # identical at a = 0 (both reduce to radial closed forms with value pi/2)
     assert g.raw_sup == pytest.approx(math.pi / 2.0, rel=1e-8)
     assert 0.2 < g.raw_sup / m.raw_sup < 5.0
-    # measured cap-refinement error, not a fixed fraction of the value
+    # measured node-doubling error, not a fixed fraction of the value
     assert g.error_estimate < 1e-7 * g.value
+    assert g.grid["grid_cap"] == 32
+    assert set(g.grid["kernel_evaluations"]) == {"direct"}
 
 
 def test_fh_invalid_weight_form():
