@@ -300,10 +300,13 @@ def _json_default(obj):
 
 
 def write_records(path: str, records):
-    def emit(fh):
-        for rec in records:
-            fh.write(json.dumps(rec, default=_json_default) + "\n")
-    _atomic_write(path, emit)
+    """Strict JSON lines: a non-finite number raises AccuracyError, no file."""
+    try:
+        lines = [json.dumps(rec, default=_json_default, allow_nan=False)
+                 for rec in records]
+    except ValueError as exc:
+        raise AccuracyError(f"non-finite number in a record: {exc}") from None
+    _atomic_write(path, lambda fh: fh.writelines(f"{line}\n" for line in lines))
 
 
 def _norm_record(cfg: RunConfig, res, scale_label: str) -> dict:
@@ -716,13 +719,18 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0, None) else EXIT_OK
     try:
         cfg = resolve_config(args)
-        return COMMANDS[cfg.command](cfg)
+        # an overflow, numpy's or a float power's, is an accuracy failure
+        with np.errstate(over="raise"):
+            return COMMANDS[cfg.command](cfg)
     except (InvalidParameterError, NonQuasiregularError, PoleError,
             SingularityError, HypothesisViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (AccuracyError, InfiniteConstantError) as exc:
         print(f"accuracy error: {exc}", file=sys.stderr)
+        return EXIT_ACCURACY
+    except (OverflowError, FloatingPointError) as exc:
+        print(f"accuracy error: floating-point overflow: {exc}", file=sys.stderr)
         return EXIT_ACCURACY
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

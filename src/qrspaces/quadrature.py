@@ -11,7 +11,7 @@ angular integral uses the periodic trapezoid rule (exact for e^{ik theta},
 bounded ratio (1-|a|^2)^s / |1 - conj(a) z|^{2s} with the (1-t)^s part folded
 into the Jacobi exponent.  ``mobius_factor`` computes that ratio on a polar
 grid z[i, j] = rho_i e^(i theta_j), theta_j = ``angular_nodes(count)[j]``
-(every caller's grid), as
+(every caller's grid), from the node radii rho and the count alone, as
 
     ((1-r)(1+r) / ((1 - r rho_i)^2 + 4 r rho_i sin^2((theta_j - phi)/2)))^s
 
@@ -246,20 +246,11 @@ def _check_mobius_params(q: float, s: float):
         raise InvalidParameterError("q + s must exceed -1")
 
 
-def work_arrays(shape) -> np.ndarray:
-    """Scratch for one ``mobius_integrals`` call on a grid of ``shape``: the
-    Mobius factor.  The bases are contracted with it by row dots, so there
-    is no product array."""
-    return np.empty(shape)
-
-
-def mobius_factor(a: complex, s: float, z, mob):
-    """(1-|a|^2)^s / |1 - conj(a) z|^(2s), written into ``mob``; the scalar
-    1.0 if s = 0 or a = 0, where the factor is identically 1.
-
-    ``z`` is a polar grid, z[i, j] = rho_i e^(i theta_j) with theta_j =
-    ``angular_nodes(count)[j]``, so only its first column (rho_i, exact,
-    since theta_0 = 0) and its shape are read.  With a = r e^(i phi),
+def mobius_factor(a: complex, s: float, rho, mob):
+    """(1-|a|^2)^s / |1 - conj(a) z|^(2s) on the polar grid z[i, j] =
+    rho_i e^(i theta_j), theta_j = ``angular_nodes(count)[j]``, written into
+    the (rho.size, count) array ``mob``; the scalar 1.0 if s = 0 or a = 0,
+    where the factor is identically 1.  With a = r e^(i phi),
 
         |1 - conj(a) z|^2 = (1 - r rho)^2 + 4 r rho sin^2((theta - phi)/2),
 
@@ -275,8 +266,7 @@ def mobius_factor(a: complex, s: float, z, mob):
     a = complex(a)
     if s == 0.0 or a == 0.0:
         return 1.0
-    rho = z[:, 0].real
-    count = z.shape[1]
+    count = mob.shape[1]
     r, phi = abs(a), math.atan2(a.imag, a.real)
     cols = count // 2 + 1 if a.imag == 0.0 and count % 2 == 0 else count
     left = mob[:, :cols]
@@ -309,18 +299,19 @@ def _row_means(b, mob) -> np.ndarray:
     return np.vecdot(b, mob) / b.shape[1]
 
 
-def mobius_integrals(a: complex, s: float, z, bases, w, work) -> tuple:
+def mobius_integrals(a: complex, s: float, rho, bases, w, work) -> tuple:
     """One integral per base of base(z) (1-|a|^2)^s / |1 - conj(a) z|^(2s).
 
-    ``z`` holds the nodes of a tensor rule (radial x angular), ``bases`` the
-    tabulated bases on it, ``w`` the radial weights (with any (1-t)-power
-    absorbed) and ``work`` the ``work_arrays`` of the grid's shape, which the
-    call writes the factor into.  The Mobius factor is computed once; each
-    base then gets its own contraction, the row dots of ``_row_means`` and
-    the radial weights, since a stacked one would reorder the sums.  At
-    s = 0 and at a = 0 the factor is 1.0 and the bases' row means are used.
+    ``rho`` holds the node radii of a tensor rule (radial x angular),
+    ``bases`` the tabulated bases on its polar grid, ``w`` the radial
+    weights (with any (1-t)-power absorbed) and ``work`` an array of the
+    bases' shape, which the call writes the factor into.  The factor is
+    computed once; each base then gets its own contraction, the row dots of
+    ``_row_means`` and the radial weights, since a stacked one would reorder
+    the sums.  At s = 0 and at a = 0 the factor is 1.0 and the bases' row
+    means are used.
     """
-    mob = mobius_factor(a, s, z, work)
+    mob = mobius_factor(a, s, rho, work)
     return tuple(_radial_contract(w, _row_means(b, mob)) for b in bases)
 
 
@@ -352,12 +343,12 @@ def mobius_ring_contract(w, row_means, blocks, count: int) -> list:
     return turn_values
 
 
-def mobius_ring_integrals(r: float, s: float, z, bases, w, work,
+def mobius_ring_integrals(r: float, s: float, rho, bases, w, work,
                           turns: int) -> list:
     """``mobius_integrals`` at a = r e^(2 pi i k/turns), k < turns, for s != 0:
     one tuple per turn, holding one integral per base.
 
-    On the trapezoid grid ``z`` a rotation of a by 2 pi k/turns moves the
+    On the trapezoid grid a rotation of a by 2 pi k/turns moves the
     Mobius factor by k * L columns, L = count/turns, so the factor is
     computed once, at a = r.  Cut into blocks of L columns, turn k pairs
     base block m with factor block (m - k) mod turns: one batched matrix
@@ -375,11 +366,11 @@ def mobius_ring_integrals(r: float, s: float, z, bases, w, work,
     rules assembled from shared panels.  r must be positive: at a = 0 the
     factor is the scalar 1.0.
     """
-    count = z.shape[1]
+    count = work.shape[1]
     if count % turns:
         raise InvalidParameterError(
             f"{count} angular nodes do not split into {turns} turns")
-    mob = mobius_factor(r, s, z, work)
+    mob = mobius_factor(r, s, rho, work)
     per_base = [mobius_ring_contract(w, *mobius_ring_rows(b, mob, turns), count)
                 for b in bases]
     return list(zip(*per_base))
@@ -403,10 +394,9 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
     def evaluate(nr, na):
         grid = build_grid(nr, q + s, na)
         rho, eig = np.sqrt(grid.radial_nodes), np.exp(1j * angular_nodes(na))
-        z = rho[:, None] * eig[None, :]
         bases = polar_tabulate(lambda z: (integrand(z),), rho, eig)
-        (value,) = mobius_integrals(a, s, z, bases, grid.radial_weights,
-                                    work_arrays(z.shape))
+        (value,) = mobius_integrals(a, s, rho, bases, grid.radial_weights,
+                                    np.empty(bases[0].shape))
         return value
 
     return _refine_loop(evaluate, radial, base_angular, tol, refine_cap)

@@ -85,7 +85,6 @@ from .quadrature import (
     mobius_ring_integrals,
     polar_row_means,
     polar_tabulate,
-    work_arrays,
 )
 
 # --- parameter records -------------------------------------------------------
@@ -420,10 +419,12 @@ class WeightedSupProblem:
     (``quadrature.polar_tabulate``), and each block's values go straight
     into the (radial, max_angular) base arrays, so its temporaries stay
     block-sized; a base value depends on its point alone, so the bases do
-    not depend on the blocking.  Each rung keeps a contiguous copy of every
-    ``max_angular // count``-th master column; ``base_angular`` must be a
-    rung, since every a != 0 gets at least the first one.  ``evaluations``
-    counts the per-a evaluations by route: ``direct`` (``integral_at``),
+    not depend on the blocking.  The problem keeps the node radii, not the
+    complex grid.  Each rung keeps a contiguous copy of every
+    ``max_angular // count``-th master column, and all rungs share one
+    master-sized factor buffer; ``base_angular`` must be a rung, since every
+    a != 0 gets at least the first one.  ``evaluations`` counts the per-a
+    evaluations by route: ``direct`` (``integral_at``),
     ``ring_factor`` and ``ring_turns`` (Mobius factors and the lattice
     points they served) and ``refined`` (``refined_integral_at``), and
     ``tabulated_points`` the points the tabulator was given, the master
@@ -447,21 +448,21 @@ class WeightedSupProblem:
         self.base_angular = int(base_angular)
         self._tabulator = tabulate
         self.tabulated_points = 0
-        self._z, self._w, self._bases = self._tabulate(self.radial,
-                                                       self.max_angular)
+        self._rho, self._w, self._bases = self._tabulate(self.radial,
+                                                         self.max_angular)
+        self._factor = np.empty(self.radial * self.max_angular)
         self._const_value = None
         self._rungs = {}
         self.evaluations = dict.fromkeys(
             ("direct", "ring_factor", "ring_turns", "refined"), 0)
 
     def _tabulate(self, radial: int, count: int) -> tuple:
-        """The nodes z of the problem's (radial, count) rule, its radial
-        weights, and the bases on z, filled a row block at a time."""
+        """The node radii of the problem's (radial, count) rule, its radial
+        weights, and the bases on its grid, filled a row block at a time."""
         t, w = _jacobi_01(radial, self.q_eff + self.s_eff)
         rho, eig = np.sqrt(t), np.exp(1j * angular_nodes(count))
-        z = rho[:, None] * eig[None, :]
-        self.tabulated_points += z.size
-        return z, w, polar_tabulate(self._tabulator, rho, eig)
+        self.tabulated_points += radial * count
+        return rho, w, polar_tabulate(self._tabulator, rho, eig)
 
     def grid_metadata(self) -> dict:
         return {
@@ -475,21 +476,23 @@ class WeightedSupProblem:
         }
 
     def _rung(self, count: int):
-        """The master grid at ``count`` angles (a strided view: the Mobius
-        factor reads only its first column and shape), the bases there as
-        contiguous copies, and the factor's work array for one per-a call.
-        Direct calls and the k = 0 turn of a ring contract these same
-        arrays by the same row dots, which keeps the two bit-identical.
+        """The bases at ``count`` angles as contiguous copies, and the
+        Mobius factor's (radial, count) work array, a leading view of the
+        problem's one factor buffer.  Direct calls and the k = 0 turn of a
+        ring contract these same arrays by the same row dots, which keeps
+        the two bit-identical.
 
         Strided reads of the bases (at 256 angles) and fresh temporaries (at
         2048) each cost about as much as the arithmetic of a call; the row
-        dots need no product array.
+        dots need no product array.  A work array per rung would free and
+        map more memory (glibc's mmap threshold follows the largest freed
+        block) than one shared buffer.
         """
         if count not in self._rungs:
             stride = self.max_angular // count
-            z = self._z[:, ::stride]
             bases = [np.ascontiguousarray(b[:, ::stride]) for b in self._bases]
-            self._rungs[count] = (z, bases, work_arrays(z.shape))
+            work = self._factor[:self.radial * count].reshape(self.radial, count)
+            self._rungs[count] = (bases, work)
         return self._rungs[count]
 
     def _count_for(self, rho: float) -> int:
@@ -502,12 +505,12 @@ class WeightedSupProblem:
         self.evaluations["direct"] += 1
         if self.s_eff == 0.0:
             if self._const_value is None:
-                z, bases, work = self._rung(self.max_angular)
-                self._const_value = mobius_integrals(a, self.s_eff, z, bases,
-                                                     self._w, work)
+                bases, work = self._rung(self.max_angular)
+                self._const_value = mobius_integrals(a, self.s_eff, self._rho,
+                                                     bases, self._w, work)
             return self._const_value
-        z, bases, work = self._rung(self._count_for(abs(a)))
-        return mobius_integrals(a, self.s_eff, z, bases, self._w, work)
+        bases, work = self._rung(self._count_for(abs(a)))
+        return mobius_integrals(a, self.s_eff, self._rho, bases, self._w, work)
 
     def ring_integrals(self, r: float, turns: int):
         """``integral_at(r e^(2 pi i k/turns))`` for k < turns, from one Mobius
@@ -522,20 +525,20 @@ class WeightedSupProblem:
         count = self._count_for(r)
         if self.s_eff == 0.0 or count % turns or turns * turns > count:
             return None
-        z, bases, work = self._rung(count)
+        bases, work = self._rung(count)
         self.evaluations["ring_factor"] += 1
         self.evaluations["ring_turns"] += turns
-        return mobius_ring_integrals(r, self.s_eff, z, bases, self._w, work,
-                                     turns)
+        return mobius_ring_integrals(r, self.s_eff, self._rho, bases, self._w,
+                                     work, turns)
 
     def refined_integral_at(self, a: complex) -> tuple:
         """One-off evaluation with doubled node counts (error estimation)."""
         a = complex(a)
         self.evaluations["refined"] += 1
-        z, w, bases = self._tabulate(2 * self.radial,
-                                     2 * self._count_for(abs(a)))
-        return mobius_integrals(a, self.s_eff, z, bases, w,
-                                work_arrays(z.shape))
+        rho, w, bases = self._tabulate(2 * self.radial,
+                                       2 * self._count_for(abs(a)))
+        return mobius_integrals(a, self.s_eff, rho, bases, w,
+                                np.empty(bases[0].shape))
 
 
 def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,

@@ -55,7 +55,6 @@ from .quadrature import (
     mobius_ring_rows,
     polar_tabulate,
     truncated_panels,
-    work_arrays,
 )
 from .spaces import (
     Fpqs,
@@ -473,16 +472,15 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     for edges, (t, ns) in users.items():
         top = max(counts[n] for n in ns)
         rho, eig = np.sqrt(t), np.exp(1j * angular_nodes(top))
-        z = rho[:, None] * eig[None, :]
-        ladder_work["base_points"] += z.size
         (base,) = polar_tabulate(tabulate, rho, eig)
+        ladder_work["base_points"] += base.size
         bases = {c: strided(base, top, c) for c in {counts[n] for n in ns}}
         for c, b in bases.items():
             rows[edges, c, None] = b.mean(axis=1)
-        mob = work_arrays(z.shape)
+        mob = np.empty(base.shape)
         for r in sorted({r for n in ns for r in rings[n]}):
-            ladder_work["factor_nodes"] += z.size
-            mob = mobius_factor(r, s, z, mob)
+            ladder_work["factor_nodes"] += base.size
+            mob = mobius_factor(r, s, rho, mob)
             for c in {counts[n] for n in ns if r in rings[n]}:
                 ladder_work["row_stages"] += 1
                 rows[edges, c, r] = mobius_ring_rows(

@@ -21,6 +21,7 @@ from qrspaces.cli import (
     parse_scale,
 )
 from qrspaces.errors import (
+    AccuracyError,
     HypothesisViolationError,
     InvalidParameterError,
     PoleError,
@@ -333,6 +334,35 @@ def test_infinite_constant_exit_3(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert err.startswith("accuracy error: ") and err.count("\n") == 1
     assert "infinite" in err and not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["norm", "--map", "identity", "--scale", "M(1e-300,0,1)",
+     "--search-max-j", "2"],
+    ["verify", "--theorem", "4.1", "--map", "koebe", "--K", "1", "--scale",
+     "M(1e-300,0,1)", "--truncation-max-j", "4"],
+    ["verify", "--theorem", "3.1", "--map", "affine:k=0.5;sign=-1", "--K",
+     "3", "--scale", "Q(1,0.001,-0.9995)", "--search-max-j", "2"],
+    ["norm", "--map", "poly:coeffs=0,1e200", "--scale", "Q(1,2,0)"],
+    ["verify", "--theorem", "3.2", "--map", "poly:coeffs=0,1e200", "--K", "1",
+     "--scale", "F(2,0,1)", "--search-max-j", "2"],
+], ids=["norm-root", "membership-root", "conjugate-root", "norm-base",
+        "conjugate-base"])
+def test_overflow_or_non_finite_result_exit_3(tmp_path, capsys, args):
+    # a 1/p root past the float range, or a base that overflows: one
+    # accuracy line, no traceback, no warning and no record
+    out = tmp_path / "x.jsonl"
+    assert main([*args, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("accuracy error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_records_with_a_non_finite_number_are_not_written(tmp_path):
+    out = tmp_path / "x.jsonl"
+    with pytest.raises(AccuracyError, match="non-finite"):
+        cli.write_records(str(out), [{"value": math.inf}])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_constants_missing_parameter_exit_2(tmp_path, capsys):

@@ -32,7 +32,6 @@ from qrspaces.quadrature import (
     polar_row_means,
     polar_tabulate,
     truncated_radial_rule,
-    work_arrays,
 )
 from qrspaces.spaces import (
     RADIUS_CAP,
@@ -239,12 +238,12 @@ def test_mobius_integrals_matches_explicit_formula():
     for t, w in (_jacobi_01(64, 1.5), truncated_radial_rule(1.0 - 2.0 ** -6)):
         z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
         bases = [np.ones(z.shape), np.abs(1.0 + z) ** 3]
-        work = work_arrays(z.shape)
+        work = np.empty(z.shape)
         for s in (0.0, 0.5, 2.0):
             for a in (0.0, 0.3, 0.9j, -0.5 + 0.4j, 1.0 - 2.0 ** -10):
                 pref = (1.0 - abs(a) ** 2) ** s
                 mob = pref / np.abs(1.0 - np.conj(a) * z) ** (2.0 * s)
-                got = mobius_integrals(a, s, z, bases, w, work)
+                got = mobius_integrals(a, s, np.sqrt(t), bases, w, work)
                 assert len(got) == len(bases)
                 for b, value in zip(bases, got):
                     explicit = np.pi * np.sum(w[:, None] * b * mob) / len(theta)
@@ -264,8 +263,8 @@ def _factor_grids(j):
 @pytest.mark.parametrize("j", [6, 10, 12])
 def test_mobius_factor_matches_mpmath(j, where):
     # |a| = 1 - 2^-j; the six rows nearest rho = 1 and the 17 columns around
-    # arg a, against mpmath at the float inputs: rho = z[:, 0].real and the
-    # node angle.  A column k > count/2 of a real a is the mirror image of
+    # arg a, against mpmath at the float inputs: the node radius rho and
+    # the node angle.  A column k > count/2 of a real a is the mirror image of
     # column count - k, so it is judged at that column's angle (which equals
     # 2 pi k/count mod 2 pi more closely than the rounded theta_k does).
     # Off the positive axis the rounding of |a| and arg a alone moves the
@@ -282,7 +281,7 @@ def test_mobius_factor_matches_mpmath(j, where):
         cols = [(k0 + d) % count for d in range(-8, 9)]
         rows = range(len(rho) - 6, len(rho))
         for s in (0.5, 1.0, 2.0):
-            mob = mobius_factor(a, s, z, np.empty(z.shape))
+            mob = mobius_factor(a, s, rho, np.empty(z.shape))
             naive = ((1.0 - abs(a) ** 2) / (1.0 - 2.0 * (np.conj(a) * z).real
                                             + abs(a * rho[:, None]) ** 2)) ** s
             worst = worst_naive = 0.0
@@ -314,8 +313,7 @@ def test_mobius_factor_mirror_matches_unmirrored_formula(count):
     reduced = 2.0 * np.pi * np.where(2 * k <= count, k, k - count) / count
     t, _ = truncated_radial_rule(1.0 - 2.0 ** -12)
     rho = np.sqrt(t)
-    z = rho[:, None] * np.exp(1j * angular_nodes(count))[None, :]
-    mob = np.empty(z.shape)
+    mob = np.empty((rho.size, count))
     for i in (1, 3, 6, 9, 12):
         r = 1.0 - 2.0 ** -i
         near = (1.0 - r) + r * (1.0 - rho)
@@ -323,7 +321,7 @@ def test_mobius_factor_mirror_matches_unmirrored_formula(count):
             0.5 * reduced) ** 2
         for s in (0.5, 0.8, 1.0):
             formula = ((1.0 - r) * (1.0 + r) / den) ** s
-            got = mobius_factor(r, s, z, mob)
+            got = mobius_factor(r, s, rho, mob)
             np.testing.assert_allclose(got, formula, rtol=1e-15, atol=0.0)
 
 
@@ -339,14 +337,14 @@ def test_mobius_ring_integrals_match_rotated_kernel():
     zr = np.exp(1j * np.pi / 4) * z
     bases = [np.abs(zr / (1.0 - zr) ** 2) ** 0.8, np.abs(1.0 + zr) ** 3]
     w = w * (1.0 - t) ** 1.0
-    work = work_arrays(z.shape)
+    work = np.empty(z.shape)
     for i in range(1, 10):
         r = 1.0 - 2.0 ** -i
-        ring = mobius_ring_integrals(r, 1.0, z, bases, w, work, 8)
+        ring = mobius_ring_integrals(r, 1.0, np.sqrt(t), bases, w, work, 8)
         assert len(ring) == 8
         for k, values in enumerate(ring):
             a = r * np.exp(2j * np.pi * k / 8)
-            direct = mobius_integrals(a, 1.0, z, bases, w, work)
+            direct = mobius_integrals(a, 1.0, np.sqrt(t), bases, w, work)
             assert len(values) == len(bases)
             if k == 0:
                 assert values == direct
@@ -370,11 +368,11 @@ def test_mobius_ring_integrals_property(r, count_exp, turns_exp, s, p, bases):
     t, w = _jacobi_01(16, 0.5)
     z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
     tabulated = [np.abs(np.polyval(c, z)) ** p for c in bases]
-    work = work_arrays(z.shape)
-    ring = mobius_ring_integrals(r, s, z, tabulated, w, work, turns)
+    work = np.empty(z.shape)
+    ring = mobius_ring_integrals(r, s, np.sqrt(t), tabulated, w, work, turns)
     for k, values in enumerate(ring):
         a = r * np.exp(2j * np.pi * k / turns)
-        direct = mobius_integrals(a, s, z, tabulated, w, work)
+        direct = mobius_integrals(a, s, np.sqrt(t), tabulated, w, work)
         if k == 0:
             assert values == direct
         else:
@@ -387,12 +385,12 @@ def test_mobius_ring_integrals_edge_turn_counts(turns):
     t, w = _jacobi_01(16, 0.5)
     z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(32))[None, :]
     bases = [np.abs(1.0 + 0.7 * z) ** 2.5, np.abs(z - 0.3j) ** 1.5]
-    work = work_arrays(z.shape)
-    ring = mobius_ring_integrals(0.9, 1.5, z, bases, w, work, turns)
+    work = np.empty(z.shape)
+    ring = mobius_ring_integrals(0.9, 1.5, np.sqrt(t), bases, w, work, turns)
     assert len(ring) == turns
     for k, values in enumerate(ring):
         a = 0.9 * np.exp(2j * np.pi * k / turns)
-        direct = mobius_integrals(a, 1.5, z, bases, w, work)
+        direct = mobius_integrals(a, 1.5, np.sqrt(t), bases, w, work)
         if k == 0:
             assert values == direct
         else:
@@ -419,11 +417,11 @@ def test_mobius_ring_integrals_make_no_grid_sized_temporary(shape, n_bases,
     t, w = _jacobi_01(radial, 1.0)
     z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
     bases = [np.abs(1.0 + (0.5 + 0.1j * i) * z) ** 2.5 for i in range(n_bases)]
-    work = work_arrays(z.shape)
+    rho, work = np.sqrt(t), np.empty(z.shape)
     if turns is None:
-        kernel = lambda: mobius_integrals(0.99j, 1.0, z, bases, w, work)
+        kernel = lambda: mobius_integrals(0.99j, 1.0, rho, bases, w, work)
     else:
-        kernel = lambda: mobius_ring_integrals(0.99, 1.0, z, bases, w, work,
+        kernel = lambda: mobius_ring_integrals(0.99, 1.0, rho, bases, w, work,
                                                turns)
     kernel()
     tracemalloc.start()
@@ -445,7 +443,7 @@ def test_row_dots_match_exact_sums(j):
     count = 8192
     z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
     base = np.abs(z / (1.0 - z) ** 2) ** 0.8
-    mob = mobius_factor(1.0 - 2.0 ** -j, 1.0, z, work_arrays(z.shape))
+    mob = mobius_factor(1.0 - 2.0 ** -j, 1.0, np.sqrt(t), np.empty(z.shape))
     got = _row_means(base, mob)
     products = base * mob
     exact = np.array([math.fsum(row) / count for row in products])
@@ -453,11 +451,10 @@ def test_row_dots_match_exact_sums(j):
 
 
 def test_mobius_ring_integrals_reject_uneven_turns():
-    z = np.sqrt(np.array([0.25, 0.5]))[:, None] * np.exp(
-        1j * angular_nodes(12))[None, :]
+    rho = np.sqrt(np.array([0.25, 0.5]))
     with pytest.raises(InvalidParameterError):
-        mobius_ring_integrals(0.5, 1.0, z, [np.ones(z.shape)], np.ones(2),
-                              work_arrays(z.shape), 8)
+        mobius_ring_integrals(0.5, 1.0, rho, [np.ones((2, 12))], np.ones(2),
+                              np.empty((2, 12)), 8)
 
 
 def test_row_blocks_cover_the_grid(monkeypatch):

@@ -334,7 +334,7 @@ def _cayley_shear_pair():
 def test_conjugate_pair_tabulation_makes_no_grid_sized_temporary():
     # the tabulator runs on row blocks and writes straight into the two
     # bases, so building the problem holds the bases (2 x 2.1 MB), the
-    # complex master grid (4.2 MB) and block-sized temporaries only; the
+    # Mobius factor's buffer (2.1 MB) and block-sized temporaries only; the
     # whole-grid tabulation held several (2, 128, 2048) complex jets
     f = cayley_shear(0.5)
 
@@ -350,7 +350,25 @@ def test_conjugate_pair_tabulation_makes_no_grid_sized_temporary():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 128 * 2048 * 8 + 128 * 2048 * 16 + 1_000_000
+    assert peak < 3 * 128 * 2048 * 8 + 1_000_000
+
+
+def test_refined_integral_makes_no_grid_sized_temporary():
+    # node doubling near the boundary tabulates one base on 256 x 4096
+    # nodes: the call holds that base and its Mobius factor (2 x 8.4 MB)
+    # and block-sized temporaries, no complex grid (16.8 MB)
+    a = 0.99 + 0.05j
+    assert angular_count_for(abs(a), 1.0) == 2048
+    pr = WeightedSupProblem(lambda z: (np.abs(1.0 + 0.5 * z) ** 1.5,),
+                            0.0, 1.0, radial=128)
+    pr.refined_integral_at(a)
+    tracemalloc.start()
+    try:
+        pr.refined_integral_at(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 256 * 4096 * 8 + 1_000_000
 
 
 def test_tabulator_must_return_values_on_the_grid():

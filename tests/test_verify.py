@@ -29,7 +29,6 @@ from qrspaces.quadrature import (
     angular_nodes,
     mobius_integrals,
     truncated_radial_rule,
-    work_arrays,
 )
 from qrspaces.spaces import (
     BergmanMorrey,
@@ -331,12 +330,12 @@ def _direct_truncated_sup(values_fn, p, q, s, R, count):
     z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
     base = np.asarray(values_fn(z), dtype=np.float64) ** p
     w = w * (1.0 - t) ** (q + s)
-    work = work_arrays(z.shape)
+    work = np.empty(z.shape)
     candidates = [0.0 + 0.0j]
     for i in range(1, round(-math.log2(1.0 - R)) + 1):
         r = 1.0 - 2.0 ** -i
         candidates += [r * np.exp(2j * np.pi * k / 8) for k in range(8)]
-    return max(mobius_integrals(a, s, z, [base], w, work)[0]
+    return max(mobius_integrals(a, s, np.sqrt(t), [base], w, work)[0]
                for a in candidates)
 
 
@@ -402,9 +401,9 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
 
     factor = qrspaces.verify.mobius_factor
 
-    def counted_factor(a, s, z, *work):
-        nodes.append(z.size)
-        return factor(a, s, z, *work)
+    def counted_factor(a, s, rho, mob):
+        nodes.append(mob.size)
+        return factor(a, s, rho, mob)
 
     monkeypatch.setattr("qrspaces.verify.mobius_factor", counted_factor)
     counts = (256, 512, 1024, 2048, 2048, 2048, 2048, 4096, 8192, 8192)
