@@ -464,17 +464,21 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _sweep_cell(cfg: RunConfig, map_spec: str, cell) -> dict:
+    """One sweep row; a cell's error, an overflow included, goes into its
+    ``error`` column.  The error state is set here because a worker thread
+    does not inherit the one ``main`` sets."""
     row = {c: "" for c in SWEEP_COLUMNS}
     row.update({"theorem": cfg.theorem, "map": map_spec, "scale": cell})
     try:
         cell_cfg = dataclasses.replace(cfg, map_spec=map_spec, scale_spec=cell)
-        report = run_verification(cell_cfg)
+        with np.errstate(over="raise"):
+            report = run_verification(cell_cfg)
         rec = report.to_record()
         for col in SWEEP_COLUMNS:
             if col in rec and rec[col] is not None:
                 row[col] = rec[col]
         row["scale"] = report.scale_label
-    except QrspacesError as exc:
+    except (QrspacesError, OverflowError, FloatingPointError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
     return row
 

@@ -19,11 +19,12 @@ for a = r e^(i phi): real arithmetic on a sum of nonnegative terms, so it
 stays accurate to a few ulps as |a| and rho approach 1.  Each base is then
 contracted with the factor row by row, as one BLAS dot per row over the
 angular count (``_row_means``), so no grid-sized product is formed; the
-direct kernel and the a = r turn of the ring kernel call that one helper on
-the same arrays, which keeps the two bit-identical.  A blocked dot has the
-forward-error bound of recursive summation, n u sum |b mob| (Higham,
-Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1), far inside
-the 1e-12 the values are held to.
+direct kernel and the a = r turn of the ring kernel (``PolarTable.rows``
+and ``PolarTable.ring_rows``) call that one helper on the same arrays,
+which keeps the two bit-identical.  A blocked dot has the forward-error
+bound of recursive summation, n u sum |b mob| (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, sec. 3.1), far inside the 1e-12
+the values are held to.
 
 The Green weight g(z,a)^s has one fixed rule in t, split at 1/2: a Gauss
 rule for its own log-singular weight on the cap (``green_cap_rule``) and
@@ -35,14 +36,15 @@ ladder so those integrals stay resolved without repricing interior ones.
 
 Every integrand on a polar grid z[i, j] = rho_i e^(i theta_j) is evaluated
 by one walker, ``_row_blocks``, which hands out the grid in blocks of
-max(1, ``ROW_BLOCK_POINTS`` // count) rows.  ``polar_tabulate`` writes each block's base values
-straight into preallocated (rows, count) arrays: the bases of the sup
-engine's master and node-doubling grids, of the truncation ladder's panels
-and of the Mobius-weight integral.  ``polar_row_means`` keeps only each
-row's mean, for integrands evaluated per a rather than tabulated once (the
-Green weight and ``disk_integral_alpha`` here, the composition path of
-``spaces``).  Every value is pointwise, so the results do not depend on the
-blocking, and no grid-sized temporary is made.
+max(1, ``ROW_BLOCK_POINTS`` // count) rows.  ``polar_tabulate`` writes
+each block's base values straight into preallocated (rows, count) arrays,
+the bases of a ``PolarTable``: the sup engine's master and node-doubling
+grids, the truncation ladder's panels and the Mobius-weight integral each
+build one.  ``polar_row_means`` keeps only each row's mean, for integrands
+evaluated per a rather than tabulated once (the Green weight and
+``disk_integral_alpha`` here, the composition path of ``spaces``).  Every
+value is pointwise, so the results do not depend on the blocking, and no
+grid-sized temporary is made.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ DEFAULT_REFINE_CAP = 4
 DEFAULT_REL_TOL = 1e-8
 
 # Nested angular ladder: every entry divides the largest, so base values
-# tabulated on the finest grid can be reused at every rung (the engine keeps
-# one contiguous copy per rung).
+# tabulated on the finest grid can be reused at every rung (a ``PolarTable``
+# keeps one contiguous copy per rung).
 ANGULAR_LADDER = (256, 512, 1024, 2048)
 
 
@@ -299,41 +301,75 @@ def _row_means(b, mob) -> np.ndarray:
     return np.vecdot(b, mob) / b.shape[1]
 
 
-def mobius_integrals(a: complex, s: float, rho, bases, w, work) -> tuple:
-    """One integral per base of base(z) (1-|a|^2)^s / |1 - conj(a) z|^(2s).
-
-    ``rho`` holds the node radii of a tensor rule (radial x angular),
-    ``bases`` the tabulated bases on its polar grid, ``w`` the radial
-    weights (with any (1-t)-power absorbed) and ``work`` an array of the
-    bases' shape, which the call writes the factor into.  The factor is
-    computed once; each base then gets its own contraction, the row dots of
-    ``_row_means`` and the radial weights, since a stacked one would reorder
-    the sums.  At s = 0 and at a = 0 the factor is 1.0 and the bases' row
-    means are used.
+class PolarTable:
+    """Bases tabulated once on the polar grid z[i, j] = rho_i e^(i theta_j),
+    theta_j = ``angular_nodes(count)[j]`` (``polar_tabulate``), and their row
+    partials with the Mobius factor at a on ``count`` angles or on any
+    power-of-two divisor c of it.  The nodes at c angles are every
+    (count/c)-th of those at ``count``, bit for bit: the bases at c are
+    contiguous copies of those columns, made once per c (``copies``,
+    ``copied_values``), since a strided view would change BLAS's summation
+    order; the factor at c is computed at c, into a leading view of one
+    buffer the size of the bases (a buffer per count would free and map
+    more memory: glibc's mmap threshold follows the largest freed block).
+    Callers contract the partials with their own radial weights.
     """
-    mob = mobius_factor(a, s, rho, work)
-    return tuple(_radial_contract(w, _row_means(b, mob)) for b in bases)
 
+    def __init__(self, tabulate, rho, count: int):
+        self.rho = rho
+        self.bases = polar_tabulate(tabulate, rho,
+                                    np.exp(1j * angular_nodes(count)))
+        self._rungs = {count: self.bases}
+        self._factor = np.empty(rho.size * count)
+        self.copies = self.copied_values = 0
 
-def mobius_ring_rows(b, mob, turns: int) -> tuple:
-    """The row stage of ``mobius_ring_integrals`` for one base ``b`` and the
-    Mobius factor ``mob`` at a = r, both (radial, count) and contiguous:
-    the row means of b * mob (turn k = 0), by the same row dots
-    (``_row_means``) as ``mobius_integrals``, and the (radial, turns, turns)
-    block products G.  Every row's partials depend on that row alone, so
-    the rows of a rule may be computed in pieces and concatenated.
-    """
-    radial, count = b.shape
-    block = count // turns
-    m3 = mob.reshape(radial, turns, block).transpose(0, 2, 1)
-    blocks = np.matmul(b.reshape(radial, turns, block), m3)
-    return _row_means(b, mob), blocks
+    def _at(self, a: complex, s: float, count: int) -> tuple:
+        """The bases at ``count`` angles and the Mobius factor at a there."""
+        if count not in self._rungs:
+            stride = self.bases[0].shape[1] // count
+            self._rungs[count] = [np.ascontiguousarray(b[:, ::stride])
+                                  for b in self.bases]
+            self.copies += len(self.bases)
+            self.copied_values += len(self.bases) * self.rho.size * count
+        work = self._factor[:self.rho.size * count].reshape(self.rho.size, count)
+        return self._rungs[count], mobius_factor(a, s, self.rho, work)
+
+    def rows(self, a: complex, s: float, count: int) -> list:
+        """Per base, the row means of base * (1-|a|^2)^s / |1 - conj(a) z|^(2s)
+        on ``count`` angles: one BLAS dot per row (``_row_means``), so no
+        product array is made.  At s = 0 and at a = 0 the factor is 1.0 and
+        the bases' plain row means are used."""
+        bases, mob = self._at(a, s, count)
+        return [_row_means(b, mob) for b in bases]
+
+    def ring_rows(self, r: float, s: float, count: int, turns: int) -> list:
+        """Per base, the row partials of ``rows`` at a = r e^(2 pi i k/turns),
+        k < turns (r > 0, s != 0), for ``mobius_ring_contract``: the row
+        means at a = r (k = 0) and the block products G.  A rotation of a by
+        2 pi k/turns shifts the factor by k L columns, L = count/turns, so the
+        factor is computed once, at a = r, and turn k pairs base block m with
+        factor block (m - k) mod turns: the base viewed as (radial, turns, L)
+        times the factor viewed as (radial, L, turns) gives every G[m, n],
+        with no grid-sized temporary while turns^2 <= count.  Every row's
+        partials depend on that row alone.
+        """
+        if count % turns:
+            raise InvalidParameterError(
+                f"{count} angular nodes do not split into {turns} turns")
+        bases, mob = self._at(r, s, count)
+        shape = (self.rho.size, turns, count // turns)
+        m3 = mob.reshape(shape).transpose(0, 2, 1)
+        return [(_row_means(b, mob), np.matmul(b.reshape(shape), m3))
+                for b in bases]
 
 
 def mobius_ring_contract(w, row_means, blocks, count: int) -> list:
-    """The contraction stage of ``mobius_ring_integrals``: the ring's turn
-    values from the row partials of a whole rule and its radial weights
-    ``w``, on ``count`` angles."""
+    """The values of a ring from the ``PolarTable.ring_rows`` partials of
+    one base on a whole rule, its radial weights ``w`` and ``count`` angles:
+    turn k is pi/count times the sum of the k-th cyclic diagonal of the
+    contracted G.  k = 0 is the row means' contraction, bit-identical to
+    that of ``PolarTable.rows(r)``; the other turns sum in another order and
+    agree with it to about 1e-15 relative."""
     turns = blocks.shape[-1]
     m = np.arange(turns)
     diagonals = (m[None, :], (m[None, :] - m[:, None]) % turns)
@@ -341,39 +377,6 @@ def mobius_ring_contract(w, row_means, blocks, count: int) -> list:
     turn_values = (g[diagonals].sum(axis=1) * (np.pi / count)).tolist()
     turn_values[0] = _radial_contract(w, row_means)
     return turn_values
-
-
-def mobius_ring_integrals(r: float, s: float, rho, bases, w, work,
-                          turns: int) -> list:
-    """``mobius_integrals`` at a = r e^(2 pi i k/turns), k < turns, for s != 0:
-    one tuple per turn, holding one integral per base.
-
-    On the trapezoid grid a rotation of a by 2 pi k/turns moves the
-    Mobius factor by k * L columns, L = count/turns, so the factor is
-    computed once, at a = r.  Cut into blocks of L columns, turn k pairs
-    base block m with factor block (m - k) mod turns: one batched matrix
-    product per base, of the base viewed as (radial, turns, L) with the
-    factor viewed as (radial, L, turns), contracted with the radial weights,
-    gives every block pairing G[m, n], and turn k is pi/count times the sum
-    of the k-th cyclic diagonal of G.  Both views share memory with their
-    arrays, so no grid-sized temporary is made while turns^2 <= count (the
-    product holds radial * turns^2 values).  k = 0 is contracted the
-    direct way, by the row dots ``mobius_integrals(r)`` runs on the same
-    base and the same factor bits, and stays bit-identical to it; the other
-    turns sum in another order and agree with the direct kernel to about
-    1e-15 relative.  The work is two stages, ``mobius_ring_rows`` per base
-    and ``mobius_ring_contract``, which the truncation ladder also runs on
-    rules assembled from shared panels.  r must be positive: at a = 0 the
-    factor is the scalar 1.0.
-    """
-    count = work.shape[1]
-    if count % turns:
-        raise InvalidParameterError(
-            f"{count} angular nodes do not split into {turns} turns")
-    mob = mobius_factor(r, s, rho, work)
-    per_base = [mobius_ring_contract(w, *mobius_ring_rows(b, mob, turns), count)
-                for b in bases]
-    return list(zip(*per_base))
 
 
 def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
@@ -384,8 +387,8 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
     """int_D integrand(z) (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z).
 
     The rule absorbs (1-t)^(q+s) radially; the remaining bounded factor is
-    (1-|a|^2)^s / |1 - conj(a) z|^{2s}, integrated by ``mobius_integrals``
-    against the base ``polar_tabulate`` fills.
+    (1-|a|^2)^s / |1 - conj(a) z|^{2s}, contracted with the integrand on a
+    ``PolarTable`` of each rule.
     """
     _check_mobius_params(q, s)
     a = m.param
@@ -393,11 +396,10 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
 
     def evaluate(nr, na):
         grid = build_grid(nr, q + s, na)
-        rho, eig = np.sqrt(grid.radial_nodes), np.exp(1j * angular_nodes(na))
-        bases = polar_tabulate(lambda z: (integrand(z),), rho, eig)
-        (value,) = mobius_integrals(a, s, rho, bases, grid.radial_weights,
-                                    np.empty(bases[0].shape))
-        return value
+        table = PolarTable(lambda z: (integrand(z),),
+                           np.sqrt(grid.radial_nodes), na)
+        (row_means,) = table.rows(a, s, na)
+        return _radial_contract(grid.radial_weights, row_means)
 
     return _refine_loop(evaluate, radial, base_angular, tol, refine_cap)
 

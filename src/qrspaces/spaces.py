@@ -17,13 +17,14 @@ through z = sigma_a(w) (the automorphism derivative |sigma_a'| equals
 standard Mobius weight).  This keeps the moving part of every per-a integral
 a bounded rational factor and makes the sup search cheap: base values are
 tabulated once on a master grid whose angular resolution nests the ladder
-used near the boundary.  The tabulation walks that grid in row blocks of
-``quadrature.ROW_BLOCK_POINTS`` points and writes each block's values
-straight into the base arrays (``quadrature.polar_tabulate``), as does the
-node-doubling grid of the error estimate.
+used near the boundary.  That grid, and the node-doubling grid of the error
+estimate, is a ``quadrature.PolarTable``: the bases, tabulated a row block
+of ``quadrature.ROW_BLOCK_POINTS`` points at a time, and the row dots of
+each per-a Mobius factor with them.
 
 Composition-based evaluation (Faa di Bruno, ``composed_integral``) remains
-as the path for jet orders n >= 2, where no pullback of this form exists.
+the path for jet orders n >= 2 until their pullback (ROADMAP item 11) is
+put on the engine.
 
 Every sup over a in the disk (engine, composition, Green, Bloch, and the u/v
 pairs of the conjugate checks) runs through ``_sup_search``: one lattice, one
@@ -74,6 +75,7 @@ from .quadrature import (
     DEFAULT_ANGULAR,
     DEFAULT_RADIAL,
     GREEN_CAP_NODES,
+    PolarTable,
     _jacobi_01,
     _radial_contract,
     angular_count_for,
@@ -81,10 +83,8 @@ from .quadrature import (
     build_grid,
     check_angular,
     disk_integral_green,
-    mobius_integrals,
-    mobius_ring_integrals,
+    mobius_ring_contract,
     polar_row_means,
-    polar_tabulate,
 )
 
 # --- parameter records -------------------------------------------------------
@@ -408,20 +408,15 @@ class WeightedSupProblem:
     grid: ``tabulate(z)`` returns every base's values on the points z at
     once, so bases built from the same data share its evaluation (the u/v
     pair of a conjugate check takes |h'+g'|^p and |h'-g'|^p from one jet of
-    h and one of g).  Each per-a call is one
-    ``quadrature.mobius_integrals``, which computes the Mobius factor once and
-    returns one integral per base, and ``ring_integrals`` serves a whole
-    lattice ring from one factor.  Base values are tabulated once on a
-    (radial x max_angular) master grid; per-a integrals run on the rung of the
-    nested angular ladder that the aliasing bound picks, so near-boundary
-    parameters get the resolution they need without repricing the interior
-    ones.  The tabulator is called on row blocks of the grid
-    (``quadrature.polar_tabulate``), and each block's values go straight
-    into the (radial, max_angular) base arrays, so its temporaries stay
-    block-sized; a base value depends on its point alone, so the bases do
-    not depend on the blocking.  The problem keeps the node radii, not the
-    complex grid.  Each rung keeps a contiguous copy of every
-    ``max_angular // count``-th master column, and all rungs share one
+    h and one of g).  Base values are tabulated once on a (radial x
+    max_angular) master grid, a ``quadrature.PolarTable``; per-a integrals
+    run on the rung of the nested angular ladder that the aliasing bound
+    picks, so near-boundary parameters get the resolution they need without
+    repricing the interior ones.  Each per-a call contracts the table's
+    ``rows`` at a, one Mobius factor for every base, with the radial
+    weights, and ``ring_integrals`` serves a whole lattice ring from the
+    ``ring_rows`` of one factor.  The table keeps the node radii, not the
+    complex grid, one contiguous copy of the bases per rung and one
     master-sized factor buffer; ``base_angular`` must be a rung, since every
     a != 0 gets at least the first one.  ``evaluations`` counts the per-a
     evaluations by route: ``direct`` (``integral_at``),
@@ -448,21 +443,17 @@ class WeightedSupProblem:
         self.base_angular = int(base_angular)
         self._tabulator = tabulate
         self.tabulated_points = 0
-        self._rho, self._w, self._bases = self._tabulate(self.radial,
-                                                         self.max_angular)
-        self._factor = np.empty(self.radial * self.max_angular)
+        self._table, self._w = self._tabulate(self.radial, self.max_angular)
         self._const_value = None
-        self._rungs = {}
         self.evaluations = dict.fromkeys(
             ("direct", "ring_factor", "ring_turns", "refined"), 0)
 
     def _tabulate(self, radial: int, count: int) -> tuple:
-        """The node radii of the problem's (radial, count) rule, its radial
-        weights, and the bases on its grid, filled a row block at a time."""
+        """The ``PolarTable`` of the problem's (radial, count) rule and its
+        radial weights."""
         t, w = _jacobi_01(radial, self.q_eff + self.s_eff)
-        rho, eig = np.sqrt(t), np.exp(1j * angular_nodes(count))
         self.tabulated_points += radial * count
-        return rho, w, polar_tabulate(self._tabulator, rho, eig)
+        return PolarTable(self._tabulator, np.sqrt(t), count), w
 
     def grid_metadata(self) -> dict:
         return {
@@ -475,29 +466,13 @@ class WeightedSupProblem:
             "tabulated_points": self.tabulated_points,
         }
 
-    def _rung(self, count: int):
-        """The bases at ``count`` angles as contiguous copies, and the
-        Mobius factor's (radial, count) work array, a leading view of the
-        problem's one factor buffer.  Direct calls and the k = 0 turn of a
-        ring contract these same arrays by the same row dots, which keeps
-        the two bit-identical.
-
-        Strided reads of the bases (at 256 angles) and fresh temporaries (at
-        2048) each cost about as much as the arithmetic of a call; the row
-        dots need no product array.  A work array per rung would free and
-        map more memory (glibc's mmap threshold follows the largest freed
-        block) than one shared buffer.
-        """
-        if count not in self._rungs:
-            stride = self.max_angular // count
-            bases = [np.ascontiguousarray(b[:, ::stride]) for b in self._bases]
-            work = self._factor[:self.radial * count].reshape(self.radial, count)
-            self._rungs[count] = (bases, work)
-        return self._rungs[count]
-
     def _count_for(self, rho: float) -> int:
         return min(angular_count_for(rho, abs(self.s_eff), self.base_angular),
                    self.max_angular)
+
+    def _integrals(self, table, w, a: complex, count: int) -> tuple:
+        return tuple(_radial_contract(w, row_means)
+                     for row_means in table.rows(a, self.s_eff, count))
 
     def integral_at(self, a: complex) -> tuple:
         """One integral per base at the automorphism parameter a."""
@@ -505,12 +480,11 @@ class WeightedSupProblem:
         self.evaluations["direct"] += 1
         if self.s_eff == 0.0:
             if self._const_value is None:
-                bases, work = self._rung(self.max_angular)
-                self._const_value = mobius_integrals(a, self.s_eff, self._rho,
-                                                     bases, self._w, work)
+                self._const_value = self._integrals(self._table, self._w, a,
+                                                    self.max_angular)
             return self._const_value
-        bases, work = self._rung(self._count_for(abs(a)))
-        return mobius_integrals(a, self.s_eff, self._rho, bases, self._w, work)
+        return self._integrals(self._table, self._w, a,
+                               self._count_for(abs(a)))
 
     def ring_integrals(self, r: float, turns: int):
         """``integral_at(r e^(2 pi i k/turns))`` for k < turns, from one Mobius
@@ -525,20 +499,20 @@ class WeightedSupProblem:
         count = self._count_for(r)
         if self.s_eff == 0.0 or count % turns or turns * turns > count:
             return None
-        bases, work = self._rung(count)
         self.evaluations["ring_factor"] += 1
         self.evaluations["ring_turns"] += turns
-        return mobius_ring_integrals(r, self.s_eff, self._rho, bases, self._w,
-                                     work, turns)
+        per_base = [mobius_ring_contract(self._w, row_means, blocks, count)
+                    for row_means, blocks in self._table.ring_rows(
+                        r, self.s_eff, count, turns)]
+        return list(zip(*per_base))
 
     def refined_integral_at(self, a: complex) -> tuple:
         """One-off evaluation with doubled node counts (error estimation)."""
         a = complex(a)
         self.evaluations["refined"] += 1
-        rho, w, bases = self._tabulate(2 * self.radial,
-                                       2 * self._count_for(abs(a)))
-        return mobius_integrals(a, self.s_eff, rho, bases, w,
-                                np.empty(bases[0].shape))
+        count = 2 * self._count_for(abs(a))
+        table, w = self._tabulate(2 * self.radial, count)
+        return self._integrals(table, w, a, count)
 
 
 def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,

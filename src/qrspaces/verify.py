@@ -21,11 +21,11 @@ at radii R = 1 - 2^-j and declared finite when successive relative changes
 drop below a documented threshold, divergent otherwise (with a fitted
 exponent).  The radii of a ladder are one pass, ``_truncated_sup_norms``:
 they share their inner radial panels and nested power-of-two angular
-counts, so each panel's base and per-ring Mobius factors are computed once
-and every radius contracts the shared row partials with its own weights,
-with the values a radius computed alone would give.  Out-of-range
-parameters yield an informational divergence report, not a failure, since
-only sufficiency is asserted.
+counts, so each panel's base is tabulated once, each ring's Mobius factor
+is computed once per panel and count, and every radius contracts the
+shared row partials with its own weights, with the values a radius
+computed alone would give.  Out-of-range parameters yield an informational
+divergence report, not a failure, since only sufficiency is asserted.
 """
 
 from __future__ import annotations
@@ -44,16 +44,13 @@ from .mobius import MobiusMap
 from .quadrature import (
     DEFAULT_ANGULAR,
     DEFAULT_RADIAL,
+    PolarTable,
+    _radial_contract,
     angular_count_for,
-    angular_nodes,
     check_angular,
     disk_integral_green,
     disk_integral_mobius_weight,
-    _radial_contract,
-    mobius_factor,
     mobius_ring_contract,
-    mobius_ring_rows,
-    polar_tabulate,
     truncated_panels,
 )
 from .spaces import (
@@ -388,7 +385,7 @@ _TRUNC_MAX_ANGULAR = 8192
 _TRUNC_SEARCH_ANGLES = 8
 # the counters of a ladder's ``ladder_work``: points passed to the base,
 # nodes covered by Mobius factors, ring row stages run, and the strided
-# copies made for lower counts with the values they hold
+# base copies made for lower counts with the values they hold
 LADDER_WORK = ("base_points", "factor_nodes", "row_stages", "strided_copies",
                "copied_values")
 
@@ -435,19 +432,18 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     The radii share work.  Their rules are ``truncated_panels``, and a
     panel's nodes depend on its edges alone; their angular counts are
     powers of two, and the nodes at count c are every (C/c)-th of those at
-    C.  So each distinct panel is tabulated once, at the largest count a
-    radius uses it at, a row block at a time straight into the panel's base
-    array (``quadrature.polar_tabulate``, the engine's tabulation), and the
-    Mobius factor of each ring once per panel at that count; lower counts
-    take contiguous copies of strided columns,
-    which hold the same bits, one of the base per count and one of the
-    factor per ring and count.  The row stage of the ring kernel
-    (``mobius_ring_rows``: one row dot per row for a = r, and the block
-    products) runs once per panel, ring and count, and a = 0, whose factor
-    is exactly 1.0, takes the base's row means, as the direct kernel does.
-    Each radius then concatenates its panels' row partials and contracts
-    them with its own weights, so every value is the one a radius computed
-    alone would give.  Only panel-sized arrays and row partials are held.
+    C.  So each distinct panel is one ``quadrature.PolarTable``, the
+    engine's type, tabulated once at the largest count a radius uses it at;
+    lower counts take its contiguous copies of strided base columns, which
+    hold the same bits.  The row stage of the ring kernel
+    (``PolarTable.ring_rows``: one row dot per row for a = r, and the block
+    products) runs once per panel, ring and count, on the ring's Mobius
+    factor computed at that count, which for real r holds the bits of every
+    (C/c)-th column of the factor at C.  a = 0, whose factor is exactly
+    1.0, takes the base's row means (``PolarTable.rows``).  Each radius then
+    concatenates its panels' row partials and contracts them with its own
+    weights, so every value is the one a radius computed alone would give.
+    Only panel-sized arrays and row partials are held.
     """
     if ladder_work is None:
         ladder_work = dict.fromkeys(LADDER_WORK, 0)
@@ -461,30 +457,19 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
         for edges, t, _ in rule:
             users.setdefault(edges, (t, []))[1].append(n)
 
-    def strided(x, top, c):
-        if c == top:
-            return x
-        ladder_work["strided_copies"] += 1
-        ladder_work["copied_values"] += x.shape[0] * c
-        return np.ascontiguousarray(x[:, ::top // c])
-
     rows = {}  # (panel edges, count, ring r or None for a = 0) -> partials
     for edges, (t, ns) in users.items():
-        top = max(counts[n] for n in ns)
-        rho, eig = np.sqrt(t), np.exp(1j * angular_nodes(top))
-        (base,) = polar_tabulate(tabulate, rho, eig)
-        ladder_work["base_points"] += base.size
-        bases = {c: strided(base, top, c) for c in {counts[n] for n in ns}}
-        for c, b in bases.items():
-            rows[edges, c, None] = b.mean(axis=1)
-        mob = np.empty(base.shape)
-        for r in sorted({r for n in ns for r in rings[n]}):
-            ladder_work["factor_nodes"] += base.size
-            mob = mobius_factor(r, s, rho, mob)
-            for c in {counts[n] for n in ns if r in rings[n]}:
+        table = PolarTable(tabulate, np.sqrt(t), max(counts[n] for n in ns))
+        ladder_work["base_points"] += table.bases[0].size
+        for c in {counts[n] for n in ns}:
+            (rows[edges, c, None],) = table.rows(0.0, s, c)
+            for r in {r for n in ns if counts[n] == c for r in rings[n]}:
+                ladder_work["factor_nodes"] += len(t) * c
                 ladder_work["row_stages"] += 1
-                rows[edges, c, r] = mobius_ring_rows(
-                    bases[c], strided(mob, top, c), _TRUNC_SEARCH_ANGLES)
+                (rows[edges, c, r],) = table.ring_rows(r, s, c,
+                                                       _TRUNC_SEARCH_ANGLES)
+        ladder_work["strided_copies"] += table.copies
+        ladder_work["copied_values"] += table.copied_values
 
     results = []
     for R, c, ring, rule in zip(radii, counts, rings, rules):

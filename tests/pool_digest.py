@@ -6,14 +6,17 @@ Usage: ``python tests/pool_digest.py OUT.json [--against OLD.json]``
 Runs each ``bench/pools.py`` ``all_items()`` entry in-process through
 ``qrspaces.cli.main`` (from this checkout's ``src``), with a fixed ``--out``
 path per item, and writes one entry per item: the argv, the exit code, the
-captured stdout and stderr, and the sha256 of the output file (null when the
-item wrote none).  Records embed the ``--out`` path, so the path depends only
-on the item's position.  Two checkouts behave identically on the pools when
-their digests are identical: run the script in one checkout, then in the
-other with ``--against`` the first digest (one after the other: they share
-the output directory, removed at the end).  ``--against`` prints the argv
-of every item whose exit, stdout, stderr or ``out_sha256`` differ, with the
-fields that differ, and exits 1 if any item differs.
+captured stdout and stderr, the sha256 of the output file (null when the
+item wrote none) and, as ``out_keys``, a sha256 of each top-level key of the
+output's records (each column of a sweep's CSV) over all its records.
+Records embed the ``--out`` path, so the path depends only on the item's
+position.  Two checkouts behave identically on the pools when their digests
+are identical: run the script in one checkout, then in the other with
+``--against`` the first digest (one after the other: they share the output
+directory, removed at the end).  ``--against`` prints the argv of every item
+whose exit, stdout, stderr or ``out_sha256`` differ, with the fields that
+differ and the record keys whose values differ, and exits 1 if any item
+differs.
 
 ``--gate`` judges the same runs the way the benchmark does, for changes that
 move values in their last bits: each outcome goes through
@@ -31,6 +34,7 @@ records, and one line sums them up.  It exits 1 if any item fails.  Reads
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -49,6 +53,22 @@ import worker  # noqa: E402
 OUT_DIR = Path(tempfile.gettempdir()) / "qrspaces-pool-digest"
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def record_keys(path: Path) -> dict:
+    """sha256 of each top-level key's values over every record of an output
+    file: the keys of its JSON lines, or the columns of a CSV."""
+    with open(path, newline="") as fh:
+        records = (list(csv.DictReader(fh)) if path.suffix == ".csv"
+                   else [json.loads(line) for line in fh])
+    keys = dict.fromkeys(key for record in records for key in record)
+    return {key: _sha256(json.dumps([r.get(key) for r in records],
+                                    sort_keys=True).encode())
+            for key in keys}
+
+
 def digest_item(index: int, argv):
     """(digest entry, gate outcome) of one item."""
     suffix = ".csv" if argv[0] == "sweep" else ".jsonl"
@@ -59,12 +79,13 @@ def digest_item(index: int, argv):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = qrspaces.cli.main(list(argv) + ["--out", str(out_path)])
     outcome = worker.parse_outcome(argv, code, str(out_path))
-    sha = None
+    sha, keys = None, {}
     if out_path.exists():
-        sha = hashlib.sha256(out_path.read_bytes()).hexdigest()
+        sha, keys = _sha256(out_path.read_bytes()), record_keys(out_path)
         out_path.unlink()
     return {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
-            "stderr": stderr.getvalue(), "out_sha256": sha}, outcome
+            "stderr": stderr.getvalue(), "out_sha256": sha,
+            "out_keys": keys}, outcome
 
 
 def excluded_report(entries) -> int:
@@ -115,16 +136,21 @@ FIELDS = ("exit", "stdout", "stderr", "out_sha256")
 
 
 def differences(entries, old_entries) -> list:
-    """(argv, differing fields) of every item whose outcome differs; an item
-    present in one digest only differs in every field."""
+    """(argv, differing fields, differing record keys) of every item whose
+    outcome differs; an item present in one digest only differs in every
+    field.  A key differs when its hash differs or one digest lacks it (a
+    digest made before ``out_keys`` lacks them all)."""
     missing = dict.fromkeys(FIELDS)
     diffs = []
     for i in range(max(len(entries), len(old_entries))):
         new = entries[i] if i < len(entries) else missing
         old = old_entries[i] if i < len(old_entries) else missing
         fields = [k for k in FIELDS if new[k] != old[k]]
+        new_keys, old_keys = new.get("out_keys") or {}, old.get("out_keys") or {}
+        keys = [k for k in {**old_keys, **new_keys}
+                if new_keys.get(k) != old_keys.get(k)]
         if fields:
-            diffs.append((new.get("argv") or old.get("argv"), fields))
+            diffs.append((new.get("argv") or old.get("argv"), fields, keys))
     return diffs
 
 
@@ -153,8 +179,9 @@ def main(argv) -> int:
         return 0
     with open(argv[2]) as fh:
         diffs = differences(entries, json.load(fh))
-    for item_argv, fields in diffs:
-        print(f"differs in {', '.join(fields)}: {json.dumps(item_argv)}")
+    for item_argv, fields, keys in diffs:
+        in_keys = f" (keys {', '.join(keys)})" if keys else ""
+        print(f"differs in {', '.join(fields)}{in_keys}: {json.dumps(item_argv)}")
     print(f"{len(diffs)} of {len(entries)} items differ from {argv[2]}")
     return 1 if diffs else 0
 

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -493,6 +494,24 @@ def test_sweep_threads_deterministic(tmp_path):
     assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
     assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_overflow_is_a_cell_error_at_every_thread_count(tmp_path):
+    # a base past the float range: each cell records the overflow in its
+    # error column, the sweep goes on and exits 0, with no RuntimeWarning,
+    # whether the cell runs inline or on a worker thread
+    args = ["sweep", "--theorem", "3.2", "--maps", "poly:coeffs=0,1e200",
+            "--cells", "F(2,0,1)", "--K", "1", "--search-max-j", "2"]
+    outs = [tmp_path / "one.csv", tmp_path / "two.csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for out, threads in zip(outs, ("1", "2")):
+            assert main(args + ["--out", str(out), "--threads", threads]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    with open(outs[0]) as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["error"].startswith("FloatingPointError: overflow")
+    assert row["lhs"] == row["rhs"] == row["margin"] == ""
 
 
 def test_growth_command(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
-from qrspaces import quadrature, spaces, verify
+from qrspaces import quadrature
 from qrspaces.analytic import koebe
 from qrspaces.errors import InvalidParameterError
 from qrspaces.families import koebe_shear
@@ -26,9 +26,9 @@ from qrspaces.quadrature import (
     disk_integral_green,
     disk_integral_mobius_weight,
     green_cap_rule,
+    PolarTable,
     mobius_factor,
-    mobius_integrals,
-    mobius_ring_integrals,
+    mobius_ring_contract,
     polar_row_means,
     polar_tabulate,
     truncated_radial_rule,
@@ -233,17 +233,33 @@ def test_truncated_integral_approaches_full():
         assert value == pytest.approx(math.pi * (R ** 2 - R ** 4 / 2.0), rel=1e-13)
 
 
+def _integrals(table, w, a, s):
+    # one integral per base at a on the table's own count: its row means
+    # contracted with the radial weights w
+    count = table.bases[0].shape[1]
+    return tuple(_radial_contract(w, m) for m in table.rows(a, s, count))
+
+
+def _ring_integrals(table, w, r, s, turns):
+    # the ring's integrals, one tuple per turn holding one value per base
+    count = table.bases[0].shape[1]
+    return list(zip(*(mobius_ring_contract(w, m, g, count)
+                      for m, g in table.ring_rows(r, s, count, turns))))
+
+
 def test_mobius_integrals_matches_explicit_formula():
     theta = angular_nodes(512)
     for t, w in (_jacobi_01(64, 1.5), truncated_radial_rule(1.0 - 2.0 ** -6)):
         z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
         bases = [np.ones(z.shape), np.abs(1.0 + z) ** 3]
-        work = np.empty(z.shape)
+        table = PolarTable(lambda z: (np.ones(z.shape), np.abs(1.0 + z) ** 3),
+                           np.sqrt(t), 512)
+        assert all(np.array_equal(b, tb) for b, tb in zip(bases, table.bases))
         for s in (0.0, 0.5, 2.0):
             for a in (0.0, 0.3, 0.9j, -0.5 + 0.4j, 1.0 - 2.0 ** -10):
                 pref = (1.0 - abs(a) ** 2) ** s
                 mob = pref / np.abs(1.0 - np.conj(a) * z) ** (2.0 * s)
-                got = mobius_integrals(a, s, np.sqrt(t), bases, w, work)
+                got = _integrals(table, w, a, s)
                 assert len(got) == len(bases)
                 for b, value in zip(bases, got):
                     explicit = np.pi * np.sum(w[:, None] * b * mob) / len(theta)
@@ -325,6 +341,26 @@ def test_mobius_factor_mirror_matches_unmirrored_formula(count):
             np.testing.assert_allclose(got, formula, rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("s", [1.0, 0.5, 1.5, 0.3])
+def test_mobius_factor_at_lower_count_is_strided_top_factor(s):
+    # a truncation-ladder panel computes each ring's factor at every count
+    # it serves instead of copying every (C/c)-th column of the factor at
+    # its top count C: for real r the two hold the same bits, since the
+    # angles 2 pi k/c and 2 pi (k C/c)/C round alike (scaling by a power of
+    # two is exact), mirrored columns included.  Panel radii of two
+    # truncation rules, rings 1 - 2^-i, and C/c from 2 to 32
+    top = 8192
+    for j in (5, 12):
+        t, _ = truncated_radial_rule(1.0 - 2.0 ** -j)
+        rho = np.sqrt(t)
+        for i in range(1, j + 1, 2):
+            r = 1.0 - 2.0 ** -i
+            full = mobius_factor(r, s, rho, np.empty((rho.size, top)))
+            for c in (256, 512, 1024, 2048, 4096):
+                got = mobius_factor(r, s, rho, np.empty((rho.size, c)))
+                assert np.array_equal(got, full[:, ::top // c]), (j, i, c)
+
+
 def test_mobius_ring_integrals_match_rotated_kernel():
     # the truncation grid at R = 1 - 2^-9 (2048 angles) with the koebe base
     # rotated by e^(i pi/4): it is not symmetric under z -> conj(z), so
@@ -332,20 +368,21 @@ def test_mobius_ring_integrals_match_rotated_kernel():
     # checks that every base gets the same shift
     R = 1.0 - 2.0 ** -9
     t, w = truncated_radial_rule(R)
-    theta = angular_nodes(2048)
-    z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
-    zr = np.exp(1j * np.pi / 4) * z
-    bases = [np.abs(zr / (1.0 - zr) ** 2) ** 0.8, np.abs(1.0 + zr) ** 3]
+
+    def rotated(z):
+        zr = np.exp(1j * np.pi / 4) * z
+        return np.abs(zr / (1.0 - zr) ** 2) ** 0.8, np.abs(1.0 + zr) ** 3
+
+    table = PolarTable(rotated, np.sqrt(t), 2048)
     w = w * (1.0 - t) ** 1.0
-    work = np.empty(z.shape)
     for i in range(1, 10):
         r = 1.0 - 2.0 ** -i
-        ring = mobius_ring_integrals(r, 1.0, np.sqrt(t), bases, w, work, 8)
+        ring = _ring_integrals(table, w, r, 1.0, 8)
         assert len(ring) == 8
         for k, values in enumerate(ring):
             a = r * np.exp(2j * np.pi * k / 8)
-            direct = mobius_integrals(a, 1.0, np.sqrt(t), bases, w, work)
-            assert len(values) == len(bases)
+            direct = _integrals(table, w, a, 1.0)
+            assert len(values) == len(table.bases)
             if k == 0:
                 assert values == direct
             else:
@@ -366,13 +403,12 @@ def test_mobius_ring_integrals_property(r, count_exp, turns_exp, s, p, bases):
     # them, polynomial bases: the ring is the direct kernel at each turn
     count, turns = 2 ** count_exp, 2 ** min(turns_exp, count_exp)
     t, w = _jacobi_01(16, 0.5)
-    z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
-    tabulated = [np.abs(np.polyval(c, z)) ** p for c in bases]
-    work = np.empty(z.shape)
-    ring = mobius_ring_integrals(r, s, np.sqrt(t), tabulated, w, work, turns)
+    table = PolarTable(lambda z: [np.abs(np.polyval(c, z)) ** p for c in bases],
+                       np.sqrt(t), count)
+    ring = _ring_integrals(table, w, r, s, turns)
     for k, values in enumerate(ring):
         a = r * np.exp(2j * np.pi * k / turns)
-        direct = mobius_integrals(a, s, np.sqrt(t), tabulated, w, work)
+        direct = _integrals(table, w, a, s)
         if k == 0:
             assert values == direct
         else:
@@ -383,14 +419,13 @@ def test_mobius_ring_integrals_property(r, count_exp, turns_exp, s, p, bases):
 def test_mobius_ring_integrals_edge_turn_counts(turns):
     # one turn (a single block of every column) and one column per block
     t, w = _jacobi_01(16, 0.5)
-    z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(32))[None, :]
-    bases = [np.abs(1.0 + 0.7 * z) ** 2.5, np.abs(z - 0.3j) ** 1.5]
-    work = np.empty(z.shape)
-    ring = mobius_ring_integrals(0.9, 1.5, np.sqrt(t), bases, w, work, turns)
+    table = PolarTable(lambda z: (np.abs(1.0 + 0.7 * z) ** 2.5,
+                                  np.abs(z - 0.3j) ** 1.5), np.sqrt(t), 32)
+    ring = _ring_integrals(table, w, 0.9, 1.5, turns)
     assert len(ring) == turns
     for k, values in enumerate(ring):
         a = 0.9 * np.exp(2j * np.pi * k / turns)
-        direct = mobius_integrals(a, 1.5, np.sqrt(t), bases, w, work)
+        direct = _integrals(table, w, a, 1.5)
         if k == 0:
             assert values == direct
         else:
@@ -415,14 +450,12 @@ def test_mobius_ring_integrals_make_no_grid_sized_temporary(shape, n_bases,
     # real axis, where the factor is not mirrored
     radial, count = shape
     t, w = _jacobi_01(radial, 1.0)
-    z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
-    bases = [np.abs(1.0 + (0.5 + 0.1j * i) * z) ** 2.5 for i in range(n_bases)]
-    rho, work = np.sqrt(t), np.empty(z.shape)
+    table = PolarTable(lambda z: [np.abs(1.0 + (0.5 + 0.1j * i) * z) ** 2.5
+                                  for i in range(n_bases)], np.sqrt(t), count)
     if turns is None:
-        kernel = lambda: mobius_integrals(0.99j, 1.0, rho, bases, w, work)
+        kernel = lambda: _integrals(table, w, 0.99j, 1.0)
     else:
-        kernel = lambda: mobius_ring_integrals(0.99, 1.0, rho, bases, w, work,
-                                               turns)
+        kernel = lambda: _ring_integrals(table, w, 0.99, 1.0, turns)
     kernel()
     tracemalloc.start()
     try:
@@ -452,9 +485,9 @@ def test_row_dots_match_exact_sums(j):
 
 def test_mobius_ring_integrals_reject_uneven_turns():
     rho = np.sqrt(np.array([0.25, 0.5]))
+    table = PolarTable(lambda z: (np.ones(z.shape),), rho, 12)
     with pytest.raises(InvalidParameterError):
-        mobius_ring_integrals(0.5, 1.0, rho, [np.ones((2, 12))], np.ones(2),
-                              np.empty((2, 12)), 8)
+        _ring_integrals(table, np.ones(2), 0.5, 1.0, 8)
 
 
 def test_row_blocks_cover_the_grid(monkeypatch):
@@ -544,8 +577,7 @@ def test_row_blocks_leave_no_trace_in_tabulation(monkeypatch, path):
         tabulated.append((len(calls), [b.tobytes() for b in bases]))
         return bases
 
-    monkeypatch.setattr(spaces, "polar_tabulate", spy)
-    monkeypatch.setattr(verify, "polar_tabulate", spy)
+    monkeypatch.setattr(quadrature, "polar_tabulate", spy)
     blocked = path()
     blocked_bases, tabulated[:] = tabulated[:], []
     monkeypatch.setattr(quadrature, "ROW_BLOCK_POINTS", 10 ** 9)

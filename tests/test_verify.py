@@ -26,8 +26,8 @@ from qrspaces.harmonic import (
 from qrspaces.quadrature import (
     ANGULAR_LADDER,
     ROW_BLOCK_POINTS,
-    angular_nodes,
-    mobius_integrals,
+    PolarTable,
+    _radial_contract,
     truncated_radial_rule,
 )
 from qrspaces.spaces import (
@@ -327,15 +327,15 @@ def test_membership_derivative_targets():
 def _direct_truncated_sup(values_fn, p, q, s, R, count):
     # every candidate a = 0, r e^(2 pi i k/8) through the one-a kernel
     t, w = truncated_radial_rule(R)
-    z = np.sqrt(t)[:, None] * np.exp(1j * angular_nodes(count))[None, :]
-    base = np.asarray(values_fn(z), dtype=np.float64) ** p
+    table = PolarTable(
+        lambda z: (np.asarray(values_fn(z), dtype=np.float64) ** p,),
+        np.sqrt(t), count)
     w = w * (1.0 - t) ** (q + s)
-    work = np.empty(z.shape)
     candidates = [0.0 + 0.0j]
     for i in range(1, round(-math.log2(1.0 - R)) + 1):
         r = 1.0 - 2.0 ** -i
         candidates += [r * np.exp(2j * np.pi * k / 8) for k in range(8)]
-    return max(mobius_integrals(a, s, np.sqrt(t), [base], w, work)[0]
+    return max(_radial_contract(w, table.rows(a, s, count)[0])
                for a in candidates)
 
 
@@ -372,7 +372,7 @@ _LADDER_BASES = [
        case=st.sampled_from(_LADDER_BASES))
 def test_truncation_ladder_equals_one_radius_ladders(js, p, q, s, angular,
                                                      turn, case):
-    # the shared panels, strided counts and shared Mobius factors of a
+    # the shared panels, strided base copies and per-count Mobius factors of a
     # ladder give each radius the bits it gets alone, also for bases whose
     # sup lies off the real axis
     values, _ = _membership_values(*case)
@@ -389,8 +389,8 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
     # koebe in M(0.8,0,1) on j = 3..12 (256, 512, 1024, 2048 x 4, 4096 and
     # 8192 x 2 angles; 24-node panels): each panel is tabulated once, at the
     # largest count a radius uses it at, so the 11 dyadic panels at 8192 and
-    # the 10 tails at their own counts; each (panel, ring) gets one Mobius
-    # factor at that count, none at a = 0
+    # the 10 tails at their own counts; each (panel, ring, count) gets one
+    # Mobius factor at that count, none at a = 0 (where the factor is 1.0)
     values, _ = _membership_values(analytic_as_harmonic(koebe()),
                                    Mpqs(0.8, 0.0, 1.0), "f")
     points, nodes = [], []
@@ -399,13 +399,15 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
         points.append(z.size)
         return values(z)
 
-    factor = qrspaces.verify.mobius_factor
+    factor = qrspaces.quadrature.mobius_factor
 
     def counted_factor(a, s, rho, mob):
-        nodes.append(mob.size)
-        return factor(a, s, rho, mob)
+        out = factor(a, s, rho, mob)
+        if not isinstance(out, float):
+            nodes.append(mob.size)
+        return out
 
-    monkeypatch.setattr("qrspaces.verify.mobius_factor", counted_factor)
+    monkeypatch.setattr("qrspaces.quadrature.mobius_factor", counted_factor)
     counts = (256, 512, 1024, 2048, 2048, 2048, 2048, 4096, 8192, 8192)
     radii = [1.0 - 2.0 ** -j for j in DEFAULT_TRUNCATION_JS]
     ladder_work = dict.fromkeys(LADDER_WORK, 0)
@@ -418,17 +420,23 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
         tracemalloc.stop()
     assert [grid["angular"] for _, grid in ladder] == list(counts)
     assert sum(points) == 24 * (11 * 8192 + sum(counts)) == 2_893_824
-    assert len(nodes) == 11 * 12 + sum(DEFAULT_TRUNCATION_JS) == 207
-    assert sum(nodes) == 24 * (11 * 12 * 8192 + sum(
-        j * c for j, c in zip(DEFAULT_TRUNCATION_JS, counts))) == 33_122_304
+    # one factor per (panel, count, ring): the rule of R = 1 - 2^-j holds
+    # the dyadic panels m < j and its own tail, its lattice the rings
+    # 1 - 2^-i, i <= j
+    rings = {}  # (panel, count) -> rings
+    for j, c in zip(DEFAULT_TRUNCATION_JS, counts):
+        for panel in [*range(1, j), ("tail", j)]:
+            rings.setdefault((panel, c), set()).update(range(1, j + 1))
+    assert len(nodes) == sum(map(len, rings.values())) == 407
+    assert sum(nodes) == 24 * sum(
+        c * len(i) for (_, c), i in rings.items()) == 46_184_448
     assert peak < 150_000_000  # one radius at a time held 180 MB
     # the pass counts the same work itself, plus one row stage per (panel,
     # ring, count) and one strided copy of the base per (panel, lower count)
-    # and of the factor per (panel, ring, lower count)
     assert ladder_work == {"base_points": sum(points),
                            "factor_nodes": sum(nodes), "row_stages": 407,
-                           "strided_copies": 226,
-                           "copied_values": 14_487_552}
+                           "strided_copies": 26,
+                           "copied_values": 1_425_408}
 
 
 def test_membership_record_carries_ladder_work():
