@@ -653,8 +653,8 @@ MAX_RADIAL = 2048
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
     growth order means: estimate / use the default); threads is >= 1; the
-    grid has 2..MAX_RADIAL radial nodes and an angular count on the
-    ladder.  The search depth is at most RADIUS_CAP_J, since deeper radii
+    seed is >= 0, as numpy's generators require; the grid has
+    2..MAX_RADIAL radial nodes and an angular count on the ladder.  The search depth is at most RADIUS_CAP_J, since deeper radii
     would be clipped to the cap, and the truncation depth at most
     TRUNCATION_MAX_J, since deeper radii 1 - 2^-j round to 1."""
     for name in ("K", "Kprime", "alpha_K", "tol"):
@@ -665,6 +665,8 @@ def _check_run_numbers(cfg: RunConfig):
                 f"got {value!r}")
     if cfg.threads < 1:
         raise InvalidParameterError(f"--threads must be >= 1, got {cfg.threads}")
+    if cfg.seed < 0:
+        raise InvalidParameterError(f"--seed must be >= 0, got {cfg.seed}")
     if cfg.radial < 2:
         raise InvalidParameterError(f"--radial must be >= 2, got {cfg.radial}")
     if cfg.radial > MAX_RADIAL:

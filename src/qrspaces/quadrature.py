@@ -16,15 +16,16 @@ grid z[i, j] = rho_i e^(i theta_j), theta_j = ``angular_nodes(count)[j]``
     ((1-r)(1+r) / ((1 - r rho_i)^2 + 4 r rho_i sin^2((theta_j - phi)/2)))^s
 
 for a = r e^(i phi): real arithmetic on a sum of nonnegative terms, so it
-stays accurate to a few ulps as |a| and rho approach 1.  Each base is then
-contracted with the factor row by row, as one BLAS dot per row over the
-angular count (``_row_means``), so no grid-sized product is formed; the
-direct kernel and the a = r turn of the ring kernel (``PolarTable.rows``
-and ``PolarTable.ring_rows``) call that one helper on the same arrays,
-which keeps the two bit-identical.  A blocked dot has the forward-error
-bound of recursive summation, n u sum |b mob| (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, sec. 3.1), far inside the 1e-12
-the values are held to.
+stays accurate to a few ulps as |a| and rho approach 1.  A ``PolarTable``
+holds bases on such a grid with the radial weights of their rule, and is
+the one contraction: each base with the factor by one BLAS dot per row
+(``_row_means``), so no grid-sized product is formed, then the row means
+with the weights.  Its direct kernel and the a = r turn of its ring kernel
+run both steps on the same arrays, which keeps the two bit-identical.
+Blocked dots, like the truncation ladder's sums of per-panel integrals in
+rule order, keep the forward-error bound of recursive summation,
+n u sum |b mob| (Higham, Accuracy and Stability of Numerical Algorithms,
+2002, sec. 3.1), far inside the 1e-12 the values are held to.
 
 The Green weight g(z,a)^s has one fixed rule in t, split at 1/2: a Gauss
 rule for its own log-singular weight on the cap (``green_cap_rule``) and
@@ -301,10 +302,19 @@ def _row_means(b, mob) -> np.ndarray:
     return np.vecdot(b, mob) / b.shape[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclic_diagonals(turns: int) -> np.ndarray:
+    """Flat indices of the cyclic diagonals of a (turns, turns) matrix G:
+    row k picks G[m, (m - k) mod turns], m < turns."""
+    m = np.arange(turns)
+    return m[None, :] * turns + (m[None, :] - m[:, None]) % turns
+
+
 class PolarTable:
     """Bases tabulated once on the polar grid z[i, j] = rho_i e^(i theta_j),
-    theta_j = ``angular_nodes(count)[j]`` (``polar_tabulate``), and their row
-    partials with the Mobius factor at a on ``count`` angles or on any
+    theta_j = ``angular_nodes(count)[j]`` (``polar_tabulate``), with the
+    radial weights w of their rule in t = rho^2, and their integrals with
+    the Mobius factor at a on ``count`` angles or on any
     power-of-two divisor c of it.  The nodes at c angles are every
     (count/c)-th of those at ``count``, bit for bit: the bases at c are
     contiguous copies of those columns, made once per c (``copies``,
@@ -312,11 +322,11 @@ class PolarTable:
     order; the factor at c is computed at c, into a leading view of one
     buffer the size of the bases (a buffer per count would free and map
     more memory: glibc's mmap threshold follows the largest freed block).
-    Callers contract the partials with their own radial weights.
     """
 
-    def __init__(self, tabulate, rho, count: int):
+    def __init__(self, tabulate, rho, w, count: int):
         self.rho = rho
+        self.w = w
         self.bases = polar_tabulate(tabulate, rho,
                                     np.exp(1j * angular_nodes(count)))
         self._rungs = {count: self.bases}
@@ -334,24 +344,23 @@ class PolarTable:
         work = self._factor[:self.rho.size * count].reshape(self.rho.size, count)
         return self._rungs[count], mobius_factor(a, s, self.rho, work)
 
-    def rows(self, a: complex, s: float, count: int) -> list:
-        """Per base, the row means of base * (1-|a|^2)^s / |1 - conj(a) z|^(2s)
-        on ``count`` angles: one BLAS dot per row (``_row_means``), so no
-        product array is made.  At s = 0 and at a = 0 the factor is 1.0 and
+    def integrals(self, a: complex, s: float, count: int) -> list:
+        """Per base, the integral of base * (1-|a|^2)^s / |1 - conj(a) z|^(2s)
+        on ``count`` angles.  At s = 0 and at a = 0 the factor is 1.0 and
         the bases' plain row means are used."""
         bases, mob = self._at(a, s, count)
-        return [_row_means(b, mob) for b in bases]
+        return [_radial_contract(self.w, _row_means(b, mob)) for b in bases]
 
-    def ring_rows(self, r: float, s: float, count: int, turns: int) -> list:
-        """Per base, the row partials of ``rows`` at a = r e^(2 pi i k/turns),
-        k < turns (r > 0, s != 0), for ``mobius_ring_contract``: the row
-        means at a = r (k = 0) and the block products G.  A rotation of a by
-        2 pi k/turns shifts the factor by k L columns, L = count/turns, so the
-        factor is computed once, at a = r, and turn k pairs base block m with
-        factor block (m - k) mod turns: the base viewed as (radial, turns, L)
-        times the factor viewed as (radial, L, turns) gives every G[m, n],
-        with no grid-sized temporary while turns^2 <= count.  Every row's
-        partials depend on that row alone.
+    def ring_integrals(self, r: float, s: float, count: int, turns: int) -> list:
+        """Per base, the ``integrals`` at a = r e^(2 pi i k/turns), k < turns
+        (r > 0, s != 0).  A rotation of a by 2 pi k/turns shifts the factor
+        by k L columns, L = count/turns, so the factor is computed once, at
+        a = r, and the base viewed as (radial, turns, L) times the factor
+        viewed as (radial, L, turns) pairs every base block with every
+        factor block, with no grid-sized temporary while turns^2 <= count.
+        One dot with the weights contracts that to G, and turn k is pi/count
+        times the sum of G's k-th cyclic diagonal.  k = 0 is ``integrals``
+        at r, bit for bit; the others agree with it to about 1e-15 relative.
         """
         if count % turns:
             raise InvalidParameterError(
@@ -359,24 +368,15 @@ class PolarTable:
         bases, mob = self._at(r, s, count)
         shape = (self.rho.size, turns, count // turns)
         m3 = mob.reshape(shape).transpose(0, 2, 1)
-        return [(_row_means(b, mob), np.matmul(b.reshape(shape), m3))
-                for b in bases]
-
-
-def mobius_ring_contract(w, row_means, blocks, count: int) -> list:
-    """The values of a ring from the ``PolarTable.ring_rows`` partials of
-    one base on a whole rule, its radial weights ``w`` and ``count`` angles:
-    turn k is pi/count times the sum of the k-th cyclic diagonal of the
-    contracted G.  k = 0 is the row means' contraction, bit-identical to
-    that of ``PolarTable.rows(r)``; the other turns sum in another order and
-    agree with it to about 1e-15 relative."""
-    turns = blocks.shape[-1]
-    m = np.arange(turns)
-    diagonals = (m[None, :], (m[None, :] - m[:, None]) % turns)
-    g = np.tensordot(w, blocks, 1)
-    turn_values = (g[diagonals].sum(axis=1) * (np.pi / count)).tolist()
-    turn_values[0] = _radial_contract(w, row_means)
-    return turn_values
+        per_base = []
+        for b in bases:
+            g = np.dot(self.w, np.matmul(b.reshape(shape), m3).reshape(
+                self.rho.size, -1))
+            values = (g[_cyclic_diagonals(turns)].sum(axis=1)
+                      * (np.pi / count)).tolist()
+            values[0] = _radial_contract(self.w, _row_means(b, mob))
+            per_base.append(values)
+        return per_base
 
 
 def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
@@ -387,7 +387,7 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
     """int_D integrand(z) (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z).
 
     The rule absorbs (1-t)^(q+s) radially; the remaining bounded factor is
-    (1-|a|^2)^s / |1 - conj(a) z|^{2s}, contracted with the integrand on a
+    (1-|a|^2)^s / |1 - conj(a) z|^{2s}, integrated with the integrand on a
     ``PolarTable`` of each rule.
     """
     _check_mobius_params(q, s)
@@ -397,9 +397,8 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
     def evaluate(nr, na):
         grid = build_grid(nr, q + s, na)
         table = PolarTable(lambda z: (integrand(z),),
-                           np.sqrt(grid.radial_nodes), na)
-        (row_means,) = table.rows(a, s, na)
-        return _radial_contract(grid.radial_weights, row_means)
+                           np.sqrt(grid.radial_nodes), grid.radial_weights, na)
+        return table.integrals(a, s, na)[0]
 
     return _refine_loop(evaluate, radial, base_angular, tol, refine_cap)
 

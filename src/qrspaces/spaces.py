@@ -19,8 +19,9 @@ a bounded rational factor and makes the sup search cheap: base values are
 tabulated once on a master grid whose angular resolution nests the ladder
 used near the boundary.  That grid, and the node-doubling grid of the error
 estimate, is a ``quadrature.PolarTable``: the bases, tabulated a row block
-of ``quadrature.ROW_BLOCK_POINTS`` points at a time, and the row dots of
-each per-a Mobius factor with them.
+of ``quadrature.ROW_BLOCK_POINTS`` points at a time, with the radial
+weights of their rule, and the per-base integrals against each per-a Mobius
+factor.
 
 Composition-based evaluation (Faa di Bruno, ``composed_integral``) remains
 the path for jet orders n >= 2 until their pullback (ROADMAP item 11) is
@@ -83,7 +84,6 @@ from .quadrature import (
     build_grid,
     check_angular,
     disk_integral_green,
-    mobius_ring_contract,
     polar_row_means,
 )
 
@@ -412,18 +412,18 @@ class WeightedSupProblem:
     max_angular) master grid, a ``quadrature.PolarTable``; per-a integrals
     run on the rung of the nested angular ladder that the aliasing bound
     picks, so near-boundary parameters get the resolution they need without
-    repricing the interior ones.  Each per-a call contracts the table's
-    ``rows`` at a, one Mobius factor for every base, with the radial
-    weights, and ``ring_integrals`` serves a whole lattice ring from the
-    ``ring_rows`` of one factor.  The table keeps the node radii, not the
-    complex grid, one contiguous copy of the bases per rung and one
-    master-sized factor buffer; ``base_angular`` must be a rung, since every
-    a != 0 gets at least the first one.  ``evaluations`` counts the per-a
-    evaluations by route: ``direct`` (``integral_at``),
-    ``ring_factor`` and ``ring_turns`` (Mobius factors and the lattice
-    points they served) and ``refined`` (``refined_integral_at``), and
-    ``tabulated_points`` the points the tabulator was given, the master
-    grid's and every node-doubling grid's.
+    repricing the interior ones.  Each per-a call takes the table's
+    ``integrals`` at a, one Mobius factor for every base, and
+    ``ring_integrals`` serves a whole lattice ring from the table's
+    ``ring_integrals`` of one factor.  The table keeps the node radii and
+    the radial weights, not the complex grid, one contiguous copy of the
+    bases per rung and one master-sized factor buffer; ``base_angular``
+    must be a rung, since every a != 0 gets at least the first one.
+    ``evaluations`` counts the per-a evaluations by route: ``direct``
+    (``integral_at``), ``ring_factor`` and ``ring_turns`` (Mobius factors
+    and the lattice points they served) and ``refined``
+    (``refined_integral_at``), and ``tabulated_points`` the points the
+    tabulator was given, the master grid's and every node-doubling grid's.
     """
 
     def __init__(self, tabulate: Callable, q_eff: float, s_eff: float,
@@ -443,17 +443,16 @@ class WeightedSupProblem:
         self.base_angular = int(base_angular)
         self._tabulator = tabulate
         self.tabulated_points = 0
-        self._table, self._w = self._tabulate(self.radial, self.max_angular)
+        self._table = self._tabulate(self.radial, self.max_angular)
         self._const_value = None
         self.evaluations = dict.fromkeys(
             ("direct", "ring_factor", "ring_turns", "refined"), 0)
 
-    def _tabulate(self, radial: int, count: int) -> tuple:
-        """The ``PolarTable`` of the problem's (radial, count) rule and its
-        radial weights."""
+    def _tabulate(self, radial: int, count: int) -> PolarTable:
+        """The ``PolarTable`` of the problem's (radial, count) rule."""
         t, w = _jacobi_01(radial, self.q_eff + self.s_eff)
         self.tabulated_points += radial * count
-        return PolarTable(self._tabulator, np.sqrt(t), count), w
+        return PolarTable(self._tabulator, np.sqrt(t), w, count)
 
     def grid_metadata(self) -> dict:
         return {
@@ -470,21 +469,17 @@ class WeightedSupProblem:
         return min(angular_count_for(rho, abs(self.s_eff), self.base_angular),
                    self.max_angular)
 
-    def _integrals(self, table, w, a: complex, count: int) -> tuple:
-        return tuple(_radial_contract(w, row_means)
-                     for row_means in table.rows(a, self.s_eff, count))
-
     def integral_at(self, a: complex) -> tuple:
         """One integral per base at the automorphism parameter a."""
         a = complex(a)
         self.evaluations["direct"] += 1
-        if self.s_eff == 0.0:
-            if self._const_value is None:
-                self._const_value = self._integrals(self._table, self._w, a,
-                                                    self.max_angular)
-            return self._const_value
-        return self._integrals(self._table, self._w, a,
-                               self._count_for(abs(a)))
+        if self.s_eff != 0.0:
+            return tuple(self._table.integrals(a, self.s_eff,
+                                               self._count_for(abs(a))))
+        if self._const_value is None:
+            self._const_value = tuple(self._table.integrals(
+                a, 0.0, self.max_angular))
+        return self._const_value
 
     def ring_integrals(self, r: float, turns: int):
         """``integral_at(r e^(2 pi i k/turns))`` for k < turns, from one Mobius
@@ -501,18 +496,16 @@ class WeightedSupProblem:
             return None
         self.evaluations["ring_factor"] += 1
         self.evaluations["ring_turns"] += turns
-        per_base = [mobius_ring_contract(self._w, row_means, blocks, count)
-                    for row_means, blocks in self._table.ring_rows(
-                        r, self.s_eff, count, turns)]
-        return list(zip(*per_base))
+        return list(zip(*self._table.ring_integrals(r, self.s_eff, count,
+                                                    turns)))
 
     def refined_integral_at(self, a: complex) -> tuple:
         """One-off evaluation with doubled node counts (error estimation)."""
         a = complex(a)
         self.evaluations["refined"] += 1
         count = 2 * self._count_for(abs(a))
-        table, w = self._tabulate(2 * self.radial, count)
-        return self._integrals(table, w, a, count)
+        return tuple(self._tabulate(2 * self.radial, count).integrals(
+            a, self.s_eff, count))
 
 
 def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,

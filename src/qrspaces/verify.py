@@ -22,10 +22,10 @@ drop below a documented threshold, divergent otherwise (with a fitted
 exponent).  The radii of a ladder are one pass, ``_truncated_sup_norms``:
 they share their inner radial panels and nested power-of-two angular
 counts, so each panel's base is tabulated once, each ring's Mobius factor
-is computed once per panel and count, and every radius contracts the
-shared row partials with its own weights, with the values a radius
-computed alone would give.  Out-of-range parameters yield an informational
-divergence report, not a failure, since only sufficiency is asserted.
+is computed once per panel and count, and every radius sums its panels'
+integrals in rule order, with the values a radius computed alone would
+give.  Out-of-range parameters yield an informational divergence report,
+not a failure, since only sufficiency is asserted.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ from .quadrature import (
     DEFAULT_ANGULAR,
     DEFAULT_RADIAL,
     PolarTable,
-    _radial_contract,
     angular_count_for,
     check_angular,
     disk_integral_green,
     disk_integral_mobius_weight,
-    mobius_ring_contract,
     truncated_panels,
 )
 from .spaces import (
@@ -384,8 +382,8 @@ _TRUNC_MAX_ANGULAR = 8192
 # lattice angles per automorphism radius in the truncated sup
 _TRUNC_SEARCH_ANGLES = 8
 # the counters of a ladder's ``ladder_work``: points passed to the base,
-# nodes covered by Mobius factors, ring row stages run, and the strided
-# base copies made for lower counts with the values they hold
+# nodes covered by Mobius factors, ring kernels run (``row_stages``), and
+# the strided base copies made for lower counts with the values they hold
 LADDER_WORK = ("base_points", "factor_nodes", "row_stages", "strided_copies",
                "copied_values")
 
@@ -433,17 +431,15 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     panel's nodes depend on its edges alone; their angular counts are
     powers of two, and the nodes at count c are every (C/c)-th of those at
     C.  So each distinct panel is one ``quadrature.PolarTable``, the
-    engine's type, tabulated once at the largest count a radius uses it at;
-    lower counts take its contiguous copies of strided base columns, which
-    hold the same bits.  The row stage of the ring kernel
-    (``PolarTable.ring_rows``: one row dot per row for a = r, and the block
-    products) runs once per panel, ring and count, on the ring's Mobius
-    factor computed at that count, which for real r holds the bits of every
-    (C/c)-th column of the factor at C.  a = 0, whose factor is exactly
-    1.0, takes the base's row means (``PolarTable.rows``).  Each radius then
-    concatenates its panels' row partials and contracts them with its own
-    weights, so every value is the one a radius computed alone would give.
-    Only panel-sized arrays and row partials are held.
+    engine's type, with the panel's weights times (1-t)^(q+s), the same for
+    every radius that uses it, tabulated once at the largest count a radius
+    uses it at; lower counts take its contiguous copies of strided base
+    columns, which hold the same bits.  Its ring kernel runs once per ring
+    and count, on the ring's Mobius factor computed at that count, which
+    for real r holds the bits of every (C/c)-th column of the factor at C;
+    a = 0, whose factor is exactly 1.0, takes the base's row means.  Each
+    radius sums its panels' integrals in rule order, so every value is the
+    one a radius computed alone would give.
     """
     if ladder_work is None:
         ladder_work = dict.fromkeys(LADDER_WORK, 0)
@@ -452,39 +448,34 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     rings = [[r for r in dyadic_radii(int(-math.log2(1.0 - R) + 0.5))[1:]
               if r <= R] for R in radii]
     rules = [truncated_panels(R) for R in radii]
-    users = {}  # panel edges -> (its nodes t, indices of the radii using it)
+    users = {}  # panel edges -> (its rule t, w, indices of the radii using it)
     for n, rule in enumerate(rules):
-        for edges, t, _ in rule:
-            users.setdefault(edges, (t, []))[1].append(n)
+        for edges, t, w in rule:
+            users.setdefault(edges, (t, w, []))[2].append(n)
 
-    rows = {}  # (panel edges, count, ring r or None for a = 0) -> partials
-    for edges, (t, ns) in users.items():
-        table = PolarTable(tabulate, np.sqrt(t), max(counts[n] for n in ns))
+    # (panel edges, count, ring r or None for a = 0) -> the panel's integrals
+    integrals = {}
+    for edges, (t, w, ns) in users.items():
+        table = PolarTable(tabulate, np.sqrt(t), w * (1.0 - t) ** (q + s),
+                           max(counts[n] for n in ns))
         ladder_work["base_points"] += table.bases[0].size
         for c in {counts[n] for n in ns}:
-            (rows[edges, c, None],) = table.rows(0.0, s, c)
+            integrals[edges, c, None] = table.integrals(0.0, s, c)
             for r in {r for n in ns if counts[n] == c for r in rings[n]}:
                 ladder_work["factor_nodes"] += len(t) * c
                 ladder_work["row_stages"] += 1
-                (rows[edges, c, r],) = table.ring_rows(r, s, c,
-                                                       _TRUNC_SEARCH_ANGLES)
+                (integrals[edges, c, r],) = table.ring_integrals(
+                    r, s, c, _TRUNC_SEARCH_ANGLES)
         ladder_work["strided_copies"] += table.copies
         ladder_work["copied_values"] += table.copied_values
 
     results = []
     for R, c, ring, rule in zip(radii, counts, rings, rules):
-        t = np.concatenate([panel[1] for panel in rule])
-        w = np.concatenate([panel[2] for panel in rule]) * (1.0 - t) ** (q + s)
-        values = [_radial_contract(
-            w, np.concatenate([rows[edges, c, None] for edges, _, _ in rule]))]
-        for r in ring:
-            parts = [rows[edges, c, r] for edges, _, _ in rule]
-            values.extend(mobius_ring_contract(
-                w, np.concatenate([m for m, _ in parts]),
-                np.concatenate([g for _, g in parts]), c))
+        values = [sum(panels) for r in (None, *ring) for panels in zip(
+            *(integrals[edges, c, r] for edges, _, _ in rule))]
         results.append((max(values),
-                        {"radial": len(t), "angular": c,
-                         "candidates": len(values)}))
+                        {"radial": sum(len(t) for _, t, _ in rule),
+                         "angular": c, "candidates": len(values)}))
     return results
 
 

@@ -7,16 +7,19 @@ Runs each ``bench/pools.py`` ``all_items()`` entry in-process through
 ``qrspaces.cli.main`` (from this checkout's ``src``), with a fixed ``--out``
 path per item, and writes one entry per item: the argv, the exit code, the
 captured stdout and stderr, the sha256 of the output file (null when the
-item wrote none) and, as ``out_keys``, a sha256 of each top-level key of the
-output's records (each column of a sweep's CSV) over all its records.
+item wrote none), as ``out_keys``, a sha256 of each top-level key of the
+output's records (each column of a sweep's CSV) over all its records, and,
+as ``outcome``, the fields the benchmark gates (``bench/worker.parse_outcome``).
 Records embed the ``--out`` path, so the path depends only on the item's
 position.  Two checkouts behave identically on the pools when their digests
 are identical: run the script in one checkout, then in the other with
 ``--against`` the first digest (one after the other: they share the output
 directory, removed at the end).  ``--against`` prints the argv of every item
 whose exit, stdout, stderr or ``out_sha256`` differ, with the fields that
-differ and the record keys whose values differ, and exits 1 if any item
-differs.
+differ and the record keys whose values differ, then how far its gated
+fields moved: the largest relative change of each numeric field that
+differs (over a sweep's rows and a list's entries), or ``changed`` for any
+other.  It exits 1 if any item differs.
 
 ``--gate`` judges the same runs the way the benchmark does, for changes that
 move values in their last bits: each outcome goes through
@@ -85,7 +88,7 @@ def digest_item(index: int, argv):
         out_path.unlink()
     return {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
             "stderr": stderr.getvalue(), "out_sha256": sha,
-            "out_keys": keys}, outcome
+            "out_keys": keys, "outcome": outcome}, outcome
 
 
 def excluded_report(entries) -> int:
@@ -135,11 +138,50 @@ def gate_report(runs, excluded) -> int:
 FIELDS = ("exit", "stdout", "stderr", "out_sha256")
 
 
+def _field_values(outcome: dict) -> dict:
+    """Each gated field of an outcome as the list of its values: a list
+    field's entries, a sweep column's values over its rows."""
+    fields = {}
+    for key, value in outcome.items():
+        if key == "rows":
+            for row in value:
+                for column, v in row.items():
+                    fields.setdefault(column, []).append(v)
+        else:
+            fields[key] = value if isinstance(value, list) else [value]
+    return fields
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def moved_fields(outcome: dict, old_outcome: dict) -> list:
+    """(field, largest relative change) of each gated field whose values
+    differ, the change None where the field is not numeric on both sides
+    or changed its length."""
+    new, old = _field_values(outcome), _field_values(old_outcome)
+    moved = []
+    for key in dict.fromkeys([*old, *new]):
+        xs, rs = new.get(key), old.get(key)
+        if xs == rs:
+            continue
+        if xs is None or rs is None or len(xs) != len(rs) \
+                or not all(map(_is_number, xs + rs)):
+            moved.append((key, None))
+        else:
+            moved.append((key, max(gate._rel_dev(float(x), float(r))
+                                   for x, r in zip(xs, rs))))
+    return moved
+
+
 def differences(entries, old_entries) -> list:
-    """(argv, differing fields, differing record keys) of every item whose
-    outcome differs; an item present in one digest only differs in every
-    field.  A key differs when its hash differs or one digest lacks it (a
-    digest made before ``out_keys`` lacks them all)."""
+    """(argv, differing fields, differing record keys, moved gated fields)
+    of every item whose outcome differs; an item present in one digest only
+    differs in every field.  A key differs when its hash differs or one
+    digest lacks it (a digest made before ``out_keys`` lacks them all);
+    the moved fields are ``moved_fields``, empty when a digest lacks the
+    item's ``outcome``."""
     missing = dict.fromkeys(FIELDS)
     diffs = []
     for i in range(max(len(entries), len(old_entries))):
@@ -149,8 +191,12 @@ def differences(entries, old_entries) -> list:
         new_keys, old_keys = new.get("out_keys") or {}, old.get("out_keys") or {}
         keys = [k for k in {**old_keys, **new_keys}
                 if new_keys.get(k) != old_keys.get(k)]
+        moved = []
+        if new.get("outcome") is not None and old.get("outcome") is not None:
+            moved = moved_fields(new["outcome"], old["outcome"])
         if fields:
-            diffs.append((new.get("argv") or old.get("argv"), fields, keys))
+            diffs.append((new.get("argv") or old.get("argv"), fields, keys,
+                          moved))
     return diffs
 
 
@@ -179,9 +225,13 @@ def main(argv) -> int:
         return 0
     with open(argv[2]) as fh:
         diffs = differences(entries, json.load(fh))
-    for item_argv, fields, keys in diffs:
+    for item_argv, fields, keys, moved in diffs:
         in_keys = f" (keys {', '.join(keys)})" if keys else ""
         print(f"differs in {', '.join(fields)}{in_keys}: {json.dumps(item_argv)}")
+        if moved:
+            print("  moved: " + ", ".join(
+                f"{key} changed" if change is None else f"{key} {change:.2e}"
+                for key, change in moved))
     print(f"{len(diffs)} of {len(entries)} items differ from {argv[2]}")
     return 1 if diffs else 0
 

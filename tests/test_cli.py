@@ -598,6 +598,28 @@ def test_bad_environment_exit_2(tmp_path, monkeypatch, capsys, name, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("source", ["flag", "environment", "config"])
+def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, source):
+    # numpy's generators reject a negative seed; the run numbers check
+    # rejects it first, from every source, with one line
+    argv = ["verify", "--theorem", "4.1", "--map", "koebe",
+            "--scale", "M(0.8,0,1)", "--K", "1", "--target", "ftheta",
+            "--truncation-max-j", "4", "--out", str(tmp_path / "v.jsonl")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    elif source == "environment":
+        monkeypatch.setenv("QRSPACES_SEED", "-3")
+        argv[argv.index("ftheta")] = "bfb"
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"seed": -2}))
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed" in err and "Traceback" not in err
+
+
 # JSON kinds a config value can take, and the kinds each field type accepts
 JSON_KINDS = {
     "null": st.none(),

@@ -28,7 +28,6 @@ from qrspaces.quadrature import (
     green_cap_rule,
     PolarTable,
     mobius_factor,
-    mobius_ring_contract,
     polar_row_means,
     polar_tabulate,
     truncated_radial_rule,
@@ -233,18 +232,16 @@ def test_truncated_integral_approaches_full():
         assert value == pytest.approx(math.pi * (R ** 2 - R ** 4 / 2.0), rel=1e-13)
 
 
-def _integrals(table, w, a, s):
-    # one integral per base at a on the table's own count: its row means
-    # contracted with the radial weights w
+def _integrals(table, a, s):
+    # one integral per base at a on the table's own count
     count = table.bases[0].shape[1]
-    return tuple(_radial_contract(w, m) for m in table.rows(a, s, count))
+    return tuple(table.integrals(a, s, count))
 
 
-def _ring_integrals(table, w, r, s, turns):
+def _ring_integrals(table, r, s, turns):
     # the ring's integrals, one tuple per turn holding one value per base
     count = table.bases[0].shape[1]
-    return list(zip(*(mobius_ring_contract(w, m, g, count)
-                      for m, g in table.ring_rows(r, s, count, turns))))
+    return list(zip(*table.ring_integrals(r, s, count, turns)))
 
 
 def test_mobius_integrals_matches_explicit_formula():
@@ -253,13 +250,13 @@ def test_mobius_integrals_matches_explicit_formula():
         z = np.sqrt(t)[:, None] * np.exp(1j * theta)[None, :]
         bases = [np.ones(z.shape), np.abs(1.0 + z) ** 3]
         table = PolarTable(lambda z: (np.ones(z.shape), np.abs(1.0 + z) ** 3),
-                           np.sqrt(t), 512)
+                           np.sqrt(t), w, 512)
         assert all(np.array_equal(b, tb) for b, tb in zip(bases, table.bases))
         for s in (0.0, 0.5, 2.0):
             for a in (0.0, 0.3, 0.9j, -0.5 + 0.4j, 1.0 - 2.0 ** -10):
                 pref = (1.0 - abs(a) ** 2) ** s
                 mob = pref / np.abs(1.0 - np.conj(a) * z) ** (2.0 * s)
-                got = _integrals(table, w, a, s)
+                got = _integrals(table, a, s)
                 assert len(got) == len(bases)
                 for b, value in zip(bases, got):
                     explicit = np.pi * np.sum(w[:, None] * b * mob) / len(theta)
@@ -373,15 +370,14 @@ def test_mobius_ring_integrals_match_rotated_kernel():
         zr = np.exp(1j * np.pi / 4) * z
         return np.abs(zr / (1.0 - zr) ** 2) ** 0.8, np.abs(1.0 + zr) ** 3
 
-    table = PolarTable(rotated, np.sqrt(t), 2048)
-    w = w * (1.0 - t) ** 1.0
+    table = PolarTable(rotated, np.sqrt(t), w * (1.0 - t) ** 1.0, 2048)
     for i in range(1, 10):
         r = 1.0 - 2.0 ** -i
-        ring = _ring_integrals(table, w, r, 1.0, 8)
+        ring = _ring_integrals(table, r, 1.0, 8)
         assert len(ring) == 8
         for k, values in enumerate(ring):
             a = r * np.exp(2j * np.pi * k / 8)
-            direct = _integrals(table, w, a, 1.0)
+            direct = _integrals(table, a, 1.0)
             assert len(values) == len(table.bases)
             if k == 0:
                 assert values == direct
@@ -404,11 +400,11 @@ def test_mobius_ring_integrals_property(r, count_exp, turns_exp, s, p, bases):
     count, turns = 2 ** count_exp, 2 ** min(turns_exp, count_exp)
     t, w = _jacobi_01(16, 0.5)
     table = PolarTable(lambda z: [np.abs(np.polyval(c, z)) ** p for c in bases],
-                       np.sqrt(t), count)
-    ring = _ring_integrals(table, w, r, s, turns)
+                       np.sqrt(t), w, count)
+    ring = _ring_integrals(table, r, s, turns)
     for k, values in enumerate(ring):
         a = r * np.exp(2j * np.pi * k / turns)
-        direct = _integrals(table, w, a, s)
+        direct = _integrals(table, a, s)
         if k == 0:
             assert values == direct
         else:
@@ -420,12 +416,12 @@ def test_mobius_ring_integrals_edge_turn_counts(turns):
     # one turn (a single block of every column) and one column per block
     t, w = _jacobi_01(16, 0.5)
     table = PolarTable(lambda z: (np.abs(1.0 + 0.7 * z) ** 2.5,
-                                  np.abs(z - 0.3j) ** 1.5), np.sqrt(t), 32)
-    ring = _ring_integrals(table, w, 0.9, 1.5, turns)
+                                  np.abs(z - 0.3j) ** 1.5), np.sqrt(t), w, 32)
+    ring = _ring_integrals(table, 0.9, 1.5, turns)
     assert len(ring) == turns
     for k, values in enumerate(ring):
         a = 0.9 * np.exp(2j * np.pi * k / turns)
-        direct = _integrals(table, w, a, 1.5)
+        direct = _integrals(table, a, 1.5)
         if k == 0:
             assert values == direct
         else:
@@ -451,11 +447,12 @@ def test_mobius_ring_integrals_make_no_grid_sized_temporary(shape, n_bases,
     radial, count = shape
     t, w = _jacobi_01(radial, 1.0)
     table = PolarTable(lambda z: [np.abs(1.0 + (0.5 + 0.1j * i) * z) ** 2.5
-                                  for i in range(n_bases)], np.sqrt(t), count)
+                                  for i in range(n_bases)], np.sqrt(t), w,
+                       count)
     if turns is None:
-        kernel = lambda: _integrals(table, w, 0.99j, 1.0)
+        kernel = lambda: _integrals(table, 0.99j, 1.0)
     else:
-        kernel = lambda: _ring_integrals(table, w, 0.99, 1.0, turns)
+        kernel = lambda: _ring_integrals(table, 0.99, 1.0, turns)
     kernel()
     tracemalloc.start()
     try:
@@ -485,9 +482,9 @@ def test_row_dots_match_exact_sums(j):
 
 def test_mobius_ring_integrals_reject_uneven_turns():
     rho = np.sqrt(np.array([0.25, 0.5]))
-    table = PolarTable(lambda z: (np.ones(z.shape),), rho, 12)
+    table = PolarTable(lambda z: (np.ones(z.shape),), rho, np.ones(2), 12)
     with pytest.raises(InvalidParameterError):
-        _ring_integrals(table, np.ones(2), 0.5, 1.0, 8)
+        _ring_integrals(table, 0.5, 1.0, 8)
 
 
 def test_row_blocks_cover_the_grid(monkeypatch):

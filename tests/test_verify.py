@@ -27,7 +27,7 @@ from qrspaces.quadrature import (
     ANGULAR_LADDER,
     ROW_BLOCK_POINTS,
     PolarTable,
-    _radial_contract,
+    truncated_panels,
     truncated_radial_rule,
 )
 from qrspaces.spaces import (
@@ -324,19 +324,28 @@ def test_membership_derivative_targets():
         verify_membership(f, model, Mpqs(0.3, 0.0, 1.0), target="nonsense")
 
 
-def _direct_truncated_sup(values_fn, p, q, s, R, count):
-    # every candidate a = 0, r e^(2 pi i k/8) through the one-a kernel
-    t, w = truncated_radial_rule(R)
-    table = PolarTable(
-        lambda z: (np.asarray(values_fn(z), dtype=np.float64) ** p,),
-        np.sqrt(t), count)
-    w = w * (1.0 - t) ** (q + s)
+def _lattice(R):
+    # the truncated sup's candidates: a = 0 and r e^(2 pi i k/8), r <= R
     candidates = [0.0 + 0.0j]
     for i in range(1, round(-math.log2(1.0 - R)) + 1):
         r = 1.0 - 2.0 ** -i
         candidates += [r * np.exp(2j * np.pi * k / 8) for k in range(8)]
-    return max(_radial_contract(w, table.rows(a, s, count)[0])
-               for a in candidates)
+    return candidates
+
+
+def _base_table(values_fn, p, q, s, t, w, count):
+    return PolarTable(
+        lambda z: (np.asarray(values_fn(z), dtype=np.float64) ** p,),
+        np.sqrt(t), w * (1.0 - t) ** (q + s), count)
+
+
+def _direct_truncated_sup(values_fn, p, q, s, R, count):
+    # every candidate through the one-a kernel of each panel of R's rule,
+    # the panels' integrals summed in rule order
+    tables = [_base_table(values_fn, p, q, s, t, w, count)
+              for _, t, w in truncated_panels(R)]
+    return max(sum(table.integrals(a, s, count)[0] for table in tables)
+               for a in _lattice(R))
 
 
 def test_truncated_sup_norm_equals_direct_max():
@@ -353,6 +362,28 @@ def test_truncated_sup_norm_equals_direct_max():
         ((value, grid),) = _truncated_sup_norms(rotated, 0.8, 0.0, 1.0, [R])
         direct = _direct_truncated_sup(rotated, 0.8, 0.0, 1.0, R, grid["angular"])
         assert value == pytest.approx(direct, rel=1e-15)
+
+
+def test_truncation_ladder_matches_whole_rule_contraction():
+    # an oracle apart from the panel sums: at each radius of a ladder, one
+    # table on the whole concatenated rule of R, contracted once per
+    # lattice point (a = 0 directly, each ring by the ring kernel)
+    values, _ = _membership_values(analytic_as_harmonic(koebe()),
+                                   Mpqs(0.8, 0.0, 1.0), "f")
+    rot = np.exp(1j * math.pi / 4)
+    js = (3, 6, 9, 12)
+    radii = [1.0 - 2.0 ** -j for j in js]
+    for base in (values, lambda z: values(rot * z)):
+        ladder = _truncated_sup_norms(base, 0.8, 0.0, 1.0, radii)
+        for j, R, (value, grid) in zip(js, radii, ladder):
+            count = grid["angular"]
+            table = _base_table(base, 0.8, 0.0, 1.0, *truncated_radial_rule(R),
+                                count)
+            whole = table.integrals(0.0, 1.0, count)
+            for i in range(1, j + 1):
+                whole += table.ring_integrals(1.0 - 2.0 ** -i, 1.0, count, 8)[0]
+            assert len(whole) == grid["candidates"] == len(_lattice(R))
+            assert value == pytest.approx(max(whole), rel=1e-14)
 
 
 # every target of a sheared koebe in both scales, but f itself in M from
