@@ -333,6 +333,10 @@ def _norm_record(cfg: RunConfig, res, scale_label: str) -> dict:
 def compute_norm(cfg: RunConfig):
     f = build_map(cfg.map_spec)
     scale = parse_scale(cfg.scale_spec)
+    if cfg.weight_form != "mobius" and not isinstance(scale, Fpqs):
+        raise InvalidParameterError(
+            f"--weight-form {cfg.weight_form} takes an F(p,q,s) or Fh(p,q,s) "
+            f"scale, got {scale.label()}")
     search = cfg.search()
     kw = dict(search=search, radial=cfg.radial, angular=cfg.angular)
     if isinstance(scale, Qnpa):
@@ -416,6 +420,13 @@ SCALE_FORMS = {Qnpa: "a Q(1,p,alpha)", Fpqs: "an F(p,q,s)", Mpqs: "an M(p,q,s)",
 THEOREM_SCALES = {"3.1": Qnpa, "3.2": Fpqs, "3.5": Qnpa, "3.6": Fpqs,
                   **COROLLARY_SCALES, "4.1": Mpqs, "4.2": Fpqs}
 THEOREM_IDS = tuple(THEOREM_SCALES)
+# The run fields only some theorems honour, with the theorems that do: K'
+# the (K, K') forms, the target and growth order the membership checks, the
+# weight form none (every check is on the Mobius weight).  Set off its
+# default for any other theorem, such a field is an error, not ignored.
+THEOREM_FIELDS = {"Kprime": ("3.5", "3.6", "cor3.4", "cor3.5", "cor3.6"),
+                  "target": ("4.1", "4.2"), "alpha_K": ("4.1", "4.2"),
+                  "weight_form": ()}
 
 
 def run_verification(cfg: RunConfig):
@@ -653,29 +664,25 @@ MAX_RADIAL = 2048
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
     growth order means: estimate / use the default); threads is >= 1; the
-    seed is >= 0, as numpy's generators require; the grid has
-    2..MAX_RADIAL radial nodes and an angular count on the ladder.  The search depth is at most RADIUS_CAP_J, since deeper radii
-    would be clipped to the cap, and the truncation depth at most
-    TRUNCATION_MAX_J, since deeper radii 1 - 2^-j round to 1."""
+    seed is >= 0, as numpy's generators require; the grid has 2..MAX_RADIAL
+    radial nodes and an angular count on the ladder.  The search depth is at
+    most RADIUS_CAP_J, since deeper radii would be clipped to the cap, and
+    the truncation depth at most TRUNCATION_MAX_J, since deeper radii
+    1 - 2^-j round to 1."""
     for name in ("K", "Kprime", "alpha_K", "tol"):
         value = getattr(cfg, name)
         if not math.isfinite(value) or value < 0:
             raise InvalidParameterError(
                 f"--{name.replace('_', '-')} must be a finite number >= 0, "
                 f"got {value!r}")
-    if cfg.threads < 1:
-        raise InvalidParameterError(f"--threads must be >= 1, got {cfg.threads}")
-    if cfg.seed < 0:
-        raise InvalidParameterError(f"--seed must be >= 0, got {cfg.seed}")
-    if cfg.radial < 2:
-        raise InvalidParameterError(f"--radial must be >= 2, got {cfg.radial}")
-    if cfg.radial > MAX_RADIAL:
-        raise InvalidParameterError(
-            f"--radial must be at most {MAX_RADIAL}, got {cfg.radial}")
+    for name, least in (("threads", 1), ("seed", 0), ("radial", 2)):
+        if getattr(cfg, name) < least:
+            raise InvalidParameterError(
+                f"--{name} must be >= {least}, got {getattr(cfg, name)}")
     if cfg.angular not in ANGULAR_LADDER:
         raise InvalidParameterError(
             f"--angular must be one of {ANGULAR_LADDER}, got {cfg.angular}")
-    for name, most in (("search_max_j", RADIUS_CAP_J),
+    for name, most in (("radial", MAX_RADIAL), ("search_max_j", RADIUS_CAP_J),
                        ("truncation_max_j", TRUNCATION_MAX_J)):
         if getattr(cfg, name) > most:
             raise InvalidParameterError(
@@ -703,6 +710,13 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         merged.update(_read_config_file(path, defaults))
     cfg = RunConfig(**{**merged, **given, "command": command})
     _check_run_numbers(cfg)
+    for name, takers in THEOREM_FIELDS.items():
+        value = getattr(cfg, name)
+        if (command in ("verify", "sweep") and cfg.theorem not in takers
+                and value != getattr(RunConfig, name)):
+            raise InvalidParameterError(
+                f"theorem {cfg.theorem} takes no --{name.replace('_', '-')}, "
+                f"got {value!r}")
     if not cfg.out:
         cfg.out = (f"qrspaces-{cfg.command}.jsonl"
                    if cfg.command != "sweep" else "qrspaces-sweep.csv")

@@ -22,6 +22,8 @@ the one contraction: each base with the factor by one BLAS dot per row
 (``_row_means``), so no grid-sized product is formed, then the row means
 with the weights.  Its direct kernel and the a = r turn of its ring kernel
 run both steps on the same arrays, which keeps the two bit-identical.
+It counts its work in a ``table_work`` ledger that its owner may share
+among its tables, as the sup engine and the truncation ladder do.
 Blocked dots, like the truncation ladder's sums of per-panel integrals in
 rule order, keep the forward-error bound of recursive summation,
 n u sum |b mob| (Higham, Accuracy and Stability of Numerical Algorithms,
@@ -310,6 +312,12 @@ def _cyclic_diagonals(turns: int) -> np.ndarray:
     return m[None, :] * turns + (m[None, :] - m[:, None]) % turns
 
 
+def table_work() -> dict:
+    """A ``PolarTable`` work ledger, every count at 0."""
+    return dict.fromkeys(
+        ("points", "factor_nodes", "rings", "copies", "copied_values"), 0)
+
+
 class PolarTable:
     """Bases tabulated once on the polar grid z[i, j] = rho_i e^(i theta_j),
     theta_j = ``angular_nodes(count)[j]`` (``polar_tabulate``), with the
@@ -317,21 +325,28 @@ class PolarTable:
     the Mobius factor at a on ``count`` angles or on any
     power-of-two divisor c of it.  The nodes at c angles are every
     (count/c)-th of those at ``count``, bit for bit: the bases at c are
-    contiguous copies of those columns, made once per c (``copies``,
-    ``copied_values``), since a strided view would change BLAS's summation
-    order; the factor at c is computed at c, into a leading view of one
-    buffer the size of the bases (a buffer per count would free and map
-    more memory: glibc's mmap threshold follows the largest freed block).
+    contiguous copies of those columns, made once per c, since a strided
+    view would change BLAS's summation order; the factor at c is computed
+    at c, into a leading view of one buffer the size of the bases (a
+    buffer per count would free and map more memory: glibc's mmap
+    threshold follows the largest freed block).
+
+    The table counts its work in ``work``, a ``table_work`` ledger that its
+    owner may pass in to share among its tables (a fresh one otherwise):
+    ``points`` tabulated, ``factor_nodes``, the size of every factor array
+    computed (the scalar 1.0 at a = 0 or s = 0 counts nothing), ``rings``
+    run, and the rung ``copies`` with their ``copied_values``.
     """
 
-    def __init__(self, tabulate, rho, w, count: int):
+    def __init__(self, tabulate, rho, w, count: int, work=None):
         self.rho = rho
         self.w = w
+        self.work = table_work() if work is None else work
         self.bases = polar_tabulate(tabulate, rho,
                                     np.exp(1j * angular_nodes(count)))
+        self.work["points"] += rho.size * count
         self._rungs = {count: self.bases}
         self._factor = np.empty(rho.size * count)
-        self.copies = self.copied_values = 0
 
     def _at(self, a: complex, s: float, count: int) -> tuple:
         """The bases at ``count`` angles and the Mobius factor at a there."""
@@ -339,10 +354,13 @@ class PolarTable:
             stride = self.bases[0].shape[1] // count
             self._rungs[count] = [np.ascontiguousarray(b[:, ::stride])
                                   for b in self.bases]
-            self.copies += len(self.bases)
-            self.copied_values += len(self.bases) * self.rho.size * count
-        work = self._factor[:self.rho.size * count].reshape(self.rho.size, count)
-        return self._rungs[count], mobius_factor(a, s, self.rho, work)
+            self.work["copies"] += len(self.bases)
+            self.work["copied_values"] += len(self.bases) * self.rho.size * count
+        buf = self._factor[:self.rho.size * count].reshape(self.rho.size, count)
+        mob = mobius_factor(a, s, self.rho, buf)
+        if mob is buf:
+            self.work["factor_nodes"] += buf.size
+        return self._rungs[count], mob
 
     def integrals(self, a: complex, s: float, count: int) -> list:
         """Per base, the integral of base * (1-|a|^2)^s / |1 - conj(a) z|^(2s)
@@ -366,6 +384,7 @@ class PolarTable:
             raise InvalidParameterError(
                 f"{count} angular nodes do not split into {turns} turns")
         bases, mob = self._at(r, s, count)
+        self.work["rings"] += 1
         shape = (self.rho.size, turns, count // turns)
         m3 = mob.reshape(shape).transpose(0, 2, 1)
         per_base = []

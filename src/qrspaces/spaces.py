@@ -85,6 +85,7 @@ from .quadrature import (
     check_angular,
     disk_integral_green,
     polar_row_means,
+    table_work,
 )
 
 # --- parameter records -------------------------------------------------------
@@ -415,15 +416,12 @@ class WeightedSupProblem:
     repricing the interior ones.  Each per-a call takes the table's
     ``integrals`` at a, one Mobius factor for every base, and
     ``ring_integrals`` serves a whole lattice ring from the table's
-    ``ring_integrals`` of one factor.  The table keeps the node radii and
-    the radial weights, not the complex grid, one contiguous copy of the
-    bases per rung and one master-sized factor buffer; ``base_angular``
-    must be a rung, since every a != 0 gets at least the first one.
-    ``evaluations`` counts the per-a evaluations by route: ``direct``
-    (``integral_at``), ``ring_factor`` and ``ring_turns`` (Mobius factors
-    and the lattice points they served) and ``refined``
-    (``refined_integral_at``), and ``tabulated_points`` the points the
-    tabulator was given, the master grid's and every node-doubling grid's.
+    ``ring_integrals`` of one factor.  ``base_angular`` must be a rung,
+    since every a != 0 gets at least the first one.  ``evaluations`` counts
+    the per-a evaluations by route: ``direct`` (``integral_at``),
+    ``ring_turns`` (the lattice points ``ring_integrals`` served) and
+    ``refined`` (``refined_integral_at``); ``work`` is the one ledger of the
+    master table and every node-doubling table.
     """
 
     def __init__(self, tabulate: Callable, q_eff: float, s_eff: float,
@@ -442,17 +440,15 @@ class WeightedSupProblem:
         self.radial = int(radial)
         self.base_angular = int(base_angular)
         self._tabulator = tabulate
-        self.tabulated_points = 0
+        self.work = table_work()
         self._table = self._tabulate(self.radial, self.max_angular)
         self._const_value = None
-        self.evaluations = dict.fromkeys(
-            ("direct", "ring_factor", "ring_turns", "refined"), 0)
+        self.evaluations = dict.fromkeys(("direct", "ring_turns", "refined"), 0)
 
     def _tabulate(self, radial: int, count: int) -> PolarTable:
         """The ``PolarTable`` of the problem's (radial, count) rule."""
         t, w = _jacobi_01(radial, self.q_eff + self.s_eff)
-        self.tabulated_points += radial * count
-        return PolarTable(self._tabulator, np.sqrt(t), w, count)
+        return PolarTable(self._tabulator, np.sqrt(t), w, count, self.work)
 
     def grid_metadata(self) -> dict:
         return {
@@ -462,7 +458,7 @@ class WeightedSupProblem:
             "q_eff": self.q_eff,
             "s_eff": self.s_eff,
             "kernel_evaluations": dict(self.evaluations),
-            "tabulated_points": self.tabulated_points,
+            "table_work": dict(self.work),
         }
 
     def _count_for(self, rho: float) -> int:
@@ -494,16 +490,17 @@ class WeightedSupProblem:
         count = self._count_for(r)
         if self.s_eff == 0.0 or count % turns or turns * turns > count:
             return None
-        self.evaluations["ring_factor"] += 1
         self.evaluations["ring_turns"] += turns
         return list(zip(*self._table.ring_integrals(r, self.s_eff, count,
                                                     turns)))
 
     def refined_integral_at(self, a: complex) -> tuple:
-        """One-off evaluation with doubled node counts (error estimation)."""
+        """One-off evaluation with doubled node counts (error estimation):
+        twice the radial nodes and twice the angles ``integral_at(a)`` used,
+        all of the master grid's at s_eff = 0."""
         a = complex(a)
         self.evaluations["refined"] += 1
-        count = 2 * self._count_for(abs(a))
+        count = 2 * (self._count_for(abs(a)) if self.s_eff else self.max_angular)
         return tuple(self._tabulate(2 * self.radial, count).integrals(
             a, self.s_eff, count))
 

@@ -19,12 +19,10 @@ Membership in the M/F scales is an asymptotic statement; it is
 operationalized as truncation stabilization: the truncated norm is computed
 at radii R = 1 - 2^-j and declared finite when successive relative changes
 drop below a documented threshold, divergent otherwise (with a fitted
-exponent).  The radii of a ladder are one pass, ``_truncated_sup_norms``:
-they share their inner radial panels and nested power-of-two angular
-counts, so each panel's base is tabulated once, each ring's Mobius factor
-is computed once per panel and count, and every radius sums its panels'
-integrals in rule order, with the values a radius computed alone would
-give.  Out-of-range parameters yield an informational divergence report,
+exponent).  The radii of a ladder are one pass, ``_truncated_sup_norms``,
+which tabulates each radial panel they share once and counts its tables'
+work in one ledger, with the values a radius computed alone would give.
+Out-of-range parameters yield an informational divergence report,
 not a failure, since only sufficiency is asserted.
 """
 
@@ -49,6 +47,7 @@ from .quadrature import (
     check_angular,
     disk_integral_green,
     disk_integral_mobius_weight,
+    table_work,
     truncated_panels,
 )
 from .spaces import (
@@ -192,12 +191,12 @@ def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
     )
     au, av = complex(au), complex(av)
     # both norms, their argmaxes as [re, im], whether each sat on the radius
-    # cap, and the kernel and tabulation counts
+    # cap, and the kernel counts and table work of the u/v problem
     extra = {"norm_u": nu, "norm_v": nv,
              "sup_a_u": [au.real, au.imag], "sup_a_v": [av.real, av.imag],
              "sup_on_cap_u": on_cap(au), "sup_on_cap_v": on_cap(av),
              "kernel_evaluations": grid["kernel_evaluations"],
-             "tabulated_points": grid["tabulated_points"]}
+             "table_work": grid["table_work"]}
     if constant is None:
         lhs, rhs = nv, K * nu
     else:
@@ -283,7 +282,11 @@ def verify_corollary(f: HarmonicMap, which: str, scale, K: float,
             f"corollary {which} takes a Morrey(lam) scale with lam in (0, 1)")
     fp = scale.f_scale()
     if which in ("cor3.1", "cor3.2", "cor3.3"):
-        Kprime, constant = 0.0, None
+        if Kprime != 0.0:
+            raise InvalidParameterError(
+                f"corollary {which} is the K-quasiregular form and takes no "
+                f"K', got K' = {Kprime:g}")
+        constant = None
     else:
         constant = weight_overlap_constant(fp.q, fp.s)
     return _conjugate_check(which, f, scale.label(), K, Kprime, fp.p, fp.q,
@@ -381,11 +384,6 @@ TRUNCATION_MAX_J = 53
 _TRUNC_MAX_ANGULAR = 8192
 # lattice angles per automorphism radius in the truncated sup
 _TRUNC_SEARCH_ANGLES = 8
-# the counters of a ladder's ``ladder_work``: points passed to the base,
-# nodes covered by Mobius factors, ring kernels run (``row_stages``), and
-# the strided base copies made for lower counts with the values they hold
-LADDER_WORK = ("base_points", "factor_nodes", "row_stages", "strided_copies",
-               "copied_values")
 
 
 def _pow2_at_least(x: float) -> int:
@@ -403,16 +401,14 @@ def _truncation_count(R: float, s: float, angular: int) -> int:
 
 def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
                          radii: Sequence[float],
-                         angular: int = DEFAULT_ANGULAR,
-                         ladder_work: Optional[dict] = None) -> list:
+                         angular: int = DEFAULT_ANGULAR) -> tuple:
     """sup over |a| <= R (coarse lattice) of the truncated weighted integral,
     for each R of ``radii`` (a ladder; one radius is a one-element ladder).
 
     Returns one (sup, grid) per radius, the grid holding its ``radial``
     nodes, ``angular`` nodes and the number of ``candidates`` a (a = 0 plus
-    ``_TRUNC_SEARCH_ANGLES`` per ring r = 1 - 2^-i <= R).  ``ladder_work``,
-    if given, is a dict of the ``LADDER_WORK`` counters, which the pass
-    adds its work to, the way ``WeightedSupProblem.evaluations`` counts.
+    ``_TRUNC_SEARCH_ANGLES`` per ring r = 1 - 2^-i <= R), and the pass's
+    work: the one ``quadrature.table_work`` ledger of all its tables.
 
     The automorphism search radius grows with the truncation radius so that
     sup-driven divergence (integrals unbounded in a) stays visible.  The
@@ -421,28 +417,18 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     integrand, up to ``_TRUNC_MAX_ANGULAR``: at j = 12 the 8192 cap sits
     below the 4/(1-R) = 16384 the ridge rule asks for (kept, so the
     reference values of the default ladder stay put).  The count is a power
-    of two of at least 256, so the lattice angles of a ring are column
-    shifts of one Mobius factor, and the ring kernel gets all of them from
-    one batched matrix product: the a = r angle is the direct kernel's row
-    dots on the same bits and so bit-identical to it, the other angles agree
-    with it to about 1e-15 relative.
+    of two of at least 256, so a ring's lattice angles are column shifts of
+    one Mobius factor (``PolarTable.ring_integrals``).
 
-    The radii share work.  Their rules are ``truncated_panels``, and a
-    panel's nodes depend on its edges alone; their angular counts are
-    powers of two, and the nodes at count c are every (C/c)-th of those at
-    C.  So each distinct panel is one ``quadrature.PolarTable``, the
-    engine's type, with the panel's weights times (1-t)^(q+s), the same for
-    every radius that uses it, tabulated once at the largest count a radius
-    uses it at; lower counts take its contiguous copies of strided base
-    columns, which hold the same bits.  Its ring kernel runs once per ring
-    and count, on the ring's Mobius factor computed at that count, which
-    for real r holds the bits of every (C/c)-th column of the factor at C;
-    a = 0, whose factor is exactly 1.0, takes the base's row means.  Each
-    radius sums its panels' integrals in rule order, so every value is the
-    one a radius computed alone would give.
+    The radii share work.  A panel of ``truncated_panels`` depends on its
+    edges alone, so each distinct panel is one ``quadrature.PolarTable``,
+    with the panel's weights times (1-t)^(q+s), tabulated once at the
+    largest count a radius uses it at, which serves every lower
+    power-of-two count bit for bit.  Its ring kernel runs once per ring and
+    count; a = 0, whose factor is exactly 1.0, takes the base's row means.
+    Each radius sums its panels' integrals in rule order, so every value is
+    the one a radius computed alone would give.
     """
-    if ladder_work is None:
-        ladder_work = dict.fromkeys(LADDER_WORK, 0)
     tabulate = _pow_tabulator(values_fn, p)
     counts = [_truncation_count(R, s, angular) for R in radii]
     rings = [[r for r in dyadic_radii(int(-math.log2(1.0 - R) + 0.5))[1:]
@@ -455,19 +441,15 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
 
     # (panel edges, count, ring r or None for a = 0) -> the panel's integrals
     integrals = {}
+    work = table_work()
     for edges, (t, w, ns) in users.items():
         table = PolarTable(tabulate, np.sqrt(t), w * (1.0 - t) ** (q + s),
-                           max(counts[n] for n in ns))
-        ladder_work["base_points"] += table.bases[0].size
+                           max(counts[n] for n in ns), work)
         for c in {counts[n] for n in ns}:
             integrals[edges, c, None] = table.integrals(0.0, s, c)
             for r in {r for n in ns if counts[n] == c for r in rings[n]}:
-                ladder_work["factor_nodes"] += len(t) * c
-                ladder_work["row_stages"] += 1
                 (integrals[edges, c, r],) = table.ring_integrals(
                     r, s, c, _TRUNC_SEARCH_ANGLES)
-        ladder_work["strided_copies"] += table.copies
-        ladder_work["copied_values"] += table.copied_values
 
     results = []
     for R, c, ring, rule in zip(radii, counts, rings, rules):
@@ -476,7 +458,7 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
         results.append((max(values),
                         {"radial": sum(len(t) for _, t, _ in rule),
                          "angular": c, "candidates": len(values)}))
-    return results
+    return results, work
 
 
 def verify_membership(f: HarmonicMap, model: OrderModel, scale,
@@ -493,7 +475,7 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
     radius runs; a repeated or falling j would compare a radius with itself
     or backwards), in one ``_truncated_sup_norms`` pass; each
     ``truncation_trace`` entry records the grid that radius used, and
-    ``ladder_work`` the pass's ``LADDER_WORK`` counters.
+    ``table_work`` the pass's work ledger.
     "Finite" means the final successive relative change (lhs) is at most
     ``stabilization_tol`` (rhs) up to the relative ``tol`` of every check,
     margin >= -tol * rhs; otherwise a divergence exponent is fitted.
@@ -549,42 +531,28 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
             )
 
     radii = [1.0 - 2.0 ** -j for j in truncation_js]
-    ladder_work = dict.fromkeys(LADDER_WORK, 0)
-    raws, grids = zip(*_truncated_sup_norms(values_fn, scale.p, scale.q,
-                                            scale.s, radii, angular=angular,
-                                            ladder_work=ladder_work))
+    ladder, work = _truncated_sup_norms(values_fn, scale.p, scale.q, scale.s,
+                                        radii, angular=angular)
+    raws, grids = zip(*ladder)
     norms = [at0 + raw ** (1.0 / scale.p) for raw in raws]
     changes = [abs(b - a) / max(abs(b), 1e-300)
                for a, b in zip(norms, norms[1:])]
     lhs = changes[-1]
     margin = stabilization_tol - lhs
     stabilized = _within_tol(margin, stabilization_tol, tol)
-    extra["truncation_trace"] = [
-        {"R": r, "norm": n, **g} for r, n, g in zip(radii, norms, grids)
-    ]
-    extra["final_relative_change"] = lhs
-    extra["ladder_work"] = ladder_work
+    extra.update(truncation_trace=[{"R": r, "norm": n, **g}
+                                   for r, n, g in zip(radii, norms, grids)],
+                 final_relative_change=lhs, table_work=work)
     if not stabilized and len(raws) >= 3:
         x = np.asarray([-math.log1p(-r * r) for r in radii])
         y = np.log(np.maximum(raws, 1e-300))
-        slope = float(np.polyfit(x, y, 1)[0])
-        extra["divergence_exponent"] = slope
-    passed = stabilized or not rc.in_range
-    report = VerificationReport(
+        extra["divergence_exponent"] = float(np.polyfit(x, y, 1)[0])
+    return VerificationReport(
         theorem_id="4.1" if isinstance(scale, Mpqs) else "4.2",
-        map_description=f.description,
-        scale_label=scale.label(),
-        K=model.K,
-        Kprime=0.0,
-        lhs=lhs,
-        rhs=stabilization_tol,
-        margin=margin,
-        passed=passed,
-        tol=tol,
-        grid={"grid_radial": "graded", "grid_angular": angular},
-        extra=extra,
-    )
-    return report
+        map_description=f.description, scale_label=scale.label(), K=model.K,
+        Kprime=0.0, lhs=lhs, rhs=stabilization_tol, margin=margin,
+        passed=stabilized or not rc.in_range, tol=tol,
+        grid={"grid_radial": "graded", "grid_angular": angular}, extra=extra)
 
 
 # --- equivalence ratio of the two weight families -------------------------------

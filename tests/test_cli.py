@@ -136,6 +136,46 @@ def test_unknown_parameter_or_bad_sign_exit_2(tmp_path, capsys, args):
     assert not out.exists()
 
 
+AFFINE_31 = ["--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
+             "--scale", "Q(1,1.5,0)", "--K", "3"]
+
+
+@pytest.mark.parametrize("args, config", [
+    (["norm", "--scale", "Morrey(0.5)", "--weight-form", "green"], None),
+    (["norm", "--scale", "Q(1,2,0)"], {"weight_form": "green"}),
+    (["verify", *AFFINE_31, "--Kprime", "4"], None),
+    (["verify", "--theorem", "cor3.1", "--map", "fold", "--K", "1",
+      "--Kprime", "4", "--scale", "Morrey(0.5)"], None),
+    (["verify", *AFFINE_31, "--target", "fz"], None),
+    (["verify", "--theorem", "3.5", "--map", "fold", "--K", "1",
+      "--scale", "Q(1,1.5,0)", "--alpha-K", "2"], None),
+    (["verify", *AFFINE_31], {"weight_form": "green"}),
+    (["verify", "--theorem", "4.1", "--map", "koebe", "--scale", "M(0.8,0,1)",
+      "--K", "1"], {"Kprime": 2}),
+    (["sweep", "--theorem", "3.2", "--Kprime", "2", "--maps", "identity",
+      "--cells", "F(2,0,1)"], None),
+    (["sweep", "--theorem", "cor3.4", "--maps", "fold", "--cells", "Qs(1)",
+      "--K", "1", "--Kprime", "4"], {"alpha_K": 1.5}),
+], ids=["norm-green-morrey", "norm-green-config", "3.1-kprime",
+        "cor3.1-kprime", "3.1-target", "3.5-alpha-k", "verify-green-config",
+        "4.1-kprime-config", "sweep-3.2-kprime", "sweep-cor3.4-alpha-k-config"])
+def test_flag_the_norm_or_theorem_cannot_honour_exit_2(tmp_path, capsys, args,
+                                                       config):
+    # a flag that the chosen norm or theorem would ignore is rejected, not
+    # echoed in the config of a record whose value never used it
+    out = tmp_path / "x.out"
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        args = [*args, "--config", str(cfg_path)]
+    assert main([*args, "--radial", "8", "--search-max-j", "1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "takes no" in err or "takes an F(p,q,s)" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("map_spec", ["koebe", "cayley-shear:k=0.5"])
 def test_unresolved_green_integral_exit_3(tmp_path, capsys, map_spec):
     # the Green-weight items the benchmark pools exclude: the integral at
@@ -655,6 +695,78 @@ def test_wrong_json_type_exit_2(tmp_path_factory, cfg, command):
                      "--out", str(cfg_path.with_suffix(".out"))])
     assert code == 2
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# cheap runs of every subcommand, the flags each takes, and small, edge or
+# malformed values for them (no large valid ones, such as --radial 2048 or
+# --truncation-max-j 53, which only cost time)
+NUMBERS = ["-1", "0", "1", "2", "3", "0.5", "nan", "inf", "1e308", "abc"]
+COMMON_FLAGS = {flag: NUMBERS for flag in (
+    "--radial", "--tol", "--seed", "--threads", "--search-max-j",
+    "--search-angles", "--truncation-max-j")}
+COMMON_FLAGS.update({"--angular": [*NUMBERS, "4", "100", "256", "4096"],
+                     "--out": ["no-such-dir/x.out"]})
+MAPS = ["koebe", "fold", "affine:k=2", "affine:k=0.5;sign=1",
+        "hpoly:h=0,1;g=0,2", "poly:coeffs=", "cayley-shear:k=1", "identity:",
+        ":", ""]
+SCALES = ["Q(1,2,0)", "Q(3,1,1)", "Q(1,0.5,-0.9)", "F(2,0,-1)", "F(2,0,1)",
+          "M(1,0,1)", "Bloch(1)", "Morrey(1)", "Qs(0)", "Q()", "(", ""]
+CHECK_FLAGS = {"--K": NUMBERS, "--Kprime": NUMBERS, "--alpha-K": NUMBERS,
+               "--theorem": ["3.1", "3.6", "cor3.2", "4.2", "9.9", ""],
+               "--target": ["f", "fz", "bfb", "x", ""]}
+CHEAP_COMMANDS = [
+    (["norm", "--map", "identity", "--scale", "Q(1,2,0)"],
+     {"--map": MAPS, "--scale": SCALES, "--weight-form": ["green", "x"]}),
+    (["norm", "--map", "koebe", "--scale", "F(2,0,1)", "--weight-form",
+      "green"],  # exits 3: the Green integral is not resolved
+     {"--map": MAPS, "--scale": SCALES, "--weight-form": ["mobius", "x"]}),
+    (["constants", "--constant", "qs:s=1"],
+     {"--constant": ["overlap:q=0;s=-1", "morrey:", "qs:s=nan", ""]}),
+    (["constants", "--constant", "sigma-deriv:p=9;alpha=0"],  # infinite: 3
+     {"--constant": ["overlap:q=0;s=-1", "morrey:", "qs:s=nan", ""]}),
+    (["verify", *AFFINE_31], {**CHECK_FLAGS, "--map": MAPS, "--scale": SCALES}),
+    (["verify", "--theorem", "3.5", "--map", "fold", "--K", "1",
+      "--Kprime", "4", "--scale", "Q(1,1.5,0)"],
+     {**CHECK_FLAGS, "--map": MAPS, "--scale": SCALES}),
+    (["verify", "--theorem", "4.1", "--map", "koebe", "--scale", "M(0.8,0,1)",
+      "--K", "1", "--truncation-max-j", "4"],
+     {**CHECK_FLAGS, "--map": MAPS, "--scale": SCALES}),
+    (["sweep", "--theorem", "3.1", "--maps", "identity", "--cells",
+      "Q(1,1.5,0)"], {**CHECK_FLAGS, "--maps": MAPS, "--cells": SCALES}),
+    (["growth", "--map", "koebe"], {"--map": MAPS, "--which": ["hprime", "x"]}),
+]
+MAIN_ERRORS = ("error: ", "accuracy error: ", "i/o error: ")
+
+
+@st.composite
+def cheap_argv(draw):
+    command, flags = draw(st.sampled_from(CHEAP_COMMANDS))
+    flags = {**COMMON_FLAGS, **flags}
+    drawn = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1,
+                          max_size=3))
+    return [command[0], "--out", "x.out", *command[1:], "--search-max-j", "1",
+            "--radial", "8",
+            *(part for flag in drawn
+              for part in (flag, draw(st.sampled_from(flags[flag]))))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(argv=cheap_argv())
+def test_cli_exit_codes_property(tmp_path_factory, argv):
+    # whatever the flags, an exit code of the CLI's own, no traceback, and
+    # each of main's own errors on one stderr line
+    tmp = tmp_path_factory.mktemp("fuzz")
+    argv = [str(tmp / arg) if arg.endswith(".out") else arg for arg in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in range(5)
+    assert "Traceback" not in err
+    if err.startswith(MAIN_ERRORS):
+        assert err.count("\n") == 1
+    assert code in (0, 1) or err.startswith(MAIN_ERRORS) or (
+        code == 2 and err.startswith("usage: "))
 
 
 @pytest.mark.parametrize("max_j", ["2", "3"])

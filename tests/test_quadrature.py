@@ -227,8 +227,8 @@ def test_truncated_integral_approaches_full():
     # int_{|z|<=R} (1-|z|^2) dA = pi (R^2 - R^4/2)
     one = lambda z: np.ones(z.shape)
     for R in (0.5, 1.0 - 2.0 ** -6, 1.0 - 2.0 ** -9):
-        ((value, _),) = _truncated_sup_norms(one, p=1.0, q=0.0, s=1.0,
-                                             radii=[R])
+        ((value, _),), _ = _truncated_sup_norms(one, p=1.0, q=0.0, s=1.0,
+                                                radii=[R])
         assert value == pytest.approx(math.pi * (R ** 2 - R ** 4 / 2.0), rel=1e-13)
 
 

@@ -378,14 +378,25 @@ def test_tabulator_must_return_values_on_the_grid():
                            radial=8)
 
 
-def test_tabulated_points_count_the_master_and_refined_grids():
+def test_table_work_counts_the_master_and_refined_grids():
     # the master grid, then one node-doubling grid at the argmax: twice the
     # radial nodes and twice the angles its integral used
     f = poly([0.0, 1.0, 0.3j, 0.1])
     res = q_npa_norm(f, Qnpa(1, 1.5, 0.0), SMALL_SEARCH, radial=32)
     count = angular_count_for(abs(res.sup_a), res.grid["s_eff"])
-    assert res.grid["tabulated_points"] == 32 * 2048 + 64 * 2 * count
+    assert res.grid["table_work"]["points"] == 32 * 2048 + 64 * 2 * count
     assert res.grid["kernel_evaluations"]["refined"] == 1
+
+
+def test_node_doubling_at_s_eff_0_doubles_the_master_grid():
+    # at s_eff = 0 the value integrates all 2048 master angles, whatever a,
+    # so its node doubling takes 4096 on twice the radial nodes; the factor
+    # is 1.0 and computes no nodes
+    res = q_npa_norm(identity(), Qnpa(1, 2.0, 0.0), SMALL_SEARCH, radial=32)
+    assert res.grid["s_eff"] == 0.0
+    assert res.grid["table_work"] == {"points": 32 * 2048 + 64 * 4096,
+                                      "factor_nodes": 0, "rings": 0,
+                                      "copies": 0, "copied_values": 0}
 
 
 def test_ring_integrals_match_rotated_kernel():
@@ -411,8 +422,8 @@ def test_sup_search_ring_matches_direct():
     ringed, direct = _cayley_shear_pair(), _cayley_shear_pair()
     with_ring = _sup_search(ringed.integral_at, spec, ringed.ring_integrals)
     without = _sup_search(direct.integral_at, spec)
-    assert ringed.evaluations["ring_factor"] == len(spec.rings())
-    assert direct.evaluations["ring_factor"] == 0
+    assert ringed.work["rings"] == len(spec.rings())
+    assert direct.work["rings"] == 0
     for (a1, v1, tr1), (a2, v2, tr2) in zip(with_ring, without):
         assert [a for a, _ in tr1] == [a for a, _ in tr2]
         assert a1 == a2
@@ -430,7 +441,7 @@ def test_ring_fallbacks_equal_direct_path(monkeypatch, params, angles):
     spec = SupSearchSpec(radii=SMALL_SEARCH.radii, angles_per_radius=angles)
     f = poly([0.0, 1.0, 0.3j, 0.1])
     ringed = q_npa_norm(f, params, spec)
-    assert ringed.grid["kernel_evaluations"]["ring_factor"] == 0
+    assert ringed.grid["table_work"]["rings"] == 0
     monkeypatch.setattr(WeightedSupProblem, "ring_integrals",
                         lambda self, r, turns: None)
     assert ringed == q_npa_norm(f, params, spec)

@@ -27,6 +27,7 @@ from qrspaces.quadrature import (
     ANGULAR_LADDER,
     ROW_BLOCK_POINTS,
     PolarTable,
+    angular_count_for,
     truncated_panels,
     truncated_radial_rule,
 )
@@ -41,7 +42,6 @@ from qrspaces.spaces import (
 )
 from qrspaces.verify import (
     DEFAULT_TRUNCATION_JS,
-    LADDER_WORK,
     MEMBERSHIP_TARGETS,
     _conjugate_norm_pair,
     _membership_values,
@@ -117,11 +117,40 @@ def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
     assert set(calls) | ring_points == traced
     evaluations = grid["kernel_evaluations"]
     assert evaluations["direct"] == len(calls)
-    assert evaluations["ring_factor"] == len(FAST.rings())
+    assert grid["table_work"]["rings"] == len(FAST.rings())
     assert evaluations["ring_turns"] == len(ring_points)
     assert evaluations["direct"] + evaluations["ring_turns"] == len(traced)
     assert evaluations["refined"] == 0
-    assert grid["tabulated_points"] == 32 * 2048
+    assert grid["table_work"]["points"] == 32 * 2048
+
+
+def test_conjugate_check_table_work(monkeypatch):
+    # the record's ledger: one master table, a factor of radial x count
+    # nodes per direct a != 0 and per lattice ring, on the rung the aliasing
+    # bound picks for |a|, and one copy of both bases per rung below 2048
+    direct = []
+    kernel = WeightedSupProblem.integral_at
+
+    def counted(self, a):
+        direct.append(complex(a))
+        return kernel(self, a)
+
+    monkeypatch.setattr(WeightedSupProblem, "integral_at", counted)
+    rec = check_conjugate_bound_fh(cayley_shear(0.5), 3.0, Fpqs(2.0, 0.0, 1.0),
+                                   FAST, radial=32).to_record()
+
+    def count(rho):
+        return min(angular_count_for(rho, 1.0), 2048)
+
+    counts = [count(abs(a)) for a in direct if a != 0] + [
+        count(r) for r in FAST.rings()]
+    rungs = {c for c in counts if c < 2048}
+    assert rungs and len(counts) > len(FAST.rings())
+    assert rec["table_work"] == {"points": 32 * 2048,
+                                 "factor_nodes": 32 * sum(counts),
+                                 "rings": len(FAST.rings()),
+                                 "copies": 2 * len(rungs),
+                                 "copied_values": 2 * 32 * sum(rungs)}
 
 
 # map builders of the conjugate-sweep families, by name and k
@@ -222,6 +251,10 @@ def test_corollaries_delegate():
         verify_corollary(f, "cor3.1", Morrey(1.0), K=3.0)
     with pytest.raises(InvalidParameterError):
         verify_corollary(f, "cor3.1", Qs(1.0), K=3.0)
+    # the K-quasiregular forms take no K', rather than dropping it
+    for which, scale in (("cor3.1", Morrey(0.5)), ("cor3.3", Qs(1.0))):
+        with pytest.raises(InvalidParameterError, match="takes no K'"):
+            verify_corollary(f, which, scale, K=3.0, Kprime=4.0, search=FAST)
 
     # cor3.1-3.3 are Theorem 3.2 and cor3.4-3.6 Theorem 3.6 on scale.f_scale(),
     # bit for bit; only the id and the label differ
@@ -355,11 +388,11 @@ def test_truncated_sup_norm_equals_direct_max():
     rotated = lambda z: values(rot * z)  # its max lies off the real axis
     for j in (3, 6, 9):
         R = 1.0 - 2.0 ** -j
-        ((value, grid),) = _truncated_sup_norms(values, 0.8, 0.0, 1.0, [R])
+        ((value, grid),), _ = _truncated_sup_norms(values, 0.8, 0.0, 1.0, [R])
         assert grid["candidates"] == 1 + 8 * j
         direct = _direct_truncated_sup(values, 0.8, 0.0, 1.0, R, grid["angular"])
         assert value == direct
-        ((value, grid),) = _truncated_sup_norms(rotated, 0.8, 0.0, 1.0, [R])
+        ((value, grid),), _ = _truncated_sup_norms(rotated, 0.8, 0.0, 1.0, [R])
         direct = _direct_truncated_sup(rotated, 0.8, 0.0, 1.0, R, grid["angular"])
         assert value == pytest.approx(direct, rel=1e-15)
 
@@ -374,7 +407,7 @@ def test_truncation_ladder_matches_whole_rule_contraction():
     js = (3, 6, 9, 12)
     radii = [1.0 - 2.0 ** -j for j in js]
     for base in (values, lambda z: values(rot * z)):
-        ladder = _truncated_sup_norms(base, 0.8, 0.0, 1.0, radii)
+        ladder, _ = _truncated_sup_norms(base, 0.8, 0.0, 1.0, radii)
         for j, R, (value, grid) in zip(js, radii, ladder):
             count = grid["angular"]
             table = _base_table(base, 0.8, 0.0, 1.0, *truncated_radial_rule(R),
@@ -410,10 +443,10 @@ def test_truncation_ladder_equals_one_radius_ladders(js, p, q, s, angular,
     rot = np.exp(1j * turn)
     base = lambda z: values(rot * z)
     radii = [1.0 - 2.0 ** -j for j in sorted(js)]
-    ladder = _truncated_sup_norms(base, p, q, s, radii, angular)
+    ladder, _ = _truncated_sup_norms(base, p, q, s, radii, angular)
     assert len(ladder) == len(radii)
     for R, shared in zip(radii, ladder):
-        assert shared == _truncated_sup_norms(base, p, q, s, [R], angular)[0]
+        assert shared == _truncated_sup_norms(base, p, q, s, [R], angular)[0][0]
 
 
 def test_truncation_ladder_work_on_default_ladder(monkeypatch):
@@ -441,11 +474,10 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
     monkeypatch.setattr("qrspaces.quadrature.mobius_factor", counted_factor)
     counts = (256, 512, 1024, 2048, 2048, 2048, 2048, 4096, 8192, 8192)
     radii = [1.0 - 2.0 ** -j for j in DEFAULT_TRUNCATION_JS]
-    ladder_work = dict.fromkeys(LADDER_WORK, 0)
     tracemalloc.start()
     try:
-        ladder = _truncated_sup_norms(counted_values, 0.8, 0.0, 1.0, radii,
-                                      ladder_work=ladder_work)
+        ladder, work = _truncated_sup_norms(counted_values, 0.8, 0.0, 1.0,
+                                            radii)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -462,27 +494,23 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
     assert sum(nodes) == 24 * sum(
         c * len(i) for (_, c), i in rings.items()) == 46_184_448
     assert peak < 150_000_000  # one radius at a time held 180 MB
-    # the pass counts the same work itself, plus one row stage per (panel,
-    # ring, count) and one strided copy of the base per (panel, lower count)
-    assert ladder_work == {"base_points": sum(points),
-                           "factor_nodes": sum(nodes), "row_stages": 407,
-                           "strided_copies": 26,
-                           "copied_values": 1_425_408}
+    # the tables' one ledger counts the same work, plus one ring kernel per
+    # (panel, ring, count) and one copy of the base per (panel, lower count)
+    assert work == {"points": sum(points), "factor_nodes": sum(nodes),
+                    "rings": 407, "copies": 26, "copied_values": 1_425_408}
 
 
-def test_membership_record_carries_ladder_work():
+def test_membership_record_carries_table_work():
     # the record's counters are those of the one ladder pass behind it
     f = koebe_shear(0.0)
     scale = Mpqs(0.8, 0.0, 1.0)
     rec = verify_membership(f, OrderModel(K=1.0), scale,
                             truncation_js=(3, 4, 5)).to_record()
     values, _ = _membership_values(f, scale, "f")
-    ladder_work = dict.fromkeys(LADDER_WORK, 0)
-    _truncated_sup_norms(values, 0.8, 0.0, 1.0,
-                         [1.0 - 2.0 ** -j for j in (3, 4, 5)],
-                         ladder_work=ladder_work)
-    assert rec["ladder_work"] == ladder_work
-    assert ladder_work["base_points"] > 0 and ladder_work["row_stages"] > 0
+    _, work = _truncated_sup_norms(values, 0.8, 0.0, 1.0,
+                                   [1.0 - 2.0 ** -j for j in (3, 4, 5)])
+    assert rec["table_work"] == work
+    assert work["points"] > 0 and work["rings"] > 0
 
 
 @pytest.mark.parametrize("js", [(3,), (), (3, 54), (5, 5), (5, 4, 3)])
