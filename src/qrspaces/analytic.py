@@ -553,6 +553,21 @@ def _reciprocal_linear(g: RationalLog) -> Optional[RationalLog]:
     return RationalLog([0], {(-a1 / a0, 1): 1 / a0}, "", g.max_order)
 
 
+def real_coefficients(f) -> bool:
+    """Whether f, an ``AnalyticFn`` or a harmonic map h + conj(g), is a
+    :class:`RationalLog` (h and g both are) whose every coefficient, pole b
+    and term coefficient has an imaginary part of exactly 0.  Then
+    f(conj z) = conj(f(z)), so every modulus built from f and its jets is
+    even in theta on a polar grid.  Decided on the exact rationals: any
+    other ``AnalyticFn`` (a power series, a Mobius composition, a generic
+    combination) gives False."""
+    parts = (f,) if isinstance(f, AnalyticFn) else (f.h, f.g)
+    return all(isinstance(part, RationalLog)
+               and not any(c.im for c in part.coeffs)
+               and not any(b.im or c.im for (b, _), c in part.terms.items())
+               for part in parts)
+
+
 def poly(coefficients: Sequence[complex]) -> AnalyticFn:
     """Polynomial sum c[i] z^i with exact jets."""
     coeffs = [complex(c) for c in coefficients]

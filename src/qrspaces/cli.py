@@ -420,21 +420,22 @@ SCALE_FORMS = {Qnpa: "a Q(1,p,alpha)", Fpqs: "an F(p,q,s)", Mpqs: "an M(p,q,s)",
 THEOREM_SCALES = {"3.1": Qnpa, "3.2": Fpqs, "3.5": Qnpa, "3.6": Fpqs,
                   **COROLLARY_SCALES, "4.1": Mpqs, "4.2": Fpqs}
 THEOREM_IDS = tuple(THEOREM_SCALES)
-# The run fields only some theorems honour, with the theorems that do: K'
-# the (K, K') forms, the target and growth order the membership checks, the
-# weight form none (every check is on the Mobius weight).  Set off its
-# default for any other theorem, such a field is an error, not ignored.
-THEOREM_FIELDS = {"Kprime": ("3.5", "3.6", "cor3.4", "cor3.5", "cor3.6"),
+# The run fields only some theorems honour, with the theorems that do: the
+# theorem itself every one, K' the (K, K') forms, the target and growth
+# order the membership checks, the weight form none (every check is on the
+# Mobius weight).  Set off its default for any other theorem, such a field
+# is an error, not ignored; so is any of them but the weight form, which
+# ``norm`` takes, for the commands that run no check.
+THEOREM_FIELDS = {"theorem": THEOREM_IDS,
+                  "Kprime": ("3.5", "3.6", "cor3.4", "cor3.5", "cor3.6"),
                   "target": ("4.1", "4.2"), "alpha_K": ("4.1", "4.2"),
                   "weight_form": ()}
 
 
 def run_verification(cfg: RunConfig):
+    """The report of the check ``cfg`` names; its theorem id is one of
+    ``THEOREM_IDS`` (``resolve_config`` rejects any other)."""
     tid = cfg.theorem
-    if tid not in THEOREM_SCALES:
-        raise InvalidParameterError(
-            f"unknown theorem id {tid!r}; choose from {THEOREM_IDS}"
-        )
     f = build_map(cfg.map_spec)
     K = cfg.K if cfg.K > 0 else _estimate_K(f)
     kw = dict(search=cfg.search(), tol=cfg.tol, radial=cfg.radial,
@@ -710,13 +711,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         merged.update(_read_config_file(path, defaults))
     cfg = RunConfig(**{**merged, **given, "command": command})
     _check_run_numbers(cfg)
+    checks = command in ("verify", "sweep")
+    if checks and cfg.theorem not in THEOREM_IDS:
+        raise InvalidParameterError(
+            f"unknown theorem id {cfg.theorem!r}; choose from {THEOREM_IDS}")
     for name, takers in THEOREM_FIELDS.items():
         value = getattr(cfg, name)
-        if (command in ("verify", "sweep") and cfg.theorem not in takers
-                and value != getattr(RunConfig, name)):
+        if value == getattr(RunConfig, name) or (checks and cfg.theorem in takers):
+            continue
+        flag = name.replace('_', '-')
+        if checks:
             raise InvalidParameterError(
-                f"theorem {cfg.theorem} takes no --{name.replace('_', '-')}, "
-                f"got {value!r}")
+                f"theorem {cfg.theorem} takes no --{flag}, got {value!r}")
+        if name != "weight_form" or command != "norm":
+            raise InvalidParameterError(
+                f"{command} takes no --{flag}, got {value!r}")
     if not cfg.out:
         cfg.out = (f"qrspaces-{cfg.command}.jsonl"
                    if cfg.command != "sweep" else "qrspaces-sweep.csv")

@@ -13,14 +13,15 @@ into the Jacobi exponent.  ``mobius_factor`` computes that ratio on a polar
 grid z[i, j] = rho_i e^(i theta_j), theta_j = ``angular_nodes(count)[j]``
 (every caller's grid), from the node radii rho and the count alone, as
 
-    ((1-r)(1+r) / ((1 - r rho_i)^2 + 4 r rho_i sin^2((theta_j - phi)/2)))^s
+    (u_i / (v_i + sin^2((theta_j - phi)/2)))^s,
+    u_i = (1-r)(1+r) / (4 r rho_i),  v_i = (1 - r rho_i)^2 / (4 r rho_i),
 
-for a = r e^(i phi): real arithmetic on a sum of nonnegative terms, so it
-stays accurate to a few ulps as |a| and rho approach 1.  A ``PolarTable``
-holds bases on such a grid with the radial weights of their rule, and is
-the one contraction: each base with the factor by one BLAS dot per row
-(``_row_means``), so no grid-sized product is formed, then the row means
-with the weights.  Its direct kernel and the a = r turn of its ring kernel
+for a = r e^(i phi): two grid passes of real arithmetic on sums of
+nonnegative terms, so it stays accurate to a few ulps as |a| and rho
+approach 1.  A ``PolarTable`` holds bases on such a grid with the radial
+weights of their rule, and is the one contraction: each base with the
+factor by one BLAS dot per row (``_row_means``), so no grid-sized product
+is formed, then the row means with the weights.  Its direct kernel and the a = r turn of its ring kernel
 run both steps on the same arrays, which keeps the two bit-identical.
 It counts its work in a ``table_work`` ledger that its owner may share
 among its tables, as the sup engine and the truncation ladder do.
@@ -43,11 +44,17 @@ max(1, ``ROW_BLOCK_POINTS`` // count) rows.  ``polar_tabulate`` writes
 each block's base values straight into preallocated (rows, count) arrays,
 the bases of a ``PolarTable``: the sup engine's master and node-doubling
 grids, the truncation ladder's panels and the Mobius-weight integral each
-build one.  ``polar_row_means`` keeps only each row's mean, for integrands
-evaluated per a rather than tabulated once (the Green weight and
-``disk_integral_alpha`` here, the composition path of ``spaces``).  Every
-value is pointwise, so the results do not depend on the blocking, and no
-grid-sized temporary is made.
+build one.  Bases built from a map with real coefficients are even in
+theta (f(conj z) = conj(f(z))), and the periodic trapezoid rule keeps that
+symmetry exactly (Trefethen & Weideman, SIAM Rev. 56, 2014): their table
+evaluates the columns 0..count/2 and fills the others as mirror images, as
+``mobius_factor`` does for a real a.  Only the caller that built the
+tabulator from the map knows this (``analytic.real_coefficients``); a bare
+callable gets every column.  ``polar_row_means`` keeps only each row's
+mean, for integrands evaluated per a rather than tabulated once (the Green
+weight and ``disk_integral_alpha`` here, the composition path of
+``spaces``).  Every value is pointwise, so the results do not depend on
+the blocking, and no grid-sized temporary is made.
 """
 
 from __future__ import annotations
@@ -140,10 +147,23 @@ def _row_blocks(rho, eig):
         yield slice(lo, lo + step), rho[lo:lo + step, None] * eig[None, :]
 
 
-def polar_tabulate(tabulate, rho, eig) -> list:
+def _mirror(arr, cols: int):
+    """Fill the columns of the (rows, count) array ``arr`` past its first
+    ``cols`` = count // 2 + 1, column j with column count - j: the values
+    of rows even in theta_j = 2 pi j/count."""
+    # a slice assignment would copy the reversed columns first (their memory
+    # bounds overlap the target's); a ufunc checks for a true overlap on
+    # large grids and copies nothing there
+    np.positive(arr[:, arr.shape[1] - cols:0:-1], out=arr[:, cols:])
+
+
+def polar_tabulate(tabulate, rho, eig, count: int) -> list:
     """The real bases of ``tabulate(z)``, a sequence of arrays of z's shape,
     on the polar grid z[i, j] = rho[i] * eig[j]: one (rows, count) float64
-    array per base, preallocated and filled a row block at a time.
+    array per base, preallocated and filled a row block at a time.  ``eig``
+    holds the first columns' nodes: all ``count`` of them, or, for bases
+    even in theta, the first count // 2 + 1, whose values fill the other
+    columns as their mirror images (``_mirror``).
 
     A base value depends on its point alone, so the arrays hold the bits a
     call on the whole grid would give, and an exception a block raises
@@ -155,9 +175,12 @@ def polar_tabulate(tabulate, rho, eig) -> list:
         if any(np.shape(b) != z.shape for b in values):
             raise InvalidParameterError("tabulate must return values on the grid")
         if bases is None:
-            bases = [np.empty((rho.size, eig.size)) for _ in values]
+            bases = [np.empty((rho.size, count)) for _ in values]
         for base, b in zip(bases, values):
-            base[rows] = b
+            base[rows, :eig.size] = b
+    if eig.size < count:
+        for base in bases:
+            _mirror(base, eig.size)
     return bases
 
 
@@ -259,14 +282,22 @@ def mobius_factor(a: complex, s: float, rho, mob):
 
         |1 - conj(a) z|^2 = (1 - r rho)^2 + 4 r rho sin^2((theta - phi)/2),
 
-    two nonnegative terms, and 1 - r rho = (1 - r) + r (1 - rho) holds no
-    cancellation either, so every node is accurate to a few ulps however
-    close r and rho come to 1 (the expanded 1 - 2 Re(conj(a) z) + r^2 rho^2
-    loses about 1e-9 relative at r = 1 - 2^-12).  The ratio is formed
-    first and raised to s in place: not at all at s = 1, and by NumPy's
-    scalar fast path, a square root, at s = 1/2.  For real a the factor is
-    even in theta, so on an even count only the columns 0..count/2 are
-    computed and the rest are their mirror images.
+    so, divided through by 4 r rho_i, the ratio is
+
+        u_i / (v_i + sin^2((theta_j - phi)/2)),
+        u_i = (1-r)(1+r) / (4 r rho_i),  v_i = (1 - r rho_i)^2 / (4 r rho_i):
+
+    two grid passes, an add and a divide, then ``**= s`` unless s = 1 (by
+    NumPy's scalar fast path, a square root, at s = 1/2).  Every term is
+    nonnegative, and 1 - r rho = (1 - r) + r (1 - rho) holds no
+    cancellation either, so u_i and v_i are accurate to a few ulps, their
+    sum with sin^2 too, and so is every node however close r and rho come
+    to 1 (the expanded 1 - 2 Re(conj(a) z) + r^2 rho^2 loses about 1e-9
+    relative at r = 1 - 2^-12).  4 r rho is floored at 1e-300, which keeps
+    u and v finite for a tiny a: below it the sin^2 term is under 1e-300 of
+    (1 - r rho)^2 either way.  For real a the factor is even in theta, so
+    on an even count only the columns 0..count/2 are computed and the rest
+    are their mirror images (``_mirror``).
     """
     a = complex(a)
     if s == 0.0 or a == 0.0:
@@ -277,16 +308,13 @@ def mobius_factor(a: complex, s: float, rho, mob):
     left = mob[:, :cols]
     sin2 = np.sin(0.5 * (angular_nodes(count)[:cols] - phi)) ** 2
     near = (1.0 - r) + r * (1.0 - rho)
-    np.multiply((4.0 * r) * rho[:, None], sin2, out=left)
-    left += (near * near)[:, None]
-    np.divide((1.0 - r) * (1.0 + r), left, out=left)
+    d = np.maximum((4.0 * r) * rho, 1e-300)
+    np.add((near * near / d)[:, None], sin2, out=left)
+    np.divide(((1.0 - r) * (1.0 + r) / d)[:, None], left, out=left)
     if s != 1.0:
         left **= s
     if cols < count:
-        # a slice assignment would copy the reversed columns first (their
-        # memory bounds overlap the target's); a ufunc checks for a true
-        # overlap on large grids and copies nothing there
-        np.positive(mob[:, cols - 2:0:-1], out=mob[:, cols:])
+        _mirror(mob, cols)
     return mob
 
 
@@ -331,20 +359,29 @@ class PolarTable:
     buffer per count would free and map more memory: glibc's mmap
     threshold follows the largest freed block).
 
+    ``even`` says that every base is even in theta, as the bases built
+    from a map with real coefficients are (``analytic.real_coefficients``):
+    then only the columns 0..count/2 are tabulated, and the others are
+    their mirror images.  Only a caller that built ``tabulate`` from such a
+    map knows it; the default tabulates every column.
+
     The table counts its work in ``work``, a ``table_work`` ledger that its
     owner may pass in to share among its tables (a fresh one otherwise):
-    ``points`` tabulated, ``factor_nodes``, the size of every factor array
-    computed (the scalar 1.0 at a = 0 or s = 0 counts nothing), ``rings``
-    run, and the rung ``copies`` with their ``copied_values``.
+    ``points`` tabulated (rows x (count/2 + 1) on an even table),
+    ``factor_nodes``, the size of every factor array computed (the scalar
+    1.0 at a = 0 or s = 0 counts nothing), ``rings`` run, and the rung
+    ``copies`` with their ``copied_values``.
     """
 
-    def __init__(self, tabulate, rho, w, count: int, work=None):
+    def __init__(self, tabulate, rho, w, count: int, work=None,
+                 even: bool = False):
         self.rho = rho
         self.w = w
         self.work = table_work() if work is None else work
-        self.bases = polar_tabulate(tabulate, rho,
-                                    np.exp(1j * angular_nodes(count)))
-        self.work["points"] += rho.size * count
+        cols = count // 2 + 1 if even else count
+        self.bases = polar_tabulate(
+            tabulate, rho, np.exp(1j * angular_nodes(count))[:cols], count)
+        self.work["points"] += rho.size * cols
         self._rungs = {count: self.bases}
         self._factor = np.empty(rho.size * count)
 

@@ -67,7 +67,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analytic import AnalyticFn, compose_mobius
+from .analytic import AnalyticFn, compose_mobius, real_coefficients
 from .errors import InfiniteConstantError, InvalidParameterError
 from .harmonic import HarmonicMap, wirtinger
 from .mobius import MobiusMap
@@ -421,12 +421,14 @@ class WeightedSupProblem:
     the per-a evaluations by route: ``direct`` (``integral_at``),
     ``ring_turns`` (the lattice points ``ring_integrals`` served) and
     ``refined`` (``refined_integral_at``); ``work`` is the one ledger of the
-    master table and every node-doubling table.
+    master table and every node-doubling table.  ``even``, for bases built
+    from a map with real coefficients, makes every table tabulate half the
+    circle (``quadrature.PolarTable``).
     """
 
     def __init__(self, tabulate: Callable, q_eff: float, s_eff: float,
                  radial: int = DEFAULT_RADIAL,
-                 base_angular: int = DEFAULT_ANGULAR):
+                 base_angular: int = DEFAULT_ANGULAR, even: bool = False):
         if q_eff + s_eff <= -1.0:
             raise InvalidParameterError(
                 "combined radial exponent must exceed -1 for the Jacobi rule"
@@ -440,6 +442,7 @@ class WeightedSupProblem:
         self.radial = int(radial)
         self.base_angular = int(base_angular)
         self._tabulator = tabulate
+        self.even = even
         self.work = table_work()
         self._table = self._tabulate(self.radial, self.max_angular)
         self._const_value = None
@@ -448,7 +451,8 @@ class WeightedSupProblem:
     def _tabulate(self, radial: int, count: int) -> PolarTable:
         """The ``PolarTable`` of the problem's (radial, count) rule."""
         t, w = _jacobi_01(radial, self.q_eff + self.s_eff)
-        return PolarTable(self._tabulator, np.sqrt(t), w, count, self.work)
+        return PolarTable(self._tabulator, np.sqrt(t), w, count, self.work,
+                          self.even)
 
     def grid_metadata(self) -> dict:
         return {
@@ -572,7 +576,7 @@ def _q_norm(f, parts, params: Qnpa, search, radial, angular) -> NormResult:
     if params.n == 1:
         pr = WeightedSupProblem(_pow_tabulator(_lambda_fn(f), params.p),
                                 *pullback_exponents(params.p, params.alpha),
-                                radial, angular)
+                                radial, angular, real_coefficients(f))
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
                             warnings=warnings)
     return _q_norm_composed(parts, params, search, radial, angular, f0, warnings)
@@ -653,7 +657,8 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
     search = search or SupSearchSpec()
     tabulate = _pow_tabulator(_lambda_fn(f), params.p)
     if weight_form == "mobius":
-        pr = WeightedSupProblem(tabulate, params.q, params.s, radial, angular)
+        pr = WeightedSupProblem(tabulate, params.q, params.s, radial, angular,
+                                real_coefficients(f))
         return _finish_norm(pr, search, params.p)
     if weight_form != "green":
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
@@ -712,7 +717,7 @@ def specialized_norm(f, scale, search: Optional[SupSearchSpec] = None,
     fparams = scale.f_scale()
     f0 = abs(f(0.0))
     pr = WeightedSupProblem(_pow_tabulator(_lambda_fn(f), fparams.p), fparams.q,
-                            fparams.s, radial, angular)
+                            fparams.s, radial, angular, real_coefficients(f))
     res = _finish_norm(pr, search, fparams.p, value_at_zero=f0)
     if f0 == 0.0:
         return res

@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .analytic import AnalyticFn
+from .analytic import AnalyticFn, real_coefficients
 from .errors import InvalidParameterError, NonQuasiregularError
 from .families import OrderModel
 from .harmonic import HarmonicMap, estimate_quasiregularity, wirtinger
@@ -162,7 +162,8 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
     def tabulate(z):
         return [m ** p for m in wirtinger(f, z).conjugate_moduli]
 
-    pr = WeightedSupProblem(tabulate, q_eff, s_eff, radial, angular)
+    pr = WeightedSupProblem(tabulate, q_eff, s_eff, radial, angular,
+                            real_coefficients(f))
     (au, su, tru), (av, sv, trv) = _sup_search(pr.integral_at, search,
                                                pr.ring_integrals)
     return (su ** (1.0 / p), au, tru), (sv ** (1.0 / p), av, trv), pr.grid_metadata()
@@ -401,7 +402,8 @@ def _truncation_count(R: float, s: float, angular: int) -> int:
 
 def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
                          radii: Sequence[float],
-                         angular: int = DEFAULT_ANGULAR) -> tuple:
+                         angular: int = DEFAULT_ANGULAR,
+                         even: bool = False) -> tuple:
     """sup over |a| <= R (coarse lattice) of the truncated weighted integral,
     for each R of ``radii`` (a ladder; one radius is a one-element ladder).
 
@@ -427,7 +429,9 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     power-of-two count bit for bit.  Its ring kernel runs once per ring and
     count; a = 0, whose factor is exactly 1.0, takes the base's row means.
     Each radius sums its panels' integrals in rule order, so every value is
-    the one a radius computed alone would give.
+    the one a radius computed alone would give.  ``even``, for values of a
+    map with real coefficients, makes every panel tabulate half the circle;
+    a lower count's columns are still every (count/c)-th of the top's.
     """
     tabulate = _pow_tabulator(values_fn, p)
     counts = [_truncation_count(R, s, angular) for R in radii]
@@ -444,7 +448,7 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
     work = table_work()
     for edges, (t, w, ns) in users.items():
         table = PolarTable(tabulate, np.sqrt(t), w * (1.0 - t) ** (q + s),
-                           max(counts[n] for n in ns), work)
+                           max(counts[n] for n in ns), work, even)
         for c in {counts[n] for n in ns}:
             integrals[edges, c, None] = table.integrals(0.0, s, c)
             for r in {r for n in ns if counts[n] == c for r in rings[n]}:
@@ -532,7 +536,7 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
 
     radii = [1.0 - 2.0 ** -j for j in truncation_js]
     ladder, work = _truncated_sup_norms(values_fn, scale.p, scale.q, scale.s,
-                                        radii, angular=angular)
+                                        radii, angular, real_coefficients(f))
     raws, grids = zip(*ladder)
     norms = [at0 + raw ** (1.0 / scale.p) for raw in raws]
     changes = [abs(b - a) / max(abs(b), 1e-300)

@@ -18,11 +18,13 @@ from qrspaces.analytic import (
     koebe,
     poly,
     power_series,
+    real_coefficients,
     scale,
     shift,
 )
 from qrspaces.errors import AccuracyError, InvalidParameterError, PoleError
 from qrspaces.families import cayley_shear
+from qrspaces.harmonic import HarmonicMap
 from qrspaces.mobius import MobiusMap, sigma, sigma_derivatives
 from qrspaces.quadrature import _jacobi_01, angular_nodes
 
@@ -308,3 +310,20 @@ def test_reflected_operators_match_constant_forms(f):
                                     (c / f, constant(c) / f)):
             np.testing.assert_array_equal(reflected.jet(z, 2), explicit.jet(z, 2))
     assert (1.0 / f)(0.5) == pytest.approx(1.0 / 1.25, rel=1e-15)
+
+
+def test_real_coefficients_is_exact():
+    # decided on the exact rationals: an imaginary part of 1e-300 anywhere,
+    # in a coefficient, a pole or a term, is not real, and a function
+    # without terms (a Mobius composition, even at a real a; a power
+    # series; a generic combination) never counts as real
+    assert real_coefficients(koebe()) and real_coefficients(cayley_shear(0.5))
+    assert real_coefficients(HarmonicMap(poly([0.0, 1.0]), poly([0.0, 0.5])))
+    tiny = complex(0.0, 1e-300)
+    assert not real_coefficients(poly([0.0, 1.0, 0.5 + tiny]))
+    assert not real_coefficients(RationalLog([0], {(1 + tiny, 1): 1}, ""))
+    assert not real_coefficients(RationalLog([0], {(1, 2): 1 + tiny}, ""))
+    assert not real_coefficients(HarmonicMap(koebe(), poly([0.0, tiny])))
+    assert not real_coefficients(compose_mobius(koebe(), MobiusMap(0.5)))
+    assert not real_coefficients(power_series(np.ones(20), 19))
+    assert not real_coefficients(generic(koebe()))

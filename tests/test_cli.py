@@ -156,9 +156,19 @@ AFFINE_31 = ["--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
       "--cells", "F(2,0,1)"], None),
     (["sweep", "--theorem", "cor3.4", "--maps", "fold", "--cells", "Qs(1)",
       "--K", "1", "--Kprime", "4"], {"alpha_K": 1.5}),
+    (["norm", "--map", "identity", "--scale", "Q(1,2,0)"],
+     {"Kprime": 4, "theorem": "9.9", "target": "x"}),
+    (["norm", "--map", "identity", "--scale", "Q(1,2,0)"], {"alpha_K": 1.5}),
+    (["constants", "--constant", "qs:s=1"], {"theorem": "3.1"}),
+    (["constants", "--constant", "qs:s=1"], {"weight_form": "green"}),
+    (["growth", "--map", "koebe"], {"Kprime": 4}),
+    (["growth", "--map", "koebe"], {"target": "fz"}),
 ], ids=["norm-green-morrey", "norm-green-config", "3.1-kprime",
         "cor3.1-kprime", "3.1-target", "3.5-alpha-k", "verify-green-config",
-        "4.1-kprime-config", "sweep-3.2-kprime", "sweep-cor3.4-alpha-k-config"])
+        "4.1-kprime-config", "sweep-3.2-kprime", "sweep-cor3.4-alpha-k-config",
+        "norm-check-fields-config", "norm-alpha-k-config",
+        "constants-theorem-config", "constants-green-config",
+        "growth-kprime-config", "growth-target-config"])
 def test_flag_the_norm_or_theorem_cannot_honour_exit_2(tmp_path, capsys, args,
                                                        config):
     # a flag that the chosen norm or theorem would ignore is rejected, not
@@ -459,6 +469,22 @@ def test_verify_wrong_scale_kind_exit_2(tmp_path, capsys, theorem, scale):
 def test_verify_unknown_theorem_exit_2(tmp_path):
     assert main(["verify", "--theorem", "9.9", "--map", "identity",
                  "--scale", "Q(1,1.5,0)", "--out", str(tmp_path / "v.jsonl")]) == 2
+
+
+def test_sweep_unknown_theorem_exit_2_before_any_cell(tmp_path, capsys,
+                                                      monkeypatch):
+    # a run-level parameter: one error line, not the same error in every row
+    def no_cell(cfg):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(cli, "run_verification", no_cell)
+    out = tmp_path / "s.csv"
+    assert main(["sweep", "--theorem", "9.9", "--maps", "identity",
+                 "--cells", "Q(1,1.5,0)", "F(2,0,1)", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown theorem id '9.9'")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_verify_estimates_K_when_omitted(tmp_path):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
 from qrspaces import quadrature
-from qrspaces.analytic import koebe
+from qrspaces.analytic import koebe, real_coefficients
+from qrspaces.cli import MAP_FAMILIES, build_map
 from qrspaces.errors import InvalidParameterError
 from qrspaces.families import koebe_shear
 from qrspaces.harmonic import wirtinger
@@ -34,11 +35,16 @@ from qrspaces.quadrature import (
 )
 from qrspaces.spaces import (
     RADIUS_CAP,
+    Fpqs,
     Mpqs,
     Qnpa,
+    SupSearchSpec,
     WeightedSupProblem,
+    _lambda_fn,
+    _pow_tabulator,
     composed_integral,
     composed_rule,
+    fh_pqs_norm,
 )
 from qrspaces.verify import _membership_values, _truncated_sup_norms
 
@@ -480,6 +486,88 @@ def test_row_dots_match_exact_sums(j):
     assert np.max(np.abs(got / exact - 1.0)) <= 1e-14
 
 
+# one map of every CLI family, all with real coefficients
+FAMILY_SPECS = {"identity": "identity", "koebe": "koebe", "cayley": "cayley",
+                "poly": "poly:coeffs=0,1,0.5", "hpoly": "hpoly:h=0,1;g=0,0.5",
+                "affine": "affine:k=0.5;sign=1", "fold": "fold",
+                "koebe-shear": "koebe-shear:k=0.5",
+                "cayley-shear": "cayley-shear:k=0.5",
+                "koebe-dilatation": "koebe-dilatation:k=0.5"}
+
+
+def _map_tabulator(f):
+    # the bases of the conjugate checks and of the F-scales
+    def tabulate(z):
+        w = wirtinger(f, z)
+        return [m ** 1.5 for m in w.conjugate_moduli] + [w.lambda_big ** 2]
+    return tabulate
+
+
+@pytest.mark.parametrize("family", sorted(MAP_FAMILIES))
+def test_even_table_matches_full_tabulation(family):
+    # half the circle against every column: the tabulated columns
+    # 0..count/2 hold the same bits, the others are their mirror images,
+    # and every integral (real, complex and near-cap a, on the top rung and
+    # a lower one, and a ring's turns) agrees within 1e-13.  The bases
+    # agree within 1e-11: the full tabulation's column count - j sits at
+    # the rounded angle 2 pi (count - j)/count, not at -theta_j, which
+    # near the pole of koebe at 1 moves a value by about 1e-12
+    f = build_map(FAMILY_SPECS[family])
+    assert real_coefficients(f)
+    t, w = _jacobi_01(64, 0.5)
+    full = PolarTable(_map_tabulator(f), np.sqrt(t), w, 2048)
+    half = PolarTable(_map_tabulator(f), np.sqrt(t), w, 2048, even=True)
+    assert half.work["points"] == 64 * 1025 and full.work["points"] == 64 * 2048
+    for h, b in zip(half.bases, full.bases):
+        assert np.array_equal(h[:, :1025], b[:, :1025])
+        assert np.array_equal(h[:, 1025:], h[:, 1023:0:-1])
+        np.testing.assert_allclose(h, b, rtol=1e-11, atol=0.0)
+    for a in (0.5, 0.9 + 0.3j, 1.0 - 2.0 ** -10, -0.99j):
+        for count in (256, 2048):
+            np.testing.assert_allclose(half.integrals(a, 1.0, count),
+                                       full.integrals(a, 1.0, count),
+                                       rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(half.ring_integrals(0.9, 0.5, 2048, 8),
+                               full.ring_integrals(0.9, 0.5, 2048, 8),
+                               rtol=1e-13, atol=0.0)
+
+
+def test_complex_coefficient_map_keeps_full_tabulation(monkeypatch):
+    # hpoly:h=0,1,0.3j has uneven bases: the engine tabulates every column
+    # of its master and node-doubling grids, and the master bases hold the
+    # bits of a table built with no evenness
+    f = build_map("hpoly:h=0,1,0.3j")
+    assert not real_coefficients(f)
+    shapes, tabulated = [], []
+
+    def spy(tabulate, rho, eig, count):
+        shapes.append((eig.size, count, rho.size))
+        tabulated.append(polar_tabulate(tabulate, rho, eig, count))
+        return tabulated[-1]
+
+    monkeypatch.setattr(quadrature, "polar_tabulate", spy)
+    search = SupSearchSpec(radii=(0.0, 0.5), angles_per_radius=4)
+    res = fh_pqs_norm(f, Fpqs(2.0, 0.0, 1.0), search, radial=32)
+    master, (width, count, _) = shapes  # the master and refined tables
+    assert master == (2048, 2048, 32) and width == count
+    assert res.grid["table_work"]["points"] == 32 * 2048 + 64 * count
+    monkeypatch.undo()
+    t, w = _jacobi_01(32, 1.0)
+    table = PolarTable(_pow_tabulator(_lambda_fn(f), 2.0), np.sqrt(t), w, 2048)
+    assert [b.tobytes() for b in tabulated[0]] == [
+        b.tobytes() for b in table.bases]
+
+
+def test_mobius_factor_at_a_tiny_a_is_finite():
+    # u and v divide by 4 r rho, floored at 1e-300: at |a| = 1e-310 the
+    # factor is 1 to rounding, with no overflow or 0/0 on the way
+    rho = np.sqrt(_jacobi_01(64, 1.0)[0])
+    for a in (1e-310, 1e-310j, 1e-200 - 1e-200j):
+        with np.errstate(over="raise", invalid="raise"):
+            mob = mobius_factor(a, 1.5, rho, np.empty((rho.size, 256)))
+        np.testing.assert_allclose(mob, 1.0, rtol=1e-15, atol=0.0)
+
+
 def test_mobius_ring_integrals_reject_uneven_turns():
     rho = np.sqrt(np.array([0.25, 0.5]))
     table = PolarTable(lambda z: (np.ones(z.shape),), rho, np.ones(2), 12)
@@ -542,43 +630,53 @@ def _conjugate_tabulator(z):
     return [m ** 1.5 for m in wirtinger(KOEBE_SHEAR, z).conjugate_moduli]
 
 
-def _master_grid():
-    pr = WeightedSupProblem(_conjugate_tabulator, 0.0, 1.0, radial=131)
+def _master_grid(even):
+    pr = WeightedSupProblem(_conjugate_tabulator, 0.0, 1.0, radial=131,
+                            even=even)
     return pr.integral_at(0.6 - 0.3j)
 
 
-def _refined_grid():
-    pr = WeightedSupProblem(_conjugate_tabulator, 0.0, 1.0, radial=131)
+def _refined_grid(even):
+    pr = WeightedSupProblem(_conjugate_tabulator, 0.0, 1.0, radial=131,
+                            even=even)
     return pr.refined_integral_at(0.9 + 0.05j)
 
 
-def _ladder_panel():
-    # j = 3: three 24-node panels at 256 angles, 16 rows a block
+def _ladder_panel(even):
+    # j = 4: four 24-node panels at 512 angles
     values_fn, _ = _membership_values(KOEBE_SHEAR, Mpqs(0.8, 0.0, 1.0), "f")
-    return _truncated_sup_norms(values_fn, 0.8, 0.0, 1.0, [1.0 - 2.0 ** -3])
+    return _truncated_sup_norms(values_fn, 0.8, 0.0, 1.0, [1.0 - 2.0 ** -4],
+                                even=even)
 
 
-@pytest.mark.parametrize("path", [_master_grid, _refined_grid, _ladder_panel],
-                         ids=["master", "refined", "ladder-panel"])
-def test_row_blocks_leave_no_trace_in_tabulation(monkeypatch, path):
+@pytest.mark.parametrize(
+    "path, even",
+    [(path, even) for even in (False, True)
+     for path in (_master_grid, _refined_grid, _ladder_panel)],
+    ids=["master", "refined", "ladder-panel",
+         "master-half", "refined-half", "ladder-panel-half"])
+def test_row_blocks_leave_no_trace_in_tabulation(monkeypatch, path, even):
     # 131 radial nodes leave a short last block: 2 rows a block at 2048
-    # angles, 4 on the refined 262 x 1024 grid; the ladder's 24-row panels
-    # take 16 + 8 at 256 angles.  One block of the whole grid is the
-    # unblocked tabulation, and every base bit and every value must match it
+    # angles (3 on the 1025 columns of half the circle), 4 on the refined
+    # 262 x 1024 grid (7 on 513); the ladder's 24-row panels take 8 + 8 + 8
+    # at 512 angles (15 + 9 on 257).  One block of the whole grid is the
+    # unblocked tabulation, and every base bit and every value must match
+    # it.  KOEBE_SHEAR's coefficients are real, so its bases are even
     tabulated = []
 
-    def spy(tabulate, rho, eig):
+    def spy(tabulate, rho, eig, count):
         calls = []
         bases = polar_tabulate(lambda z: calls.append(z.size) or tabulate(z),
-                               rho, eig)
+                               rho, eig, count)
+        assert eig.size == (count // 2 + 1 if even else count)
         tabulated.append((len(calls), [b.tobytes() for b in bases]))
         return bases
 
     monkeypatch.setattr(quadrature, "polar_tabulate", spy)
-    blocked = path()
+    blocked = path(even)
     blocked_bases, tabulated[:] = tabulated[:], []
     monkeypatch.setattr(quadrature, "ROW_BLOCK_POINTS", 10 ** 9)
-    whole = path()
+    whole = path(even)
     assert len(blocked_bases) == len(tabulated) >= 1
     assert all(blocks > 1 for blocks, _ in blocked_bases)
     assert all(blocks == 1 for blocks, _ in tabulated)

@@ -380,7 +380,8 @@ def test_tabulator_must_return_values_on_the_grid():
 
 def test_table_work_counts_the_master_and_refined_grids():
     # the master grid, then one node-doubling grid at the argmax: twice the
-    # radial nodes and twice the angles its integral used
+    # radial nodes and twice the angles its integral used, every column of
+    # both: the coefficient 0.3j makes the bases uneven in theta
     f = poly([0.0, 1.0, 0.3j, 0.1])
     res = q_npa_norm(f, Qnpa(1, 1.5, 0.0), SMALL_SEARCH, radial=32)
     count = angular_count_for(abs(res.sup_a), res.grid["s_eff"])
@@ -391,10 +392,11 @@ def test_table_work_counts_the_master_and_refined_grids():
 def test_node_doubling_at_s_eff_0_doubles_the_master_grid():
     # at s_eff = 0 the value integrates all 2048 master angles, whatever a,
     # so its node doubling takes 4096 on twice the radial nodes; the factor
-    # is 1.0 and computes no nodes
+    # is 1.0 and computes no nodes.  The identity's coefficients are real, so
+    # both tables tabulate half the circle, count/2 + 1 columns
     res = q_npa_norm(identity(), Qnpa(1, 2.0, 0.0), SMALL_SEARCH, radial=32)
     assert res.grid["s_eff"] == 0.0
-    assert res.grid["table_work"] == {"points": 32 * 2048 + 64 * 4096,
+    assert res.grid["table_work"] == {"points": 32 * 1025 + 64 * 2049,
                                       "factor_nodes": 0, "rings": 0,
                                       "copies": 0, "copied_values": 0}
 

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qrspaces.verify
-from qrspaces.analytic import AnalyticFn, derivative, identity, koebe, poly, scale
+from qrspaces.analytic import (
+    RationalLog,
+    derivative,
+    identity,
+    koebe,
+    poly,
+    real_coefficients,
+    scale,
+)
 from qrspaces.errors import InvalidParameterError, NonQuasiregularError
 from qrspaces.families import (
     OrderModel,
@@ -121,11 +129,13 @@ def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
     assert evaluations["ring_turns"] == len(ring_points)
     assert evaluations["direct"] + evaluations["ring_turns"] == len(traced)
     assert evaluations["refined"] == 0
-    assert grid["table_work"]["points"] == 32 * 2048
+    # the map's coefficients are real: half the master grid's columns
+    assert grid["table_work"]["points"] == 32 * (2048 // 2 + 1)
 
 
 def test_conjugate_check_table_work(monkeypatch):
-    # the record's ledger: one master table, a factor of radial x count
+    # the record's ledger: one master table, tabulated on 1025 of its 2048
+    # columns (the map's coefficients are real), a factor of radial x count
     # nodes per direct a != 0 and per lattice ring, on the rung the aliasing
     # bound picks for |a|, and one copy of both bases per rung below 2048
     direct = []
@@ -146,7 +156,7 @@ def test_conjugate_check_table_work(monkeypatch):
         count(r) for r in FAST.rings()]
     rungs = {c for c in counts if c < 2048}
     assert rungs and len(counts) > len(FAST.rings())
-    assert rec["table_work"] == {"points": 32 * 2048,
+    assert rec["table_work"] == {"points": 32 * (2048 // 2 + 1),
                                  "factor_nodes": 32 * sum(counts),
                                  "rings": len(FAST.rings()),
                                  "copies": 2 * len(rungs),
@@ -276,18 +286,23 @@ def test_corollaries_delegate():
             assert cor.extra == thm.extra
 
 
-def _counting(fn: AnalyticFn, sizes: list) -> AnalyticFn:
+def _counting(fn: RationalLog, sizes: list) -> RationalLog:
+    # fn with the same exact terms, so its real coefficients show
     def evaluator(z, order, min_order):
         sizes.append(z.size)
         return fn.jet(z, order, min_order)
-    return AnalyticFn(evaluator, fn.max_order, fn.description, fn.constant_value)
+    return RationalLog(fn.coeffs, fn.terms, fn.description, fn.max_order,
+                       evaluator)
 
 
 def test_conjugate_check_takes_one_jet_of_h_and_g_per_node():
-    # |F'|^p and |G'|^p come from one h' and one g' per master-grid node,
+    # |F'|^p and |G'|^p come from one h' and one g' per tabulated node,
     # taken a row block of ROW_BLOCK_POINTS nodes at a time; the only other
-    # points are the distortion estimate's samples
+    # points are the distortion estimate's samples.  The map's coefficients
+    # are real, so the master grid's 32 rows are tabulated on 1025 of its
+    # 2048 columns, 3 rows a block
     f = from_dilatation(derivative(koebe()), poly([0.0, 0.5]))
+    assert real_coefficients(f)
 
     def counted():
         h_sizes, g_sizes = [], []
@@ -302,7 +317,8 @@ def test_conjugate_check_takes_one_jet_of_h_and_g_per_node():
     # the same map, its g(0) = 0 check and its distortion estimate only
     fs, h_sample, g_sample = counted()
     estimate_quasiregularity(fs)
-    blocks = [ROW_BLOCK_POINTS] * (32 * 2048 // ROW_BLOCK_POINTS)
+    assert ROW_BLOCK_POINTS // 1025 == 3
+    blocks = [3 * 1025] * 10 + [2 * 1025]
     for sizes, sample in ((h_sizes, h_sample), (g_sizes, g_sample)):
         assert sorted(sizes) == sorted(sample + blocks)
 
@@ -501,14 +517,16 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
 
 
 def test_membership_record_carries_table_work():
-    # the record's counters are those of the one ladder pass behind it
+    # the record's counters are those of the one ladder pass behind it,
+    # which tabulates half the circle: the map's coefficients are real
     f = koebe_shear(0.0)
     scale = Mpqs(0.8, 0.0, 1.0)
     rec = verify_membership(f, OrderModel(K=1.0), scale,
                             truncation_js=(3, 4, 5)).to_record()
     values, _ = _membership_values(f, scale, "f")
     _, work = _truncated_sup_norms(values, 0.8, 0.0, 1.0,
-                                   [1.0 - 2.0 ** -j for j in (3, 4, 5)])
+                                   [1.0 - 2.0 ** -j for j in (3, 4, 5)],
+                                   even=True)
     assert rec["table_work"] == work
     assert work["points"] > 0 and work["rings"] > 0
 
