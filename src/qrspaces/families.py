@@ -167,6 +167,8 @@ def cayley_shear(k: float, normalize: bool = True) -> HarmonicMap:
 DEFAULT_GROWTH_RADII = tuple(1.0 - 2.0 ** -j for j in range(3, 13))
 
 GROWTH_TARGETS = ("hprime", "hsecond", "gprime", "gsecond", "f_itself")
+# equispaced angles of the sample at each radius of ``growth_exponent``
+GROWTH_ANGLES = 512
 
 
 @dataclass(frozen=True)
@@ -185,12 +187,12 @@ class GrowthFit:
 
 
 def growth_exponent(f: HarmonicMap, which: str,
-                    radii: Sequence[float] = DEFAULT_GROWTH_RADII,
-                    n_angles: int = 512) -> GrowthFit:
+                    radii: Sequence[float] = DEFAULT_GROWTH_RADII) -> GrowthFit:
     """Fit the boundary growth exponent of a derived quantity of f.
 
-    M(r) is the max over an angular sample at |z| = r of the chosen quantity
-    (h', h'', g', g'', or |f| itself).  Radii must increase toward 1.
+    M(r) is the max over ``GROWTH_ANGLES`` equispaced angles at |z| = r of
+    the chosen quantity (h', h'', g', g'', or |f| itself).  Radii must
+    increase toward 1.
     """
     if which not in GROWTH_TARGETS:
         raise InvalidParameterError(
@@ -200,7 +202,7 @@ def growth_exponent(f: HarmonicMap, which: str,
         b <= a for a, b in zip(radii, radii[1:])
     ):
         raise InvalidParameterError("radii must increase within (0, 1)")
-    theta = 2.0 * np.pi * np.arange(n_angles) / n_angles
+    theta = 2.0 * np.pi * np.arange(GROWTH_ANGLES) / GROWTH_ANGLES
     eig = np.exp(1j * theta)
 
     values = []

@@ -43,16 +43,17 @@ by one walker, ``_row_blocks``, which hands out the grid in blocks of
 max(1, ``ROW_BLOCK_POINTS`` // count) rows.  ``polar_tabulate`` writes
 each block's base values straight into preallocated (rows, count) arrays,
 the bases of a ``PolarTable``: the sup engine's master and node-doubling
-grids, the truncation ladder's panels and the Mobius-weight integral each
-build one.  Bases built from a map with real coefficients are even in
-theta (f(conj z) = conj(f(z))), and the periodic trapezoid rule keeps that
+grids, the truncation ladder's panels and the Mobius-weight integral (and
+so ``disk_integral_alpha``, its s = 0 case) each build one.  Bases built
+from a map with real coefficients are even in theta
+(f(conj z) = conj(f(z))), and the periodic trapezoid rule keeps that
 symmetry exactly (Trefethen & Weideman, SIAM Rev. 56, 2014): their table
 evaluates the columns 0..count/2 and fills the others as mirror images, as
 ``mobius_factor`` does for a real a.  Only the caller that built the
 tabulator from the map knows this (``analytic.real_coefficients``); a bare
 callable gets every column.  ``polar_row_means`` keeps only each row's
-mean, for integrands evaluated per a rather than tabulated once (the Green
-weight and ``disk_integral_alpha`` here, the composition path of
+mean, for integrands that change with a and so are evaluated per a
+rather than tabulated once (the Green weight here, the composition path of
 ``spaces``).  Every value is pointwise, so the results do not depend on
 the blocking, and no grid-sized temporary is made.
 """
@@ -198,8 +199,7 @@ def polar_row_means(integrand, rho, eig) -> np.ndarray:
 
 
 def angular_count_for(rho: float, pole_exponent: float,
-                      base: int = DEFAULT_ANGULAR,
-                      ladder=ANGULAR_LADDER) -> int:
+                      base: int = DEFAULT_ANGULAR) -> int:
     """Smallest ladder entry resolving a |1 - conj(a) z|^(-2 e) factor.
 
     Trapezoid aliasing of that factor decays like rho^M M^(2e-1); demand
@@ -210,12 +210,12 @@ def angular_count_for(rho: float, pole_exponent: float,
     if rho <= 0.0:
         return base
     growth = max(2.0 * pole_exponent - 1.0, 1.0)
-    for m in ladder:
+    for m in ANGULAR_LADDER:
         if m < base:
             continue
         if m * math.log(rho) * -1.0 >= growth * math.log(m) + 10.0 * math.log(10.0):
             return m
-    return ladder[-1]
+    return ANGULAR_LADDER[-1]
 
 
 def check_angular(angular: int):
@@ -227,49 +227,27 @@ def check_angular(angular: int):
             f"angular node count must be one of {ANGULAR_LADDER}, got {angular}")
 
 
-def _refine_loop(evaluate, radial, angular, tol, refine_cap):
-    """Run ``evaluate(radial, angular)`` under node doubling until stable."""
-    v_prev = evaluate(radial, angular)
-    for k in range(1, refine_cap + 1):
-        v_next = evaluate(radial * 2 ** k, angular * 2 ** k)
-        err = abs(v_next - v_prev)
-        if err <= max(tol * abs(v_next), 1e-300):
-            # floor the estimate at summation noise so it stays an upper bound
-            return IntegralResult(v_next, max(err, 1e-12 * abs(v_next)), k)
-        v_prev = v_next
-    raise AccuracyError(
-        f"disk integral did not converge within {refine_cap} refinements "
-        f"(last change {err:.3e})"
-    )
-
-
 def disk_integral_alpha(integrand, alpha: float,
                         radial: int = DEFAULT_RADIAL,
-                        angular: int = DEFAULT_ANGULAR,
-                        tol: float = DEFAULT_REL_TOL,
-                        refine_cap: int = DEFAULT_REFINE_CAP) -> IntegralResult:
+                        angular: int = DEFAULT_ANGULAR) -> IntegralResult:
     """int_D integrand(z) (1-|z|^2)^alpha dA(z) for alpha > -1.
 
     ``integrand`` must accept a complex ndarray and return (nonnegative)
-    reals of the same shape.  The error estimate comes from node doubling.
+    reals of the same shape.  This is ``disk_integral_mobius_weight`` at
+    s = 0 and a = 0, where the Mobius weight is 1: the same rule, node
+    doubling and error estimate.
     """
     if alpha <= -1.0:
         raise InvalidParameterError("alpha must exceed -1")
-
-    def evaluate(nr, na):
-        grid = build_grid(nr, alpha, na)
-        return _radial_contract(grid.radial_weights, polar_row_means(
-            integrand, np.sqrt(grid.radial_nodes),
-            np.exp(1j * angular_nodes(na))))
-
-    return _refine_loop(evaluate, radial, angular, tol, refine_cap)
+    return disk_integral_mobius_weight(integrand, alpha, 0.0, MobiusMap(0.0),
+                                       radial, angular)
 
 
 def _check_mobius_params(q: float, s: float):
     if q <= -2.0:
         raise InvalidParameterError("q must exceed -2")
-    if s <= 0.0:
-        raise InvalidParameterError("s must be positive")
+    if s < 0.0:
+        raise InvalidParameterError("s must be nonnegative")
     if q + s <= -1.0:
         raise InvalidParameterError("q + s must exceed -1")
 
@@ -438,25 +416,36 @@ class PolarTable:
 def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
                                 radial: int = DEFAULT_RADIAL,
                                 angular: int = DEFAULT_ANGULAR,
-                                tol: float = DEFAULT_REL_TOL,
-                                refine_cap: int = DEFAULT_REFINE_CAP) -> IntegralResult:
-    """int_D integrand(z) (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z).
+                                tol: float = DEFAULT_REL_TOL) -> IntegralResult:
+    """int_D integrand(z) (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z), s >= 0.
 
     The rule absorbs (1-t)^(q+s) radially; the remaining bounded factor is
     (1-|a|^2)^s / |1 - conj(a) z|^{2s}, integrated with the integrand on a
-    ``PolarTable`` of each rule.
+    ``PolarTable`` of each rule (at s = 0 or a = 0 the factor is 1, and the
+    table takes its rows' plain means).  Both node counts double, up to
+    ``DEFAULT_REFINE_CAP`` times, until the value changes by at most ``tol``
+    of itself; that change, floored at 1e-12 of the value, is the error
+    estimate, and ``refinements_used`` the doublings taken.
     """
     _check_mobius_params(q, s)
     a = m.param
-    base_angular = angular_count_for(abs(a), s, angular)
-
-    def evaluate(nr, na):
+    angular = angular_count_for(abs(a), s, angular)
+    previous = None
+    for k in range(DEFAULT_REFINE_CAP + 1):
+        nr, na = radial * 2 ** k, angular * 2 ** k
         grid = build_grid(nr, q + s, na)
-        table = PolarTable(lambda z: (integrand(z),),
-                           np.sqrt(grid.radial_nodes), grid.radial_weights, na)
-        return table.integrals(a, s, na)[0]
-
-    return _refine_loop(evaluate, radial, base_angular, tol, refine_cap)
+        value = PolarTable(lambda z: (integrand(z),), np.sqrt(grid.radial_nodes),
+                           grid.radial_weights, na).integrals(a, s, na)[0]
+        if previous is not None:
+            err = abs(value - previous)
+            if err <= max(tol * abs(value), 1e-300):
+                # floor the estimate at summation noise so it stays an upper bound
+                return IntegralResult(value, max(err, 1e-12 * abs(value)), k)
+        previous = value
+    raise AccuracyError(
+        f"disk integral did not converge within {DEFAULT_REFINE_CAP} "
+        f"refinements (last change {err:.3e})"
+    )
 
 
 # --- Green-weight integrals -------------------------------------------------
@@ -557,8 +546,13 @@ def disk_integral_green(integrand, q: float, s: float, m: MobiusMap,
     return IntegralResult(value, max(err, 1e-12 * abs(value)), 1)
 
 
-def truncated_panels(R: float, points_per_panel: int = 24) -> list:
-    """The Gauss-Legendre panels of t in [0, R^2], as ((lo, hi), t, w).
+# Gauss-Legendre nodes per panel of ``truncated_panels``.
+PANEL_POINTS = 24
+
+
+def truncated_panels(R: float) -> list:
+    """The ``PANEL_POINTS``-node Gauss-Legendre panels of t in [0, R^2], as
+    ((lo, hi), t, w).
 
     Panels shrink geometrically toward the outer edge, where (1-t)-power
     weights and boundary-singular integrands vary fastest: for
@@ -575,7 +569,7 @@ def truncated_panels(R: float, points_per_panel: int = 24) -> list:
         edges.append(1.0 - gap)
         gap *= 0.5
     edges.append(T)
-    x, w = np.polynomial.legendre.leggauss(points_per_panel)
+    x, w = np.polynomial.legendre.leggauss(PANEL_POINTS)
     panels = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         half = 0.5 * (hi - lo)
@@ -583,9 +577,9 @@ def truncated_panels(R: float, points_per_panel: int = 24) -> list:
     return panels
 
 
-def truncated_radial_rule(R: float, points_per_panel: int = 24):
+def truncated_radial_rule(R: float):
     """Composite Gauss-Legendre nodes/weights on t in [0, R^2]: the
     ``truncated_panels`` of R, concatenated."""
-    panels = truncated_panels(R, points_per_panel)
+    panels = truncated_panels(R)
     return (np.concatenate([t for _, t, _ in panels]),
             np.concatenate([w for _, _, w in panels]))

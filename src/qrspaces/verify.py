@@ -43,6 +43,7 @@ from .quadrature import (
     DEFAULT_ANGULAR,
     DEFAULT_RADIAL,
     PolarTable,
+    _check_mobius_params,
     angular_count_for,
     check_angular,
     disk_integral_green,
@@ -380,6 +381,9 @@ def _membership_values(f: HarmonicMap, scale, target: str):
 # searches do: relative changes cross the stabilization threshold at j = 12
 # for the slowest in-range acceptance case.
 DEFAULT_TRUNCATION_JS = tuple(range(3, 13))
+# a truncation ladder is stabilized when its final relative change is at
+# most this
+STABILIZATION_TOL = 1e-3
 # from j = 54 on, the radius 1 - 2^-j rounds to 1.0
 TRUNCATION_MAX_J = 53
 _TRUNC_MAX_ANGULAR = 8192
@@ -468,7 +472,6 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
 def verify_membership(f: HarmonicMap, model: OrderModel, scale,
                       target: str = "f",
                       truncation_js: Sequence[int] = DEFAULT_TRUNCATION_JS,
-                      stabilization_tol: float = 1e-3,
                       tol: float = DEFAULT_VERIFY_TOL,
                       angular: int = DEFAULT_ANGULAR,
                       rng_seed: int = 0) -> VerificationReport:
@@ -481,7 +484,7 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
     ``truncation_trace`` entry records the grid that radius used, and
     ``table_work`` the pass's work ledger.
     "Finite" means the final successive relative change (lhs) is at most
-    ``stabilization_tol`` (rhs) up to the relative ``tol`` of every check,
+    ``STABILIZATION_TOL`` (rhs) up to the relative ``tol`` of every check,
     margin >= -tol * rhs; otherwise a divergence exponent is fitted.
     Out-of-range parameters give an informational divergence report (pass
     is not withheld), since the membership assertion is one-directional.
@@ -542,8 +545,8 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
     changes = [abs(b - a) / max(abs(b), 1e-300)
                for a, b in zip(norms, norms[1:])]
     lhs = changes[-1]
-    margin = stabilization_tol - lhs
-    stabilized = _within_tol(margin, stabilization_tol, tol)
+    margin = STABILIZATION_TOL - lhs
+    stabilized = _within_tol(margin, STABILIZATION_TOL, tol)
     extra.update(truncation_trace=[{"R": r, "norm": n, **g}
                                    for r, n, g in zip(radii, norms, grids)],
                  final_relative_change=lhs, table_work=work)
@@ -554,7 +557,7 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
     return VerificationReport(
         theorem_id="4.1" if isinstance(scale, Mpqs) else "4.2",
         map_description=f.description, scale_label=scale.label(), K=model.K,
-        Kprime=0.0, lhs=lhs, rhs=stabilization_tol, margin=margin,
+        Kprime=0.0, lhs=lhs, rhs=STABILIZATION_TOL, margin=margin,
         passed=stabilized or not rc.in_range, tol=tol,
         grid={"grid_radial": "graded", "grid_angular": angular}, extra=extra)
 
@@ -576,10 +579,15 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
     """Empirical ratio of the Green-weight and Mobius-weight integrals.
 
     No fixed equivalence constant is asserted; the report carries the range
-    of the observed ratios over the supplied automorphism parameters.
+    of the observed ratios over the supplied automorphism parameters, of
+    which there must be at least one.  q and s are checked as both
+    integrals check them, before either runs.
     """
-    if q + s <= -1.0:
-        raise InvalidParameterError("q + s must exceed -1")
+    _check_mobius_params(q, s)
+    a_grid = list(a_grid)
+    if not a_grid:
+        raise InvalidParameterError(
+            "the equivalence ratio needs at least one automorphism parameter")
     tabulate = _pow_tabulator(_lambda_fn(f), p)
 
     def base(z):

@@ -127,9 +127,46 @@ def test_mobius_weight_invalid_params():
     with pytest.raises(InvalidParameterError):
         disk_integral_mobius_weight(one, -1.5, 0.2, MobiusMap(0.0))
     with pytest.raises(InvalidParameterError):
+        disk_integral_mobius_weight(one, 0.0, -1e-3, MobiusMap(0.0))
+    with pytest.raises(InvalidParameterError):
         disk_integral_mobius_weight(one, 0.0, -1.0, MobiusMap(0.0))
     with pytest.raises(InvalidParameterError):
         disk_integral_mobius_weight(one, -2.5, 1.0, MobiusMap(0.0))
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, -0.5, 2.0])
+@pytest.mark.parametrize("a", [0.0, 0.5j])
+def test_mobius_weight_at_s_0_is_disk_integral_alpha(alpha, a):
+    # at s = 0 the Mobius weight is 1 for every a: the same rule, the same
+    # angular count (a = 0.5j needs no more than the base count) and the
+    # same doublings as disk_integral_alpha, bit for bit
+    base = lambda z: np.abs(1.0 + 0.6 * z) ** 1.5 + np.exp(-np.abs(z) ** 2)
+    res = disk_integral_mobius_weight(base, alpha, 0.0, MobiusMap(a))
+    assert res == disk_integral_alpha(base, alpha)
+
+
+@pytest.mark.parametrize("count", [256, 2048])
+def test_table_at_a_0_s_0_is_the_row_means(count):
+    # the plain row means of a PolarTable (factor 1.0) are those that
+    # polar_row_means takes a row block at a time, bit for bit, also on 131
+    # radial nodes, which no block size at either count divides; so are
+    # their contractions
+    g = build_grid(131, 0.5, count)
+    rho, eig = np.sqrt(g.radial_nodes), np.exp(1j * angular_nodes(count))
+    base = lambda z: np.abs(z.real - 0.3) ** 0.5 + np.abs(np.sin(3.0 * z.imag))
+    table = PolarTable(lambda z: (base(z),), rho, g.radial_weights, count)
+    means = polar_row_means(base, rho, eig)
+    assert np.array_equal(_row_means(table.bases[0], 1.0), means)
+    assert table.integrals(0.0, 0.0, count)[0] == _radial_contract(
+        g.radial_weights, means)
+
+
+def test_green_weight_at_s_0_is_the_area():
+    # g(z,a)^0 = 1: the pulled-back integral of 1 is the disk's area
+    res = disk_integral_green(lambda z: np.ones(z.shape), 0.0, 0.0,
+                              MobiusMap(0.5))
+    assert res.value == pytest.approx(math.pi, rel=1e-13)
+    assert abs(res.value - math.pi) <= 2.0 * res.abs_error_estimate + 1e-13 * math.pi
 
 
 def test_green_origin_oracle():

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
 from qrspaces.analytic import compose_mobius, constant, identity, koebe, poly
@@ -477,6 +479,29 @@ def test_sup_search_dominated_objectives_dominated_sups():
     assert sup_f <= sup_g
     assert [a for a, _ in trace_f] == [a for a, _ in trace_g]
     assert len(trace_f) > len(SMALL_SEARCH.candidates())
+
+
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(coefficients=st.lists(st.complex_numbers(max_magnitude=2.0),
+                             min_size=1, max_size=4),
+       p=st.floats(0.5, 3.0), c=st.floats(1e-3, 10.0),
+       q=st.floats(-0.5, 1.0), s=st.floats(0.25, 2.0))
+def test_sup_search_dominated_base_dominated_sup(coefficients, p, c, q, s):
+    # base2 = base1 + c > base1 on every node and the weight is positive,
+    # so the ring-seeded engine integrals of base2 dominate those of base1
+    # at every a, both bases are traced over the same points, and so the
+    # sup of base2 is at least that of base1
+    def tabulate(z):
+        b = np.abs(np.polyval(coefficients, z)) ** p
+        return b, b + c
+
+    pr = WeightedSupProblem(tabulate, q, s, radial=32)
+    (_, sup1, trace1), (_, sup2, trace2) = _sup_search(
+        pr.integral_at, SMALL_SEARCH, pr.ring_integrals)
+    assert pr.work["rings"] == len(SMALL_SEARCH.rings())
+    assert [a for a, _ in trace1] == [a for a, _ in trace2]
+    assert all(v1 < v2 for (_, v1), (_, v2) in zip(trace1, trace2))
+    assert sup2 >= sup1
 
 
 def test_sup_search_single_objective_is_lattice_then_compass():

@@ -594,6 +594,22 @@ def test_equivalence_ratio_identity():
         equivalence_ratio(identity(), 2.0, -1.5, 0.2, a_grid=[0.0])
 
 
+def test_equivalence_ratio_rejects_before_any_integral(monkeypatch):
+    calls = []
+    for name in ("disk_integral_green", "disk_integral_mobius_weight"):
+        monkeypatch.setattr(f"qrspaces.verify.{name}",
+                            lambda *args, **kw: calls.append(args))
+    # an empty grid has no ratio to report
+    with pytest.raises(InvalidParameterError):
+        equivalence_ratio(identity(), 2.0, 0.0, 1.0, a_grid=[])
+    # s < 0 and q <= -2 are what both integrals reject
+    with pytest.raises(InvalidParameterError):
+        equivalence_ratio(identity(), 2.0, 0.0, -0.5, a_grid=[0.3])
+    with pytest.raises(InvalidParameterError):
+        equivalence_ratio(identity(), 2.0, -2.5, 2.0, a_grid=[0.3])
+    assert calls == []
+
+
 def test_equivalence_ratio_larger_s_stays_bounded():
     rep = equivalence_ratio(identity(), 2.0, 0.0, 3.0,
                             a_grid=[0.0, 0.5, 0.8])
