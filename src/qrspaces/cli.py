@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import cayley_half, derivative, identity, koebe, poly
+from .analytic import (cayley_half, derivative, identity, koebe, poly,
+                       real_coefficients)
 from .errors import (
     AccuracyError,
     HypothesisViolationError,
@@ -347,7 +348,8 @@ def compute_norm(cfg: RunConfig):
     elif isinstance(scale, Fpqs):
         res = fh_pqs_norm(f, scale, weight_form=cfg.weight_form, **kw)
     elif isinstance(scale, Mpqs):
-        res = m_pqs_norm(lambda z: f(z), f(0.0), scale, **kw)
+        res = m_pqs_norm(lambda z: f(z), f(0.0), scale,
+                         even=real_coefficients(f), **kw)
     else:
         res = specialized_norm(f.h if _is_analytic(f) else f, scale, **kw)
     return res, scale

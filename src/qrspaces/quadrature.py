@@ -23,6 +23,10 @@ weights of their rule, and is the one contraction: each base with the
 factor by one BLAS dot per row (``_row_means``), so no grid-sized product
 is formed, then the row means with the weights.  Its direct kernel and the a = r turn of its ring kernel
 run both steps on the same arrays, which keeps the two bit-identical.
+On a table of bases even in theta, the integrand at a real a is even in
+theta too: the factor is computed on the columns 0..count/2 alone, the
+row sums fold onto them, and a ring of an even number of turns takes a
+half-width block product and computes only the turns up to turns/2.
 It counts its work in a ``table_work`` ledger that its owner may share
 among its tables, as the sup engine and the truncation ladder do.
 Blocked dots, like the truncation ladder's sums of per-panel integrals in
@@ -48,10 +52,10 @@ so ``disk_integral_alpha``, its s = 0 case) each build one.  Bases built
 from a map with real coefficients are even in theta
 (f(conj z) = conj(f(z))), and the periodic trapezoid rule keeps that
 symmetry exactly (Trefethen & Weideman, SIAM Rev. 56, 2014): their table
-evaluates the columns 0..count/2 and fills the others as mirror images, as
-``mobius_factor`` does for a real a.  Only the caller that built the
-tabulator from the map knows this (``analytic.real_coefficients``); a bare
-callable gets every column.  ``polar_row_means`` keeps only each row's
+evaluates the columns 0..count/2 and fills the others as mirror images,
+as ``mobius_factor`` does for a real a on the whole circle.  Only the
+caller that built the tabulator from the map knows this
+(``analytic.real_coefficients``); a bare callable gets every column.  ``polar_row_means`` keeps only each row's
 mean, for integrands that change with a and so are evaluated per a
 rather than tabulated once (the Green weight here, the composition path of
 ``spaces``).  Every value is pointwise, so the results do not depend on
@@ -252,11 +256,12 @@ def _check_mobius_params(q: float, s: float):
         raise InvalidParameterError("q + s must exceed -1")
 
 
-def mobius_factor(a: complex, s: float, rho, mob):
+def mobius_factor(a: complex, s: float, rho, mob, count=None):
     """(1-|a|^2)^s / |1 - conj(a) z|^(2s) on the polar grid z[i, j] =
     rho_i e^(i theta_j), theta_j = ``angular_nodes(count)[j]``, written into
-    the (rho.size, count) array ``mob``; the scalar 1.0 if s = 0 or a = 0,
-    where the factor is identically 1.  With a = r e^(i phi),
+    the columns j < mob.shape[1] of the (rho.size, cols) array ``mob``
+    (``count`` defaults to cols, the whole circle); the scalar 1.0 if s = 0
+    or a = 0, where the factor is identically 1.  With a = r e^(i phi),
 
         |1 - conj(a) z|^2 = (1 - r rho)^2 + 4 r rho sin^2((theta - phi)/2),
 
@@ -273,16 +278,19 @@ def mobius_factor(a: complex, s: float, rho, mob):
     to 1 (the expanded 1 - 2 Re(conj(a) z) + r^2 rho^2 loses about 1e-9
     relative at r = 1 - 2^-12).  4 r rho is floored at 1e-300, which keeps
     u and v finite for a tiny a: below it the sin^2 term is under 1e-300 of
-    (1 - r rho)^2 either way.  For real a the factor is even in theta, so
-    on an even count only the columns 0..count/2 are computed and the rest
-    are their mirror images (``_mirror``).
+    (1 - r rho)^2 either way.  For real a the factor is even in theta: a
+    caller that only needs the half circle passes count/2 + 1 columns (an
+    even ``PolarTable``), and on the whole circle of an even count only the
+    columns 0..count/2 are computed and the rest mirrored (``_mirror``).
     """
     a = complex(a)
     if s == 0.0 or a == 0.0:
         return 1.0
-    count = mob.shape[1]
+    cols = mob.shape[1]
+    count = count or cols
+    if cols == count and a.imag == 0.0 and count % 2 == 0:
+        cols = count // 2 + 1
     r, phi = abs(a), math.atan2(a.imag, a.real)
-    cols = count // 2 + 1 if a.imag == 0.0 and count % 2 == 0 else count
     left = mob[:, :cols]
     sin2 = np.sin(0.5 * (angular_nodes(count)[:cols] - phi)) ** 2
     near = (1.0 - r) + r * (1.0 - rho)
@@ -291,7 +299,7 @@ def mobius_factor(a: complex, s: float, rho, mob):
     np.divide(((1.0 - r) * (1.0 + r) / d)[:, None], left, out=left)
     if s != 1.0:
         left **= s
-    if cols < count:
+    if cols < mob.shape[1]:
         _mirror(mob, cols)
     return mob
 
@@ -304,10 +312,21 @@ def _row_means(b, mob) -> np.ndarray:
     """The row means of b * mob, for a Mobius factor ``mob`` of b's shape:
     one BLAS dot per row, divided by the count, so no product array is
     made.  The scalar factor 1.0 (s = 0 or a = 0) takes b's plain row means.
+    A half factor, the columns 0..count/2 of a factor even in theta, pairs
+    with a base even in theta: the columns past count/2 repeat 1..count/2-1,
+    so the trapezoid sum folds onto the half circle with weights
+    (1, 2, ..., 2, 1).
     """
     if isinstance(mob, float):
         return b.mean(axis=1)
-    return np.vecdot(b, mob) / b.shape[1]
+    count = b.shape[1]
+    if mob.shape[1] == count:
+        return np.vecdot(b, mob) / count
+    h = count // 2
+    sums = 2.0 * np.vecdot(b[:, 1:h], mob[:, 1:h])
+    sums += b[:, 0] * mob[:, 0]
+    sums += b[:, h] * mob[:, h]
+    return sums / count
 
 
 @functools.lru_cache(maxsize=None)
@@ -316,6 +335,18 @@ def _cyclic_diagonals(turns: int) -> np.ndarray:
     row k picks G[m, (m - k) mod turns], m < turns."""
     m = np.arange(turns)
     return m[None, :] * turns + (m[None, :] - m[:, None]) % turns
+
+
+@functools.lru_cache(maxsize=None)
+def _folded_diagonals(turns: int) -> np.ndarray:
+    """Flat indices into a (turns, turns/2) matrix G of the folded ring:
+    row k <= turns/2 picks G[(q + k) mod turns, q] and then
+    G[(q - k) mod turns, q], q < turns/2."""
+    half = turns // 2
+    q = np.tile(np.arange(half), 2)
+    sign = np.repeat([1, -1], half)
+    k = np.arange(half + 1)[:, None]
+    return (q + sign * k) % turns * half + q
 
 
 def table_work() -> dict:
@@ -340,14 +371,17 @@ class PolarTable:
     ``even`` says that every base is even in theta, as the bases built
     from a map with real coefficients are (``analytic.real_coefficients``):
     then only the columns 0..count/2 are tabulated, and the others are
-    their mirror images.  Only a caller that built ``tabulate`` from such a
-    map knows it; the default tabulates every column.
+    their mirror images, and at a real a on an even count the kernels
+    compute the factor on those columns alone (``_folds``).  Only a caller
+    that built ``tabulate`` from such a map knows it; the default
+    tabulates every column.
 
     The table counts its work in ``work``, a ``table_work`` ledger that its
     owner may pass in to share among its tables (a fresh one otherwise):
     ``points`` tabulated (rows x (count/2 + 1) on an even table),
-    ``factor_nodes``, the size of every factor array computed (the scalar
-    1.0 at a = 0 or s = 0 counts nothing), ``rings`` run, and the rung
+    ``factor_nodes``, the size of every factor array computed (rows x
+    (count/2 + 1) for a folded one; the scalar 1.0 at a = 0 or s = 0
+    counts nothing), ``rings`` run, and the rung
     ``copies`` with their ``copied_values``.
     """
 
@@ -355,6 +389,7 @@ class PolarTable:
                  even: bool = False):
         self.rho = rho
         self.w = w
+        self.even = even
         self.work = table_work() if work is None else work
         cols = count // 2 + 1 if even else count
         self.bases = polar_tabulate(
@@ -363,16 +398,23 @@ class PolarTable:
         self._rungs = {count: self.bases}
         self._factor = np.empty(rho.size * count)
 
-    def _at(self, a: complex, s: float, count: int) -> tuple:
-        """The bases at ``count`` angles and the Mobius factor at a there."""
+    def _folds(self, a: complex, count: int) -> bool:
+        """Whether the integrand at a is even in theta on ``count`` angles:
+        even bases, a real a and an even count."""
+        return self.even and complex(a).imag == 0.0 and count % 2 == 0
+
+    def _at(self, a: complex, s: float, count: int, half: bool) -> tuple:
+        """The bases at ``count`` angles and the Mobius factor at a there:
+        its columns 0..count/2 alone if ``half``."""
         if count not in self._rungs:
             stride = self.bases[0].shape[1] // count
             self._rungs[count] = [np.ascontiguousarray(b[:, ::stride])
                                   for b in self.bases]
             self.work["copies"] += len(self.bases)
             self.work["copied_values"] += len(self.bases) * self.rho.size * count
-        buf = self._factor[:self.rho.size * count].reshape(self.rho.size, count)
-        mob = mobius_factor(a, s, self.rho, buf)
+        cols = count // 2 + 1 if half else count
+        buf = self._factor[:self.rho.size * cols].reshape(self.rho.size, cols)
+        mob = mobius_factor(a, s, self.rho, buf, count)
         if mob is buf:
             self.work["factor_nodes"] += buf.size
         return self._rungs[count], mob
@@ -380,8 +422,10 @@ class PolarTable:
     def integrals(self, a: complex, s: float, count: int) -> list:
         """Per base, the integral of base * (1-|a|^2)^s / |1 - conj(a) z|^(2s)
         on ``count`` angles.  At s = 0 and at a = 0 the factor is 1.0 and
-        the bases' plain row means are used."""
-        bases, mob = self._at(a, s, count)
+        the bases' plain row means are used.  Where the integrand is even in
+        theta (``_folds``) the factor is computed on the half circle and the
+        row sums fold onto it (``_row_means``)."""
+        bases, mob = self._at(a, s, count, self._folds(a, count))
         return [_radial_contract(self.w, _row_means(b, mob)) for b in bases]
 
     def ring_integrals(self, r: float, s: float, count: int, turns: int) -> list:
@@ -394,21 +438,47 @@ class PolarTable:
         One dot with the weights contracts that to G, and turn k is pi/count
         times the sum of G's k-th cyclic diagonal.  k = 0 is ``integrals``
         at r, bit for bit; the others agree with it to about 1e-15 relative.
+
+        Where the integrand at r is even in theta (``_folds``) and ``turns``
+        is even, the factor is computed on the half circle, and the product
+        takes its turns/2 blocks alone: G is (turns, turns/2).  The factor's
+        columns past count/2 mirror 1..count/2-1, so turn k is
+        sum_q G[q+k, q] + G[q-k, q], less the j = 0 column that sum counts
+        twice, plus the j = count/2 column it misses; turns k <= turns/2 are
+        computed, and turn turns - k is turn k, bit for bit, as
+        I(conj a) = I(a) there.
         """
         if count % turns:
             raise InvalidParameterError(
                 f"{count} angular nodes do not split into {turns} turns")
-        bases, mob = self._at(r, s, count)
+        half = self._folds(r, count)
+        fold = half and turns % 2 == 0
+        bases, mob = self._at(r, s, count, fold)
         self.work["rings"] += 1
-        shape = (self.rho.size, turns, count // turns)
-        m3 = mob.reshape(shape).transpose(0, 2, 1)
+        rows, span = self.rho.size, count // turns
+        # the half factor for turn 0, which ``integrals`` at r uses
+        mob0 = mob[:, :count // 2 + 1] if half else mob
+        if fold:
+            m3 = mob[:, :count // 2].reshape(rows, turns // 2, span)
+            diagonals = _folded_diagonals(turns)
+            edges = self.w * mob[:, 0], self.w * mob[:, count // 2]
+        else:
+            m3 = mob.reshape(rows, turns, span)
+            diagonals = _cyclic_diagonals(turns)
+        m3 = m3.transpose(0, 2, 1)
         per_base = []
         for b in bases:
-            g = np.dot(self.w, np.matmul(b.reshape(shape), m3).reshape(
-                self.rho.size, -1))
-            values = (g[_cyclic_diagonals(turns)].sum(axis=1)
-                      * (np.pi / count)).tolist()
-            values[0] = _radial_contract(self.w, _row_means(b, mob))
+            g = np.dot(self.w, np.matmul(b.reshape(rows, turns, span),
+                                         m3).reshape(rows, -1))
+            sums = g[diagonals].sum(axis=1)
+            if fold:
+                # the base's columns k L, k <= turns/2
+                cols = b[:, :count // 2 + 1:span]
+                sums -= np.dot(edges[0], cols)
+                sums += np.dot(edges[1], cols)[::-1]
+                sums = np.concatenate([sums, sums[-2:0:-1]])
+            values = (sums * (np.pi / count)).tolist()
+            values[0] = _radial_contract(self.w, _row_means(b, mob0))
             per_base.append(values)
         return per_base
 

@@ -265,18 +265,13 @@ class SupSearchSpec:
         return {r: self._ring(r) for r in dict.fromkeys(radii) if r > 0.0}
 
     def candidates(self):
-        out = []
-        for r in self.radii:
-            r = min(float(r), RADIUS_CAP)
-            out.extend(self._ring(r) if r > 0.0 else [0.0 + 0.0j])
-        # deterministic, duplicate-free order
-        seen, uniq = set(), []
-        for a in out:
-            key = (round(a.real, 15), round(a.imag, 15))
-            if key not in seen:
-                seen.add(key)
-                uniq.append(a)
-        return uniq
+        """The lattice in a deterministic, duplicate-free order: 0j for a
+        radius r <= 0, then every distinct radius's ring in the order of
+        ``rings``."""
+        radii = dict.fromkeys(max(min(float(r), RADIUS_CAP), 0.0)
+                              for r in self.radii)
+        return [a for r in radii
+                for a in (self._ring(r) if r > 0.0 else [0.0 + 0.0j])]
 
 
 @dataclass(frozen=True)
@@ -418,12 +413,16 @@ class WeightedSupProblem:
     ``ring_integrals`` serves a whole lattice ring from the table's
     ``ring_integrals`` of one factor.  ``base_angular`` must be a rung,
     since every a != 0 gets at least the first one.  ``evaluations`` counts
-    the per-a evaluations by route: ``direct`` (``integral_at``),
-    ``ring_turns`` (the lattice points ``ring_integrals`` served) and
-    ``refined`` (``refined_integral_at``); ``work`` is the one ledger of the
-    master table and every node-doubling table.  ``even``, for bases built
-    from a map with real coefficients, makes every table tabulate half the
-    circle (``quadrature.PolarTable``).
+    the per-a evaluations by route: ``direct`` (each kernel run of
+    ``integral_at``), ``conjugate`` (the ``integral_at`` calls answered by
+    the values of conj(a)), ``ring_turns`` (the lattice points
+    ``ring_integrals`` served) and ``refined`` (``refined_integral_at``);
+    ``work`` is the one ledger of the master table and every node-doubling
+    table.  ``even``, for bases built from a map with real coefficients,
+    makes every table tabulate half the circle and fold the kernel at real
+    a (``quadrature.PolarTable``), and makes ``integral_at`` evaluate one a
+    of each conjugate pair, since the integrals of even bases are even in
+    a too: I(conj a) = I(a).
     """
 
     def __init__(self, tabulate: Callable, q_eff: float, s_eff: float,
@@ -446,7 +445,9 @@ class WeightedSupProblem:
         self.work = table_work()
         self._table = self._tabulate(self.radial, self.max_angular)
         self._const_value = None
-        self.evaluations = dict.fromkeys(("direct", "ring_turns", "refined"), 0)
+        self._partners = {}
+        self.evaluations = dict.fromkeys(
+            ("direct", "ring_turns", "refined", "conjugate"), 0)
 
     def _tabulate(self, radial: int, count: int) -> PolarTable:
         """The ``PolarTable`` of the problem's (radial, count) rule."""
@@ -470,8 +471,21 @@ class WeightedSupProblem:
                    self.max_angular)
 
     def integral_at(self, a: complex) -> tuple:
-        """One integral per base at the automorphism parameter a."""
+        """One integral per base at the automorphism parameter a.  On an
+        even problem I(conj a) = I(a): a off the real axis is evaluated at
+        the one of a, conj(a) in the upper half-plane, and the first call of
+        a conjugate pair leaves its values for the second."""
         a = complex(a)
+        if not (self.even and a.imag):
+            return self._direct(a)
+        values = self._partners.pop(a.conjugate(), None)
+        if values is not None:
+            self.evaluations["conjugate"] += 1
+            return values
+        values = self._partners[a] = self._direct(complex(a.real, abs(a.imag)))
+        return values
+
+    def _direct(self, a: complex) -> tuple:
         self.evaluations["direct"] += 1
         if self.s_eff != 0.0:
             return tuple(self._table.integrals(a, self.s_eff,
@@ -686,15 +700,18 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
 def m_pqs_norm(values_fn: Callable, f0: complex, params: Mpqs,
                search: Optional[SupSearchSpec] = None,
                radial: int = DEFAULT_RADIAL,
-               angular: int = DEFAULT_ANGULAR) -> NormResult:
+               angular: int = DEFAULT_ANGULAR,
+               even: bool = False) -> NormResult:
     """|f(0)| + (sup_a int |f|^p (1-t)^q (1-|sigma_a z|^2)^s dA)^(1/p).
 
-    ``values_fn`` maps a complex array of disk points to values of f.
+    ``values_fn`` maps a complex array of disk points to values of f;
+    ``even`` says that |f| is even in theta, as for a map with real
+    coefficients (``WeightedSupProblem``).
     """
     params.validate()
     search = search or SupSearchSpec()
     pr = WeightedSupProblem(_pow_tabulator(values_fn, params.p), params.q,
-                            params.s, radial, angular)
+                            params.s, radial, angular, even)
     f0 = abs(complex(f0))
     res = _finish_norm(pr, search, params.p, value_at_zero=f0)
     return dataclasses.replace(res, value=f0 + res.value)

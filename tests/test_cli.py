@@ -29,7 +29,8 @@ from qrspaces.errors import (
     SingularityError,
 )
 from qrspaces.harmonic import analytic_as_harmonic
-from qrspaces.spaces import Fpqs, Morrey, Qnpa
+from qrspaces.quadrature import angular_count_for
+from qrspaces.spaces import Fpqs, Morrey, Mpqs, Qnpa, m_pqs_norm
 
 
 def read_jsonl(path):
@@ -81,6 +82,22 @@ def test_norm_command_identity(tmp_path, capsys):
     assert rec["raw_sup"] == pytest.approx(math.pi, rel=1e-12)
     assert rec["value"] == pytest.approx(math.sqrt(math.pi), rel=1e-12)
     assert rec["config"]["map_spec"] == "identity"
+
+
+def test_m_scale_norm_tabulates_half_the_circle(tmp_path):
+    # every CLI map has real coefficients, so the M-scale's tables hold
+    # rows x (count/2 + 1) points: the 8 x 2048 master grid and the node
+    # doubling at the argmax; the value is within 1e-13 of the full circle
+    out = tmp_path / "m.jsonl"
+    assert main(["norm", "--map", "koebe-shear:k=0.3", "--scale", "M(1,0,1)",
+                 "--radial", "8", "--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    count = angular_count_for(math.hypot(*rec["sup_a"]), 1.0)
+    assert rec["grid"]["table_work"]["points"] == 8 * 1025 + 16 * (count + 1)
+    f = build_map("koebe-shear:k=0.3")
+    full = m_pqs_norm(lambda z: f(z), f(0.0), Mpqs(1.0, 0.0, 1.0), radial=8)
+    assert full.grid["table_work"]["points"] == 8 * 2048 + 16 * 2 * count
+    assert rec["value"] == pytest.approx(full.value, rel=1e-13)
 
 
 def test_norm_trivial_warning(tmp_path, capsys):

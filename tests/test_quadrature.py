@@ -595,6 +595,109 @@ def test_complex_coefficient_map_keeps_full_tabulation(monkeypatch):
         b.tobytes() for b in table.bases]
 
 
+def _replay(bases):
+    # a tabulator handing out the rows of ``bases`` block by block, so that
+    # a table built from it holds the same bits, here without evenness
+    done = [0]
+
+    def tabulate(z):
+        lo = done[0]
+        done[0] += z.shape[0]
+        return [b[lo:done[0]] for b in bases]
+    return tabulate
+
+
+def _fold_tables(count, radial=32):
+    # an even table of the koebe shear's conjugate-check and F-scale bases,
+    # and a full-circle table of the same bits
+    t, w = _jacobi_01(radial, 0.5)
+    f = build_map("koebe-shear:k=0.5")
+    half = PolarTable(_map_tabulator(f), np.sqrt(t), w, count, even=True)
+    full = PolarTable(_replay(half.bases), np.sqrt(t), w, count)
+    for h, b in zip(half.bases, full.bases):
+        assert np.array_equal(h, b)
+    return half, full
+
+
+@pytest.mark.parametrize("count", [256, 2048, 8192])
+def test_folded_direct_kernel_matches_full_circle(count):
+    # at a real a the even table computes the factor on the columns
+    # 0..count/2 alone and folds the row sums onto them: within 1e-14 of
+    # the whole circle, on the table's count and on the first rung
+    half, full = _fold_tables(count)
+    for a in (0.5, -0.5, -0.99, 1.0 - 2.0 ** -10):
+        for c in {256, count}:
+            nodes = half.work["factor_nodes"]
+            np.testing.assert_allclose(half.integrals(a, 1.0, c),
+                                       full.integrals(a, 1.0, c),
+                                       rtol=1e-14, atol=0.0)
+            assert half.work["factor_nodes"] - nodes == 32 * (c // 2 + 1)
+    # off the real axis both compute the whole circle, bit for bit
+    assert half.integrals(0.5j, 1.0, count) == full.integrals(0.5j, 1.0, count)
+
+
+@pytest.mark.parametrize("turns", [2, 4, 8, 16])
+def test_folded_ring_matches_full_circle(turns):
+    # the half-width ring product: every turn within 1e-14 of the full
+    # circle's ring, turn 0 bit-identical to the folded direct kernel, and
+    # turns k and turns - k equal bit for bit
+    half, full = _fold_tables(2048)
+    for r, s in ((0.5, 1.0), (0.9, 0.5), (1.0 - 2.0 ** -10, 1.5)):
+        nodes = half.work["factor_nodes"]
+        ring = half.ring_integrals(r, s, 2048, turns)
+        assert half.work["factor_nodes"] - nodes == 32 * 1025
+        np.testing.assert_allclose(
+            ring, full.ring_integrals(r, s, 2048, turns), rtol=1e-14, atol=0.0)
+        assert [values[0] for values in ring] == half.integrals(r, s, 2048)
+        for values in ring:
+            assert all(values[k] == values[turns - k] for k in range(1, turns))
+
+
+@pytest.mark.parametrize("count, turns", [(2048, 1), (12, 3), (9, 3)],
+                         ids=["one-turn", "odd-turns", "odd-count"])
+def test_unfoldable_rings_take_the_full_circle(count, turns):
+    # one turn or an odd number of turns needs every factor block, and an
+    # odd count has no half circle: the factor covers every column, the
+    # turns match the full table's, and turn 0 is still the direct kernel
+    # at r, which folds on an even count
+    half, full = _fold_tables(count)
+    ring = half.ring_integrals(0.9, 0.5, count, turns)
+    assert half.work["factor_nodes"] == 32 * count
+    assert [values[0] for values in ring] == half.integrals(0.9, 0.5, count)
+    expected = full.ring_integrals(0.9, 0.5, count, turns)
+    if count % 2:
+        assert ring == expected
+    else:
+        np.testing.assert_allclose(ring, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("shape, turns", [
+    ((288, 8192), 8), ((128, 2048), 16), ((288, 8192), None),
+    ((128, 2048), None)],
+    ids=["ladder-j12", "engine-2048", "direct-ladder-j12",
+         "direct-engine-2048"])
+def test_folded_kernels_make_no_grid_sized_temporary(shape, turns):
+    # the half factor's blocks are views too, and the folded row sums take
+    # row dots of views of the base: no copy of a half grid (288 x 4097
+    # doubles = 9.4 MB) is made
+    radial, count = shape
+    t, w = _jacobi_01(radial, 1.0)
+    table = PolarTable(lambda z: [np.abs(1.0 + 0.5 * z) ** 2.5], np.sqrt(t),
+                       w, count, even=True)
+    if turns is None:
+        kernel = lambda: _integrals(table, 0.99, 1.0)
+    else:
+        kernel = lambda: _ring_integrals(table, 0.99, 1.0, turns)
+    kernel()
+    tracemalloc.start()
+    try:
+        kernel()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_mobius_factor_at_a_tiny_a_is_finite():
     # u and v divide by 4 r rho, floored at 1e-300: at |a| = 1e-310 the
     # factor is 1 to rounding, with no overflow or 0/0 on the way

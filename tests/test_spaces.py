@@ -451,6 +451,53 @@ def test_ring_fallbacks_equal_direct_path(monkeypatch, params, angles):
     assert ringed == q_npa_norm(f, params, spec)
 
 
+@pytest.mark.parametrize("a", [0.3 + 0.4j, -0.6 - 0.7j, 0.95j])
+def test_even_problem_takes_i_conj_a_from_i_a(a):
+    # bases even in theta: a conjugate pair costs one kernel run and one
+    # factor, whichever member comes first, and both get the same bits,
+    # within 1e-13 of the kernel run at each; the counters say which ran
+    bases = lambda z: [np.abs(1.0 + 0.5 * z) ** 2.5, np.abs(z - 0.3) ** 1.5]
+    plain = WeightedSupProblem(bases, 0.0, 1.0, radial=32)
+    for first in (a, a.conjugate()):
+        pr = WeightedSupProblem(bases, 0.0, 1.0, radial=32, even=True)
+        values = pr.integral_at(first)
+        nodes = pr.work["factor_nodes"]
+        assert nodes > 0 and pr.integral_at(first.conjugate()) == values
+        assert pr.work["factor_nodes"] == nodes
+        assert pr.evaluations == {"direct": 1, "ring_turns": 0, "refined": 0,
+                                  "conjugate": 1}
+        np.testing.assert_allclose(values, plain.integral_at(first),
+                                   rtol=1e-13, atol=0.0)
+    assert plain.evaluations["direct"] == 2
+    assert plain.evaluations["conjugate"] == 0
+
+
+def _rounding_candidates(spec):
+    # the lattice deduplicated by rounding every point to 15 decimals
+    out = []
+    for r in spec.radii:
+        r = min(float(r), RADIUS_CAP)
+        out.extend(spec._ring(r) if r > 0.0 else [0.0 + 0.0j])
+    seen, uniq = set(), []
+    for a in out:
+        key = (round(a.real, 15), round(a.imag, 15))
+        if key not in seen:
+            seen.add(key)
+            uniq.append(a)
+    return uniq
+
+
+@pytest.mark.parametrize("angles", [1, 2, 3, 4, 8, 16, 64])
+def test_candidates_match_rounding_dedupe(angles):
+    # the lattice built from the distinct radii: the same points, order and
+    # types as a dedupe of every point by rounding
+    for j in range(1, 11):
+        spec = SupSearchSpec(dyadic_radii(j), angles)
+        got, want = spec.candidates(), _rounding_candidates(spec)
+        assert got == want
+        assert list(map(type, got)) == list(map(type, want))
+
+
 def _bump(center, width):
     return lambda a: math.exp(-abs(a - center) ** 2 / width)
 

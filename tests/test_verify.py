@@ -106,7 +106,9 @@ def test_qh_bound_requires_quasiregularity():
 
 def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
     # every distinct a of the trace is evaluated once: by a direct call or
-    # as a turn of its lattice ring, never both, and the counters say so
+    # as a turn of its lattice ring, never both, and the counters say so;
+    # the map's coefficients are real, so of a conjugate pair of direct
+    # calls only the first runs the kernel
     calls = collections.Counter()
     kernel = WeightedSupProblem.integral_at
 
@@ -124,10 +126,12 @@ def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
     assert not set(calls) & ring_points
     assert set(calls) | ring_points == traced
     evaluations = grid["kernel_evaluations"]
-    assert evaluations["direct"] == len(calls)
+    pairs = sum(a.imag > 0 and a.conjugate() in calls for a in calls)
+    assert pairs and evaluations["conjugate"] == pairs
+    assert evaluations["direct"] + evaluations["conjugate"] == len(calls)
     assert grid["table_work"]["rings"] == len(FAST.rings())
     assert evaluations["ring_turns"] == len(ring_points)
-    assert evaluations["direct"] + evaluations["ring_turns"] == len(traced)
+    assert len(calls) + evaluations["ring_turns"] == len(traced)
     assert evaluations["refined"] == 0
     # the map's coefficients are real: half the master grid's columns
     assert grid["table_work"]["points"] == 32 * (2048 // 2 + 1)
@@ -135,9 +139,11 @@ def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
 
 def test_conjugate_check_table_work(monkeypatch):
     # the record's ledger: one master table, tabulated on 1025 of its 2048
-    # columns (the map's coefficients are real), a factor of radial x count
-    # nodes per direct a != 0 and per lattice ring, on the rung the aliasing
-    # bound picks for |a|, and one copy of both bases per rung below 2048
+    # columns (the map's coefficients are real), a factor per direct a != 0
+    # and per lattice ring, on the rung the aliasing bound picks for |a|, of
+    # radial x (count/2 + 1) nodes at a real a and on a ring, radial x count
+    # nodes off the real axis, none for the second a of a conjugate pair,
+    # and one copy of both bases per rung below 2048
     direct = []
     kernel = WeightedSupProblem.integral_at
 
@@ -152,12 +158,18 @@ def test_conjugate_check_table_work(monkeypatch):
     def count(rho):
         return min(angular_count_for(rho, 1.0), 2048)
 
-    counts = [count(abs(a)) for a in direct if a != 0] + [
+    computed = [a for i, a in enumerate(direct)
+                if a != 0 and a.conjugate() not in direct[:i]]
+    counts = [count(abs(a)) for a in computed] + [
         count(r) for r in FAST.rings()]
     rungs = {c for c in counts if c < 2048}
     assert rungs and len(counts) > len(FAST.rings())
+    assert any(a.imag == 0 for a in computed) and len(computed) < len(
+        [a for a in direct if a != 0])
+    nodes = [c if a.imag else c // 2 + 1 for a, c in zip(computed, counts)]
+    nodes += [c // 2 + 1 for c in counts[len(computed):]]
     assert rec["table_work"] == {"points": 32 * (2048 // 2 + 1),
-                                 "factor_nodes": 32 * sum(counts),
+                                 "factor_nodes": 32 * sum(nodes),
                                  "rings": len(FAST.rings()),
                                  "copies": 2 * len(rungs),
                                  "copied_values": 2 * 32 * sum(rungs)}
@@ -481,8 +493,8 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
 
     factor = qrspaces.quadrature.mobius_factor
 
-    def counted_factor(a, s, rho, mob):
-        out = factor(a, s, rho, mob)
+    def counted_factor(a, s, rho, mob, *count):
+        out = factor(a, s, rho, mob, *count)
         if not isinstance(out, float):
             nodes.append(mob.size)
         return out
