@@ -588,10 +588,9 @@ def identity() -> AnalyticFn:
 def power_series(coefficients: Sequence[complex], truncation: int) -> AnalyticFn:
     """Truncated power series sum_{m<=truncation} c[m] z^m.
 
-    Derivatives are summed termwise.  ``tail_estimate(z)`` bounds the
-    truncation error by geometric extrapolation of the last retained terms;
-    evaluation raises :class:`AccuracyError` where the tail is not decreasing
-    (divergence at that point).
+    Derivatives are summed termwise; evaluation raises
+    :class:`AccuracyError` where the tail is not decreasing (divergence at
+    that point).
     """
     if truncation < 1:
         raise InvalidParameterError("truncation must be a positive integer")
@@ -627,21 +626,7 @@ def power_series(coefficients: Sequence[complex], truncation: int) -> AnalyticFn
             out[j] = np.polynomial.polynomial.polyval(z, dj)
         return out
 
-    fn = AnalyticFn(evaluator, description=f"power series ({n} terms)")
-
-    def tail_estimate(z):
-        r = np.abs(np.asarray(as_complex(z)))
-        if n < 3:
-            return np.zeros_like(r)
-        t1 = np.abs(coeffs[-2]) * r ** (n - 2)
-        t2 = np.abs(coeffs[-1]) * r ** (n - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(t1 > 0, t2 / np.where(t1 > 0, t1, 1.0), 0.0)
-        ratio = np.clip(ratio, 0.0, 0.999999)
-        return t2 * ratio / (1.0 - ratio)
-
-    fn.tail_estimate = tail_estimate
-    return fn
+    return AnalyticFn(evaluator, description=f"power series ({n} terms)")
 
 
 def koebe() -> AnalyticFn:

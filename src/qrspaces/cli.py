@@ -31,8 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import (cayley_half, derivative, identity, koebe, poly,
-                       real_coefficients)
+from .analytic import cayley_half, derivative, identity, koebe, poly
 from .errors import (
     AccuracyError,
     HypothesisViolationError,
@@ -70,7 +69,6 @@ from .spaces import (
     fh_pqs_norm,
     m_pqs_norm,
     morrey_constant,
-    q_npa_norm,
     qh_npa_norm,
     qs_constant,
     sigma_deriv_constant,
@@ -259,10 +257,6 @@ def parse_scale(spec: str):
     return scale
 
 
-def _is_analytic(f: HarmonicMap) -> bool:
-    return f.g.constant_value == 0
-
-
 def _estimate_K(f: HarmonicMap) -> float:
     K = estimate_quasiregularity(f).K_est
     if not math.isfinite(K):
@@ -341,17 +335,13 @@ def compute_norm(cfg: RunConfig):
     search = cfg.search()
     kw = dict(search=search, radial=cfg.radial, angular=cfg.angular)
     if isinstance(scale, Qnpa):
-        if _is_analytic(f):
-            res = q_npa_norm(f.h, scale, **kw)
-        else:
-            res = qh_npa_norm(f, scale, **kw)
+        res = qh_npa_norm(f, scale, **kw)
     elif isinstance(scale, Fpqs):
         res = fh_pqs_norm(f, scale, weight_form=cfg.weight_form, **kw)
     elif isinstance(scale, Mpqs):
-        res = m_pqs_norm(lambda z: f(z), f(0.0), scale,
-                         even=real_coefficients(f), **kw)
+        res = m_pqs_norm(f, scale, **kw)
     else:
-        res = specialized_norm(f.h if _is_analytic(f) else f, scale, **kw)
+        res = specialized_norm(f, scale, **kw)
     return res, scale
 
 
@@ -666,18 +656,23 @@ MAX_RADIAL = 2048
 
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
-    growth order means: estimate / use the default); threads is >= 1; the
-    seed is >= 0, as numpy's generators require; the grid has 2..MAX_RADIAL
-    radial nodes and an angular count on the ladder.  The search depth is at
-    most RADIUS_CAP_J, since deeper radii would be clipped to the cap, and
-    the truncation depth at most TRUNCATION_MAX_J, since deeper radii
-    1 - 2^-j round to 1."""
+    growth order means: estimate / use the default), and a given K is >= 1,
+    as quasiregularity defines it; threads is >= 1; the seed is >= 0, as
+    numpy's generators require; the grid has 2..MAX_RADIAL radial nodes and
+    an angular count on the ladder.  The search depth is at most
+    RADIUS_CAP_J, since deeper radii would be clipped to the cap, the
+    truncation depth at most TRUNCATION_MAX_J, since deeper radii 1 - 2^-j
+    round to 1, and the lattice angles per radius at most the top rung of
+    the angular ladder, past which each angle is a direct kernel call."""
     for name in ("K", "Kprime", "alpha_K", "tol"):
         value = getattr(cfg, name)
         if not math.isfinite(value) or value < 0:
             raise InvalidParameterError(
                 f"--{name.replace('_', '-')} must be a finite number >= 0, "
                 f"got {value!r}")
+    if 0.0 < cfg.K < 1.0:
+        raise InvalidParameterError(
+            f"--K must be 0 (estimate) or >= 1, got {cfg.K!r}")
     for name, least in (("threads", 1), ("seed", 0), ("radial", 2)):
         if getattr(cfg, name) < least:
             raise InvalidParameterError(
@@ -686,7 +681,8 @@ def _check_run_numbers(cfg: RunConfig):
         raise InvalidParameterError(
             f"--angular must be one of {ANGULAR_LADDER}, got {cfg.angular}")
     for name, most in (("radial", MAX_RADIAL), ("search_max_j", RADIUS_CAP_J),
-                       ("truncation_max_j", TRUNCATION_MAX_J)):
+                       ("truncation_max_j", TRUNCATION_MAX_J),
+                       ("search_angles", ANGULAR_LADDER[-1])):
         if getattr(cfg, name) > most:
             raise InvalidParameterError(
                 f"--{name.replace('_', '-')} must be at most {most}, "

@@ -543,10 +543,11 @@ def _pow_tabulator(values_fn: Callable, p: float):
 
 
 def _lambda_fn(f):
-    """|f'| for analytic input, Lambda_f for harmonic input."""
-    if isinstance(f, HarmonicMap):
+    """Lambda_f = |h'| + |g'|: |h'| alone for analytic input or a constant g."""
+    if isinstance(f, HarmonicMap) and f.g.constant_value is None:
         return lambda z: wirtinger(f, z).lambda_big
-    return lambda z: np.abs(f.jet(z, 1, 1)[1])
+    h = f.h if isinstance(f, HarmonicMap) else f
+    return lambda z: np.abs(h.jet(z, 1, 1)[1])
 
 
 # --- norm functionals ----------------------------------------------------------
@@ -577,7 +578,8 @@ def qh_npa_norm(f: HarmonicMap, params: Qnpa,
 
 def _q_norm(f, parts, params: Qnpa, search, radial, angular) -> NormResult:
     """Body of both derivative scales: the pullback engine on Lambda_f for
-    n = 1, the composition of ``parts`` with sigma_a for n >= 2."""
+    n = 1, the composition of ``parts`` with sigma_a for n >= 2, less any
+    constant part, whose jets of order >= 1 are zero."""
     params.validate()
     search = search or SupSearchSpec()
     warnings = ()
@@ -593,6 +595,7 @@ def _q_norm(f, parts, params: Qnpa, search, radial, angular) -> NormResult:
                                 radial, angular, real_coefficients(f))
         return _finish_norm(pr, search, params.p, value_at_zero=f0,
                             warnings=warnings)
+    parts = [p for p in parts if p.constant_value is None] or parts[:1]
     return _q_norm_composed(parts, params, search, radial, angular, f0, warnings)
 
 
@@ -697,22 +700,19 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
     return _norm_result(best, errors[best[0]], params.p, grid)
 
 
-def m_pqs_norm(values_fn: Callable, f0: complex, params: Mpqs,
-               search: Optional[SupSearchSpec] = None,
+def m_pqs_norm(f, params: Mpqs, search: Optional[SupSearchSpec] = None,
                radial: int = DEFAULT_RADIAL,
-               angular: int = DEFAULT_ANGULAR,
-               even: bool = False) -> NormResult:
+               angular: int = DEFAULT_ANGULAR) -> NormResult:
     """|f(0)| + (sup_a int |f|^p (1-t)^q (1-|sigma_a z|^2)^s dA)^(1/p).
 
-    ``values_fn`` maps a complex array of disk points to values of f;
-    ``even`` says that |f| is even in theta, as for a map with real
-    coefficients (``WeightedSupProblem``).
+    ``f`` is an analytic or harmonic map; a map with real coefficients
+    tabulates half the circle (``WeightedSupProblem``).
     """
     params.validate()
     search = search or SupSearchSpec()
-    pr = WeightedSupProblem(_pow_tabulator(values_fn, params.p), params.q,
-                            params.s, radial, angular, even)
-    f0 = abs(complex(f0))
+    pr = WeightedSupProblem(_pow_tabulator(f, params.p), params.q, params.s,
+                            radial, angular, real_coefficients(f))
+    f0 = abs(f(0.0))
     res = _finish_norm(pr, search, params.p, value_at_zero=f0)
     return dataclasses.replace(res, value=f0 + res.value)
 
@@ -722,9 +722,9 @@ def specialized_norm(f, scale, search: Optional[SupSearchSpec] = None,
                      angular: int = DEFAULT_ANGULAR) -> NormResult:
     """Morrey / Bergman-Morrey / Qs / Bloch-type norms.
 
-    The first three delegate to the F-scale with the standard parameter
-    mappings (Morrey(l) -> F(2,1-l,l), BergmanMorrey(p,l) -> F(p,p-l,l),
-    Qs(s) -> F(2,0,s)) and add the value-at-zero term exactly as the
+    The first three are ``fh_pqs_norm`` on the standard parameter mappings
+    (Morrey(l) -> F(2,1-l,l), BergmanMorrey(p,l) -> F(p,p-l,l),
+    Qs(s) -> F(2,0,s)) plus the value-at-zero term exactly as the
     respective definitions state.  Accepts analytic or harmonic ``f``.
     """
     scale.validate()
@@ -733,9 +733,9 @@ def specialized_norm(f, scale, search: Optional[SupSearchSpec] = None,
         return _bloch_norm(f, scale, search)
     fparams = scale.f_scale()
     f0 = abs(f(0.0))
-    pr = WeightedSupProblem(_pow_tabulator(_lambda_fn(f), fparams.p), fparams.q,
-                            fparams.s, radial, angular, real_coefficients(f))
-    res = _finish_norm(pr, search, fparams.p, value_at_zero=f0)
+    res = dataclasses.replace(
+        fh_pqs_norm(f, fparams, search, radial=radial, angular=angular),
+        value_at_zero=f0)
     if f0 == 0.0:
         return res
     if isinstance(scale, Morrey):

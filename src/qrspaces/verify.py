@@ -37,7 +37,8 @@ import numpy as np
 from .analytic import AnalyticFn, real_coefficients
 from .errors import InvalidParameterError, NonQuasiregularError
 from .families import OrderModel
-from .harmonic import HarmonicMap, estimate_quasiregularity, wirtinger
+from .harmonic import (HarmonicMap, angular_radial, estimate_quasiregularity,
+                       wirtinger)
 from .mobius import MobiusMap
 from .quadrature import (
     DEFAULT_ANGULAR,
@@ -183,7 +184,11 @@ def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
     p-th power scale for a (K, K') map:
 
     ||v||^p <= 2^max(p-1,0) (K^p ||u||^p + K'^(p/2) C).
+
+    A K below 1, which no map has, is rejected first.
     """
+    if not K >= 1.0:
+        raise InvalidParameterError(f"K must be >= 1, got K = {K:g}")
     if constant is None:
         _require_k_quasiregular(f, K)
     else:
@@ -344,23 +349,18 @@ def _growth_offset(scale, target: str) -> float:
 def _membership_values(f: HarmonicMap, scale, target: str):
     """|target| values for M-scale; Lambda of the target for F-scale."""
     m_scale = isinstance(scale, Mpqs)
+    lambda_f = _lambda_fn(f)
 
     def vals(z):
         if target == "f":
-            if m_scale:
-                return np.abs(f(z))
-            w = wirtinger(f, z)
-            return w.lambda_big
+            return np.abs(f(z)) if m_scale else lambda_f(z)
         if target in ("fz", "fzbar"):
             part = f.h if target == "fz" else f.g
             order = 1 if m_scale else 2
             return np.abs(part.jet(z, order, order)[order])
-        # angular/radial derivatives share Lambda = |h'+z h''| + |g'+z g''|
         if m_scale:
-            hp = f.h.jet(z, 1, 1)[1]
-            gp = f.g.jet(z, 1, 1)[1]
-            sign = -1.0 if target == "ftheta" else 1.0
-            return np.abs(z * hp + sign * np.conj(z) * np.conj(gp))
+            return np.abs(angular_radial(f, z)[target == "bfb"])
+        # angular/radial derivatives share Lambda = |h'+z h''| + |g'+z g''|
         hj = f.h.jet(z, 2, 1)
         gj = f.g.jet(z, 2, 1)
         return np.abs(hj[1] + z * hj[2]) + np.abs(gj[1] + z * gj[2])
@@ -526,10 +526,8 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
         zs = 0.995 * np.sqrt(rng.random(1000)) * np.exp(
             2j * np.pi * rng.random(1000)
         )
-        w = wirtinger(f, zs)
-        bound = (1.0 + model.k) * np.abs(w.fz)
-        quantity = np.abs(zs * w.fz - np.conj(zs) * w.fzbar) \
-            if target == "ftheta" else np.abs(zs * w.fz + np.conj(zs) * w.fzbar)
+        bound = (1.0 + model.k) * np.abs(f.fz(zs))
+        quantity = np.abs(angular_radial(f, zs)[target == "bfb"])
         worst = float(np.min(bound - quantity))
         extra["pointwise_margin"] = worst
         if worst < -1e-10:

@@ -70,7 +70,6 @@ def test_power_series_geometric():
     f = power_series(np.ones(400), 399)
     # 1/(1-z) at z = 0.5, truncation error ~ 2 * 0.5^400
     assert f(0.5) == pytest.approx(2.0, abs=1e-12)
-    assert float(f.tail_estimate(0.5)) < 1e-100
     k = power_series([0.0] + [m for m in range(1, 50)], 60)
     j = k.jet(np.asarray(0.0j), 1)
     assert j[0] == 0.0

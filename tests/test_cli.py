@@ -30,7 +30,15 @@ from qrspaces.errors import (
 )
 from qrspaces.harmonic import analytic_as_harmonic
 from qrspaces.quadrature import angular_count_for
-from qrspaces.spaces import Fpqs, Morrey, Mpqs, Qnpa, m_pqs_norm
+from qrspaces.spaces import (
+    Fpqs,
+    Morrey,
+    Qnpa,
+    SupSearchSpec,
+    WeightedSupProblem,
+    _finish_norm,
+    _pow_tabulator,
+)
 
 
 def read_jsonl(path):
@@ -95,9 +103,11 @@ def test_m_scale_norm_tabulates_half_the_circle(tmp_path):
     count = angular_count_for(math.hypot(*rec["sup_a"]), 1.0)
     assert rec["grid"]["table_work"]["points"] == 8 * 1025 + 16 * (count + 1)
     f = build_map("koebe-shear:k=0.3")
-    full = m_pqs_norm(lambda z: f(z), f(0.0), Mpqs(1.0, 0.0, 1.0), radial=8)
+    full = _finish_norm(WeightedSupProblem(_pow_tabulator(lambda z: f(z), 1.0),
+                                           0.0, 1.0, radial=8),
+                        SupSearchSpec(), 1.0)
     assert full.grid["table_work"]["points"] == 8 * 2048 + 16 * 2 * count
-    assert rec["value"] == pytest.approx(full.value, rel=1e-13)
+    assert rec["value"] == pytest.approx(abs(f(0.0)) + full.value, rel=1e-13)
 
 
 def test_norm_trivial_warning(tmp_path, capsys):
@@ -122,9 +132,13 @@ def test_norm_trivial_warning(tmp_path, capsys):
     ["--scale", "F(2,0,1)", "--weight-form", "green", "--angular", "0"],
     ["--scale", "Q(1.5,2,0)"],  # a jet order must be an integer
     ["--scale", "Q(2.7,1,3)"],
+    # past the top rung, 2048, each lattice angle is a direct kernel call
+    ["--scale", "Q(1,1.5,0)", "--search-max-j", "1", "--search-angles", "2049",
+     "--radial", "8"],
 ], ids=["malformed-scale", "angular-100", "angular-0", "radial-0", "radial-1",
         "search-max-j-negative", "search-angles-0", "green-radial-0",
-        "green-angular-0", "jet-order-1.5", "jet-order-2.7"])
+        "green-angular-0", "jet-order-1.5", "jet-order-2.7",
+        "search-angles-2049"])
 def test_norm_malformed_scale_exit_2(tmp_path, capsys, args):
     assert main(["norm", "--map", "identity", *args,
                  "--out", str(tmp_path / "x.jsonl")]) == 2
@@ -243,12 +257,16 @@ def test_unresolved_green_integral_exit_3(tmp_path, capsys, map_spec):
      "--search-max-j", "40"],
     ["verify", "--theorem", "4.1", "--map", "koebe", "--scale", "M(0.8,0,1)",
      "--truncation-max-j", "60"],
+    ["verify", "--theorem", "3.5", "--map", "fold", "--K", "0.5", "--Kprime",
+     "4", "--scale", "Q(1,1.5,0)"],
+    ["verify", "--theorem", "3.5", "--map", "fold", "--K", "0.01", "--Kprime",
+     "4", "--scale", "Q(1,1.5,0)"],
 ])
 def test_non_finite_or_negative_numbers_exit_2(tmp_path, capsys, args):
     # scale, map and constant numbers must be well-formed and finite; K, K',
-    # the growth order and tol finite and >= 0 (K = 0 still means: estimate);
-    # the search depth at most the radius cap's 10, the truncation depth at
-    # most 53 (1 - 2^-54 rounds to 1)
+    # the growth order and tol finite and >= 0 (K = 0 still means: estimate,
+    # and a given K is >= 1); the search depth at most the radius cap's 10,
+    # the truncation depth at most 53 (1 - 2^-54 rounds to 1)
     assert main([*args, "--out", str(tmp_path / "x.out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

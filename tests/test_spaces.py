@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
+import qrspaces.spaces
 from qrspaces.analytic import compose_mobius, constant, identity, koebe, poly
 from qrspaces.errors import InfiniteConstantError, InvalidParameterError
 from qrspaces.families import affine_extremal, cayley_shear
@@ -157,12 +158,53 @@ def test_fh_invalid_weight_form():
 
 
 def test_m_norm_values():
-    zero = m_pqs_norm(lambda z: np.zeros(z.shape), 0.0, Mpqs(2.0, 0.0, 1.0),
-                      SMALL_SEARCH)
+    zero = m_pqs_norm(constant(0.0), Mpqs(2.0, 0.0, 1.0), SMALL_SEARCH)
     assert zero.value == pytest.approx(0.0, abs=1e-15)
-    one = m_pqs_norm(lambda z: np.ones(z.shape), 1.0, Mpqs(2.0, 0.0, 1.0),
+    one = m_pqs_norm(analytic_as_harmonic(constant(1.0)), Mpqs(2.0, 0.0, 1.0),
                      SMALL_SEARCH)
     assert one.value == pytest.approx(1.0 + math.sqrt(math.pi / 2.0), rel=1e-12)
+
+
+@pytest.mark.parametrize("coeffs, even", [([0.0, 1.0, 0.3], True),
+                                          ([0.0, 1.0, 0.3j], False)],
+                         ids=["real", "complex"])
+def test_m_norm_takes_evenness_from_the_map(coeffs, even):
+    # a map with real coefficients tabulates rows x (count/2 + 1) points, on
+    # the 8 x 2048 master grid and the node doubling at the argmax; any
+    # other map tabulates rows x count
+    res = m_pqs_norm(analytic_as_harmonic(poly(coeffs)), Mpqs(1.0, 0.0, 1.0),
+                     SMALL_SEARCH, radial=8)
+    count = 2 * angular_count_for(abs(res.sup_a), 1.0)
+    columns = (lambda c: c // 2 + 1) if even else (lambda c: c)
+    assert res.grid["table_work"]["points"] == 8 * columns(2048) \
+        + 16 * columns(count)
+
+
+@pytest.mark.parametrize("analytic_norm, params", [
+    (q_npa_norm, Qnpa(2, 1.0, 1.0)),
+    (q_npa_norm, Qnpa(1, 1.5, 0.0)),
+    (specialized_norm, BlochAlpha(1.0)),
+    (specialized_norm, Morrey(0.5)),
+], ids=["Q(2,1,1)", "Q(1,1.5,0)", "Bloch(1)", "Morrey(0.5)"])
+def test_analytic_map_as_harmonic_map_same_norm(monkeypatch, analytic_norm,
+                                                params):
+    # h + conj(0) gets the norm of h, with the same evidence and the same
+    # work: the harmonic derivative scale drops the constant part before
+    # composing, so both make the same compositions
+    composed = []
+    compose = qrspaces.spaces.compose_mobius
+    monkeypatch.setattr(qrspaces.spaces, "compose_mobius",
+                        lambda *args: composed.append(args) or compose(*args))
+    harmonic_norm = qh_npa_norm if analytic_norm is q_npa_norm else analytic_norm
+    h = koebe()
+    res = analytic_norm(h, params, SMALL_SEARCH, radial=32)
+    calls = len(composed)
+    hres = harmonic_norm(analytic_as_harmonic(h), params, SMALL_SEARCH,
+                         radial=32)
+    assert len(composed) == 2 * calls
+    # value, raw_sup, sup_a, trace, and the grid's kernel_evaluations and
+    # table_work, all of them to the bit
+    assert hres == res
 
 
 def test_norm_result_invariants():

@@ -104,6 +104,32 @@ def test_qh_bound_requires_quasiregularity():
         check_conjugate_bound_qh(sense_reversing, 3.0, 1.5, 0.0, FAST)
 
 
+@pytest.mark.parametrize("K", [0.5, 0.01])
+def test_every_conjugate_check_rejects_K_below_one(monkeypatch, K):
+    # K >= 1 by definition: every check rejects a smaller K itself, before
+    # the distortion estimate that would reject it only indirectly
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the distortion estimate ran")
+
+    monkeypatch.setattr(qrspaces.verify, "estimate_quasiregularity",
+                        no_estimate)
+    f = affine_extremal(0.2)
+    scales = (Morrey(0.5), BergmanMorrey(1.5, 0.5), Qs(1.0))
+    checks = [
+        (check_conjugate_bound_qh, (f, K, 1.5, 0.0)),
+        (check_inhomogeneous_bound_qh, (f, K, 4.0, 1.5, 0.0)),
+        (check_conjugate_bound_fh, (f, K, Fpqs(2.0, 0.0, 1.0))),
+        (check_inhomogeneous_bound_fh, (f, K, 4.0, Fpqs(2.0, 0.0, 1.0))),
+        *((verify_corollary, (f, f"cor3.{i + 1}", scale, K))
+          for i, scale in enumerate(scales)),
+        *((verify_corollary, (f, f"cor3.{i + 4}", scale, K, 4.0))
+          for i, scale in enumerate(scales)),
+    ]
+    for check, args in checks:
+        with pytest.raises(InvalidParameterError, match="K must be >= 1"):
+            check(*args, search=FAST)
+
+
 def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
     # every distinct a of the trace is evaluated once: by a direct call or
     # as a turn of its lattice ring, never both, and the counters say so;
@@ -407,6 +433,25 @@ def _direct_truncated_sup(values_fn, p, q, s, R, count):
               for _, t, w in truncated_panels(R)]
     return max(sum(table.integrals(a, s, count)[0] for table in tables)
                for a in _lattice(R))
+
+
+@pytest.mark.parametrize("f", [
+    koebe_shear(0.3),
+    HarmonicMap(poly([0.0, 1.0, 0.3j]), poly([0.0, 0.2j, 0.1])),
+], ids=["koebe-shear", "complex-coefficients"])
+@pytest.mark.parametrize("target", ["ftheta", "bfb"])
+def test_m_scale_angular_radial_values_keep_their_bits(f, target):
+    # |f_theta| and |b f_b| from harmonic.angular_radial are the bits of the
+    # formula |z h' -+ conj(z) conj(g')| written out
+    values, at0 = _membership_values(f, Mpqs(1.0, 0.0, 1.0), target)
+    z = np.outer(np.linspace(0.0, 0.99, 57),
+                 np.exp(2j * np.pi * np.arange(64) / 64))
+    hp = f.h.jet(z, 1, 1)[1]
+    gp = f.g.jet(z, 1, 1)[1]
+    sign = -1.0 if target == "ftheta" else 1.0
+    inline = np.abs(z * hp + sign * np.conj(z) * np.conj(gp))
+    assert np.array_equal(values(z), inline)
+    assert at0 == 0.0
 
 
 def test_truncated_sup_norm_equals_direct_max():
