@@ -37,4 +37,4 @@ class HypothesisViolationError(QrspacesError):
 
 
 class InfiniteConstantError(QrspacesError, ArithmeticError):
-    """A sup-type constant is infinite (s < 0)."""
+    """A sup-type constant or a constant base's norm is infinite (s < 0)."""

@@ -54,8 +54,8 @@ and for s > 0, q > -2 Euler's integral writes the right side as a positive
 weighted average of (1 - t x/(x-1))^(-s), which falls as x grows.  So
 sup_a I = I(0) = pi/(q+s+1) for s >= 0 (s = 0 does not depend on a).  For
 s < 0 the sup is infinite: (1-x)^s grows without bound while 2F1(s, s; c; 1)
-stays positive and finite.  The constants are that closed form; no search and
-no quadrature.
+stays positive and finite.  The constants and constant derivative bases
+(``_derivative_sups``) take that closed form: no search and no quadrature.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .analytic import AnalyticFn, compose_mobius, real_coefficients
+from .analytic import AnalyticFn, RationalLog, compose_mobius, real_coefficients
 from .errors import InfiniteConstantError, InvalidParameterError
 from .harmonic import HarmonicMap, wirtinger
 from .mobius import MobiusMap
@@ -234,6 +234,7 @@ RADIUS_CAP = DEFAULT_SEARCH_RADII[-1]
 COMPASS_SHRINK = 0.5
 COMPASS_STOP = 1e-3
 COMPASS_BUDGET = 2000
+KERNEL_ROUTES = ("direct", "ring_turns", "refined", "conjugate")
 
 
 @dataclass(frozen=True)
@@ -446,8 +447,7 @@ class WeightedSupProblem:
         self._table = self._tabulate(self.radial, self.max_angular)
         self._const_value = None
         self._partners = {}
-        self.evaluations = dict.fromkeys(
-            ("direct", "ring_turns", "refined", "conjugate"), 0)
+        self.evaluations = dict.fromkeys(KERNEL_ROUTES, 0)
 
     def _tabulate(self, radial: int, count: int) -> PolarTable:
         """The ``PolarTable`` of the problem's (radial, count) rule."""
@@ -464,6 +464,7 @@ class WeightedSupProblem:
             "s_eff": self.s_eff,
             "kernel_evaluations": dict(self.evaluations),
             "table_work": dict(self.work),
+            "closed_form": False,
         }
 
     def _count_for(self, rho: float) -> int:
@@ -532,6 +533,36 @@ def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,
                         problem.grid_metadata(), value_at_zero, warnings)
 
 
+def constant_bases(f) -> bool:
+    """Whether h' and g' (f' for analytic f) are constant: RationalLogs of degree <= 1."""
+    parts = (f,) if isinstance(f, AnalyticFn) else (f.h, f.g)
+    return all(isinstance(part, RationalLog) and not part.terms
+               and len(part.coeffs) <= 2 for part in parts)
+
+
+def _derivative_sups(f, tabulate, q_eff, s_eff, radial, angular):
+    """(sups, grid, problem) for the bases ``tabulate`` builds from f's derivatives:
+    the engine problem alone, for the caller to search, or for constant bases c
+    (``constant_bases``, read at z = 0) c times base 1's closed form, no problem."""
+    if not constant_bases(f):
+        return None, None, WeightedSupProblem(
+            tabulate, q_eff, s_eff, radial, angular, real_coefficients(f))
+    values = [float(c) for (c,) in tabulate(np.zeros(1, complex))]
+    unit = _closed_form_constant(q_eff, s_eff, "a norm").value if any(values) else 0.0
+    grid = {"grid_radial": radial, "grid_angular": angular, "q_eff": q_eff,
+            "s_eff": s_eff, "kernel_evaluations": dict.fromkeys(KERNEL_ROUTES, 0),
+            "table_work": table_work(), "closed_form": True}
+    return [(0.0, c * unit, [(0.0, c * unit)]) for c in values], grid, None
+
+
+def _derivative_norm(f, tabulate, q_eff, s_eff, search, radial, angular, p_root, *rest):
+    """``_finish_norm`` of the engine problem, or the exact closed form."""
+    sups, grid, pr = _derivative_sups(f, tabulate, q_eff, s_eff, radial, angular)
+    if pr is None:
+        return _norm_result(sups[0], 0.0, p_root, grid, *rest)
+    return _finish_norm(pr, search, p_root, *rest)
+
+
 # --- base tabulators ----------------------------------------------------------
 
 
@@ -590,11 +621,9 @@ def _q_norm(f, parts, params: Qnpa, search, radial, angular) -> NormResult:
         )
     f0 = abs(f(0.0))
     if params.n == 1:
-        pr = WeightedSupProblem(_pow_tabulator(_lambda_fn(f), params.p),
+        return _derivative_norm(f, _pow_tabulator(_lambda_fn(f), params.p),
                                 *pullback_exponents(params.p, params.alpha),
-                                radial, angular, real_coefficients(f))
-        return _finish_norm(pr, search, params.p, value_at_zero=f0,
-                            warnings=warnings)
+                                search, radial, angular, params.p, f0, warnings)
     parts = [p for p in parts if p.constant_value is None] or parts[:1]
     return _q_norm_composed(parts, params, search, radial, angular, f0, warnings)
 
@@ -674,9 +703,8 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
     search = search or SupSearchSpec()
     tabulate = _pow_tabulator(_lambda_fn(f), params.p)
     if weight_form == "mobius":
-        pr = WeightedSupProblem(tabulate, params.q, params.s, radial, angular,
-                                real_coefficients(f))
-        return _finish_norm(pr, search, params.p)
+        return _derivative_norm(f, tabulate, params.q, params.s, search,
+                                radial, angular, params.p)
     if weight_form != "green":
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
     check_angular(angular)

@@ -61,7 +61,7 @@ from .spaces import (
     Qs,
     Qnpa,
     SupSearchSpec,
-    WeightedSupProblem,
+    _derivative_sups,
     _lambda_fn,
     _pow_tabulator,
     _sup_search,
@@ -159,16 +159,16 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
 
     The bases |F'|^p and |G'|^p are tabulated together from one jet of h and
     one of g per node; the (1-t)^q_eff part belongs to the rule, and one
-    Mobius factor per a serves both.
+    Mobius factor per a serves both; affine maps take the closed form.
     """
     def tabulate(z):
         return [m ** p for m in wirtinger(f, z).conjugate_moduli]
 
-    pr = WeightedSupProblem(tabulate, q_eff, s_eff, radial, angular,
-                            real_coefficients(f))
-    (au, su, tru), (av, sv, trv) = _sup_search(pr.integral_at, search,
-                                               pr.ring_integrals)
-    return (su ** (1.0 / p), au, tru), (sv ** (1.0 / p), av, trv), pr.grid_metadata()
+    sups, grid, pr = _derivative_sups(f, tabulate, q_eff, s_eff, radial, angular)
+    if pr is not None:
+        sups = _sup_search(pr.integral_at, search, pr.ring_integrals)
+        grid = pr.grid_metadata()
+    return (*((sup ** (1.0 / p), a, trace) for a, sup, trace in sups), grid)
 
 
 def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
@@ -198,12 +198,12 @@ def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
     )
     au, av = complex(au), complex(av)
     # both norms, their argmaxes as [re, im], whether each sat on the radius
-    # cap, and the kernel counts and table work of the u/v problem
+    # cap, and the kernel counts, table work and route of the u/v problem
     extra = {"norm_u": nu, "norm_v": nv,
              "sup_a_u": [au.real, au.imag], "sup_a_v": [av.real, av.imag],
              "sup_on_cap_u": on_cap(au), "sup_on_cap_v": on_cap(av),
-             "kernel_evaluations": grid["kernel_evaluations"],
-             "table_work": grid["table_work"]}
+             **{key: grid[key] for key in
+                ("kernel_evaluations", "table_work", "closed_form")}}
     if constant is None:
         lhs, rhs = nv, K * nu
     else:
@@ -359,7 +359,9 @@ def _membership_values(f: HarmonicMap, scale, target: str):
             order = 1 if m_scale else 2
             return np.abs(part.jet(z, order, order)[order])
         if m_scale:
-            return np.abs(angular_radial(f, z)[target == "bfb"])
+            w = wirtinger(f, z)  # one modulus of ``angular_radial``'s pair
+            zf, zg = z * w.fz, np.conj(z) * w.fzbar
+            return np.abs(zf + zg if target == "bfb" else zf - zg)
         # angular/radial derivatives share Lambda = |h'+z h''| + |g'+z g''|
         hj = f.h.jet(z, 2, 1)
         gj = f.g.jet(z, 2, 1)

@@ -29,7 +29,9 @@ from qrspaces.spaces import (
     Fpqs,
     Mpqs,
     Qnpa,
+    SupSearchSpec,
     WeightedSupProblem,
+    _sup_search,
     morrey_constant,
     pullback_exponents,
     q_npa_norm,
@@ -196,7 +198,10 @@ def test_criterion_6_equality_witness(conjugate_suite):
 def test_criterion_5_affine_closed_form(conjugate_suite):
     # for z + sign*k*conj(z), |F'| = |1 + sign*k| and |G'| = |1 - sign*k| are
     # constant, and the engine integral of 1 has its sup pi/(q+s+1) at a = 0,
-    # so each norm is the constant times (pi/(q_eff+s_eff+1))^(1/p)
+    # so each norm is the constant times (pi/(q_eff+s_eff+1))^(1/p).  The
+    # checks take that closed form; the engine's own search on the same bases
+    # is held to it here, so the oracle judges the kernel, and the checks'
+    # norms to the search
     affine = {f"z {'-' if sign < 0 else '+'} {k} conj(z)": (sign, k)
               for k in K_VALUES for sign in (-1, 1)}
     worst, n = 0.0, 0
@@ -204,12 +209,20 @@ def test_criterion_5_affine_closed_form(conjugate_suite):
         if label not in affine:
             continue
         sign, k = affine[label]
+        f = affine_extremal(k, sign)
+        pr = WeightedSupProblem(
+            lambda z: [m ** p for m in wirtinger(f, z).conjugate_moduli],
+            q_eff, s_eff, even=True)
         factor = (math.pi / (q_eff + s_eff + 1.0)) ** (1.0 / p)
-        for got, want in ((rep.extra["norm_u"], abs(1 + sign * k) * factor),
-                          (rep.extra["norm_v"], abs(1 - sign * k) * factor)):
-            worst = max(worst, abs(got - want) / want)
+        for (_, raw, _), got, want in zip(
+                _sup_search(pr.integral_at, SupSearchSpec(), pr.ring_integrals),
+                (rep.extra["norm_u"], rep.extra["norm_v"]),
+                (abs(1 + sign * k) * factor, abs(1 - sign * k) * factor)):
+            engine = raw ** (1.0 / p)
+            worst = max(worst, abs(engine - want) / want,
+                        abs(got - engine) / engine)
             n += 1
-    report(5, f"affine norms against the closed form over {n} values "
+    report(5, f"affine engine norms against the closed form over {n} values "
               f"(worst rel {worst:.2e})", n == 72 and worst <= 1e-13)
 
 

@@ -112,12 +112,64 @@ def test_m_scale_norm_tabulates_half_the_circle(tmp_path):
 
 def test_norm_trivial_warning(tmp_path, capsys):
     out = tmp_path / "norm.jsonl"
-    code = main(["norm", "--map", "identity", "--scale", "Q(1,3,0.5)",
+    code = main(["norm", "--map", "poly:coeffs=0,1,0.5", "--scale", "Q(1,3,0.5)",
                  "--out", str(out), "--search-max-j", "3"])
     assert code == 0
     rec = read_jsonl(out)[0]
     assert rec["warnings"]
     assert "trivial" in capsys.readouterr().err
+
+
+def test_affine_norm_past_the_trivial_range_is_infinite(tmp_path, capsys):
+    # p > alpha + 2 gives s_eff < 0: the affine map's derivative base is a
+    # nonzero constant, whose sup over a is infinite, not a value on the cap
+    out = tmp_path / "norm.jsonl"
+    assert main(["norm", "--map", "affine:k=0.5;sign=-1", "--scale",
+                 "Q(1,2.5,0)", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("accuracy error: ") and err.count("\n") == 1
+    assert "infinite" in err and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--map", "affine:k=0.5;sign=-1", "--scale", "Q(1,1.5,0)"],
+    ["norm", "--map", "affine:k=0.5;sign=1", "--scale", "F(2,0,1)"],
+    ["norm", "--map", "identity", "--scale", "Q(1,2,0)"],
+    ["norm", "--map", "hpoly:h=0,1;g=0,0.5", "--scale", "Qs(1)"],
+    ["norm", "--map", "affine:k=0.2;sign=-1", "--scale", "Morrey(0.5)"],
+    ["norm", "--map", "poly:coeffs=2", "--scale", "BergmanMorrey(2,0.5)"],
+    ["verify", "--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
+     "--scale", "Q(1,1.5,0)", "--K", "3"],
+    ["verify", "--theorem", "3.2", "--map", "affine:k=0.5;sign=1",
+     "--scale", "F(0.8,0.8,1)", "--K", "3"],
+    ["verify", "--theorem", "cor3.3", "--map", "affine:k=0.8;sign=-1",
+     "--scale", "Qs(1)", "--K", "9"],
+], ids=["norm-Q", "norm-F", "norm-identity", "norm-Qs", "norm-Morrey",
+        "norm-BergmanMorrey", "verify-3.1", "verify-3.2", "verify-cor3.3"])
+def test_constant_base_records_carry_the_closed_form(tmp_path, monkeypatch,
+                                                    argv):
+    # a map with constant derivative bases builds no engine problem, so it
+    # costs no table and no kernel run
+    def no_problem(*args, **kwargs):
+        raise AssertionError("an engine problem was built")
+
+    monkeypatch.setattr(WeightedSupProblem, "__init__", no_problem)
+    out = tmp_path / "r.jsonl"
+    assert main(argv + ["--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    counts = rec["grid"] if argv[0] == "norm" else rec
+    assert counts["closed_form"] is True
+    assert set(counts["kernel_evaluations"].values()) == {0}
+    assert set(counts["table_work"].values()) == {0}
+
+
+def test_engine_records_say_they_are_not_closed_form(tmp_path):
+    out = tmp_path / "r.jsonl"
+    assert main(["norm", "--map", "koebe", "--scale", "F(2,0,1)",
+                 "--search-max-j", "2", "--out", str(out)]) == 0
+    grid = read_jsonl(out)[0]["grid"]
+    assert grid["closed_form"] is False
+    assert grid["kernel_evaluations"]["direct"] > 0
 
 
 @pytest.mark.parametrize("args", [

@@ -2,14 +2,17 @@ import collections
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
+from conftest import generic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
 import qrspaces.spaces
-from qrspaces.analytic import compose_mobius, constant, identity, koebe, poly
+from qrspaces.analytic import (compose_mobius, constant, identity, koebe, poly,
+                               power_series)
 from qrspaces.errors import InfiniteConstantError, InvalidParameterError
 from qrspaces.families import affine_extremal, cayley_shear
 from qrspaces.harmonic import (
@@ -34,11 +37,16 @@ from qrspaces.spaces import (
     WeightedSupProblem,
     _by_value,
     _compass_max,
+    _finish_norm,
+    _lambda_fn,
+    _pow_tabulator,
     _sup_search,
+    constant_bases,
     dyadic_radii,
     fh_pqs_norm,
     m_pqs_norm,
     morrey_constant,
+    pullback_exponents,
     q_npa_norm,
     qh_npa_norm,
     qs_constant,
@@ -85,7 +93,7 @@ def test_q_norm_constant_vanishes():
 
 
 def test_q_norm_trivial_warning():
-    res = q_npa_norm(identity(), Qnpa(1, 3.0, 0.5), SMALL_SEARCH)
+    res = q_npa_norm(poly([0.0, 1.0, 0.5]), Qnpa(1, 3.0, 0.5), SMALL_SEARCH)
     assert res.warnings
 
 
@@ -436,13 +444,83 @@ def test_table_work_counts_the_master_and_refined_grids():
 def test_node_doubling_at_s_eff_0_doubles_the_master_grid():
     # at s_eff = 0 the value integrates all 2048 master angles, whatever a,
     # so its node doubling takes 4096 on twice the radial nodes; the factor
-    # is 1.0 and computes no nodes.  The identity's coefficients are real, so
-    # both tables tabulate half the circle, count/2 + 1 columns
-    res = q_npa_norm(identity(), Qnpa(1, 2.0, 0.0), SMALL_SEARCH, radial=32)
+    # is 1.0 and computes no nodes.  The polynomial's coefficients are real,
+    # so both tables tabulate half the circle, count/2 + 1 columns
+    res = q_npa_norm(poly([0.0, 1.0, 0.5]), Qnpa(1, 2.0, 0.0), SMALL_SEARCH,
+                     radial=32)
     assert res.grid["s_eff"] == 0.0
     assert res.grid["table_work"] == {"points": 32 * 1025 + 64 * 2049,
                                       "factor_nodes": 0, "rings": 0,
                                       "copies": 0, "copied_values": 0}
+
+
+@pytest.mark.parametrize("f", [
+    identity(), constant(2.0 - 1j), affine_extremal(0.5, -1),
+    affine_extremal(0.5, 1), HarmonicMap(poly([0.0, 1.0]), poly([0.0, 0.5])),
+], ids=["identity", "constant", "affine-minus", "affine-plus", "hpoly"])
+def test_constant_bases_of_degree_one_maps(f):
+    assert constant_bases(f) is True
+
+
+@pytest.mark.parametrize("f", [
+    koebe(), poly([0.0, 1.0, 1e-300]), power_series([0.0, 1.0], 5),
+    generic(identity()), analytic_as_harmonic(koebe()), cayley_shear(0.5),
+], ids=["koebe", "tiny-quadratic", "power-series", "generic", "harmonic-koebe",
+        "cayley-shear"])
+def test_constant_bases_decided_on_the_exact_map(f):
+    # a quadratic term of 1e-300 is still a quadratic term, and a map the
+    # library cannot see into is never taken as constant
+    assert constant_bases(f) is False
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("cell", [Qnpa(1, 1.5, 0.0), Qnpa(1, 2.0, 0.0),
+                                  Qnpa(1, 0.7, -0.5), Fpqs(2.0, 0.0, 1.0),
+                                  Fpqs(0.8, 0.8, 1.0)],
+                         ids=lambda cell: cell.label())
+def test_affine_norm_is_the_closed_form_of_the_engine_search(sign, cell):
+    # the closed form at a = 0, exact up to rounding: no table, no search
+    # and no node doubling, within 1e-13 of the engine's own search
+    f = affine_extremal(0.5, sign)
+    if isinstance(cell, Qnpa):
+        res = qh_npa_norm(f, cell)
+        q_eff, s_eff = pullback_exponents(cell.p, cell.alpha)
+    else:
+        res = fh_pqs_norm(f, cell)
+        q_eff, s_eff = cell.q, cell.s
+    assert res.grid["closed_form"] and res.sup_a == 0.0
+    assert set(res.grid["kernel_evaluations"].values()) == {0}
+    assert set(res.grid["table_work"].values()) == {0}
+    assert res.error_estimate == 1e-12 * res.value
+    engine = _finish_norm(WeightedSupProblem(
+        _pow_tabulator(_lambda_fn(f), cell.p), q_eff, s_eff, even=True),
+        SupSearchSpec(), cell.p)
+    assert not engine.grid["closed_form"]
+    assert engine.grid["kernel_evaluations"]["direct"] > 0
+    assert res.raw_sup == pytest.approx(engine.raw_sup, rel=1e-13, abs=0.0)
+    assert res.value == pytest.approx(engine.value, rel=1e-13, abs=0.0)
+
+
+def test_zero_constant_base_is_zero_past_the_trivial_range():
+    # a constant map's derivative base is 0, whose sup is 0 even where
+    # s_eff < 0 makes the weight's sup infinite
+    res = q_npa_norm(constant(2.0), Qnpa(1, 3.0, 0.5), SMALL_SEARCH)
+    assert res.grid["s_eff"] < 0.0 and res.raw_sup == 0.0 and res.value == 0.0
+    with pytest.raises(InfiniteConstantError):
+        q_npa_norm(identity(), Qnpa(1, 3.0, 0.5), SMALL_SEARCH)
+
+
+def test_parseval_oracle_at_zero_for_koebe():
+    # for f = sum a_n z^n, int |f'|^2 (1-|z|^2)^b dA = pi sum n^2 |a_n|^2
+    # B(n, b+1); koebe has a_n = n.  At s_eff = 0 the value at a = 0
+    # integrates all 2048 master angles, on the default 128 radial nodes
+    b = 10.0
+    f = koebe()
+    pr = WeightedSupProblem(lambda z: (np.abs(f.jet(z, 1, 1)[1]) ** 2,), b, 0.0)
+    (value,) = pr.integral_at(0.0)
+    oracle = float(mpmath.pi * mpmath.nsum(
+        lambda n: n ** 4 * mpmath.beta(n, b + 1), [1, mpmath.inf]))
+    assert abs(value / oracle - 1.0) <= 1e-11
 
 
 def test_ring_integrals_match_rotated_kernel():

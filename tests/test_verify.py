@@ -29,7 +29,9 @@ from qrspaces.families import (
 from qrspaces.harmonic import (
     HarmonicMap,
     analytic_as_harmonic,
+    angular_radial,
     estimate_quasiregularity,
+    wirtinger,
 )
 from qrspaces.quadrature import (
     ANGULAR_LADDER,
@@ -47,6 +49,7 @@ from qrspaces.spaces import (
     Qs,
     SupSearchSpec,
     WeightedSupProblem,
+    _sup_search,
 )
 from qrspaces.verify import (
     DEFAULT_TRUNCATION_JS,
@@ -161,6 +164,29 @@ def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
     assert evaluations["refined"] == 0
     # the map's coefficients are real: half the master grid's columns
     assert grid["table_work"]["points"] == 32 * (2048 // 2 + 1)
+
+
+@pytest.mark.parametrize("sign", [-1, 1])
+@pytest.mark.parametrize("q_eff, s_eff, p", [(-1.5, 1.0, 0.5), (0.0, 0.5, 2.0),
+                                             (0.8, 1.0, 0.8)])
+def test_affine_conjugate_pair_is_the_engine_search(sign, q_eff, s_eff, p):
+    # an affine map's bases |F'|^p and |G'|^p are constant: the pair takes
+    # the closed form at a = 0, with no table and no kernel run, within
+    # 1e-13 of the engine's own search on the same bases
+    f = affine_extremal(0.5, sign)
+    (nu, au, tru), (nv, av, trv), grid = _conjugate_norm_pair(
+        f, q_eff, s_eff, p, SupSearchSpec(), 128, 256)
+    assert grid["closed_form"] and au == av == 0.0
+    assert set(grid["kernel_evaluations"].values()) == {0}
+    assert set(grid["table_work"].values()) == {0}
+    engine = WeightedSupProblem(
+        lambda z: [m ** p for m in wirtinger(f, z).conjugate_moduli],
+        q_eff, s_eff, even=True)
+    (_, su, _), (_, sv, _) = _sup_search(engine.integral_at, SupSearchSpec(),
+                                         engine.ring_integrals)
+    assert engine.evaluations["direct"] > 0
+    assert nu == pytest.approx(su ** (1.0 / p), rel=1e-13, abs=0.0)
+    assert nv == pytest.approx(sv ** (1.0 / p), rel=1e-13, abs=0.0)
 
 
 def test_conjugate_check_table_work(monkeypatch):
@@ -441,8 +467,8 @@ def _direct_truncated_sup(values_fn, p, q, s, R, count):
 ], ids=["koebe-shear", "complex-coefficients"])
 @pytest.mark.parametrize("target", ["ftheta", "bfb"])
 def test_m_scale_angular_radial_values_keep_their_bits(f, target):
-    # |f_theta| and |b f_b| from harmonic.angular_radial are the bits of the
-    # formula |z h' -+ conj(z) conj(g')| written out
+    # |f_theta| and |b f_b| are the bits of the formula
+    # |z h' -+ conj(z) conj(g')| written out
     values, at0 = _membership_values(f, Mpqs(1.0, 0.0, 1.0), target)
     z = np.outer(np.linspace(0.0, 0.99, 57),
                  np.exp(2j * np.pi * np.arange(64) / 64))
@@ -452,6 +478,20 @@ def test_m_scale_angular_radial_values_keep_their_bits(f, target):
     inline = np.abs(z * hp + sign * np.conj(z) * np.conj(gp))
     assert np.array_equal(values(z), inline)
     assert at0 == 0.0
+
+
+@pytest.mark.parametrize("target", ["ftheta", "bfb"])
+def test_m_scale_angular_radial_values_match_angular_radial(target):
+    # one modulus per target, bit for bit the one of harmonic.angular_radial,
+    # which computes both and multiplies f_theta by 1j (|1j x| = |x|), on a
+    # row block of a polar grid
+    f = koebe_shear(0.3)
+    values, _ = _membership_values(f, Mpqs(1.0, 0.0, 1.0), target)
+    z = np.outer(np.sqrt(np.linspace(0.0, 0.999, 2)),
+                 np.exp(2j * np.pi * np.arange(ROW_BLOCK_POINTS // 2)
+                        / (ROW_BLOCK_POINTS // 2)))
+    assert np.array_equal(values(z),
+                          np.abs(angular_radial(f, z)[target == "bfb"]))
 
 
 def test_truncated_sup_norm_equals_direct_max():
