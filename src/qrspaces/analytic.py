@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import AccuracyError, InvalidParameterError, PoleError
 from .mobius import MobiusMap, as_complex
+from .quadrature import gauss_legendre_panels
 
 MAX_COMPOSE_ORDER = 6
 
@@ -141,6 +142,17 @@ def _falling_factorial(indices: np.ndarray, j: int) -> np.ndarray:
     out = np.ones_like(indices, dtype=np.float64)
     for m in range(j):
         out *= indices - m
+    return out
+
+
+def _polynomial_jet(coeffs: np.ndarray, z, order: int, min_order: int):
+    """The jet of sum coeffs[i] z^i, entries min_order..order (those past
+    the degree are 0), with the signature of ``evaluator``."""
+    n = len(coeffs)
+    out = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
+    for j in range(min_order, min(order + 1, n)):
+        dj = coeffs[j:] * _falling_factorial(np.arange(j, n), j)
+        out[j] = np.polynomial.polynomial.polyval(z, dj)
     return out
 
 
@@ -434,13 +446,10 @@ class RationalLog(AnalyticFn):
         """Jet evaluator of the terms, with the signature of ``evaluator``."""
         shape = z.shape
         z = np.atleast_1d(z)  # the in-place steps need arrays
-        out = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
         if not self.terms:
-            coeffs = self._float_coeffs
-            for j in range(min_order, min(order + 1, len(coeffs))):
-                dj = coeffs[j:] * _falling_factorial(np.arange(j, len(coeffs)), j)
-                out[j] = np.polynomial.polynomial.polyval(z, dj)
-            return out.reshape((order + 1,) + shape)
+            return _polynomial_jet(self._float_coeffs, z, order,
+                                   min_order).reshape((order + 1,) + shape)
+        out = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 r = {}
@@ -617,14 +626,7 @@ def power_series(coefficients: Sequence[complex], truncation: int) -> AnalyticFn
 
     def evaluator(z, order, min_order):
         _check_divergence(z)
-        out = np.zeros((order + 1,) + z.shape, dtype=np.complex128)
-        for j in range(min_order, order + 1):
-            if n > j:
-                dj = coeffs[j:] * _falling_factorial(np.arange(j, n), j)
-            else:
-                dj = np.zeros(1, dtype=np.complex128)
-            out[j] = np.polynomial.polynomial.polyval(z, dj)
-        return out
+        return _polynomial_jet(coeffs, z, order, min_order)
 
     return AnalyticFn(evaluator, description=f"power series ({n} terms)")
 
@@ -843,12 +845,8 @@ _PANEL_EDGES = np.asarray([0.0] + [1.0 - 0.5 ** m for m in range(1, 15)] + [1.0]
 
 
 def _panel_rule(npts):
-    x, w = np.polynomial.legendre.leggauss(npts)
-    ts, ws = [], []
-    for lo, hi in zip(_PANEL_EDGES[:-1], _PANEL_EDGES[1:]):
-        half = 0.5 * (hi - lo)
-        ts.append(lo + half * (x + 1.0))
-        ws.append(half * w)
+    ts, ws = zip(*gauss_legendre_panels(
+        zip(_PANEL_EDGES[:-1], _PANEL_EDGES[1:]), npts))
     return np.concatenate(ts), np.concatenate(ws)
 
 

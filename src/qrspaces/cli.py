@@ -11,7 +11,7 @@ Exit codes: 0 success (for ``verify``: all checks passed), 1 a check failed,
 
 Precedence: flags (a prefix argparse accepts counts) > the ``--config`` JSON
 file, whose values must have their fields' JSON types > the environment
-(``QRSPACES_`` + CONFIG, OUT, RADIAL, ANGULAR, TOL, SEED, THREADS) > defaults.
+(``QRSPACES_`` + CONFIG, OUT, RADIAL, ANGULAR, TOL, THREADS) > defaults.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .spaces import (
     Qs,
     SupSearchSpec,
     WeightedSupProblem,
-    dyadic_radii,
     fh_pqs_norm,
     m_pqs_norm,
     morrey_constant,
@@ -77,7 +76,7 @@ from .spaces import (
 )
 from .verify import (
     COROLLARY_SCALES,
-    DEFAULT_TRUNCATION_JS,
+    DEFAULT_TRUNCATION_MAX_J,
     DEFAULT_VERIFY_TOL,
     TRUNCATION_MAX_J,
     check_conjugate_bound_fh,
@@ -119,22 +118,17 @@ class RunConfig:
     radial: int = DEFAULT_RADIAL
     angular: int = DEFAULT_ANGULAR
     tol: float = DEFAULT_VERIFY_TOL
-    seed: int = 0
     threads: int = 1
     out: str = ""
     search_max_j: int = RADIUS_CAP_J
     search_angles: int = SupSearchSpec.angles_per_radius
-    truncation_max_j: int = DEFAULT_TRUNCATION_JS[-1]
+    truncation_max_j: int = DEFAULT_TRUNCATION_MAX_J
     gnuplot: bool = False
     maps: list = field(default_factory=list)
     cells: list = field(default_factory=list)
 
     def to_dict(self):
         return dataclasses.asdict(self)
-
-    def search(self) -> SupSearchSpec:
-        return SupSearchSpec(radii=dyadic_radii(self.search_max_j),
-                             angles_per_radius=self.search_angles)
 
 
 # --- map and scale parsing -----------------------------------------------------
@@ -332,8 +326,8 @@ def compute_norm(cfg: RunConfig):
         raise InvalidParameterError(
             f"--weight-form {cfg.weight_form} takes an F(p,q,s) or Fh(p,q,s) "
             f"scale, got {scale.label()}")
-    search = cfg.search()
-    kw = dict(search=search, radial=cfg.radial, angular=cfg.angular)
+    kw = dict(search=SupSearchSpec(cfg.search_max_j, cfg.search_angles),
+              radial=cfg.radial, angular=cfg.angular)
     if isinstance(scale, Qnpa):
         res = qh_npa_norm(f, scale, **kw)
     elif isinstance(scale, Fpqs):
@@ -412,15 +406,21 @@ SCALE_FORMS = {Qnpa: "a Q(1,p,alpha)", Fpqs: "an F(p,q,s)", Mpqs: "an M(p,q,s)",
 THEOREM_SCALES = {"3.1": Qnpa, "3.2": Fpqs, "3.5": Qnpa, "3.6": Fpqs,
                   **COROLLARY_SCALES, "4.1": Mpqs, "4.2": Fpqs}
 THEOREM_IDS = tuple(THEOREM_SCALES)
+MEMBERSHIP_IDS = ("4.1", "4.2")
+SEARCHED_IDS = tuple(t for t in THEOREM_IDS if t not in MEMBERSHIP_IDS)
 # The run fields only some theorems honour, with the theorems that do: the
-# theorem itself every one, K' the (K, K') forms, the target and growth
-# order the membership checks, the weight form none (every check is on the
-# Mobius weight).  Set off its default for any other theorem, such a field
-# is an error, not ignored; so is any of them but the weight form, which
-# ``norm`` takes, for the commands that run no check.
+# theorem itself every one, K' the (K, K') forms, the target, growth order
+# and truncation depth the membership checks, the sup search the others,
+# the weight form none (every check is on the Mobius weight).  Set off its
+# default for any other theorem, such a field is an error, not ignored; so
+# is any of them, but the weight form and sup search ``norm`` reads, for the
+# commands that run no check.  The membership checks ignore the radial
+# count, which the environment may set for any run.
 THEOREM_FIELDS = {"theorem": THEOREM_IDS,
                   "Kprime": ("3.5", "3.6", "cor3.4", "cor3.5", "cor3.6"),
-                  "target": ("4.1", "4.2"), "alpha_K": ("4.1", "4.2"),
+                  "target": MEMBERSHIP_IDS, "alpha_K": MEMBERSHIP_IDS,
+                  "truncation_max_j": MEMBERSHIP_IDS,
+                  "search_max_j": SEARCHED_IDS, "search_angles": SEARCHED_IDS,
                   "weight_form": ()}
 
 
@@ -430,13 +430,18 @@ def run_verification(cfg: RunConfig):
     tid = cfg.theorem
     f = build_map(cfg.map_spec)
     K = cfg.K if cfg.K > 0 else _estimate_K(f)
-    kw = dict(search=cfg.search(), tol=cfg.tol, radial=cfg.radial,
-              angular=cfg.angular)
     scale = parse_scale(cfg.scale_spec)
     kind = THEOREM_SCALES[tid]
     if not isinstance(scale, kind) or (kind is Qnpa and scale.n != 1):
         raise InvalidParameterError(
             f"theorem {tid} takes {SCALE_FORMS[kind]} scale")
+    if tid in MEMBERSHIP_IDS:  # alpha_K = 0: the model's default order
+        return verify_membership(f, OrderModel(K, cfg.alpha_K or None), scale,
+                                 target=cfg.target,
+                                 truncation_max_j=cfg.truncation_max_j,
+                                 tol=cfg.tol, angular=cfg.angular)
+    kw = dict(search=SupSearchSpec(cfg.search_max_j, cfg.search_angles),
+              tol=cfg.tol, radial=cfg.radial, angular=cfg.angular)
     if tid == "3.1":
         return check_conjugate_bound_qh(f, K, scale.p, scale.alpha, **kw)
     if tid == "3.5":
@@ -446,14 +451,7 @@ def run_verification(cfg: RunConfig):
         return check_conjugate_bound_fh(f, K, scale, **kw)
     if tid == "3.6":
         return check_inhomogeneous_bound_fh(f, K, cfg.Kprime, scale, **kw)
-    if tid in COROLLARY_SCALES:
-        return verify_corollary(f, tid, scale, K, cfg.Kprime, **kw)
-    model = OrderModel(K, cfg.alpha_K if cfg.alpha_K > 0 else None)
-    js = range(DEFAULT_TRUNCATION_JS[0], cfg.truncation_max_j + 1)
-    return verify_membership(f, model, scale, target=cfg.target,
-                             truncation_js=js,
-                             tol=cfg.tol, angular=cfg.angular,
-                             rng_seed=cfg.seed)
+    return verify_corollary(f, tid, scale, K, cfg.Kprime, **kw)
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -552,7 +550,16 @@ COMMAND_DEFAULTS = {
     "sweep": {"theorem": "3.1"},
     "growth": {"map_spec": "koebe"},
 }
-ENV_FIELDS = ("out", "radial", "angular", "tol", "seed", "threads")
+ENV_FIELDS = ("out", "radial", "angular", "tol", "threads")
+# The run settings each subcommand reads, each a flag of it, as are --config
+# and --out of every subcommand.
+GRID_SETTINGS = ("radial", "angular")
+SEARCH_SETTINGS = (*GRID_SETTINGS, "search_max_j", "search_angles")
+VERIFY_SETTINGS = (*SEARCH_SETTINGS, "tol", "truncation_max_j")
+COMMAND_SETTINGS = {"norm": SEARCH_SETTINGS, "constants": GRID_SETTINGS,
+                    "verify": VERIFY_SETTINGS,
+                    "sweep": (*VERIFY_SETTINGS, "threads"), "growth": ()}
+SETTING_HELP = {"truncation_max_j": "deepest truncation radius 1 - 2^-j (4.x)"}
 
 
 @functools.cache
@@ -569,15 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
         p.add_argument("--config", help="JSON run configuration (flags override)")
         p.add_argument("--out", help="output path (reports: JSON lines)")
-        p.add_argument("--radial", type=int)
-        p.add_argument("--angular", type=int)
-        p.add_argument("--tol", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--search-max-j", type=int)
-        p.add_argument("--search-angles", type=int)
-        p.add_argument("--truncation-max-j", type=int,
-                       help="deepest truncation radius 1 - 2^-j for 4.1/4.2")
+        for setting in COMMAND_SETTINGS[name]:
+            p.add_argument("--" + setting.replace("_", "-"),
+                           type=type(getattr(RunConfig, setting)),
+                           help=SETTING_HELP.get(setting))
         return p
 
     def checks(p):
@@ -657,10 +659,9 @@ MAX_RADIAL = 2048
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
     growth order means: estimate / use the default), and a given K is >= 1,
-    as quasiregularity defines it; threads is >= 1; the seed is >= 0, as
-    numpy's generators require; the grid has 2..MAX_RADIAL radial nodes and
-    an angular count on the ladder.  The search depth is at most
-    RADIUS_CAP_J, since deeper radii would be clipped to the cap, the
+    as quasiregularity defines it; threads is >= 1; the grid has
+    2..MAX_RADIAL radial nodes and an angular count on the ladder.  The
+    search depth is at most RADIUS_CAP_J, whose ring is the radius cap, the
     truncation depth at most TRUNCATION_MAX_J, since deeper radii 1 - 2^-j
     round to 1, and the lattice angles per radius at most the top rung of
     the angular ladder, past which each angle is a direct kernel call."""
@@ -673,7 +674,7 @@ def _check_run_numbers(cfg: RunConfig):
     if 0.0 < cfg.K < 1.0:
         raise InvalidParameterError(
             f"--K must be 0 (estimate) or >= 1, got {cfg.K!r}")
-    for name, least in (("threads", 1), ("seed", 0), ("radial", 2)):
+    for name, least in (("threads", 1), ("radial", 2)):
         if getattr(cfg, name) < least:
             raise InvalidParameterError(
                 f"--{name} must be >= {least}, got {getattr(cfg, name)}")
@@ -721,7 +722,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if checks:
             raise InvalidParameterError(
                 f"theorem {cfg.theorem} takes no --{flag}, got {value!r}")
-        if name != "weight_form" or command != "norm":
+        if command != "norm" or name not in ("weight_form", *SEARCH_SETTINGS):
             raise InvalidParameterError(
                 f"{command} takes no --{flag}, got {value!r}")
     if not cfg.out:

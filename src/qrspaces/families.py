@@ -23,7 +23,7 @@ take the generic combine tree and the radial quadrature for h and g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,7 +49,6 @@ class ShearSpec:
     phi: AnalyticFn
     w: AnalyticFn
     normalize: bool = True
-    check_grid: SampleGrid = field(default_factory=SampleGrid)
 
 
 @dataclass(frozen=True)
@@ -76,26 +75,21 @@ class OrderModel:
         return (self.K - 1.0) / (self.K + 1.0)
 
 
-def _check_dilatation_bound(w: AnalyticFn, grid: SampleGrid):
-    vals = np.abs(w.jet(grid.points(), 0)[0])
-    worst = float(np.max(vals))
+def _check_dilatation_bound(w: AnalyticFn):
+    worst = float(np.max(np.abs(w.jet(SampleGrid().points(), 0)[0])))
     if worst >= 1.0:
         raise NonQuasiregularError(
-            f"dilatation modulus reaches {worst:.6f} >= 1 on the sample grid"
-        )
-    return worst
+            f"dilatation modulus reaches {worst:.6f} >= 1 on the sample grid")
 
 
-def from_dilatation(hprime: AnalyticFn, w: AnalyticFn,
-                    grid: Optional[SampleGrid] = None) -> HarmonicMap:
+def from_dilatation(hprime: AnalyticFn, w: AnalyticFn) -> HarmonicMap:
     """Build f with f_z = h' prescribed and g' = w h'.
 
     h and g are the antiderivatives vanishing at 0 (exact for closed-form
     h' and w); the map has analytic dilatation w wherever h' does not
     vanish.
     """
-    grid = grid or SampleGrid()
-    _check_dilatation_bound(w, grid)
+    _check_dilatation_bound(w)
     h = antiderivative(hprime, 0.0)
     g = antiderivative(combine("mul", w, hprime), 0.0)
     return HarmonicMap(h, g, description=f"dilatation map (w = {w.description})")
@@ -108,7 +102,7 @@ def shear(spec: ShearSpec) -> HarmonicMap:
     rescaled so h(0) = 0, h'(0) = 1, g(0) = 0 (dividing h by c = h'(0) and g
     by conj(c), which preserves |w|).
     """
-    _check_dilatation_bound(spec.w, spec.check_grid)
+    _check_dilatation_bound(spec.w)
     phi_prime = derivative(spec.phi)
     denom = combine("sub", constant(1.0), spec.w)
     hprime = combine("div", phi_prime, denom)
@@ -143,7 +137,7 @@ def kkprime_example() -> HarmonicMap:
     return HarmonicMap(poly([0.0, 1.0]), poly([0.0, 1.0]), description="z + conj(z)")
 
 
-def koebe_shear(k: float, normalize: bool = True) -> HarmonicMap:
+def koebe_shear(k: float) -> HarmonicMap:
     """Shear of the Koebe function z/(1-z)^2 with dilatation w = k z.
 
     At k = 0 this is the Koebe function itself, returned in closed form.
@@ -152,16 +146,16 @@ def koebe_shear(k: float, normalize: bool = True) -> HarmonicMap:
         raise InvalidParameterError("k must lie in [0, 1)")
     if k == 0.0:
         return analytic_as_harmonic(koebe())
-    return shear(ShearSpec(koebe(), poly([0.0, k]), normalize=normalize))
+    return shear(ShearSpec(koebe(), poly([0.0, k])))
 
 
-def cayley_shear(k: float, normalize: bool = True) -> HarmonicMap:
+def cayley_shear(k: float) -> HarmonicMap:
     """Shear of z/(1-z) with dilatation w = k z."""
     if not 0.0 <= k < 1.0:
         raise InvalidParameterError("k must lie in [0, 1)")
     if k == 0.0:
         return analytic_as_harmonic(cayley_half())
-    return shear(ShearSpec(cayley_half(), poly([0.0, k]), normalize=normalize))
+    return shear(ShearSpec(cayley_half(), poly([0.0, k])))
 
 
 DEFAULT_GROWTH_RADII = tuple(1.0 - 2.0 ** -j for j in range(3, 13))
@@ -234,11 +228,10 @@ def growth_exponent(f: HarmonicMap, which: str,
                      monotone_warning=bool(drops))
 
 
-def recovered_dilatation_error(f: HarmonicMap, w: AnalyticFn,
-                               grid: Optional[SampleGrid] = None) -> float:
-    """Max deviation |g'/h' - w| over samples where h' does not vanish."""
-    grid = grid or SampleGrid()
-    z = grid.points()
+def recovered_dilatation_error(f: HarmonicMap, w: AnalyticFn) -> float:
+    """Max deviation |g'/h' - w| over the ``SampleGrid`` points where h' does
+    not vanish."""
+    z = SampleGrid().points()
     hp = f.h.jet(z, 1, 1)[1]
     gp = f.g.jet(z, 1, 1)[1]
     keep = np.abs(hp) > 1e-12

@@ -518,6 +518,14 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
     )
 
 
+def gauss_legendre_panels(spans, npts: int) -> list:
+    """The ``npts``-node Gauss-Legendre rule on each (lo, hi) of ``spans``,
+    in order, as (t, w): t = lo + h (x + 1), w = h w_GL, h = (hi - lo)/2."""
+    x, w = np.polynomial.legendre.leggauss(npts)
+    return [(lo + 0.5 * (hi - lo) * (x + 1.0), 0.5 * (hi - lo) * w)
+            for lo, hi in spans]
+
+
 # --- Green-weight integrals -------------------------------------------------
 #
 # Pulled back through w = sigma_a(z) the integral becomes
@@ -545,11 +553,11 @@ def green_cap_rule(n: int, q: float, s: float):
     rounding is half that in t - 1/2: the moments of degree < 2n then hold
     to 4e-14 for n <= 64.
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(64)
     edges = np.append(0.5 ** np.arange(1, 61), 0.0)
-    lo, half = edges[1:], 0.5 * (edges[:-1] - edges[1:])
-    t = (lo[:, None] + half[:, None] * (gl_x + 1.0)).ravel()
-    weight = (half[:, None] * gl_w).ravel() * (1.0 - t) ** q * (-0.5 * np.log(t)) ** s
+    # largest t first, the order the sums below are taken in
+    ts, ws = zip(*gauss_legendre_panels(zip(edges[1:], edges[:-1]), 64))
+    t = np.concatenate(ts)
+    weight = np.concatenate(ws) * (1.0 - t) ** q * (-0.5 * np.log(t)) ** s
     x = 4.0 * t - 1.0
     basis = np.empty((n, t.size))
     alpha, beta = np.empty(n), np.empty(n)
@@ -639,12 +647,9 @@ def truncated_panels(R: float) -> list:
         edges.append(1.0 - gap)
         gap *= 0.5
     edges.append(T)
-    x, w = np.polynomial.legendre.leggauss(PANEL_POINTS)
-    panels = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (hi - lo)
-        panels.append(((lo, hi), lo + half * (x + 1.0), half * w))
-    return panels
+    spans = list(zip(edges[:-1], edges[1:]))
+    return [(span, t, w) for span, (t, w)
+            in zip(spans, gauss_legendre_panels(spans, PANEL_POINTS))]
 
 
 def truncated_radial_rule(R: float):

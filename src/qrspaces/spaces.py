@@ -63,7 +63,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -215,9 +215,6 @@ class BlochAlpha:
         return f"Bloch({self.alpha:g})"
 
 
-SpaceParams = Union[Qnpa, Fpqs, Mpqs, Morrey, BergmanMorrey, Qs, BlochAlpha]
-
-
 # --- search specification and results ----------------------------------------
 
 
@@ -227,8 +224,7 @@ def dyadic_radii(max_j: int) -> tuple:
 
 
 RADIUS_CAP_J = 10
-DEFAULT_SEARCH_RADII = dyadic_radii(RADIUS_CAP_J)
-RADIUS_CAP = DEFAULT_SEARCH_RADII[-1]
+RADIUS_CAP = dyadic_radii(RADIUS_CAP_J)[-1]
 # compass refinement: the step halves when no direction improves, down to
 # COMPASS_STOP; the evaluation budget guards against pathological integrands
 COMPASS_SHRINK = 0.5
@@ -239,40 +235,35 @@ KERNEL_ROUTES = ("direct", "ring_turns", "refined", "conjugate")
 
 @dataclass(frozen=True)
 class SupSearchSpec:
-    """Coarse polar lattice for sup_{a in D}, refined by compass ascent.
+    """Coarse polar lattice for sup_{a in D}, refined by compass ascent: a = 0
+    and ``angles_per_radius`` points on each ring r = 1 - 2^-j, j = 1, ...,
+    ``max_j`` (at most ``RADIUS_CAP_J``, whose ring is the radius cap).
 
     The search is heuristic: integrals of the test maps are smooth in a, and
     the trace is always reported so a missed sup is diagnosable.
     """
 
-    radii: Sequence[float] = DEFAULT_SEARCH_RADII
+    max_j: int = RADIUS_CAP_J
     angles_per_radius: int = 16
 
     def __post_init__(self):
-        if len(self.radii) == 0 or self.angles_per_radius < 1:
+        if not 0 <= self.max_j <= RADIUS_CAP_J or self.angles_per_radius < 1:
             raise InvalidParameterError(
-                "the sup search needs at least one radius and one angle per radius"
-            )
-
-    def _ring(self, r: float) -> list:
-        n = self.angles_per_radius
-        return [r * np.exp(1j * (2.0 * np.pi * j / n)) for j in range(n)]
+                f"the sup search takes a depth max_j in 0..{RADIUS_CAP_J} and at "
+                f"least one angle per radius, got {self.max_j} and "
+                f"{self.angles_per_radius}")
 
     def rings(self) -> dict:
-        """The lattice points of each distinct radius r > 0, clipped to
-        RADIUS_CAP: a = r e^(2 pi i j/angles_per_radius), the very values
-        ``candidates`` yields."""
-        radii = (min(float(r), RADIUS_CAP) for r in self.radii)
-        return {r: self._ring(r) for r in dict.fromkeys(radii) if r > 0.0}
+        """The points a = r e^(2 pi i k/angles_per_radius) of each ring r > 0,
+        the very values ``candidates`` yields."""
+        n = self.angles_per_radius
+        return {r: [r * np.exp(1j * (2.0 * np.pi * k / n)) for k in range(n)]
+                for r in dyadic_radii(self.max_j)[1:]}
 
     def candidates(self):
-        """The lattice in a deterministic, duplicate-free order: 0j for a
-        radius r <= 0, then every distinct radius's ring in the order of
-        ``rings``."""
-        radii = dict.fromkeys(max(min(float(r), RADIUS_CAP), 0.0)
-                              for r in self.radii)
-        return [a for r in radii
-                for a in (self._ring(r) if r > 0.0 else [0.0 + 0.0j])]
+        """The lattice in a deterministic order: 0j, then every ring of
+        ``rings`` in order."""
+        return [0j, *(a for ring in self.rings().values() for a in ring)]
 
 
 @dataclass(frozen=True)

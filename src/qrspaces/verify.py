@@ -37,8 +37,8 @@ import numpy as np
 from .analytic import AnalyticFn, real_coefficients
 from .errors import InvalidParameterError, NonQuasiregularError
 from .families import OrderModel
-from .harmonic import (HarmonicMap, angular_radial, estimate_quasiregularity,
-                       wirtinger)
+from .harmonic import (HarmonicMap, SampleGrid, angular_radial,
+                       estimate_quasiregularity, wirtinger)
 from .mobius import MobiusMap
 from .quadrature import (
     DEFAULT_ANGULAR,
@@ -382,7 +382,8 @@ def _membership_values(f: HarmonicMap, scale, target: str):
 # (1-R)^c with c barely above 1, so the ladder runs deeper than the sup
 # searches do: relative changes cross the stabilization threshold at j = 12
 # for the slowest in-range acceptance case.
-DEFAULT_TRUNCATION_JS = tuple(range(3, 13))
+TRUNCATION_FIRST_J = 3
+DEFAULT_TRUNCATION_MAX_J = 12
 # a truncation ladder is stabilized when its final relative change is at
 # most this
 STABILIZATION_TOL = 1e-3
@@ -473,18 +474,19 @@ def _truncated_sup_norms(values_fn, p: float, q: float, s: float,
 
 def verify_membership(f: HarmonicMap, model: OrderModel, scale,
                       target: str = "f",
-                      truncation_js: Sequence[int] = DEFAULT_TRUNCATION_JS,
+                      truncation_max_j: int = DEFAULT_TRUNCATION_MAX_J,
                       tol: float = DEFAULT_VERIFY_TOL,
-                      angular: int = DEFAULT_ANGULAR,
-                      rng_seed: int = 0) -> VerificationReport:
+                      angular: int = DEFAULT_ANGULAR) -> VerificationReport:
     """Truncation-stabilization check of membership in an M or F scale.
 
-    The truncated norm N(R) is computed at R = 1 - 2^-j for at least two
-    strictly increasing j in 1..``TRUNCATION_MAX_J`` (checked before any
-    radius runs; a repeated or falling j would compare a radius with itself
-    or backwards), in one ``_truncated_sup_norms`` pass; each
+    The truncated norm N(R) is computed at R = 1 - 2^-j for
+    j = ``TRUNCATION_FIRST_J``, ..., ``truncation_max_j``, which must lie in
+    4..``TRUNCATION_MAX_J`` (checked before any radius runs), so the ladder
+    has at least two radii, in one ``_truncated_sup_norms`` pass; each
     ``truncation_trace`` entry records the grid that radius used, and
-    ``table_work`` the pass's work ledger.
+    ``table_work`` the pass's work ledger.  The ftheta and bfb targets first
+    check their pointwise bound |target| <= (1+k)|h'| on the
+    ``SampleGrid`` points.
     "Finite" means the final successive relative change (lhs) is at most
     ``STABILIZATION_TOL`` (rhs) up to the relative ``tol`` of every check,
     margin >= -tol * rhs; otherwise a divergence exponent is fitted.
@@ -493,20 +495,11 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
     """
     if target not in MEMBERSHIP_TARGETS:
         raise InvalidParameterError(f"unknown membership target {target!r}")
-    truncation_js = tuple(truncation_js)
-    if len(truncation_js) < 2:
+    if not TRUNCATION_FIRST_J < truncation_max_j <= TRUNCATION_MAX_J:
         raise InvalidParameterError(
-            "a truncation ladder needs at least 2 radii, "
-            f"got j = {list(truncation_js)}")
-    bad = [j for j in truncation_js if not 1 <= j <= TRUNCATION_MAX_J]
-    if bad:
-        raise InvalidParameterError(
-            f"truncation depths j must lie in 1..{TRUNCATION_MAX_J}, "
-            f"got j = {bad}")
-    if any(b <= a for a, b in zip(truncation_js, truncation_js[1:])):
-        raise InvalidParameterError(
-            "truncation depths j must be strictly increasing, "
-            f"got j = {list(truncation_js)}")
+            f"a truncation ladder runs j = {TRUNCATION_FIRST_J}..max_j over at "
+            f"least 2 radii, so max_j must lie in {TRUNCATION_FIRST_J + 1}.."
+            f"{TRUNCATION_MAX_J}, got {truncation_max_j}")
     scale.validate()
     check_angular(angular)
     exponent = model.alpha_K + _growth_offset(scale, target)
@@ -524,10 +517,7 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
     }
 
     if target in ("ftheta", "bfb"):
-        rng = np.random.default_rng(rng_seed)
-        zs = 0.995 * np.sqrt(rng.random(1000)) * np.exp(
-            2j * np.pi * rng.random(1000)
-        )
+        zs = SampleGrid().points()
         bound = (1.0 + model.k) * np.abs(f.fz(zs))
         quantity = np.abs(angular_radial(f, zs)[target == "bfb"])
         worst = float(np.min(bound - quantity))
@@ -537,7 +527,8 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
                 f"|{target}| exceeds (1+k)|h'| at a sample (margin {worst:.3e})"
             )
 
-    radii = [1.0 - 2.0 ** -j for j in truncation_js]
+    radii = [1.0 - 2.0 ** -j
+             for j in range(TRUNCATION_FIRST_J, truncation_max_j + 1)]
     ladder, work = _truncated_sup_norms(values_fn, scale.p, scale.q, scale.s,
                                         radii, angular, real_coefficients(f))
     raws, grids = zip(*ladder)
@@ -573,9 +564,7 @@ class RatioReport:
 
 
 def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
-                      a_grid: Sequence[complex],
-                      radial: int = DEFAULT_RADIAL,
-                      angular: int = DEFAULT_ANGULAR) -> RatioReport:
+                      a_grid: Sequence[complex]) -> RatioReport:
     """Empirical ratio of the Green-weight and Mobius-weight integrals.
 
     No fixed equivalence constant is asserted; the report carries the range
@@ -596,10 +585,8 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
     entries = []
     for a in a_grid:
         m = MobiusMap(a)
-        gval = disk_integral_green(base, q, s, m, radial=radial,
-                                   angular=angular).value
-        wval = disk_integral_mobius_weight(base, q, s, m, radial=radial,
-                                           angular=angular, tol=1e-9).value
+        gval = disk_integral_green(base, q, s, m).value
+        wval = disk_integral_mobius_weight(base, q, s, m, tol=1e-9).value
         entries.append((complex(a), gval, wval, gval / wval))
     ratios = [e[3] for e in entries]
     return RatioReport(tuple(entries), min(ratios), max(ratios))

@@ -78,6 +78,14 @@ def test_power_series_geometric():
     assert z(0.3) == 0.0
 
 
+def test_power_series_jet_is_the_polynomial_jet():
+    # a power series and the polynomial of its coefficients share one jet
+    # loop, so their jets agree bit for bit
+    c = [0.3, 1.0, -0.5j, 0.25, 0.1 + 0.2j, -0.05]
+    z = np.linspace(0.01, 0.99, 257) * np.exp(1j * np.linspace(0.0, 6.0, 257))
+    assert np.array_equal(power_series(c, 5).jet(z, 4), poly(c).jet(z, 4))
+
+
 def test_power_series_divergence_detected():
     import math
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -44,6 +45,64 @@ from qrspaces.spaces import (
 def read_jsonl(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh if line.strip()]
+
+
+CHEAP = ["--radial", "8", "--search-max-j", "1"]
+
+
+def cheap(argv):
+    """``argv`` and the cheap settings its run reads: --radial 8 and
+    --search-max-j 1, only the first for ``constants``, neither for
+    ``growth`` or a membership check."""
+    if argv[0] == "growth" or "4.1" in argv or "4.2" in argv:
+        return argv
+    return argv + (CHEAP[:2] if argv[0] == "constants" else CHEAP)
+
+
+# The shared flags each subcommand takes, besides --config and --out.
+SHARED_FLAGS = {
+    "norm": ("--radial", "--angular", "--search-max-j", "--search-angles"),
+    "constants": ("--radial", "--angular"),
+    "verify": ("--radial", "--angular", "--search-max-j", "--search-angles",
+               "--tol", "--truncation-max-j"),
+    "sweep": ("--radial", "--angular", "--search-max-j", "--search-angles",
+              "--tol", "--truncation-max-j", "--threads"),
+    "growth": (),
+}
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", sorted(SHARED_FLAGS))
+def test_each_command_takes_only_the_shared_flags_it_reads(tmp_path, capsys,
+                                                           command):
+    # a shared flag a command does not read is a usage error, not ignored;
+    # --seed is no flag of any command
+    every = {flag for flags in SHARED_FLAGS.values() for flag in flags}
+    for flag in sorted(every | {"--seed"}):
+        argv = [command, flag, "3"]
+        if flag in SHARED_FLAGS[command]:
+            build_parser().parse_args(argv)  # no usage error
+            continue
+        assert main([*argv, "--out", str(tmp_path / "x.out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and f"unrecognized arguments: {flag}" in err
+        assert not (tmp_path / "x.out").exists()
+
+
+def test_flag_count_over_the_subcommands():
+    # --config and --out everywhere, the shared flags each command reads,
+    # and its own: 9 + 5 + 15 + 16 + 5
+    counts = {name: sum(1 for a in p._actions if a.option_strings
+                        and not isinstance(a, argparse._HelpAction))
+              for name, p in _subparsers().items()}
+    assert counts == {"norm": 9, "constants": 5, "verify": 15, "sweep": 16,
+                      "growth": 5}
+    assert sum(counts.values()) == 50
 
 
 def test_parse_scale():
@@ -246,12 +305,23 @@ AFFINE_31 = ["--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
     (["constants", "--constant", "qs:s=1"], {"weight_form": "green"}),
     (["growth", "--map", "koebe"], {"Kprime": 4}),
     (["growth", "--map", "koebe"], {"target": "fz"}),
+    (["verify", *AFFINE_31, "--truncation-max-j", "5"], None),
+    (["verify", "--theorem", "4.1", "--map", "koebe", "--scale", "M(0.8,0,1)",
+      "--K", "1", "--search-max-j", "2"], None),
+    (["verify", "--theorem", "4.2", "--map", "koebe", "--scale", "F(2,0,1)",
+      "--K", "1", "--search-angles", "4"], None),
+    (["sweep", "--theorem", "4.1", "--maps", "koebe", "--cells", "M(0.8,0,1)",
+      "--K", "1"], {"search_max_j": 2}),
+    (["constants", "--constant", "qs:s=1"], {"search_max_j": 2}),
+    (["growth", "--map", "koebe"], {"truncation_max_j": 5}),
 ], ids=["norm-green-morrey", "norm-green-config", "3.1-kprime",
         "cor3.1-kprime", "3.1-target", "3.5-alpha-k", "verify-green-config",
         "4.1-kprime-config", "sweep-3.2-kprime", "sweep-cor3.4-alpha-k-config",
         "norm-check-fields-config", "norm-alpha-k-config",
         "constants-theorem-config", "constants-green-config",
-        "growth-kprime-config", "growth-target-config"])
+        "growth-kprime-config", "growth-target-config", "3.1-truncation-max-j",
+        "4.1-search-max-j", "4.2-search-angles", "sweep-4.1-search-config",
+        "constants-search-config", "growth-truncation-config"])
 def test_flag_the_norm_or_theorem_cannot_honour_exit_2(tmp_path, capsys, args,
                                                        config):
     # a flag that the chosen norm or theorem would ignore is rejected, not
@@ -261,8 +331,7 @@ def test_flag_the_norm_or_theorem_cannot_honour_exit_2(tmp_path, capsys, args,
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         args = [*args, "--config", str(cfg_path)]
-    assert main([*args, "--radial", "8", "--search-max-j", "1",
-                 "--out", str(out)]) == 2
+    assert main([*cheap(args), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "takes no" in err or "takes an F(p,q,s)" in err
@@ -365,12 +434,17 @@ def test_conjugate_record_round_trips_through_json(tmp_path, map_spec, on_cap):
     ["growth", "--map", "koebe"],
 ], ids=["engine", "composition", "green", "membership", "constants", "sweep",
         "growth"])
-def test_angular_off_ladder_exit_2(tmp_path, capsys, args, angular):
+def test_angular_off_ladder_exit_2(tmp_path, monkeypatch, capsys, args,
+                                  angular):
     # every a != 0 gets at least the first rung (256 angles), so a count off
     # the ladder would only reach a = 0 while the record claimed it; the
-    # flag is checked once, for every subcommand
-    assert main([*args, "--angular", angular,
-                 "--out", str(tmp_path / "x.jsonl")]) == 2
+    # count is checked once, for every subcommand, growth included, which
+    # takes no --angular but reads the environment
+    if args[0] == "growth":
+        monkeypatch.setenv("QRSPACES_ANGULAR", angular)
+    else:
+        args = [*args, "--angular", angular]
+    assert main([*args, "--out", str(tmp_path / "x.jsonl")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "(256, 512, 1024, 2048)" in err
@@ -406,8 +480,13 @@ def test_constants_command(tmp_path):
     ["sweep", "--theorem", "3.1", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
     ["growth", "--map", "koebe"],
 ], ids=["constants", "sweep", "growth"])
-def test_radial_below_two_exit_2(tmp_path, capsys, args):
-    assert main([*args, "--radial", "1", "--out", str(tmp_path / "x.out")]) == 2
+def test_radial_below_two_exit_2(tmp_path, monkeypatch, capsys, args):
+    # growth takes no --radial; the environment sets it for every command
+    if args[0] == "growth":
+        monkeypatch.setenv("QRSPACES_RADIAL", "1")
+    else:
+        args = [*args, "--radial", "1"]
+    assert main([*args, "--out", str(tmp_path / "x.out")]) == 2
     assert capsys.readouterr().err == "error: --radial must be >= 2, got 1\n"
 
 
@@ -741,8 +820,7 @@ def test_bad_config_file_exit_2(tmp_path, capsys, content, command):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("RADIAL", "abc"), ("ANGULAR", "1.5"), ("TOL", "x"), ("SEED", ""),
-    ("THREADS", "0"),
+    ("RADIAL", "abc"), ("ANGULAR", "1.5"), ("TOL", "x"), ("THREADS", "0"),
 ])
 def test_bad_environment_exit_2(tmp_path, monkeypatch, capsys, name, value):
     monkeypatch.setenv("QRSPACES_" + name, value)
@@ -751,26 +829,24 @@ def test_bad_environment_exit_2(tmp_path, monkeypatch, capsys, name, value):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("source", ["flag", "environment", "config"])
-def test_negative_seed_exit_2(tmp_path, monkeypatch, capsys, source):
-    # numpy's generators reject a negative seed; the run numbers check
-    # rejects it first, from every source, with one line
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_seed_exit_2(tmp_path, capsys, source):
+    # every check is deterministic, so no run takes a seed: neither the
+    # flag nor the config key exists
     argv = ["verify", "--theorem", "4.1", "--map", "koebe",
             "--scale", "M(0.8,0,1)", "--K", "1", "--target", "ftheta",
             "--truncation-max-j", "4", "--out", str(tmp_path / "v.jsonl")]
     if source == "flag":
-        argv += ["--seed", "-1"]
-    elif source == "environment":
-        monkeypatch.setenv("QRSPACES_SEED", "-3")
-        argv[argv.index("ftheta")] = "bfb"
+        argv += ["--seed", "1"]
     else:
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"seed": -2}))
+        cfg_path.write_text(json.dumps({"seed": 0}))
         argv += ["--config", str(cfg_path)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
     assert "seed" in err and "Traceback" not in err
+    assert err.startswith("usage: " if source == "flag" else "error: ")
+    assert not (tmp_path / "v.jsonl").exists()
 
 
 # JSON kinds a config value can take, and the kinds each field type accepts
@@ -814,11 +890,10 @@ def test_wrong_json_type_exit_2(tmp_path_factory, cfg, command):
 # malformed values for them (no large valid ones, such as --radial 2048 or
 # --truncation-max-j 53, which only cost time)
 NUMBERS = ["-1", "0", "1", "2", "3", "0.5", "nan", "inf", "1e308", "abc"]
-COMMON_FLAGS = {flag: NUMBERS for flag in (
-    "--radial", "--tol", "--seed", "--threads", "--search-max-j",
-    "--search-angles", "--truncation-max-j")}
-COMMON_FLAGS.update({"--angular": [*NUMBERS, "4", "100", "256", "4096"],
-                     "--out": ["no-such-dir/x.out"]})
+SETTING_VALUES = {flag: NUMBERS for flag in (
+    "--radial", "--tol", "--threads", "--search-max-j", "--search-angles",
+    "--truncation-max-j")}
+SETTING_VALUES["--angular"] = [*NUMBERS, "4", "100", "256", "4096"]
 MAPS = ["koebe", "fold", "affine:k=2", "affine:k=0.5;sign=1",
         "hpoly:h=0,1;g=0,2", "poly:coeffs=", "cayley-shear:k=1", "identity:",
         ":", ""]
@@ -854,11 +929,11 @@ MAIN_ERRORS = ("error: ", "accuracy error: ", "i/o error: ")
 @st.composite
 def cheap_argv(draw):
     command, flags = draw(st.sampled_from(CHEAP_COMMANDS))
-    flags = {**COMMON_FLAGS, **flags}
+    flags = {"--out": ["no-such-dir/x.out"], **flags,
+             **{flag: SETTING_VALUES[flag] for flag in SHARED_FLAGS[command[0]]}}
     drawn = draw(st.lists(st.sampled_from(sorted(flags)), min_size=1,
                           max_size=3))
-    return [command[0], "--out", "x.out", *command[1:], "--search-max-j", "1",
-            "--radial", "8",
+    return [command[0], "--out", "x.out", *cheap(command)[1:],
             *(part for flag in drawn
               for part in (flag, draw(st.sampled_from(flags[flag]))))]
 

@@ -26,6 +26,7 @@ from qrspaces.quadrature import (
     disk_integral_alpha,
     disk_integral_green,
     disk_integral_mobius_weight,
+    gauss_legendre_panels,
     green_cap_rule,
     PolarTable,
     mobius_factor,
@@ -263,6 +264,19 @@ def test_angular_ladder_monotone():
     assert angular_count_for(0.0, 1.0) == 256
     assert angular_count_for(0.5, 1.0) == 256
     assert angular_count_for(1.0 - 2.0 ** -10, 1.0) == 2048
+
+
+def test_gauss_legendre_panels_keep_their_spans_and_order():
+    # each span's rule integrates t^k, k < 2 npts, and the panels come in
+    # the order of their spans, largest t first here
+    spans = [(0.5, 1.0), (0.25, 0.5), (0.0, 0.25)]
+    panels = gauss_legendre_panels(spans, 4)
+    assert len(panels) == 3
+    for (lo, hi), (t, w) in zip(spans, panels):
+        assert lo < t.min() and t.max() < hi
+        for k in range(8):
+            assert np.dot(w, t ** k) == pytest.approx(
+                (hi ** (k + 1) - lo ** (k + 1)) / (k + 1), rel=1e-14)
 
 
 def test_truncated_integral_approaches_full():
@@ -583,7 +597,7 @@ def test_complex_coefficient_map_keeps_full_tabulation(monkeypatch):
         return tabulated[-1]
 
     monkeypatch.setattr(quadrature, "polar_tabulate", spy)
-    search = SupSearchSpec(radii=(0.0, 0.5), angles_per_radius=4)
+    search = SupSearchSpec(max_j=1, angles_per_radius=4)
     res = fh_pqs_norm(f, Fpqs(2.0, 0.0, 1.0), search, radial=32)
     master, (width, count, _) = shapes  # the master and refined tables
     assert master == (2048, 2048, 32) and width == count

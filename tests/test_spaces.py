@@ -24,8 +24,8 @@ from qrspaces.harmonic import (
 from qrspaces.mobius import MobiusMap
 from qrspaces.quadrature import angular_count_for
 from qrspaces.spaces import (
-    DEFAULT_SEARCH_RADII,
     RADIUS_CAP,
+    RADIUS_CAP_J,
     BergmanMorrey,
     BlochAlpha,
     Fpqs,
@@ -55,7 +55,7 @@ from qrspaces.spaces import (
     weight_overlap_constant,
 )
 
-SMALL_SEARCH = SupSearchSpec(radii=(0.0, 0.5, 0.75, 0.875), angles_per_radius=8)
+SMALL_SEARCH = SupSearchSpec(max_j=3, angles_per_radius=8)
 
 
 def test_parameter_validation():
@@ -147,7 +147,7 @@ def test_fh_constant_lambda_scaling():
 
 def test_fh_green_form_close_to_mobius_form():
     f = analytic_as_harmonic(identity())
-    search = SupSearchSpec(radii=(0.0, 0.5), angles_per_radius=4)
+    search = SupSearchSpec(max_j=1, angles_per_radius=4)
     g = fh_pqs_norm(f, Fpqs(2.0, 0.0, 1.0), search, weight_form="green")
     m = fh_pqs_norm(f, Fpqs(2.0, 0.0, 1.0), search, weight_form="mobius")
     # identical at a = 0 (both reduce to radial closed forms with value pi/2)
@@ -542,7 +542,7 @@ def test_ring_integrals_match_rotated_kernel():
 
 
 def test_sup_search_ring_matches_direct():
-    spec = SupSearchSpec(radii=DEFAULT_SEARCH_RADII[:9])
+    spec = SupSearchSpec(max_j=8)
     ringed, direct = _cayley_shear_pair(), _cayley_shear_pair()
     with_ring = _sup_search(ringed.integral_at, spec, ringed.ring_integrals)
     without = _sup_search(direct.integral_at, spec)
@@ -562,7 +562,7 @@ def test_sup_search_ring_matches_direct():
     (Qnpa(1, 1.5, 0.0), 64),  # 64^2 exceeds every rung count
 ], ids=["angles-3", "s-eff-0", "angles-64"])
 def test_ring_fallbacks_equal_direct_path(monkeypatch, params, angles):
-    spec = SupSearchSpec(radii=SMALL_SEARCH.radii, angles_per_radius=angles)
+    spec = SupSearchSpec(SMALL_SEARCH.max_j, angles)
     f = poly([0.0, 1.0, 0.3j, 0.1])
     ringed = q_npa_norm(f, params, spec)
     assert ringed.grid["table_work"]["rings"] == 0
@@ -593,11 +593,12 @@ def test_even_problem_takes_i_conj_a_from_i_a(a):
 
 
 def _rounding_candidates(spec):
-    # the lattice deduplicated by rounding every point to 15 decimals
-    out = []
-    for r in spec.radii:
-        r = min(float(r), RADIUS_CAP)
-        out.extend(spec._ring(r) if r > 0.0 else [0.0 + 0.0j])
+    # a = 0 and every ring r = 1 - 2^-j, j <= max_j, of angles_per_radius
+    # points, deduplicated by rounding every point to 15 decimals
+    n = spec.angles_per_radius
+    out = [0.0 + 0.0j]
+    for r in dyadic_radii(spec.max_j)[1:]:
+        out.extend(r * np.exp(1j * (2.0 * np.pi * k / n)) for k in range(n))
     seen, uniq = set(), []
     for a in out:
         key = (round(a.real, 15), round(a.imag, 15))
@@ -607,15 +608,24 @@ def _rounding_candidates(spec):
     return uniq
 
 
-@pytest.mark.parametrize("angles", [1, 2, 3, 4, 8, 16, 64])
+@pytest.mark.parametrize("angles", [1, 2, 3, 4, 8, 16, 64, 2048])
 def test_candidates_match_rounding_dedupe(angles):
-    # the lattice built from the distinct radii: the same points, order and
-    # types as a dedupe of every point by rounding
-    for j in range(1, 11):
-        spec = SupSearchSpec(dyadic_radii(j), angles)
+    # the lattice of the search depth j: the same points, order and types
+    # as a dedupe of every point by rounding
+    for j in range(RADIUS_CAP_J + 1):
+        spec = SupSearchSpec(j, angles)
         got, want = spec.candidates(), _rounding_candidates(spec)
         assert got == want
         assert list(map(type, got)) == list(map(type, want))
+        assert list(spec.rings()) == list(dyadic_radii(j)[1:])
+
+
+@pytest.mark.parametrize("max_j, angles", [(-1, 16), (RADIUS_CAP_J + 1, 16),
+                                           (3, 0)])
+def test_search_spec_rejects_a_depth_past_the_cap_or_no_angles(max_j, angles):
+    # a ring deeper than RADIUS_CAP_J would lie past the radius cap
+    with pytest.raises(InvalidParameterError):
+        SupSearchSpec(max_j, angles)
 
 
 def _bump(center, width):

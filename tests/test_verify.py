@@ -52,8 +52,9 @@ from qrspaces.spaces import (
     _sup_search,
 )
 from qrspaces.verify import (
-    DEFAULT_TRUNCATION_JS,
+    DEFAULT_TRUNCATION_MAX_J,
     MEMBERSHIP_TARGETS,
+    TRUNCATION_FIRST_J,
     _conjugate_norm_pair,
     _membership_values,
     _truncated_sup_norms,
@@ -68,7 +69,8 @@ from qrspaces.verify import (
     verify_membership,
 )
 
-FAST = SupSearchSpec(radii=(0.0, 0.5, 0.75, 0.875), angles_per_radius=8)
+FAST = SupSearchSpec(max_j=3, angles_per_radius=8)
+DEFAULT_JS = range(TRUNCATION_FIRST_J, DEFAULT_TRUNCATION_MAX_J + 1)
 
 
 def test_qh_bound_analytic_zero_margin():
@@ -406,7 +408,7 @@ def test_membership_smoke_coarse():
     f = koebe_shear(0.0)
     model = OrderModel(K=1.0)
     rep = verify_membership(f, model, Mpqs(0.5, 0.0, 1.0),
-                            truncation_js=range(3, 7))
+                            truncation_max_j=6)
     assert rep.extra["in_range"]
     assert rep.theorem_id == "4.1"
     assert len(rep.extra["truncation_trace"]) == 4
@@ -418,7 +420,7 @@ def test_membership_smoke_coarse():
         assert n >= 256 and n & (n - 1) == 0  # a power of two, so 8 | n
         assert entry["candidates"] == 1 + 8 * j
     rep2 = verify_membership(f, model, Fpqs(0.5, 0.0, 1.0),
-                             truncation_js=range(3, 7))
+                             truncation_max_j=6)
     assert rep2.theorem_id == "4.2"
     assert rep2.extra["growth_exponent"] == pytest.approx(3.0)
 
@@ -427,11 +429,11 @@ def test_membership_derivative_targets():
     f = koebe_shear(0.2)
     model = OrderModel(K=1.5)
     rep = verify_membership(f, model, Mpqs(0.3, 0.0, 1.0), target="ftheta",
-                            truncation_js=range(3, 6))
+                            truncation_max_j=5)
     assert rep.extra["pointwise_margin"] >= -1e-10
     assert rep.extra["growth_exponent"] == pytest.approx(model.alpha_K + 1.0)
     rep2 = verify_membership(f, model, Mpqs(0.3, 0.0, 1.0), target="fz",
-                             truncation_js=range(3, 6))
+                             truncation_max_j=5)
     assert rep2.extra["truncation_trace"][0]["norm"] > 1.0  # includes |h'(0)| = 1
     with pytest.raises(InvalidParameterError):
         verify_membership(f, model, Mpqs(0.3, 0.0, 1.0), target="nonsense")
@@ -586,7 +588,7 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
 
     monkeypatch.setattr("qrspaces.quadrature.mobius_factor", counted_factor)
     counts = (256, 512, 1024, 2048, 2048, 2048, 2048, 4096, 8192, 8192)
-    radii = [1.0 - 2.0 ** -j for j in DEFAULT_TRUNCATION_JS]
+    radii = [1.0 - 2.0 ** -j for j in DEFAULT_JS]
     tracemalloc.start()
     try:
         ladder, work = _truncated_sup_norms(counted_values, 0.8, 0.0, 1.0,
@@ -600,7 +602,7 @@ def test_truncation_ladder_work_on_default_ladder(monkeypatch):
     # the dyadic panels m < j and its own tail, its lattice the rings
     # 1 - 2^-i, i <= j
     rings = {}  # (panel, count) -> rings
-    for j, c in zip(DEFAULT_TRUNCATION_JS, counts):
+    for j, c in zip(DEFAULT_JS, counts):
         for panel in [*range(1, j), ("tail", j)]:
             rings.setdefault((panel, c), set()).update(range(1, j + 1))
     assert len(nodes) == sum(map(len, rings.values())) == 407
@@ -619,7 +621,7 @@ def test_membership_record_carries_table_work():
     f = koebe_shear(0.0)
     scale = Mpqs(0.8, 0.0, 1.0)
     rec = verify_membership(f, OrderModel(K=1.0), scale,
-                            truncation_js=(3, 4, 5)).to_record()
+                            truncation_max_j=5).to_record()
     values, _ = _membership_values(f, scale, "f")
     _, work = _truncated_sup_norms(values, 0.8, 0.0, 1.0,
                                    [1.0 - 2.0 ** -j for j in (3, 4, 5)],
@@ -628,18 +630,29 @@ def test_membership_record_carries_table_work():
     assert work["points"] > 0 and work["rings"] > 0
 
 
-@pytest.mark.parametrize("js", [(3,), (), (3, 54), (5, 5), (5, 4, 3)])
-def test_membership_needs_two_radii(monkeypatch, js):
-    # at least two strictly increasing radii, each 1 - 2^-j with j <= 53
-    # (1 - 2^-54 rounds to 1), and the whole ladder is checked before the
-    # first radius runs
+@pytest.mark.parametrize("max_j", [3, 54])
+def test_membership_needs_two_radii(monkeypatch, max_j):
+    # the ladder j = 3..max_j needs at least two radii, each 1 - 2^-j with
+    # j <= 53 (1 - 2^-54 rounds to 1), and is checked before the first
+    # radius runs
     calls = []
     monkeypatch.setattr("qrspaces.verify._truncated_sup_norms",
                         lambda *args, **kw: calls.append(args))
     with pytest.raises(InvalidParameterError):
         verify_membership(koebe_shear(0.0), OrderModel(K=1.0),
-                          Mpqs(0.8, 0.0, 1.0), truncation_js=js)
+                          Mpqs(0.8, 0.0, 1.0), truncation_max_j=max_j)
     assert calls == []
+
+
+def test_pointwise_check_is_deterministic():
+    # the ftheta bound is checked on the fixed sample grid, whose theta = 0
+    # ray runs into koebe's singular direction: two runs give one record
+    f, model = koebe_shear(0.3), OrderModel(K=(1.0 + 0.3) / (1.0 - 0.3))
+    first, second = (verify_membership(f, model, Mpqs(0.8, 0.0, 1.0),
+                                       target="ftheta", truncation_max_j=4)
+                     .to_record() for _ in range(2))
+    assert first == second
+    assert 0.0 <= first["pointwise_margin"] < 1e-5
 
 
 def test_membership_honours_tol():
@@ -647,9 +660,9 @@ def test_membership_honours_tol():
     f = koebe_shear(0.0)
     model = OrderModel(K=1.0)
     strict = verify_membership(f, model, Mpqs(0.8, 0.0, 1.0),
-                               truncation_js=(3, 4, 5), tol=1e-6)
+                               truncation_max_j=5, tol=1e-6)
     loose = verify_membership(f, model, Mpqs(0.8, 0.0, 1.0),
-                              truncation_js=(3, 4, 5), tol=1e3)
+                              truncation_max_j=5, tol=1e3)
     assert strict.extra["in_range"] and loose.extra["in_range"]
     assert strict.lhs == loose.lhs == pytest.approx(0.1693, abs=1e-4)
     assert not strict.passed
@@ -663,7 +676,7 @@ def test_membership_honours_tol():
 
 def test_membership_out_of_range_pass_recomputable():
     rep = verify_membership(koebe_shear(0.0), OrderModel(K=1.0),
-                            Mpqs(1.2, 0.0, 1.0), truncation_js=(3, 4, 5))
+                            Mpqs(1.2, 0.0, 1.0), truncation_max_j=5)
     rec = rep.to_record()
     assert not rec["in_range"]
     assert rec["margin"] < -rec["tol"] * abs(rec["rhs"])
