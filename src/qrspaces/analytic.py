@@ -577,6 +577,15 @@ def real_coefficients(f) -> bool:
                for part in parts)
 
 
+def constant_bases(f) -> bool:
+    """Whether h' and g' (f' for an ``AnalyticFn`` f) are constant:
+    :class:`RationalLog` parts of degree <= 1 with no pole or log term.
+    Decided on the exact map, as ``real_coefficients`` is."""
+    parts = (f,) if isinstance(f, AnalyticFn) else (f.h, f.g)
+    return all(isinstance(part, RationalLog) and not part.terms
+               and len(part.coeffs) <= 2 for part in parts)
+
+
 def poly(coefficients: Sequence[complex]) -> AnalyticFn:
     """Polynomial sum c[i] z^i with exact jets."""
     coeffs = [complex(c) for c in coefficients]

@@ -19,12 +19,15 @@ from typing import Optional
 
 import numpy as np
 
-from .analytic import AnalyticFn, combine, constant, poly
+from .analytic import AnalyticFn, combine, constant, constant_bases, poly
 from .errors import HypothesisViolationError, InvalidParameterError, NonQuasiregularError
 from .mobius import as_complex
 
 # Guard for dilatation ratios at zeros of h'.
 _RATIO_GUARD = 1e-300
+# Radii and angles of a ``SampleGrid``.
+SAMPLE_RADII = 32
+SAMPLE_ANGLES = 64
 
 
 @dataclass(frozen=True)
@@ -122,10 +125,10 @@ class QrParams:
         return math.sqrt(self.Kprime) / (1.0 + self.K)
 
     @classmethod
-    def from_k(cls, k: float, Kprime: float = 0.0) -> "QrParams":
+    def from_k(cls, k: float) -> "QrParams":
         if not 0.0 <= k < 1.0:
             raise InvalidParameterError("k must lie in [0, 1)")
-        return cls((1.0 + k) / (1.0 - k), Kprime)
+        return cls((1.0 + k) / (1.0 - k))
 
 
 def wirtinger(f: HarmonicMap, z) -> WirtingerData:
@@ -179,17 +182,16 @@ def angular_radial(f: HarmonicMap, z):
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Polar sampling specification for pointwise estimates."""
+    """Polar sampling specification for pointwise estimates:
+    ``SAMPLE_RADII`` radii up to ``r_max`` times ``SAMPLE_ANGLES`` angles."""
 
     r_max: float = 0.995
-    n_radii: int = 32
-    n_angles: int = 64
 
     def points(self) -> np.ndarray:
         if not 0.0 < self.r_max < 1.0:
             raise InvalidParameterError("r_max must lie in (0, 1)")
-        radii = self.r_max * np.arange(1, self.n_radii + 1) / self.n_radii
-        theta = 2.0 * np.pi * np.arange(self.n_angles) / self.n_angles
+        radii = self.r_max * np.arange(1, SAMPLE_RADII + 1) / SAMPLE_RADII
+        theta = 2.0 * np.pi * np.arange(SAMPLE_ANGLES) / SAMPLE_ANGLES
         return np.outer(radii, np.exp(1j * theta)).ravel()
 
 
@@ -214,14 +216,23 @@ def estimate_quasiregularity(f: HarmonicMap, grid: Optional[SampleGrid] = None,
     max(Lambda^2 - K J) for the supplied K (default: the estimated K).  With
     ``require_k`` set, samples where lambda vanishes while Lambda does not
     raise :class:`NonQuasiregularError` (D_f unbounded there).
+
+    Where h' and g' are constant (``analytic.constant_bases``) every sample
+    gives the values of the grid's first point, so that point alone is
+    evaluated, stands for every sample in the degenerate count, and is the
+    argmax, which no compass step moves: the estimate the whole grid gives.
     """
     grid = grid or SampleGrid()
     z = grid.points()
+    samples = z.size
+    uniform = constant_bases(f)
+    if uniform:
+        z = z[:1]
     w = wirtinger(f, z)
     lam_big = w.lambda_big
     lam_small = w.lambda_small
     degenerate = (lam_small < 1e-12) & (lam_big > 1e-12)
-    n_degenerate = int(np.count_nonzero(degenerate))
+    n_degenerate = int(np.count_nonzero(degenerate)) * (samples // z.size)
     if require_k and n_degenerate:
         raise NonQuasiregularError(
             f"dilatation unbounded at {n_degenerate} sample(s): "
@@ -237,9 +248,9 @@ def estimate_quasiregularity(f: HarmonicMap, grid: Optional[SampleGrid] = None,
         K_est = float(ratio[idx])
         argmax = complex(z[idx])
         # compass polish around the maximizer
-        step = grid.r_max / grid.n_radii
+        step = grid.r_max / SAMPLE_RADII
         best, best_z = K_est, argmax
-        while step > 1e-4:
+        while step > 1e-4 and not uniform:
             moved = False
             for d in (step, -step, 1j * step, -1j * step):
                 cand = best_z + d

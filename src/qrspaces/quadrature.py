@@ -48,7 +48,10 @@ max(1, ``ROW_BLOCK_POINTS`` // count) rows.  ``polar_tabulate`` writes
 each block's base values straight into preallocated (rows, count) arrays,
 the bases of a ``PolarTable``: the sup engine's master and node-doubling
 grids, the truncation ladder's panels and the Mobius-weight integral (and
-so ``disk_integral_alpha``, its s = 0 case) each build one.  Bases built
+so ``disk_integral_alpha``, its s = 0 case) each build one.  A table's
+bases and its Mobius factor buffer are the planes of one array, so that
+the largest block a sup problem frees is more than half of all it frees
+(the reason is in ``PolarTable``).  Bases built
 from a map with real coefficients are even in theta
 (f(conj z) = conj(f(z))), and the periodic trapezoid rule keeps that
 symmetry exactly (Trefethen & Weideman, SIAM Rev. 56, 2014): their table
@@ -162,13 +165,15 @@ def _mirror(arr, cols: int):
     np.positive(arr[:, arr.shape[1] - cols:0:-1], out=arr[:, cols:])
 
 
-def polar_tabulate(tabulate, rho, eig, count: int) -> list:
+def polar_tabulate(tabulate, rho, eig, count: int, spare: int = 0) -> list:
     """The real bases of ``tabulate(z)``, a sequence of arrays of z's shape,
     on the polar grid z[i, j] = rho[i] * eig[j]: one (rows, count) float64
-    array per base, preallocated and filled a row block at a time.  ``eig``
-    holds the first columns' nodes: all ``count`` of them, or, for bases
-    even in theta, the first count // 2 + 1, whose values fill the other
-    columns as their mirror images (``_mirror``).
+    array per base, filled a row block at a time.  ``eig`` holds the first
+    columns' nodes: all ``count`` of them, or, for bases even in theta, the
+    first count // 2 + 1, whose values fill the other columns as their
+    mirror images (``_mirror``).  The arrays are the leading planes of one
+    (bases + ``spare``, rows, count) array, their common ``.base``, whose
+    last ``spare`` planes are left unset for the caller.
 
     A base value depends on its point alone, so the arrays hold the bits a
     call on the whole grid would give, and an exception a block raises
@@ -180,7 +185,8 @@ def polar_tabulate(tabulate, rho, eig, count: int) -> list:
         if any(np.shape(b) != z.shape for b in values):
             raise InvalidParameterError("tabulate must return values on the grid")
         if bases is None:
-            bases = [np.empty((rho.size, count)) for _ in values]
+            n = len(values)
+            bases = list(np.empty((n + spare, rho.size, count))[:n])
         for base, b in zip(bases, values):
             base[rows, :eig.size] = b
     if eig.size < count:
@@ -362,11 +368,20 @@ class PolarTable:
     the Mobius factor at a on ``count`` angles or on any
     power-of-two divisor c of it.  The nodes at c angles are every
     (count/c)-th of those at ``count``, bit for bit: the bases at c are
-    contiguous copies of those columns, made once per c, since a strided
-    view would change BLAS's summation order; the factor at c is computed
-    at c, into a leading view of one buffer the size of the bases (a
-    buffer per count would free and map more memory: glibc's mmap
-    threshold follows the largest freed block).
+    contiguous copies of those columns, made once per c when first asked
+    for, since a strided view would change BLAS's summation order; the
+    factor at c is computed at c, into a leading view of one buffer the
+    size of a base.
+
+    The bases and that buffer are the planes of one array
+    (``polar_tabulate``'s ``spare`` plane).  glibc raises its mmap
+    threshold to the size of each mmapped block it frees (up to 32 MiB)
+    and keeps a heap top below twice that.  A conjugate-pair problem on
+    128 x 2048 nodes frees about 10 MB, 6.3 MB of it as this one block,
+    so the heap outlives the problem and the next one reuses its pages; as
+    three 2.1 MB arrays each problem faulted about 2,300 pages in anew.
+    The rung copies stay lazy and apart: a table that never leaves its top
+    count would hold room for them for nothing.
 
     ``even`` says that every base is even in theta, as the bases built
     from a map with real coefficients are (``analytic.real_coefficients``):
@@ -393,10 +408,11 @@ class PolarTable:
         self.work = table_work() if work is None else work
         cols = count // 2 + 1 if even else count
         self.bases = polar_tabulate(
-            tabulate, rho, np.exp(1j * angular_nodes(count))[:cols], count)
+            tabulate, rho, np.exp(1j * angular_nodes(count))[:cols], count,
+            spare=1)
         self.work["points"] += rho.size * cols
         self._rungs = {count: self.bases}
-        self._factor = np.empty(rho.size * count)
+        self._factor = self.bases[0].base[-1].reshape(-1)
 
     def _folds(self, a: complex, count: int) -> bool:
         """Whether the integrand at a is even in theta on ``count`` angles:

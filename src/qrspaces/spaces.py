@@ -67,7 +67,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analytic import AnalyticFn, RationalLog, compose_mobius, real_coefficients
+from .analytic import AnalyticFn, compose_mobius, constant_bases, real_coefficients
 from .errors import InfiniteConstantError, InvalidParameterError
 from .harmonic import HarmonicMap, wirtinger
 from .mobius import MobiusMap
@@ -522,13 +522,6 @@ def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,
     (refined,) = problem.refined_integral_at(best[0])
     return _norm_result(best, abs(refined - best[1]), p_root,
                         problem.grid_metadata(), value_at_zero, warnings)
-
-
-def constant_bases(f) -> bool:
-    """Whether h' and g' (f' for analytic f) are constant: RationalLogs of degree <= 1."""
-    parts = (f,) if isinstance(f, AnalyticFn) else (f.h, f.g)
-    return all(isinstance(part, RationalLog) and not part.terms
-               and len(part.coeffs) <= 2 for part in parts)
 
 
 def _derivative_sups(f, tabulate, q_eff, s_eff, radial, angular):

@@ -1,9 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qrspaces.analytic import AnalyticFn, cayley_half, identity, koebe, poly
+from qrspaces import harmonic
+from qrspaces.analytic import (AnalyticFn, cayley_half, constant_bases, identity,
+                               koebe, poly)
+from qrspaces.cli import build_map
 from qrspaces.errors import (
     HypothesisViolationError,
     InvalidParameterError,
@@ -23,7 +27,7 @@ from qrspaces.harmonic import (
     wirtinger,
 )
 
-from conftest import disk_samples
+from conftest import disk_samples, generic
 
 
 def affine(k, sign=+1.0):
@@ -185,6 +189,37 @@ def test_estimate_quasiregularity():
     # a constant map has J = 0 everywhere and keeps K = 1
     est = estimate_quasiregularity(HarmonicMap(poly([1.0]), poly([0.0])))
     assert est.K_est == 1.0
+
+
+@pytest.mark.parametrize("spec", [
+    "identity", "affine:k=0.5;sign=1", "affine:k=0.5;sign=-1", "fold",
+    "hpoly:h=0.2,1+0.3j;g=0,0.4-0.1j"])
+@pytest.mark.parametrize("kw", [{}, {"require_k": False, "K_for_residual": 2.0}],
+                         ids=["default", "residual-at-2"])
+def test_constant_derivative_estimate_is_the_sampled_one(monkeypatch, spec, kw):
+    # h' and g' constant: one wirtinger call at the grid's first point gives
+    # every field the 32 x 64 samples and their compass polish give to the
+    # same map behind generic jets, which the library cannot see into
+    f = build_map(spec)
+    sampled = HarmonicMap(generic(f.h), generic(f.g))
+    assert constant_bases(f) and not constant_bases(sampled)
+    calls = []
+
+    def counted(*args):
+        calls.append(np.size(args[1]))
+        return wirtinger(*args)
+
+    try:
+        expected = estimate_quasiregularity(sampled, **kw)
+    except NonQuasiregularError as err:
+        assert "2048 sample(s)" in str(err)
+        monkeypatch.setattr(harmonic, "wirtinger", counted)
+        with pytest.raises(NonQuasiregularError, match=re.escape(str(err))):
+            estimate_quasiregularity(f, **kw)
+    else:
+        monkeypatch.setattr(harmonic, "wirtinger", counted)
+        assert estimate_quasiregularity(f, **kw) == expected
+    assert calls == [1]
 
 
 def test_estimate_nonconstant_dilatation():

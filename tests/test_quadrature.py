@@ -591,9 +591,9 @@ def test_complex_coefficient_map_keeps_full_tabulation(monkeypatch):
     assert not real_coefficients(f)
     shapes, tabulated = [], []
 
-    def spy(tabulate, rho, eig, count):
+    def spy(tabulate, rho, eig, count, spare):
         shapes.append((eig.size, count, rho.size))
-        tabulated.append(polar_tabulate(tabulate, rho, eig, count))
+        tabulated.append(polar_tabulate(tabulate, rho, eig, count, spare))
         return tabulated[-1]
 
     monkeypatch.setattr(quadrature, "polar_tabulate", spy)
@@ -818,10 +818,10 @@ def test_row_blocks_leave_no_trace_in_tabulation(monkeypatch, path, even):
     # it.  KOEBE_SHEAR's coefficients are real, so its bases are even
     tabulated = []
 
-    def spy(tabulate, rho, eig, count):
+    def spy(tabulate, rho, eig, count, spare):
         calls = []
         bases = polar_tabulate(lambda z: calls.append(z.size) or tabulate(z),
-                               rho, eig, count)
+                               rho, eig, count, spare)
         assert eig.size == (count // 2 + 1 if even else count)
         tabulated.append((len(calls), [b.tobytes() for b in bases]))
         return bases
@@ -836,6 +836,32 @@ def test_row_blocks_leave_no_trace_in_tabulation(monkeypatch, path, even):
     assert all(blocks == 1 for blocks, _ in tabulated)
     assert [b for _, b in blocked_bases] == [b for _, b in tabulated]
     assert blocked == whole
+
+
+@pytest.mark.parametrize("path", [_master_grid, _refined_grid, _ladder_panel],
+                         ids=["master", "refined", "ladder-panel"])
+def test_table_keeps_bases_and_factor_in_one_array(monkeypatch, path):
+    # every base of a table and its Mobius factor buffer are the planes of
+    # one array, so the largest block a problem frees is more than half of
+    # all it frees; the rung copies stay apart, made lazily
+    tables = []
+    init = PolarTable.__init__
+
+    def spy(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        tables.append(self)
+
+    monkeypatch.setattr(PolarTable, "__init__", spy)
+    path(True)
+    assert tables
+    for table in tables:
+        block = table.bases[0].base
+        assert block.shape == (len(table.bases) + 1, *table.bases[0].shape)
+        for k, b in enumerate(table.bases):
+            assert b.base is block and b.ctypes.data == block[k].ctypes.data
+        assert table._factor.base is block
+        assert table._factor.ctypes.data == block[-1].ctypes.data
+        assert table._factor.size == block[-1].size
 
 
 def test_composition_makes_no_grid_sized_temporary():

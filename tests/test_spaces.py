@@ -1,6 +1,12 @@
 import collections
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,8 +17,8 @@ from hypothesis import strategies as st
 from scipy.special import hyp2f1
 
 import qrspaces.spaces
-from qrspaces.analytic import (compose_mobius, constant, identity, koebe, poly,
-                               power_series)
+from qrspaces.analytic import (compose_mobius, constant, constant_bases, identity,
+                               koebe, poly, power_series)
 from qrspaces.errors import InfiniteConstantError, InvalidParameterError
 from qrspaces.families import affine_extremal, cayley_shear
 from qrspaces.harmonic import (
@@ -41,7 +47,6 @@ from qrspaces.spaces import (
     _lambda_fn,
     _pow_tabulator,
     _sup_search,
-    constant_bases,
     dyadic_radii,
     fh_pqs_norm,
     m_pqs_norm,
@@ -403,6 +408,48 @@ def test_conjugate_pair_tabulation_makes_no_grid_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 128 * 2048 * 8 + 1_000_000
+
+
+CONSECUTIVE_PROBLEMS = """
+import json, resource
+from qrspaces.families import cayley_shear
+from qrspaces.harmonic import wirtinger
+from qrspaces.spaces import RADIUS_CAP_J, WeightedSupProblem, dyadic_radii
+
+f = cayley_shear(0.5)
+
+def problem():
+    pr = WeightedSupProblem(
+        lambda z: [m ** 1.5 for m in wirtinger(f, z).conjugate_moduli], 0.0, 1.0)
+    for r in dyadic_radii(RADIUS_CAP_J)[1:]:
+        pr.ring_integrals(r, 16)
+
+faults = []
+for _ in range(4):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    problem()
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="measures glibc's mmap and trim thresholds")
+def test_consecutive_problems_reuse_the_heap():
+    # a conjugate-pair problem on 128 x 2048 nodes with one ring per lattice
+    # radius frees one 6.3 MB block (two bases and the factor) and about
+    # 3.7 MB of rung copies: glibc's mmap threshold rises to the block's
+    # size and its trim threshold to twice that, so from the third problem
+    # on the heap keeps every page.  With a separate array per base and
+    # factor the largest freed chunk was 2.1 MB, and each problem faulted
+    # about 2,300 pages in anew.  A fresh interpreter, so that no earlier
+    # test has moved the thresholds
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=str(Path(qrspaces.__file__).resolve().parent.parent))
+    run = subprocess.run([sys.executable, "-c", CONSECUTIVE_PROBLEMS], env=env,
+                         capture_output=True, text=True, check=True)
+    faults = json.loads(run.stdout)
+    assert faults[2] < 100 and faults[3] < 100, faults
 
 
 def test_refined_integral_makes_no_grid_sized_temporary():
