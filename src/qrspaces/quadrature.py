@@ -165,34 +165,34 @@ def _mirror(arr, cols: int):
     np.positive(arr[:, arr.shape[1] - cols:0:-1], out=arr[:, cols:])
 
 
-def polar_tabulate(tabulate, rho, eig, count: int, spare: int = 0) -> list:
-    """The real bases of ``tabulate(z)``, a sequence of arrays of z's shape,
-    on the polar grid z[i, j] = rho[i] * eig[j]: one (rows, count) float64
-    array per base, filled a row block at a time.  ``eig`` holds the first
-    columns' nodes: all ``count`` of them, or, for bases even in theta, the
-    first count // 2 + 1, whose values fill the other columns as their
-    mirror images (``_mirror``).  The arrays are the leading planes of one
-    (bases + ``spare``, rows, count) array, their common ``.base``, whose
-    last ``spare`` planes are left unset for the caller.
+def polar_tabulate(tabulate, rho, eig, count: int) -> tuple:
+    """(bases, spare): the real bases of ``tabulate(z)``, a sequence of
+    arrays of z's shape, on the polar grid z[i, j] = rho[i] * eig[j], one
+    (rows, count) float64 array per base, filled a row block at a time, and
+    one more such array, unset, for a ``PolarTable``'s Mobius factor.  All
+    are planes of one (bases + 1, rows, count) array (why: ``PolarTable``).
+    ``eig`` holds the first columns' nodes: all ``count`` of them, or, for
+    bases even in theta, the first count // 2 + 1, whose values fill the
+    other columns as their mirror images (``_mirror``).
 
     A base value depends on its point alone, so the arrays hold the bits a
     call on the whole grid would give, and an exception a block raises
     leaves with its type.
     """
-    bases = None
+    planes = None
     for rows, z in _row_blocks(rho, eig):
         values = tabulate(z)
         if any(np.shape(b) != z.shape for b in values):
             raise InvalidParameterError("tabulate must return values on the grid")
-        if bases is None:
-            n = len(values)
-            bases = list(np.empty((n + spare, rho.size, count))[:n])
-        for base, b in zip(bases, values):
+        if planes is None:
+            planes = list(np.empty((len(values) + 1, rho.size, count)))
+        for base, b in zip(planes, values):
             base[rows, :eig.size] = b
+    *bases, spare = planes
     if eig.size < count:
         for base in bases:
             _mirror(base, eig.size)
-    return bases
+    return bases, spare
 
 
 def polar_row_means(integrand, rho, eig) -> np.ndarray:
@@ -374,12 +374,12 @@ class PolarTable:
     size of a base.
 
     The bases and that buffer are the planes of one array
-    (``polar_tabulate``'s ``spare`` plane).  glibc raises its mmap
-    threshold to the size of each mmapped block it frees (up to 32 MiB)
-    and keeps a heap top below twice that.  A conjugate-pair problem on
-    128 x 2048 nodes frees about 10 MB, 6.3 MB of it as this one block,
-    so the heap outlives the problem and the next one reuses its pages; as
-    three 2.1 MB arrays each problem faulted about 2,300 pages in anew.
+    (``polar_tabulate``).  glibc raises its mmap threshold to the size of
+    each mmapped block it frees (up to 32 MiB) and keeps a heap top below
+    twice that.  A conjugate-pair problem on 128 x 2048 nodes frees about
+    10 MB, 6.3 MB of it as this one block, so the heap outlives the problem
+    and the next one reuses its pages; as three 2.1 MB arrays each problem
+    faulted about 2,300 pages in anew.
     The rung copies stay lazy and apart: a table that never leaves its top
     count would hold room for them for nothing.
 
@@ -407,12 +407,11 @@ class PolarTable:
         self.even = even
         self.work = table_work() if work is None else work
         cols = count // 2 + 1 if even else count
-        self.bases = polar_tabulate(
-            tabulate, rho, np.exp(1j * angular_nodes(count))[:cols], count,
-            spare=1)
+        self.bases, factor = polar_tabulate(
+            tabulate, rho, np.exp(1j * angular_nodes(count))[:cols], count)
         self.work["points"] += rho.size * cols
         self._rungs = {count: self.bases}
-        self._factor = self.bases[0].base[-1].reshape(-1)
+        self._factor = factor.reshape(-1)
 
     def _folds(self, a: complex, count: int) -> bool:
         """Whether the integrand at a is even in theta on ``count`` angles:

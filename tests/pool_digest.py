@@ -1,7 +1,8 @@
 """Digest of every benchmark pool item's CLI outcome, for byte-identity checks.
 
 Usage: ``python tests/pool_digest.py OUT.json [--against OLD.json]``
-   or: ``python tests/pool_digest.py --gate``
+   or: ``python tests/pool_digest.py --gate [OUT.json]``
+   or: ``python tests/pool_digest.py --diff NEW.json OLD.json``
 
 Runs each ``bench/pools.py`` ``all_items()`` entry in-process through
 ``qrspaces.cli.main`` (from this checkout's ``src``), with a fixed ``--out``
@@ -30,8 +31,11 @@ one summary line per workload: its items, its fails, and its worst
 deviation with the item that has it, so the headroom left under the gate's
 tolerance shows.  It also runs the ``pools.EXCLUDED`` items, whose contract
 is their error exit: each must exit as ``reference.json`` ``excluded``
-records, and one line sums them up.  It exits 1 if any item fails.  Reads
-``bench/`` and writes nothing there; pytest does not collect this file.
+records, and one line sums them up.  It exits 1 if any item fails.  With
+``OUT.json`` it also writes the pool items' digest there, as the first form
+does.  ``--diff`` runs nothing: it compares two digest files as
+``--against`` does.  Reads ``bench/`` and writes nothing there; pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -200,11 +204,31 @@ def differences(entries, old_entries) -> list:
     return diffs
 
 
+def diff_report(entries, old_path) -> int:
+    """Print every item of ``entries`` that differs from the digest at
+    ``old_path`` and a summary line; 1 if any differs."""
+    with open(old_path) as fh:
+        diffs = differences(entries, json.load(fh))
+    for item_argv, fields, keys, moved in diffs:
+        in_keys = f" (keys {', '.join(keys)})" if keys else ""
+        print(f"differs in {', '.join(fields)}{in_keys}: {json.dumps(item_argv)}")
+        if moved:
+            print("  moved: " + ", ".join(
+                f"{key} changed" if change is None else f"{key} {change:.2e}"
+                for key, change in moved))
+    print(f"{len(diffs)} of {len(entries)} items differ from {old_path}")
+    return 1 if diffs else 0
+
+
 def main(argv) -> int:
-    gating = argv == ["--gate"]
-    if not gating and (len(argv) not in (1, 3)
-                       or (len(argv) == 3 and argv[1] != "--against")):
-        print("\n".join(__doc__.strip().splitlines()[2:4]), file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--diff":
+        with open(argv[1]) as fh:
+            return diff_report(json.load(fh), argv[2])
+    gating = argv[:1] == ["--gate"]
+    out = argv[1:] if gating else argv[:1]
+    if not (len(argv) <= 2 if gating else
+            len(argv) == 1 or len(argv) == 3 and argv[1] == "--against"):
+        print("\n".join(__doc__.strip().splitlines()[2:5]), file=sys.stderr)
         return 2
     OUT_DIR.mkdir(exist_ok=True)
     try:
@@ -214,26 +238,15 @@ def main(argv) -> int:
                         for i, (argv, _) in enumerate(pools.EXCLUDED)]
     finally:
         OUT_DIR.rmdir()
+    entries = [entry for entry, _ in runs]
+    if out:
+        with open(out[0], "w") as fh:
+            json.dump(entries, fh, indent=1)
+            fh.write("\n")
+        print(f"{len(entries)} items -> {out[0]}")
     if gating:
         return gate_report(runs, excluded)
-    entries = [entry for entry, _ in runs]
-    with open(argv[0], "w") as fh:
-        json.dump(entries, fh, indent=1)
-        fh.write("\n")
-    print(f"{len(entries)} items -> {argv[0]}")
-    if len(argv) == 1:
-        return 0
-    with open(argv[2]) as fh:
-        diffs = differences(entries, json.load(fh))
-    for item_argv, fields, keys, moved in diffs:
-        in_keys = f" (keys {', '.join(keys)})" if keys else ""
-        print(f"differs in {', '.join(fields)}{in_keys}: {json.dumps(item_argv)}")
-        if moved:
-            print("  moved: " + ", ".join(
-                f"{key} changed" if change is None else f"{key} {change:.2e}"
-                for key, change in moved))
-    print(f"{len(diffs)} of {len(entries)} items differ from {argv[2]}")
-    return 1 if diffs else 0
+    return diff_report(entries, argv[2]) if len(argv) == 3 else 0
 
 
 if __name__ == "__main__":

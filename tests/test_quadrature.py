@@ -591,10 +591,11 @@ def test_complex_coefficient_map_keeps_full_tabulation(monkeypatch):
     assert not real_coefficients(f)
     shapes, tabulated = [], []
 
-    def spy(tabulate, rho, eig, count, spare):
+    def spy(tabulate, rho, eig, count):
         shapes.append((eig.size, count, rho.size))
-        tabulated.append(polar_tabulate(tabulate, rho, eig, count, spare))
-        return tabulated[-1]
+        bases, spare = polar_tabulate(tabulate, rho, eig, count)
+        tabulated.append(bases)
+        return bases, spare
 
     monkeypatch.setattr(quadrature, "polar_tabulate", spy)
     search = SupSearchSpec(max_j=1, angles_per_radius=4)
@@ -818,13 +819,13 @@ def test_row_blocks_leave_no_trace_in_tabulation(monkeypatch, path, even):
     # it.  KOEBE_SHEAR's coefficients are real, so its bases are even
     tabulated = []
 
-    def spy(tabulate, rho, eig, count, spare):
+    def spy(tabulate, rho, eig, count):
         calls = []
-        bases = polar_tabulate(lambda z: calls.append(z.size) or tabulate(z),
-                               rho, eig, count, spare)
+        bases, spare = polar_tabulate(
+            lambda z: calls.append(z.size) or tabulate(z), rho, eig, count)
         assert eig.size == (count // 2 + 1 if even else count)
         tabulated.append((len(calls), [b.tobytes() for b in bases]))
-        return bases
+        return bases, spare
 
     monkeypatch.setattr(quadrature, "polar_tabulate", spy)
     blocked = path(even)
@@ -855,13 +856,13 @@ def test_table_keeps_bases_and_factor_in_one_array(monkeypatch, path):
     path(True)
     assert tables
     for table in tables:
-        block = table.bases[0].base
-        assert block.shape == (len(table.bases) + 1, *table.bases[0].shape)
-        for k, b in enumerate(table.bases):
-            assert b.base is block and b.ctypes.data == block[k].ctypes.data
-        assert table._factor.base is block
-        assert table._factor.ctypes.data == block[-1].ctypes.data
-        assert table._factor.size == block[-1].size
+        # back to back in memory, which two allocations never are
+        planes = [*table.bases, table._factor]
+        size = table.bases[0].nbytes
+        assert all(p.nbytes == size and p.flags.c_contiguous for p in planes)
+        start = planes[0].ctypes.data
+        assert [p.ctypes.data for p in planes] == [
+            start + k * size for k in range(len(planes))]
 
 
 def test_composition_makes_no_grid_sized_temporary():

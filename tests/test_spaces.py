@@ -443,8 +443,12 @@ def test_consecutive_problems_reuse_the_heap():
     # on the heap keeps every page.  With a separate array per base and
     # factor the largest freed chunk was 2.1 MB, and each problem faulted
     # about 2,300 pages in anew.  A fresh interpreter, so that no earlier
-    # test has moved the thresholds
-    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+    # test has moved the thresholds, without the settings that pin them or
+    # swap glibc's allocator out (MALLOC_*_, GLIBC_TUNABLES, LD_PRELOAD)
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("MALLOC_")
+           and key not in ("GLIBC_TUNABLES", "LD_PRELOAD")}
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=str(Path(qrspaces.__file__).resolve().parent.parent))
     run = subprocess.run([sys.executable, "-c", CONSECUTIVE_PROBLEMS], env=env,
                          capture_output=True, text=True, check=True)
