@@ -410,16 +410,18 @@ MEMBERSHIP_IDS = ("4.1", "4.2")
 SEARCHED_IDS = tuple(t for t in THEOREM_IDS if t not in MEMBERSHIP_IDS)
 # The run fields only some theorems honour, with the theorems that do: the
 # theorem itself every one, K' the (K, K') forms, the target, growth order
-# and truncation depth the membership checks, the sup search the others,
-# the weight form none (every check is on the Mobius weight).  Set off its
-# default for any other theorem, such a field is an error, not ignored; so
-# is any of them, but the weight form and sup search ``norm`` reads, for the
-# commands that run no check.  The membership checks ignore the radial
-# count, which the environment may set for any run.
+# and truncation depth the membership checks, the radial count and the sup
+# search the others (a membership check's truncation rules fix their own
+# radial nodes), the weight form none (every check is on the Mobius
+# weight).  Set off its default by a flag or the config file for any other
+# theorem, such a field is an error, not ignored; so is any of them that a
+# command running no check does not read (its ``COMMAND_SETTINGS``, and the
+# weight form of ``norm``).  The environment may set the radial count for
+# any run.
 THEOREM_FIELDS = {"theorem": THEOREM_IDS,
                   "Kprime": ("3.5", "3.6", "cor3.4", "cor3.5", "cor3.6"),
                   "target": MEMBERSHIP_IDS, "alpha_K": MEMBERSHIP_IDS,
-                  "truncation_max_j": MEMBERSHIP_IDS,
+                  "truncation_max_j": MEMBERSHIP_IDS, "radial": SEARCHED_IDS,
                   "search_max_j": SEARCHED_IDS, "search_angles": SEARCHED_IDS,
                   "weight_form": ()}
 
@@ -706,8 +708,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise InvalidParameterError(
                     f"bad value for {ENV_PREFIX + name.upper()}: {raw!r}") from None
     path = given.pop("config", os.environ.get(ENV_PREFIX + "CONFIG", ""))
-    if path:
-        merged.update(_read_config_file(path, defaults))
+    file_cfg = _read_config_file(path, defaults) if path else {}
+    merged.update(file_cfg)
     cfg = RunConfig(**{**merged, **given, "command": command})
     _check_run_numbers(cfg)
     checks = command in ("verify", "sweep")
@@ -716,13 +718,16 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             f"unknown theorem id {cfg.theorem!r}; choose from {THEOREM_IDS}")
     for name, takers in THEOREM_FIELDS.items():
         value = getattr(cfg, name)
-        if value == getattr(RunConfig, name) or (checks and cfg.theorem in takers):
+        if (name not in given and name not in file_cfg
+                or value == getattr(RunConfig, name)
+                or (checks and cfg.theorem in takers)):
             continue
         flag = name.replace('_', '-')
         if checks:
             raise InvalidParameterError(
                 f"theorem {cfg.theorem} takes no --{flag}, got {value!r}")
-        if command != "norm" or name not in ("weight_form", *SEARCH_SETTINGS):
+        if name not in COMMAND_SETTINGS[command] and (
+                command, name) != ("norm", "weight_form"):
             raise InvalidParameterError(
                 f"{command} takes no --{flag}, got {value!r}")
     if not cfg.out:

@@ -61,7 +61,12 @@ caller that built the tabulator from the map knows this
 (``analytic.real_coefficients``); a bare callable gets every column.  ``polar_row_means`` keeps only each row's
 mean, for integrands that change with a and so are evaluated per a
 rather than tabulated once (the Green weight here, the composition path of
-``spaces``).  Every value is pointwise, so the results do not depend on
+``spaces``).  Their integrands built from a map with real coefficients
+are even in theta at a real a, as sigma_a(conj z) = conj(sigma_a(z))
+there: the caller says so, and the walk evaluates the columns
+0..count/2 alone and folds each row sum onto them with the weights
+(1, 2, ..., 2, 1)/count, those of the kernel's folded row means
+(``_half_means``).  Every value is pointwise, so the results do not depend on
 the blocking, and no grid-sized temporary is made.
 """
 
@@ -195,16 +200,32 @@ def polar_tabulate(tabulate, rho, eig, count: int) -> tuple:
     return bases, spare
 
 
-def polar_row_means(integrand, rho, eig) -> np.ndarray:
+def polar_row_means(integrand, rho, eig, even: bool = False,
+                    work=None) -> np.ndarray:
     """Row means of the real values ``integrand(z)`` on the polar grid
-    z[i, j] = rho[i] * eig[j], computed a row block at a time
-    (``_row_blocks``).  Each row's mean is taken over that row alone, so
-    the means do not depend on the blocking.  Contract them with
-    ``_radial_contract`` (or any radial rule on rho^2).
+    z[i, j] = rho[i] * eig[j], eig the count nodes of the circle, computed
+    a row block at a time (``_row_blocks``).  Each row's mean is taken over
+    that row alone, so the means do not depend on the blocking.  Contract
+    them with ``_radial_contract`` (or any radial rule on rho^2).
+
+    ``even`` says that the integrand is even in theta: on an even count it
+    is evaluated on the columns 0..count/2 alone, and each row sum folds
+    onto them with the weights (1, 2, ..., 2, 1)/count (``_half_means``).
+    ``work``, a ledger with a ``points`` count, gets the points evaluated.
     """
+    count = eig.size
+    fold = even and count % 2 == 0
+    if fold:
+        eig = eig[:count // 2 + 1]
+    h = count // 2
     means = np.empty(rho.size)
     for rows, z in _row_blocks(rho, eig):
-        means[rows] = np.asarray(integrand(z), dtype=np.float64).mean(axis=1)
+        values = np.asarray(integrand(z), dtype=np.float64)
+        means[rows] = (_half_means(values[:, 1:h].sum(axis=1), values[:, 0],
+                                   values[:, h], count)
+                       if fold else values.mean(axis=1))
+    if work is not None:
+        work["points"] += rho.size * eig.size
     return means
 
 
@@ -314,14 +335,24 @@ def _radial_contract(w, row_means) -> float:
     return float(0.5 * np.dot(w, row_means * (2.0 * np.pi)))
 
 
+def _half_means(inner, first, last, count: int) -> np.ndarray:
+    """The row means over ``count`` angles of rows even in theta, from their
+    half circle: ``inner``, the row sums over the columns 1..count/2-1, which
+    the columns past count/2 repeat, and ``first`` and ``last``, the columns
+    0 and count/2; so the weights are (1, 2, ..., 2, 1)/count."""
+    sums = 2.0 * inner
+    sums += first
+    sums += last
+    return sums / count
+
+
 def _row_means(b, mob) -> np.ndarray:
     """The row means of b * mob, for a Mobius factor ``mob`` of b's shape:
     one BLAS dot per row, divided by the count, so no product array is
     made.  The scalar factor 1.0 (s = 0 or a = 0) takes b's plain row means.
     A half factor, the columns 0..count/2 of a factor even in theta, pairs
-    with a base even in theta: the columns past count/2 repeat 1..count/2-1,
-    so the trapezoid sum folds onto the half circle with weights
-    (1, 2, ..., 2, 1).
+    with a base even in theta, and the trapezoid sum folds onto the half
+    circle (``_half_means``).
     """
     if isinstance(mob, float):
         return b.mean(axis=1)
@@ -329,10 +360,8 @@ def _row_means(b, mob) -> np.ndarray:
     if mob.shape[1] == count:
         return np.vecdot(b, mob) / count
     h = count // 2
-    sums = 2.0 * np.vecdot(b[:, 1:h], mob[:, 1:h])
-    sums += b[:, 0] * mob[:, 0]
-    sums += b[:, h] * mob[:, h]
-    return sums / count
+    return _half_means(np.vecdot(b[:, 1:h], mob[:, 1:h]), b[:, 0] * mob[:, 0],
+                       b[:, h] * mob[:, h], count)
 
 
 @functools.lru_cache(maxsize=None)
@@ -595,7 +624,8 @@ def green_cap_rule(n: int, q: float, s: float):
 
 def disk_integral_green(integrand, q: float, s: float, m: MobiusMap,
                         radial: int = DEFAULT_RADIAL,
-                        angular: int = DEFAULT_ANGULAR) -> IntegralResult:
+                        angular: int = DEFAULT_ANGULAR,
+                        even: bool = False, work=None) -> IntegralResult:
     """int_D integrand(z) (1-|z|^2)^q g(z,a)^s dA(z), g = -log|sigma_a|.
 
     The value is the rule of ``GREEN_CAP_NODES`` cap and ``radial`` annulus
@@ -605,9 +635,15 @@ def disk_integral_green(integrand, q: float, s: float, m: MobiusMap,
     resolved, as for an integrand growing too fast at the boundary.  One
     ``polar_row_means`` walk per rule takes sigma_a(w) and
     |1 - conj(a) w|^(2q+4) from one denominator per block.
+
+    ``even`` says that the integrand is even in theta, as a base built from
+    a map with real coefficients is; at a real a the pulled-back integrand
+    is even too (sigma_a(conj w) = conj(sigma_a(w))), and both rules fold
+    onto the half circle.  ``work`` is handed to both walks.
     """
     _check_mobius_params(q, s)
     a = m.param
+    fold = even and complex(a).imag == 0.0
     rho = abs(a)
     pref = (1.0 - rho ** 2) ** (q + 2.0)
     na = angular_count_for(rho, q + 2.0, angular)
@@ -625,7 +661,8 @@ def disk_integral_green(integrand, q: float, s: float, m: MobiusMap,
         grid = build_grid(nr, q + s, angular)  # validates nr and angular
         ct, cw = green_cap_rule(cap_nodes, q, s)
         t, wj = 0.5 + 0.5 * grid.radial_nodes, grid.radial_weights
-        means = polar_row_means(pulled_back, np.sqrt(np.concatenate([ct, t])), eig)
+        means = polar_row_means(pulled_back, np.sqrt(np.concatenate([ct, t])),
+                                eig, fold, work)
         log_corr = (0.5 * (-np.log(t)) / (1.0 - t)) ** s
         ann = 0.5 ** (q + s + 1.0) * np.dot(wj, log_corr * means[cap_nodes:])
         return float(np.pi * pref * (np.dot(cw, means[:cap_nodes]) + ann))

@@ -27,6 +27,15 @@ Composition-based evaluation (Faa di Bruno, ``composed_integral``) remains
 the path for jet orders n >= 2 until their pullback (ROADMAP item 11) is
 put on the engine.
 
+A map with real coefficients (``analytic.real_coefficients``) has
+f(conj z) = conj(f(z)), so every integral built from it is even in a,
+I(conj a) = I(a), and at a real a its integrand is even in theta.  The
+engine, composition and Green paths use both: an integral at a real a
+folds onto the half circle (the engine's tables, and the row-mean walks
+``quadrature.polar_row_means`` of the other two), and each search takes
+I(conj a) from I(a), evaluated at the one of the pair in the upper
+half-plane (``_ConjugatePairs``, the one place that does so).
+
 Every sup over a in the disk (engine, composition, Green, Bloch, and the u/v
 pairs of the conjugate checks) runs through ``_sup_search``: one lattice, one
 compass ascent per component of a joint objective, every component on the
@@ -359,6 +368,33 @@ def _sup_search(objective: Callable[[complex], Sequence[float]],
     return [(*max(trace, key=_by_value), trace) for trace in traces]
 
 
+class _ConjugatePairs:
+    """The per-a calls of one sup search into its kernel ``evaluate(a)``, of
+    the engine, composition or Green path.  For integrals even in a,
+    I(conj a) = I(a), as those of bases built from a map with real
+    coefficients are (``even``), a off the real axis is evaluated at the
+    one of a, conj(a) in the upper half-plane, and the first call of a
+    conjugate pair leaves its values for the second, which the route
+    counts ``evaluations`` count as ``conjugate``.  The kernel is passed
+    per call, so that an engine holding this holds no reference to itself
+    and is freed as soon as it is dropped."""
+
+    def __init__(self, evaluations: dict, even: bool):
+        self.evaluations = evaluations
+        self.partners = {} if even else None
+
+    def __call__(self, evaluate: Callable, a: complex):
+        a = complex(a)
+        if self.partners is None or not a.imag:
+            return evaluate(a)
+        values = self.partners.pop(a.conjugate(), None)
+        if values is not None:
+            self.evaluations["conjugate"] += 1
+            return values
+        values = self.partners[a] = evaluate(complex(a.real, abs(a.imag)))
+        return values
+
+
 def _norm_result(best, err_raw: float, p_root: float, grid: dict,
                  value_at_zero=None, warnings=()) -> NormResult:
     """NormResult of a sup ``(argmax, raw value, trace)`` on the 1/p_root scale.
@@ -437,8 +473,8 @@ class WeightedSupProblem:
         self.work = table_work()
         self._table = self._tabulate(self.radial, self.max_angular)
         self._const_value = None
-        self._partners = {}
         self.evaluations = dict.fromkeys(KERNEL_ROUTES, 0)
+        self._pairs = _ConjugatePairs(self.evaluations, even)
 
     def _tabulate(self, radial: int, count: int) -> PolarTable:
         """The ``PolarTable`` of the problem's (radial, count) rule."""
@@ -464,18 +500,9 @@ class WeightedSupProblem:
 
     def integral_at(self, a: complex) -> tuple:
         """One integral per base at the automorphism parameter a.  On an
-        even problem I(conj a) = I(a): a off the real axis is evaluated at
-        the one of a, conj(a) in the upper half-plane, and the first call of
-        a conjugate pair leaves its values for the second."""
-        a = complex(a)
-        if not (self.even and a.imag):
-            return self._direct(a)
-        values = self._partners.pop(a.conjugate(), None)
-        if values is not None:
-            self.evaluations["conjugate"] += 1
-            return values
-        values = self._partners[a] = self._direct(complex(a.real, abs(a.imag)))
-        return values
+        even problem I(conj a) = I(a), and a conjugate pair costs one kernel
+        run (``_ConjugatePairs``)."""
+        return self._pairs(self._direct, a)
 
     def _direct(self, a: complex) -> tuple:
         self.evaluations["direct"] += 1
@@ -620,11 +647,17 @@ def composed_rule(radial: int, alpha: float, count: int) -> tuple:
             np.exp(1j * angular_nodes(count)))
 
 
-def composed_integral(parts, n: int, p: float, a: complex, rule) -> float:
+def composed_integral(parts, n: int, p: float, a: complex, rule,
+                      work=None) -> float:
     """int (sum over ``parts`` of |(part o sigma_a)^(n)|)^p (1-t)^alpha dA on
     a ``composed_rule``: one ``compose_mobius`` per part, whose jets run on
-    the row blocks of ``quadrature.polar_row_means``."""
+    the row blocks of ``quadrature.polar_row_means``, which adds the points
+    it evaluates to ``work``.  At a real a, when every part has real
+    coefficients (``real_coefficients``), (part o sigma_a)(conj z) =
+    conj((part o sigma_a)(z)): the integrand is even in theta, and the
+    walk folds onto the half circle."""
     rho, w, eig = rule
+    even = complex(a).imag == 0.0 and all(map(real_coefficients, parts))
     m = MobiusMap(a)
     composed = [compose_mobius(part, m) for part in parts]
 
@@ -634,7 +667,7 @@ def composed_integral(parts, n: int, p: float, a: complex, rule) -> float:
             total += np.abs(c.jet(z, n, n)[n])
         return total ** p
 
-    return _radial_contract(w, polar_row_means(integrand, rho, eig))
+    return _radial_contract(w, polar_row_means(integrand, rho, eig, even, work))
 
 
 def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings):
@@ -644,14 +677,18 @@ def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings)
     that the aliasing bound of the pole order p(n+1)/2 picks for |a|; the
     rule of each (radial, count) is built once.  The error is node doubling
     at the argmax: twice the radial nodes and twice the count it used.
-    ``kernel_evaluations`` counts the per-a integrals: ``direct`` (one per
-    distinct a of the search) and ``refined``.
+    Parts with real coefficients fold each integral at a real a onto the
+    half circle and take I(conj a) from I(a) (``_ConjugatePairs``).
+    ``kernel_evaluations`` counts the per-a integrals: ``direct`` (kernel
+    runs), ``conjugate`` (a answered by conj(a)) and ``refined``; ``points``
+    the integrand points of them all.
     """
     check_angular(angular)
     n, p = params.n, params.p
     pole = 0.5 * p * (n + 1)
     rules = {}
-    evaluations = {"direct": 0, "refined": 0}
+    evaluations = {"direct": 0, "conjugate": 0, "refined": 0}
+    work = {"points": 0}
 
     def count_for(a):
         return angular_count_for(abs(complex(a)), pole, angular)
@@ -659,17 +696,18 @@ def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings)
     def integral(a, nr, count):
         if (nr, count) not in rules:
             rules[nr, count] = composed_rule(nr, params.alpha, count)
-        return composed_integral(parts, n, p, a, rules[nr, count])
+        return composed_integral(parts, n, p, a, rules[nr, count], work)
 
-    def integral_at(a):
+    def direct(a):
         evaluations["direct"] += 1
         return (integral(a, radial, count_for(a)),)
 
-    (best,) = _sup_search(integral_at, search)
+    pairs = _ConjugatePairs(evaluations, all(map(real_coefficients, parts)))
+    (best,) = _sup_search(lambda a: pairs(direct, a), search)
     evaluations["refined"] += 1
     refined = integral(best[0], 2 * radial, 2 * count_for(best[0]))
     grid = {"grid_radial": radial, "grid_angular": angular, "jet_order": n,
-            "kernel_evaluations": evaluations}
+            "kernel_evaluations": evaluations, "points": work["points"]}
     return _norm_result(best, abs(refined - best[1]), p, grid, f0, warnings)
 
 
@@ -695,21 +733,27 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
 
     # the node-doubling error of each per-a integral, kept for the argmax
     errors = {}
-    evaluations = {"direct": 0}
+    evaluations = {"direct": 0, "conjugate": 0}
+    work = {"points": 0}
+    even = real_coefficients(f)
 
-    def integral_at(a):
+    def direct(a):
         res = disk_integral_green(lambda z: tabulate(z)[0], params.q,
-                                  params.s, MobiusMap(a),
-                                  radial=radial, angular=angular)
+                                  params.s, MobiusMap(a), radial=radial,
+                                  angular=angular, even=even, work=work)
         evaluations["direct"] += 1
         errors[a] = res.abs_error_estimate
         return (res.value,)
 
-    (best,) = _sup_search(integral_at, search)
+    pairs = _ConjugatePairs(evaluations, even)
+    (best,) = _sup_search(lambda a: pairs(direct, a), search)
     grid = {"grid_radial": radial, "grid_angular": angular,
             "grid_cap": GREEN_CAP_NODES, "weight": "green",
-            "kernel_evaluations": evaluations}
-    return _norm_result(best, errors[best[0]], params.p, grid)
+            "kernel_evaluations": evaluations, "points": work["points"]}
+    a = complex(best[0])
+    # an a answered by conj(a) has the error of conj(a)
+    err = errors[a] if a in errors else errors[a.conjugate()]
+    return _norm_result(best, err, params.p, grid)
 
 
 def m_pqs_norm(f, params: Mpqs, search: Optional[SupSearchSpec] = None,

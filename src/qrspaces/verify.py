@@ -570,7 +570,9 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
     No fixed equivalence constant is asserted; the report carries the range
     of the observed ratios over the supplied automorphism parameters, of
     which there must be at least one.  q and s are checked as both
-    integrals check them, before either runs.
+    integrals check them, before either runs.  A map with real
+    coefficients folds the Green integral at a real a onto the half circle
+    (``disk_integral_green``).
     """
     _check_mobius_params(q, s)
     a_grid = list(a_grid)
@@ -578,6 +580,7 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
         raise InvalidParameterError(
             "the equivalence ratio needs at least one automorphism parameter")
     tabulate = _pow_tabulator(_lambda_fn(f), p)
+    even = real_coefficients(f)
 
     def base(z):
         return tabulate(z)[0]
@@ -585,7 +588,7 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
     entries = []
     for a in a_grid:
         m = MobiusMap(a)
-        gval = disk_integral_green(base, q, s, m).value
+        gval = disk_integral_green(base, q, s, m, even=even).value
         wval = disk_integral_mobius_weight(base, q, s, m, tol=1e-9).value
         entries.append((complex(a), gval, wval, gval / wval))
     ratios = [e[3] for e in entries]

@@ -21,3 +21,20 @@ def generic(f):
 
     return AnalyticFn(lambda z, order, min_order: f.jet(z, order, min_order),
                       max_order=f.max_order, description=f.description)
+
+
+def column_spy(monkeypatch) -> list:
+    """(rows, columns) of every polar grid that ``quadrature._row_blocks``
+    walks from now on: columns count/2 + 1 where a walk folds onto the
+    half circle."""
+    from qrspaces import quadrature
+
+    grids = []
+    walk = quadrature._row_blocks
+
+    def spy(rho, eig):
+        grids.append((rho.size, eig.size))
+        return walk(rho, eig)
+
+    monkeypatch.setattr(quadrature, "_row_blocks", spy)
+    return grids

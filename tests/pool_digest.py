@@ -9,8 +9,11 @@ Runs each ``bench/pools.py`` ``all_items()`` entry in-process through
 path per item, and writes one entry per item: the argv, the exit code, the
 captured stdout and stderr, the sha256 of the output file (null when the
 item wrote none), as ``out_keys``, a sha256 of each top-level key of the
-output's records (each column of a sweep's CSV) over all its records, and,
-as ``outcome``, the fields the benchmark gates (``bench/worker.parse_outcome``).
+output's records (each column of a sweep's CSV) over all its records, as
+``outcome``, the fields the benchmark gates (``bench/worker.parse_outcome``),
+and, as ``kernel_evaluations``, the item's per-a evaluations by route,
+summed over its records (null when no record counts them: a sweep, a
+growth fit, a membership check, an error exit).
 Records embed the ``--out`` path, so the path depends only on the item's
 position.  Two checkouts behave identically on the pools when their digests
 are identical: run the script in one checkout, then in the other with
@@ -20,7 +23,10 @@ whose exit, stdout, stderr or ``out_sha256`` differ, with the fields that
 differ and the record keys whose values differ, then how far its gated
 fields moved: the largest relative change of each numeric field that
 differs (over a sweep's rows and a list's entries), or ``changed`` for any
-other.  It exits 1 if any item differs.
+other, and how each route of its kernel evaluations changed
+(``direct 51 -> 45, conjugate 0 -> 6``); a last line sums the routes over
+the items both digests count, so the work a change saves shows.  It exits
+1 if any item differs.
 
 ``--gate`` judges the same runs the way the benchmark does, for changes that
 move values in their last bits: each outcome goes through
@@ -76,6 +82,27 @@ def record_keys(path: Path) -> dict:
             for key in keys}
 
 
+def kernel_evaluations(path: Path):
+    """The per-a evaluations by route, summed over the records of a JSON
+    lines output: each record's own ``kernel_evaluations`` (a conjugate
+    check), its ``grid``'s (a norm) or its ``engine_check``'s (a constant).
+    None for a CSV or when no record has them."""
+    if path.suffix == ".csv":
+        return None
+    totals = None
+    with open(path) as fh:
+        for record in map(json.loads, fh):
+            holders = (record, record.get("grid"), record.get("engine_check"))
+            routes = next((h["kernel_evaluations"] for h in holders
+                           if isinstance(h, dict) and "kernel_evaluations" in h),
+                          None)
+            if routes is not None:
+                totals = totals or {}
+                for route, count in routes.items():
+                    totals[route] = totals.get(route, 0) + count
+    return totals
+
+
 def digest_item(index: int, argv):
     """(digest entry, gate outcome) of one item."""
     suffix = ".csv" if argv[0] == "sweep" else ".jsonl"
@@ -86,13 +113,15 @@ def digest_item(index: int, argv):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = qrspaces.cli.main(list(argv) + ["--out", str(out_path)])
     outcome = worker.parse_outcome(argv, code, str(out_path))
-    sha, keys = None, {}
+    sha, keys, routes = None, {}, None
     if out_path.exists():
         sha, keys = _sha256(out_path.read_bytes()), record_keys(out_path)
+        routes = kernel_evaluations(out_path)
         out_path.unlink()
     return {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
             "stderr": stderr.getvalue(), "out_sha256": sha,
-            "out_keys": keys, "outcome": outcome}, outcome
+            "out_keys": keys, "outcome": outcome,
+            "kernel_evaluations": routes}, outcome
 
 
 def excluded_report(entries) -> int:
@@ -179,13 +208,40 @@ def moved_fields(outcome: dict, old_outcome: dict) -> list:
     return moved
 
 
+def route_changes(routes, old_routes) -> str:
+    """``direct 51 -> 45, conjugate 0 -> 6``: each route whose count differs
+    between two ``kernel_evaluations``, a route one of them lacks counting
+    0; empty when they agree or either is None."""
+    if routes is None or old_routes is None:
+        return ""
+    return ", ".join(
+        f"{route} {old_routes.get(route, 0)} -> {routes.get(route, 0)}"
+        for route in dict.fromkeys([*old_routes, *routes])
+        if routes.get(route, 0) != old_routes.get(route, 0))
+
+
+def route_totals(entries, old_entries) -> tuple:
+    """The ``kernel_evaluations`` of both digests summed route by route over
+    the items at the same position and argv that both count."""
+    totals = ({}, {})
+    for new, old in zip(entries, old_entries):
+        pair = new.get("kernel_evaluations"), old.get("kernel_evaluations")
+        if new["argv"] != old["argv"] or None in pair:
+            continue
+        for total, routes in zip(totals, pair):
+            for route, count in routes.items():
+                total[route] = total.get(route, 0) + count
+    return totals
+
+
 def differences(entries, old_entries) -> list:
-    """(argv, differing fields, differing record keys, moved gated fields)
-    of every item whose outcome differs; an item present in one digest only
-    differs in every field.  A key differs when its hash differs or one
-    digest lacks it (a digest made before ``out_keys`` lacks them all);
-    the moved fields are ``moved_fields``, empty when a digest lacks the
-    item's ``outcome``."""
+    """(argv, differing fields, differing record keys, moved gated fields,
+    route changes) of every item whose outcome differs; an item present in
+    one digest only differs in every field.  A key differs when its hash
+    differs or one digest lacks it (a digest made before ``out_keys`` lacks
+    them all); the moved fields are ``moved_fields``, empty when a digest
+    lacks the item's ``outcome``; the route changes are ``route_changes``,
+    empty when a digest lacks the item's ``kernel_evaluations``."""
     missing = dict.fromkeys(FIELDS)
     diffs = []
     for i in range(max(len(entries), len(old_entries))):
@@ -198,25 +254,34 @@ def differences(entries, old_entries) -> list:
         moved = []
         if new.get("outcome") is not None and old.get("outcome") is not None:
             moved = moved_fields(new["outcome"], old["outcome"])
+        routes = route_changes(new.get("kernel_evaluations"),
+                               old.get("kernel_evaluations"))
         if fields:
             diffs.append((new.get("argv") or old.get("argv"), fields, keys,
-                          moved))
+                          moved, routes))
     return diffs
 
 
 def diff_report(entries, old_path) -> int:
     """Print every item of ``entries`` that differs from the digest at
-    ``old_path`` and a summary line; 1 if any differs."""
+    ``old_path``, a summary line and the route totals; 1 if any differs."""
     with open(old_path) as fh:
-        diffs = differences(entries, json.load(fh))
-    for item_argv, fields, keys, moved in diffs:
+        old_entries = json.load(fh)
+    diffs = differences(entries, old_entries)
+    for item_argv, fields, keys, moved, routes in diffs:
         in_keys = f" (keys {', '.join(keys)})" if keys else ""
         print(f"differs in {', '.join(fields)}{in_keys}: {json.dumps(item_argv)}")
         if moved:
             print("  moved: " + ", ".join(
                 f"{key} changed" if change is None else f"{key} {change:.2e}"
                 for key, change in moved))
+        if routes:
+            print(f"  kernel evaluations: {routes}")
     print(f"{len(diffs)} of {len(entries)} items differ from {old_path}")
+    totals, old_totals = route_totals(entries, old_entries)
+    if totals or old_totals:
+        print("kernel evaluations over the items both count: "
+              + (route_changes(totals, old_totals) or "unchanged"))
     return 1 if diffs else 0
 
 

@@ -314,6 +314,11 @@ AFFINE_31 = ["--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
       "--K", "1"], {"search_max_j": 2}),
     (["constants", "--constant", "qs:s=1"], {"search_max_j": 2}),
     (["growth", "--map", "koebe"], {"truncation_max_j": 5}),
+    (["verify", "--theorem", "4.1", "--map", "koebe", "--scale", "M(0.8,0,1)",
+      "--K", "1", "--truncation-max-j", "4", "--radial", "8"], None),
+    (["sweep", "--theorem", "4.2", "--maps", "koebe", "--cells", "F(2,0,1)",
+      "--K", "1"], {"radial": 8}),
+    (["growth", "--map", "koebe"], {"radial": 8}),
 ], ids=["norm-green-morrey", "norm-green-config", "3.1-kprime",
         "cor3.1-kprime", "3.1-target", "3.5-alpha-k", "verify-green-config",
         "4.1-kprime-config", "sweep-3.2-kprime", "sweep-cor3.4-alpha-k-config",
@@ -321,7 +326,8 @@ AFFINE_31 = ["--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
         "constants-theorem-config", "constants-green-config",
         "growth-kprime-config", "growth-target-config", "3.1-truncation-max-j",
         "4.1-search-max-j", "4.2-search-angles", "sweep-4.1-search-config",
-        "constants-search-config", "growth-truncation-config"])
+        "constants-search-config", "growth-truncation-config", "4.1-radial",
+        "sweep-4.2-radial-config", "growth-radial-config"])
 def test_flag_the_norm_or_theorem_cannot_honour_exit_2(tmp_path, capsys, args,
                                                        config):
     # a flag that the chosen norm or theorem would ignore is rejected, not
@@ -794,6 +800,17 @@ def test_env_override(tmp_path, monkeypatch):
     # every spelling argparse accepts counts as the flag, a prefix included
     for flag in (["--radial", "64"], ["--rad", "64"], ["--radial=64"]):
         assert radial(*flag) == 64
+
+
+def test_environment_radial_reaches_a_membership_check(tmp_path, monkeypatch):
+    # QRSPACES_RADIAL sets the radial count of every run, so a 4.x check
+    # accepts it from there, though its truncation rules never read it
+    monkeypatch.setenv("QRSPACES_RADIAL", "8")
+    out = tmp_path / "v.jsonl"
+    assert main(["verify", "--theorem", "4.1", "--map", "koebe", "--scale",
+                 "M(0.8,0,1)", "--K", "1", "--truncation-max-j", "4",
+                 "--out", str(out)]) in (0, 1)
+    assert read_jsonl(out)[0]["config"]["radial"] == 8
 
 
 @pytest.mark.parametrize("content, command", [

@@ -5,10 +5,12 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from conftest import column_spy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import beta as beta_fn
 
+import qrspaces.spaces
 from qrspaces import quadrature
 from qrspaces.analytic import koebe, real_coefficients
 from qrspaces.cli import MAP_FAMILIES, build_map
@@ -776,6 +778,52 @@ def test_row_blocks_leave_no_trace_in_green(monkeypatch, count):
     blocked = value()
     monkeypatch.setattr(quadrature, "ROW_BLOCK_POINTS", 10 ** 9)
     assert blocked == value()
+
+
+def _nonconstant_parts(spec):
+    f = build_map(spec)
+    return [part for part in (f.h, f.g) if part.constant_value is None]
+
+
+@pytest.mark.parametrize("count", [256, 2048])
+@pytest.mark.parametrize("a", [0.5, 0.9984375])
+@pytest.mark.parametrize("spec", ["koebe", "cayley-shear:k=0.5"])
+def test_composition_folds_onto_the_half_circle_at_a_real_a(monkeypatch, spec,
+                                                             a, count):
+    # parts with real coefficients at a real a: the integrand is even in
+    # theta, so the walk evaluates the columns 0..count/2 alone and folds
+    # the row sums, within 1e-14 of the whole circle
+    parts = _nonconstant_parts(spec)
+    rule = composed_rule(128, KOEBE_Q211.alpha, count)
+    grids = column_spy(monkeypatch)
+    folded = composed_integral(parts, 2, 1.0, a, rule)
+    assert grids == [(128, count // 2 + 1)]
+    monkeypatch.setattr(qrspaces.spaces, "real_coefficients", lambda f: False)
+    full = composed_integral(parts, 2, 1.0, a, rule)
+    assert grids[1:] == [(128, count)]
+    assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("count", [256, 2048])
+@pytest.mark.parametrize("a", [0.5, 0.9984375])
+@pytest.mark.parametrize("spec", ["koebe", "cayley-shear:k=0.5"])
+def test_green_folds_onto_the_half_circle_at_a_real_a(monkeypatch, spec, a,
+                                                       count):
+    # the same for both rules of the Green integral, on Lambda_f^(1/2) at
+    # s = 4, which both maps resolve at both a
+    base = _pow_tabulator(_lambda_fn(build_map(spec)), 0.5)
+    na = angular_count_for(a, 2.0, count)
+    grids = column_spy(monkeypatch)
+
+    def value(even):
+        return disk_integral_green(lambda z: base(z)[0], 0.0, 4.0, MobiusMap(a),
+                                   angular=count, even=even).value
+
+    folded = value(True)
+    assert grids == [(160, na // 2 + 1), (320, na // 2 + 1)]
+    full = value(False)
+    assert grids[2:] == [(160, na), (320, na)]
+    assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
 
 
 KOEBE_SHEAR = koebe_shear(0.5)

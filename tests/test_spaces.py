@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from conftest import generic
+from conftest import column_spy, generic
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import hyp2f1
@@ -161,7 +161,58 @@ def test_fh_green_form_close_to_mobius_form():
     # measured node-doubling error, not a fixed fraction of the value
     assert g.error_estimate < 1e-7 * g.value
     assert g.grid["grid_cap"] == 32
-    assert set(g.grid["kernel_evaluations"]) == {"direct"}
+    assert set(g.grid["kernel_evaluations"]) == {"direct", "conjugate"}
+
+
+# the two per-a paths outside the engine, as the cli-mix pool runs them
+PER_A_NORMS = {
+    "composition": lambda f, search: qh_npa_norm(f, Qnpa(2, 1.0, 1.0), search),
+    "green": lambda f, search: fh_pqs_norm(f, Fpqs(2.0, 0.0, 1.0), search,
+                                           weight_form="green"),
+}
+
+
+@pytest.mark.parametrize("path, f, search", [
+    ("composition", analytic_as_harmonic(koebe()), SupSearchSpec(4, 8)),
+    ("green", analytic_as_harmonic(identity()), SupSearchSpec(3, 4)),
+], ids=["composition", "green"])
+def test_per_a_paths_take_i_conj_a_from_i_a(monkeypatch, path, f, search):
+    # real coefficients: a conjugate pair of the trace costs one integral and
+    # both members carry its bits; each a is one direct integral or one
+    # conjugate answer, integrals at a real a walk the half circle, and the
+    # record counts every integrand point walked
+    grids = column_spy(monkeypatch)
+    res = PER_A_NORMS[path](f, search)
+    values = dict(res.trace)
+    pairs = [a for a in values if a.imag > 0 and a.conjugate() in values]
+    assert pairs and all(values[a] == values[a.conjugate()] for a in pairs)
+    routes = res.grid["kernel_evaluations"]
+    assert routes["conjugate"] == len(pairs)
+    assert routes["direct"] + routes["conjugate"] == len(values)
+    assert any(cols % 2 for _, cols in grids)
+    assert res.grid["points"] == sum(rows * cols for rows, cols in grids)
+
+
+@pytest.mark.parametrize("path", ["composition", "green"])
+def test_complex_coefficients_never_fold_or_pair(monkeypatch, path):
+    # f(conj z) != conj(f(z)): every walk takes the whole circle of its
+    # even count, and every distinct a its own integral, at a itself
+    grids = column_spy(monkeypatch)
+    asked = []
+    for name in ("composed_integral", "disk_integral_green"):
+        def spy(*args, kernel=getattr(qrspaces.spaces, name), **kw):
+            asked.append(complex(getattr(args[3], "param", args[3])))
+            return kernel(*args, **kw)
+        monkeypatch.setattr(qrspaces.spaces, name, spy)
+    res = PER_A_NORMS[path](analytic_as_harmonic(poly([0.0, 1.0, 0.5j])),
+                            SupSearchSpec(3, 4))
+    assert grids and not any(cols % 2 for _, cols in grids)
+    values = dict(res.trace)
+    assert any(a.imag < 0 for a in values) and set(asked) == set(values)
+    routes = res.grid["kernel_evaluations"]
+    assert routes["conjugate"] == 0
+    assert routes["direct"] == len(values)
+    assert res.grid["points"] == sum(rows * cols for rows, cols in grids)
 
 
 def test_fh_invalid_weight_form():
