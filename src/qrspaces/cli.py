@@ -412,18 +412,15 @@ SEARCHED_IDS = tuple(t for t in THEOREM_IDS if t not in MEMBERSHIP_IDS)
 # theorem itself every one, K' the (K, K') forms, the target, growth order
 # and truncation depth the membership checks, the radial count and the sup
 # search the others (a membership check's truncation rules fix their own
-# radial nodes), the weight form none (every check is on the Mobius
-# weight).  Set off its default by a flag or the config file for any other
-# theorem, such a field is an error, not ignored; so is any of them that a
-# command running no check does not read (its ``COMMAND_SETTINGS``, and the
-# weight form of ``norm``).  The environment may set the radial count for
-# any run.
+# radial nodes).  Set off its default by a flag or the config file for any
+# other theorem, such a field is an error, not ignored, as is a config-file
+# key that is no flag of the command (``resolve_config``).  The environment
+# may set the radial count for any run.
 THEOREM_FIELDS = {"theorem": THEOREM_IDS,
                   "Kprime": ("3.5", "3.6", "cor3.4", "cor3.5", "cor3.6"),
                   "target": MEMBERSHIP_IDS, "alpha_K": MEMBERSHIP_IDS,
                   "truncation_max_j": MEMBERSHIP_IDS, "radial": SEARCHED_IDS,
-                  "search_max_j": SEARCHED_IDS, "search_angles": SEARCHED_IDS,
-                  "weight_form": ()}
+                  "search_max_j": SEARCHED_IDS, "search_angles": SEARCHED_IDS}
 
 
 def run_verification(cfg: RunConfig):
@@ -712,24 +709,25 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged.update(file_cfg)
     cfg = RunConfig(**{**merged, **given, "command": command})
     _check_run_numbers(cfg)
-    checks = command in ("verify", "sweep")
-    if checks and cfg.theorem not in THEOREM_IDS:
-        raise InvalidParameterError(
-            f"unknown theorem id {cfg.theorem!r}; choose from {THEOREM_IDS}")
-    for name, takers in THEOREM_FIELDS.items():
-        value = getattr(cfg, name)
-        if (name not in given and name not in file_cfg
-                or value == getattr(RunConfig, name)
-                or (checks and cfg.theorem in takers)):
-            continue
-        flag = name.replace('_', '-')
-        if checks:
+    # a config-file key off its default that no flag of the subcommand's own
+    # parser sets
+    (sub,) = (a for a in build_parser()._actions if a.dest == "command")
+    fields = {a.dest for a in sub.choices[command]._actions}
+    for name, value in file_cfg.items():
+        if name not in fields and name != "command" and value != defaults[name]:
             raise InvalidParameterError(
-                f"theorem {cfg.theorem} takes no --{flag}, got {value!r}")
-        if name not in COMMAND_SETTINGS[command] and (
-                command, name) != ("norm", "weight_form"):
+                f"{command} takes no config key {name!r}, got {value!r}")
+    if command in ("verify", "sweep"):
+        if cfg.theorem not in THEOREM_IDS:
             raise InvalidParameterError(
-                f"{command} takes no --{flag}, got {value!r}")
+                f"unknown theorem id {cfg.theorem!r}; choose from {THEOREM_IDS}")
+        for name, takers in THEOREM_FIELDS.items():
+            value = getattr(cfg, name)
+            if ((name in given or name in file_cfg) and cfg.theorem not in takers
+                    and value != defaults[name]):
+                raise InvalidParameterError(
+                    f"theorem {cfg.theorem} takes no "
+                    f"--{name.replace('_', '-')}, got {value!r}")
     if not cfg.out:
         cfg.out = (f"qrspaces-{cfg.command}.jsonl"
                    if cfg.command != "sweep" else "qrspaces-sweep.csv")

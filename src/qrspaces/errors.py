@@ -4,6 +4,9 @@ The CLI maps these onto process exit codes: invalid parameters exit with 2,
 accuracy/quadrature failures with 3, I/O problems with 4.
 """
 
+import contextlib
+import operator
+
 
 class QrspacesError(Exception):
     """Base class for all package-specific errors."""
@@ -38,3 +41,12 @@ class HypothesisViolationError(QrspacesError):
 
 class InfiniteConstantError(QrspacesError, ArithmeticError):
     """A sup-type constant or a constant base's norm is infinite (s < 0)."""
+
+
+def require_index(value, name: str) -> int:
+    """``value`` as an int; a bool, or a value ``operator.index`` refuses
+    (a float such as 4.0), is an InvalidParameterError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise InvalidParameterError(f"{name} must be an integer, got {value!r}")

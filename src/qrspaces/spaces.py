@@ -32,9 +32,10 @@ f(conj z) = conj(f(z)), so every integral built from it is even in a,
 I(conj a) = I(a), and at a real a its integrand is even in theta.  The
 engine, composition and Green paths use both: an integral at a real a
 folds onto the half circle (the engine's tables, and the row-mean walks
-``quadrature.polar_row_means`` of the other two), and each search takes
-I(conj a) from I(a), evaluated at the one of the pair in the upper
-half-plane (``_ConjugatePairs``, the one place that does so).
+``quadrature.polar_row_means`` of the other two), and ``_sup_search``, the
+one place that does so, takes I(conj a) from I(a), evaluated at the one of
+the pair in the upper half-plane.  Its lattice comes in exact conjugate
+pairs, so every off-axis lattice pair costs one evaluation.
 
 Every sup over a in the disk (engine, composition, Green, Bloch, and the u/v
 pairs of the conjugate checks) runs through ``_sup_search``: one lattice, one
@@ -77,7 +78,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analytic import AnalyticFn, compose_mobius, constant_bases, real_coefficients
-from .errors import InfiniteConstantError, InvalidParameterError
+from .errors import InfiniteConstantError, InvalidParameterError, require_index
 from .harmonic import HarmonicMap, wirtinger
 from .mobius import MobiusMap
 from .quadrature import (
@@ -109,7 +110,7 @@ class Qnpa:
     alpha: float
 
     def validate(self):
-        if self.n < 1:
+        if require_index(self.n, "the jet order n") < 1:
             raise InvalidParameterError("n must be a positive integer")
         if self.p <= 0.0:
             raise InvalidParameterError("p must be positive")
@@ -256,6 +257,8 @@ class SupSearchSpec:
     angles_per_radius: int = 16
 
     def __post_init__(self):
+        require_index(self.max_j, "the search depth max_j")
+        require_index(self.angles_per_radius, "the angles per radius")
         if not 0 <= self.max_j <= RADIUS_CAP_J or self.angles_per_radius < 1:
             raise InvalidParameterError(
                 f"the sup search takes a depth max_j in 0..{RADIUS_CAP_J} and at "
@@ -264,10 +267,15 @@ class SupSearchSpec:
 
     def rings(self) -> dict:
         """The points a = r e^(2 pi i k/angles_per_radius) of each ring r > 0,
-        the very values ``candidates`` yields."""
+        the very values ``candidates`` yields.  Each point with k > n/2 is
+        the exact conjugate of the point at n - k, so an objective even in a
+        costs one evaluation per off-axis pair (``_sup_search``)."""
         n = self.angles_per_radius
-        return {r: [r * np.exp(1j * (2.0 * np.pi * k / n)) for k in range(n)]
-                for r in dyadic_radii(self.max_j)[1:]}
+        rings = {}
+        for r in dyadic_radii(self.max_j)[1:]:
+            ring = [r * np.exp(1j * (2.0 * np.pi * k / n)) for k in range(n // 2 + 1)]
+            rings[r] = ring + [ring[n - k].conjugate() for k in range(n // 2 + 1, n)]
+        return rings
 
     def candidates(self):
         """The lattice in a deterministic order: 0j, then every ring of
@@ -331,7 +339,8 @@ def _compass_max(objective: Callable[[complex], float], start: complex,
 
 
 def _sup_search(objective: Callable[[complex], Sequence[float]],
-                search: SupSearchSpec, ring: Optional[Callable] = None):
+                search: SupSearchSpec, ring: Optional[Callable] = None,
+                ledger: Optional[dict] = None):
     """One (argmax, value, trace) per component of a joint objective.
 
     ``objective(a)`` returns one value per component (a one-tuple for a
@@ -340,8 +349,13 @@ def _sup_search(objective: Callable[[complex], Sequence[float]],
     components come out with dominated sups.  Memoized: one joint evaluation
     per distinct a.  ``ring(r, turns)``, if given, returns the objective at
     every lattice point of the radius r at once, or None to leave them to
-    ``objective``; its values seed the memo.  The argmax is the first trace
-    point with the largest value.
+    ``objective``; its values seed the memo.  ``ledger`` is the route ledger
+    of an objective even in a, I(conj a) = I(a) (built from a map with real
+    coefficients), or None: for an even objective an a off the real axis is
+    evaluated at the one of a, conj(a) in the upper half-plane, and the
+    second of a pair takes the first one's values, counted as
+    ``conjugate``.  The argmax is the first trace point with the largest
+    value.
     """
     memo = {}
     if ring is not None:
@@ -352,7 +366,13 @@ def _sup_search(objective: Callable[[complex], Sequence[float]],
 
     def joint(a):
         if a not in memo:
-            memo[a] = objective(a)
+            if ledger is None or not a.imag:
+                memo[a] = objective(complex(a))
+            elif a.conjugate() in memo:
+                ledger["conjugate"] += 1
+                memo[a] = memo[a.conjugate()]
+            else:
+                memo[a] = objective(complex(a.real, abs(a.imag)))
         return memo[a]
 
     lattice = search.candidates()
@@ -366,33 +386,6 @@ def _sup_search(objective: Callable[[complex], Sequence[float]],
     for i, trace in enumerate(traces):
         trace.extend((a, joint(a)[i]) for a in union)
     return [(*max(trace, key=_by_value), trace) for trace in traces]
-
-
-class _ConjugatePairs:
-    """The per-a calls of one sup search into its kernel ``evaluate(a)``, of
-    the engine, composition or Green path.  For integrals even in a,
-    I(conj a) = I(a), as those of bases built from a map with real
-    coefficients are (``even``), a off the real axis is evaluated at the
-    one of a, conj(a) in the upper half-plane, and the first call of a
-    conjugate pair leaves its values for the second, which the route
-    counts ``evaluations`` count as ``conjugate``.  The kernel is passed
-    per call, so that an engine holding this holds no reference to itself
-    and is freed as soon as it is dropped."""
-
-    def __init__(self, evaluations: dict, even: bool):
-        self.evaluations = evaluations
-        self.partners = {} if even else None
-
-    def __call__(self, evaluate: Callable, a: complex):
-        a = complex(a)
-        if self.partners is None or not a.imag:
-            return evaluate(a)
-        values = self.partners.pop(a.conjugate(), None)
-        if values is not None:
-            self.evaluations["conjugate"] += 1
-            return values
-        values = self.partners[a] = evaluate(complex(a.real, abs(a.imag)))
-        return values
 
 
 def _norm_result(best, err_raw: float, p_root: float, grid: dict,
@@ -442,15 +435,15 @@ class WeightedSupProblem:
     ``ring_integrals`` of one factor.  ``base_angular`` must be a rung,
     since every a != 0 gets at least the first one.  ``evaluations`` counts
     the per-a evaluations by route: ``direct`` (each kernel run of
-    ``integral_at``), ``conjugate`` (the ``integral_at`` calls answered by
-    the values of conj(a)), ``ring_turns`` (the lattice points
-    ``ring_integrals`` served) and ``refined`` (``refined_integral_at``);
-    ``work`` is the one ledger of the master table and every node-doubling
-    table.  ``even``, for bases built from a map with real coefficients,
-    makes every table tabulate half the circle and fold the kernel at real
-    a (``quadrature.PolarTable``), and makes ``integral_at`` evaluate one a
-    of each conjugate pair, since the integrals of even bases are even in
-    a too: I(conj a) = I(a).
+    ``integral_at``), ``conjugate`` (an a the search answered from conj(a)),
+    ``ring_turns`` (the lattice points ``ring_integrals`` served) and
+    ``refined`` (``refined_integral_at``); ``work`` is the one ledger of the
+    master table and every node-doubling table.  ``even``, for bases built
+    from a map with real coefficients, makes every table tabulate half the
+    circle and fold the kernel at real a (``quadrature.PolarTable``); the
+    integrals of even bases are even in a too, I(conj a) = I(a), and a
+    search given ``evaluations`` as its ledger (``_sup_search``) evaluates
+    one a of each conjugate pair.
     """
 
     def __init__(self, tabulate: Callable, q_eff: float, s_eff: float,
@@ -474,7 +467,6 @@ class WeightedSupProblem:
         self._table = self._tabulate(self.radial, self.max_angular)
         self._const_value = None
         self.evaluations = dict.fromkeys(KERNEL_ROUTES, 0)
-        self._pairs = _ConjugatePairs(self.evaluations, even)
 
     def _tabulate(self, radial: int, count: int) -> PolarTable:
         """The ``PolarTable`` of the problem's (radial, count) rule."""
@@ -499,12 +491,8 @@ class WeightedSupProblem:
                    self.max_angular)
 
     def integral_at(self, a: complex) -> tuple:
-        """One integral per base at the automorphism parameter a.  On an
-        even problem I(conj a) = I(a), and a conjugate pair costs one kernel
-        run (``_ConjugatePairs``)."""
-        return self._pairs(self._direct, a)
-
-    def _direct(self, a: complex) -> tuple:
+        """One integral per base at the automorphism parameter a."""
+        a = complex(a)
         self.evaluations["direct"] += 1
         if self.s_eff != 0.0:
             return tuple(self._table.integrals(a, self.s_eff,
@@ -545,7 +533,8 @@ class WeightedSupProblem:
 def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,
                  p_root: float, value_at_zero=None, warnings=()) -> NormResult:
     """Sup of a one-base engine problem, node-doubling error at the argmax."""
-    (best,) = _sup_search(problem.integral_at, search, problem.ring_integrals)
+    (best,) = _sup_search(problem.integral_at, search, problem.ring_integrals,
+                          problem.evaluations if problem.even else None)
     (refined,) = problem.refined_integral_at(best[0])
     return _norm_result(best, abs(refined - best[1]), p_root,
                         problem.grid_metadata(), value_at_zero, warnings)
@@ -678,10 +667,10 @@ def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings)
     rule of each (radial, count) is built once.  The error is node doubling
     at the argmax: twice the radial nodes and twice the count it used.
     Parts with real coefficients fold each integral at a real a onto the
-    half circle and take I(conj a) from I(a) (``_ConjugatePairs``).
+    half circle, and the search takes I(conj a) from I(a) (``_sup_search``).
     ``kernel_evaluations`` counts the per-a integrals: ``direct`` (kernel
-    runs), ``conjugate`` (a answered by conj(a)) and ``refined``; ``points``
-    the integrand points of them all.
+    runs), ``conjugate`` (an a the search answered from conj(a)) and
+    ``refined``; ``points`` the integrand points of them all.
     """
     check_angular(angular)
     n, p = params.n, params.p
@@ -702,8 +691,8 @@ def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings)
         evaluations["direct"] += 1
         return (integral(a, radial, count_for(a)),)
 
-    pairs = _ConjugatePairs(evaluations, all(map(real_coefficients, parts)))
-    (best,) = _sup_search(lambda a: pairs(direct, a), search)
+    even = all(map(real_coefficients, parts))
+    (best,) = _sup_search(direct, search, ledger=evaluations if even else None)
     evaluations["refined"] += 1
     refined = integral(best[0], 2 * radial, 2 * count_for(best[0]))
     grid = {"grid_radial": radial, "grid_angular": angular, "jet_order": n,
@@ -731,7 +720,7 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
     check_angular(angular)
 
-    # the node-doubling error of each per-a integral, kept for the argmax
+    # the node-doubling error of each per-a integral, by the a evaluated
     errors = {}
     evaluations = {"direct": 0, "conjugate": 0}
     work = {"points": 0}
@@ -745,8 +734,7 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
         errors[a] = res.abs_error_estimate
         return (res.value,)
 
-    pairs = _ConjugatePairs(evaluations, even)
-    (best,) = _sup_search(lambda a: pairs(direct, a), search)
+    (best,) = _sup_search(direct, search, ledger=evaluations if even else None)
     grid = {"grid_radial": radial, "grid_angular": angular,
             "grid_cap": GREEN_CAP_NODES, "weight": "green",
             "kernel_evaluations": evaluations, "points": work["points"]}

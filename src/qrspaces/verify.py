@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .analytic import AnalyticFn, real_coefficients
-from .errors import InvalidParameterError, NonQuasiregularError
+from .errors import InvalidParameterError, NonQuasiregularError, require_index
 from .families import OrderModel
 from .harmonic import (HarmonicMap, SampleGrid, angular_radial,
                        estimate_quasiregularity, wirtinger)
@@ -166,7 +166,8 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
 
     sups, grid, pr = _derivative_sups(f, tabulate, q_eff, s_eff, radial, angular)
     if pr is not None:
-        sups = _sup_search(pr.integral_at, search, pr.ring_integrals)
+        sups = _sup_search(pr.integral_at, search, pr.ring_integrals,
+                           pr.evaluations if pr.even else None)
         grid = pr.grid_metadata()
     return (*((sup ** (1.0 / p), a, trace) for a, sup, trace in sups), grid)
 
@@ -495,7 +496,8 @@ def verify_membership(f: HarmonicMap, model: OrderModel, scale,
     """
     if target not in MEMBERSHIP_TARGETS:
         raise InvalidParameterError(f"unknown membership target {target!r}")
-    if not TRUNCATION_FIRST_J < truncation_max_j <= TRUNCATION_MAX_J:
+    if not TRUNCATION_FIRST_J < require_index(
+            truncation_max_j, "truncation_max_j") <= TRUNCATION_MAX_J:
         raise InvalidParameterError(
             f"a truncation ladder runs j = {TRUNCATION_FIRST_J}..max_j over at "
             f"least 2 radii, so max_j must lie in {TRUNCATION_FIRST_J + 1}.."

@@ -319,6 +319,11 @@ AFFINE_31 = ["--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
     (["sweep", "--theorem", "4.2", "--maps", "koebe", "--cells", "F(2,0,1)",
       "--K", "1"], {"radial": 8}),
     (["growth", "--map", "koebe"], {"radial": 8}),
+    (["norm", "--map", "identity", "--scale", "Q(1,2,0)"],
+     {"tol": 0.5, "K": 3.0, "threads": 2}),
+    (["constants", "--constant", "qs:s=1"], {"map_spec": "koebe"}),
+    (["verify", *AFFINE_31], {"threads": 2}),
+    (["growth", "--map", "koebe"], {"cells": ["Q(1,2,0)"]}),
 ], ids=["norm-green-morrey", "norm-green-config", "3.1-kprime",
         "cor3.1-kprime", "3.1-target", "3.5-alpha-k", "verify-green-config",
         "4.1-kprime-config", "sweep-3.2-kprime", "sweep-cor3.4-alpha-k-config",
@@ -327,7 +332,9 @@ AFFINE_31 = ["--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
         "growth-kprime-config", "growth-target-config", "3.1-truncation-max-j",
         "4.1-search-max-j", "4.2-search-angles", "sweep-4.1-search-config",
         "constants-search-config", "growth-truncation-config", "4.1-radial",
-        "sweep-4.2-radial-config", "growth-radial-config"])
+        "sweep-4.2-radial-config", "growth-radial-config",
+        "norm-unread-config", "constants-map-config", "verify-threads-config",
+        "growth-cells-config"])
 def test_flag_the_norm_or_theorem_cannot_honour_exit_2(tmp_path, capsys, args,
                                                        config):
     # a flag that the chosen norm or theorem would ignore is rejected, not

@@ -172,21 +172,26 @@ PER_A_NORMS = {
 }
 
 
-@pytest.mark.parametrize("path, f, search", [
-    ("composition", analytic_as_harmonic(koebe()), SupSearchSpec(4, 8)),
-    ("green", analytic_as_harmonic(identity()), SupSearchSpec(3, 4)),
+@pytest.mark.parametrize("path, f, search, expected", [
+    ("composition", analytic_as_harmonic(koebe()), SupSearchSpec(4, 8),
+     {"direct": 33, "conjugate": 18, "refined": 1}),
+    ("green", analytic_as_harmonic(identity()), SupSearchSpec(3, 4),
+     {"direct": 34, "conjugate": 11}),
 ], ids=["composition", "green"])
-def test_per_a_paths_take_i_conj_a_from_i_a(monkeypatch, path, f, search):
+def test_per_a_paths_take_i_conj_a_from_i_a(monkeypatch, path, f, search,
+                                            expected):
     # real coefficients: a conjugate pair of the trace costs one integral and
     # both members carry its bits; each a is one direct integral or one
     # conjugate answer, integrals at a real a walk the half circle, and the
-    # record counts every integrand point walked
+    # record counts every integrand point walked; the lattice pairs are
+    # answered too (the koebe Q(2,1,1) and identity Green items of cli-mix)
     grids = column_spy(monkeypatch)
     res = PER_A_NORMS[path](f, search)
     values = dict(res.trace)
     pairs = [a for a in values if a.imag > 0 and a.conjugate() in values]
     assert pairs and all(values[a] == values[a.conjugate()] for a in pairs)
     routes = res.grid["kernel_evaluations"]
+    assert routes == expected
     assert routes["conjugate"] == len(pairs)
     assert routes["direct"] + routes["conjugate"] == len(values)
     assert any(cols % 2 for _, cols in grids)
@@ -673,25 +678,75 @@ def test_ring_fallbacks_equal_direct_path(monkeypatch, params, angles):
     assert ringed == q_npa_norm(f, params, spec)
 
 
+class _PairLattice:
+    """A search lattice of one conjugate pair, ``first`` first."""
+
+    def __init__(self, first):
+        self.first = first
+
+    def candidates(self):
+        return [self.first, self.first.conjugate()]
+
+
 @pytest.mark.parametrize("a", [0.3 + 0.4j, -0.6 - 0.7j, 0.95j])
-def test_even_problem_takes_i_conj_a_from_i_a(a):
-    # bases even in theta: a conjugate pair costs one kernel run and one
-    # factor, whichever member comes first, and both get the same bits,
+def test_even_problem_takes_i_conj_a_from_i_a(monkeypatch, a):
+    # bases even in theta, searched with the problem's ledger: a conjugate
+    # pair costs one kernel run, at the member in the upper half-plane, and
+    # one factor, whichever member comes first, and both get the same bits,
     # within 1e-13 of the kernel run at each; the counters say which ran
+    monkeypatch.setattr(qrspaces.spaces, "_compass_max", lambda *args: [])
     bases = lambda z: [np.abs(1.0 + 0.5 * z) ** 2.5, np.abs(z - 0.3) ** 1.5]
     plain = WeightedSupProblem(bases, 0.0, 1.0, radial=32)
+    upper = complex(a.real, abs(a.imag))
+    one_run = WeightedSupProblem(bases, 0.0, 1.0, radial=32, even=True)
+    one_run.integral_at(upper)
     for first in (a, a.conjugate()):
         pr = WeightedSupProblem(bases, 0.0, 1.0, radial=32, even=True)
-        values = pr.integral_at(first)
-        nodes = pr.work["factor_nodes"]
-        assert nodes > 0 and pr.integral_at(first.conjugate()) == values
-        assert pr.work["factor_nodes"] == nodes
+        asked = []
+
+        def objective(b, pr=pr, asked=asked):
+            asked.append(b)
+            return pr.integral_at(b)
+
+        sups = _sup_search(objective, _PairLattice(first), ledger=pr.evaluations)
+        assert asked == [upper]
+        assert pr.work["factor_nodes"] == one_run.work["factor_nodes"] > 0
         assert pr.evaluations == {"direct": 1, "ring_turns": 0, "refined": 0,
                                   "conjugate": 1}
-        np.testing.assert_allclose(values, plain.integral_at(first),
-                                   rtol=1e-13, atol=0.0)
-    assert plain.evaluations["direct"] == 2
+        for i, (_, _, trace) in enumerate(sups):
+            assert [b for b, _ in trace] == [first, first.conjugate()]
+            assert trace[0][1] == trace[1][1]
+            for b, value in trace:
+                assert value == pytest.approx(plain.integral_at(b)[i],
+                                              rel=1e-13, abs=0.0)
     assert plain.evaluations["conjugate"] == 0
+
+
+def test_uneven_search_never_pairs(monkeypatch):
+    # no ledger: each member of a conjugate pair is its own kernel run, at
+    # the member itself
+    monkeypatch.setattr(qrspaces.spaces, "_compass_max", lambda *args: [])
+    pr = WeightedSupProblem(lambda z: (np.abs(1.0 + 0.5 * z) ** 2.5,), 0.0, 1.0,
+                            radial=32, even=True)
+    asked = []
+    _sup_search(lambda b: asked.append(b) or pr.integral_at(b),
+                _PairLattice(0.3 - 0.4j))
+    assert asked == [0.3 - 0.4j, 0.3 + 0.4j]
+    assert pr.evaluations["direct"] == 2 and pr.evaluations["conjugate"] == 0
+
+
+@pytest.mark.parametrize("angles", [3, 4])
+def test_engine_complex_coefficient_never_pairs(angles):
+    # f(conj z) != conj(f(z)): no a of the engine's trace is answered from
+    # conj(a), though the lattice comes in exact conjugate pairs (3 angles:
+    # every lattice point a direct call; 4: a ring per radius)
+    f = analytic_as_harmonic(poly([0.0, 1.0, 0.5j]))
+    res = qh_npa_norm(f, Qnpa(1, 1.5, 0.0), SupSearchSpec(3, angles))
+    values = dict(res.trace)
+    assert any(a.imag < 0 and a.conjugate() in values for a in values)
+    routes = res.grid["kernel_evaluations"]
+    assert routes["conjugate"] == 0
+    assert routes["direct"] + routes["ring_turns"] == len(values)
 
 
 def _rounding_candidates(spec):
@@ -712,14 +767,28 @@ def _rounding_candidates(spec):
 
 @pytest.mark.parametrize("angles", [1, 2, 3, 4, 8, 16, 64, 2048])
 def test_candidates_match_rounding_dedupe(angles):
-    # the lattice of the search depth j: the same points, order and types
-    # as a dedupe of every point by rounding
+    # the lattice of the search depth j: the same order, types and count as
+    # a dedupe of every point by rounding, each point within 8 ulps of |a|
     for j in range(RADIUS_CAP_J + 1):
         spec = SupSearchSpec(j, angles)
         got, want = spec.candidates(), _rounding_candidates(spec)
-        assert got == want
+        assert len(got) == len(want)
+        assert all(abs(g - w) <= 8 * np.spacing(abs(w)) for g, w in zip(got, want))
         assert list(map(type, got)) == list(map(type, want))
         assert list(spec.rings()) == list(dyadic_radii(j)[1:])
+
+
+@pytest.mark.parametrize("angles", [1, 2, 3, 4, 8, 16, 64, 2048])
+def test_lattice_comes_in_exact_conjugate_pairs(angles):
+    # every lattice point below the real axis is the exact conjugate of its
+    # partner at n - k, and every other point lies on or above the axis
+    for j in range(RADIUS_CAP_J + 1):
+        for ring in SupSearchSpec(j, angles).rings().values():
+            for k, a in enumerate(ring):
+                if k > angles / 2:
+                    assert a == ring[angles - k].conjugate() and a.imag < 0
+                else:
+                    assert a.imag >= 0
 
 
 @pytest.mark.parametrize("max_j, angles", [(-1, 16), (RADIUS_CAP_J + 1, 16),
@@ -728,6 +797,31 @@ def test_search_spec_rejects_a_depth_past_the_cap_or_no_angles(max_j, angles):
     # a ring deeper than RADIUS_CAP_J would lie past the radius cap
     with pytest.raises(InvalidParameterError):
         SupSearchSpec(max_j, angles)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SupSearchSpec(3, 4.0), lambda: SupSearchSpec(2.5, 4),
+    lambda: SupSearchSpec(True, 4), lambda: SupSearchSpec(3, True),
+    lambda: SupSearchSpec(3, "4"),
+    lambda: q_npa_norm(koebe(), Qnpa(2.5, 1.0, 1.0), SMALL_SEARCH),
+    lambda: q_npa_norm(koebe(), Qnpa(2.0, 1.0, 1.0), SMALL_SEARCH),
+    lambda: qh_npa_norm(analytic_as_harmonic(koebe()), Qnpa(True, 1.0, 1.0),
+                        SMALL_SEARCH),
+], ids=["angles-float", "depth-float", "depth-bool", "angles-bool",
+        "angles-str", "n-2.5", "n-2.0", "n-bool"])
+def test_integer_parameters_reject_floats_and_bools(build):
+    # a value operator.index refuses, or a bool, is one line of error before
+    # any search, ladder or jet runs
+    with pytest.raises(InvalidParameterError) as exc:
+        build()
+    assert "must be an integer" in str(exc.value)
+    assert "\n" not in str(exc.value)
+
+
+def test_integer_parameters_take_numpy_integers():
+    spec = SupSearchSpec(np.int64(2), np.int32(4))
+    assert len(spec.candidates()) == 1 + 2 * 4
+    Qnpa(np.int64(2), 1.0, 1.0).validate()
 
 
 def _bump(center, width):

@@ -136,10 +136,10 @@ def test_every_conjugate_check_rejects_K_below_one(monkeypatch, K):
 
 
 def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
-    # every distinct a of the trace is evaluated once: by a direct call or
-    # as a turn of its lattice ring, never both, and the counters say so;
-    # the map's coefficients are real, so of a conjugate pair of direct
-    # calls only the first runs the kernel
+    # every distinct a of the trace is evaluated once: by a direct call, as
+    # a turn of its lattice ring, or answered from conj(a), and the counters
+    # say so; the map's coefficients are real, so the kernel sees only the
+    # member of a conjugate pair in the upper half-plane
     calls = collections.Counter()
     kernel = WeightedSupProblem.integral_at
 
@@ -155,14 +155,16 @@ def test_conjugate_pair_one_kernel_call_per_a(monkeypatch):
     assert [a for a, _ in tru] == [a for a, _ in trv]
     assert set(calls.values()) == {1}
     assert not set(calls) & ring_points
-    assert set(calls) | ring_points == traced
+    assert all(a.imag >= 0 for a in calls)
+    answered = traced - ring_points - set(calls)
+    assert answered and all(a.conjugate() in calls for a in answered)
     evaluations = grid["kernel_evaluations"]
-    pairs = sum(a.imag > 0 and a.conjugate() in calls for a in calls)
-    assert pairs and evaluations["conjugate"] == pairs
-    assert evaluations["direct"] + evaluations["conjugate"] == len(calls)
+    assert evaluations["conjugate"] == len(answered)
+    assert evaluations["direct"] == len(calls)
     assert grid["table_work"]["rings"] == len(FAST.rings())
     assert evaluations["ring_turns"] == len(ring_points)
-    assert len(calls) + evaluations["ring_turns"] == len(traced)
+    assert (len(calls) + evaluations["ring_turns"] + evaluations["conjugate"]
+            == len(traced))
     assert evaluations["refined"] == 0
     # the map's coefficients are real: half the master grid's columns
     assert grid["table_work"]["points"] == 32 * (2048 // 2 + 1)
@@ -197,7 +199,8 @@ def test_conjugate_check_table_work(monkeypatch):
     # and per lattice ring, on the rung the aliasing bound picks for |a|, of
     # radial x (count/2 + 1) nodes at a real a and on a ring, radial x count
     # nodes off the real axis, none for the second a of a conjugate pair,
-    # and one copy of both bases per rung below 2048
+    # which the kernel never sees, and one copy of both bases per rung below
+    # 2048
     direct = []
     kernel = WeightedSupProblem.integral_at
 
@@ -212,14 +215,14 @@ def test_conjugate_check_table_work(monkeypatch):
     def count(rho):
         return min(angular_count_for(rho, 1.0), 2048)
 
-    computed = [a for i, a in enumerate(direct)
-                if a != 0 and a.conjugate() not in direct[:i]]
+    computed = [a for a in direct if a != 0]
     counts = [count(abs(a)) for a in computed] + [
         count(r) for r in FAST.rings()]
     rungs = {c for c in counts if c < 2048}
     assert rungs and len(counts) > len(FAST.rings())
-    assert any(a.imag == 0 for a in computed) and len(computed) < len(
-        [a for a in direct if a != 0])
+    assert any(a.imag == 0 for a in computed)
+    assert all(a.imag >= 0 for a in computed)
+    assert rec["kernel_evaluations"]["conjugate"] > 0
     nodes = [c if a.imag else c // 2 + 1 for a, c in zip(computed, counts)]
     nodes += [c // 2 + 1 for c in counts[len(computed):]]
     assert rec["table_work"] == {"points": 32 * (2048 // 2 + 1),
@@ -639,6 +642,19 @@ def test_membership_needs_two_radii(monkeypatch, max_j):
     monkeypatch.setattr("qrspaces.verify._truncated_sup_norms",
                         lambda *args, **kw: calls.append(args))
     with pytest.raises(InvalidParameterError):
+        verify_membership(koebe_shear(0.0), OrderModel(K=1.0),
+                          Mpqs(0.8, 0.0, 1.0), truncation_max_j=max_j)
+    assert calls == []
+
+
+@pytest.mark.parametrize("max_j", [5.0, 4.5, True, np.float64(5)])
+def test_membership_rejects_a_non_integer_depth(monkeypatch, max_j):
+    # a truncation depth that operator.index refuses, or a bool, is one line
+    # of error before the first radius runs
+    calls = []
+    monkeypatch.setattr("qrspaces.verify._truncated_sup_norms",
+                        lambda *args, **kw: calls.append(args))
+    with pytest.raises(InvalidParameterError, match="must be an integer"):
         verify_membership(koebe_shear(0.0), OrderModel(K=1.0),
                           Mpqs(0.8, 0.0, 1.0), truncation_max_j=max_j)
     assert calls == []
