@@ -1,17 +1,18 @@
 """Command-line front end.
 
 Subcommands: ``norm``, ``constants``, ``verify``, ``sweep``, ``growth``.
-Reports are line-delimited JSON records (one per line) with the embedded run
-configuration, so any report re-runs to identical values at fixed node
-counts; sweeps are CSV tables with a fixed column set.  Output files are
-written to a temporary name and renamed, so failures leave no partial files.
+Reports are line-delimited JSON records (one per line) that embed the run
+settings their run read (``run_fields``), so feeding a record's ``config``
+back through ``--config`` re-runs it to an identical record; sweeps are CSV
+tables with a fixed column set.  Output files are written to a temporary
+name and renamed, so failures leave no partial files.
 
 Exit codes: 0 success (for ``verify``: all checks passed), 1 a check failed,
 2 invalid parameters, 3 quadrature/accuracy failure, 4 I/O failure.
 
 Precedence: flags (a prefix argparse accepts counts) > the ``--config`` JSON
 file, whose values must have their fields' JSON types > the environment
-(``QRSPACES_`` + CONFIG, OUT, RADIAL, ANGULAR, TOL, THREADS) > defaults.
+(``QRSPACES_`` + CONFIG, OUT, RADIAL, ANGULAR, TOL) > defaults.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +102,7 @@ SWEEP_COLUMNS = ["theorem", "map", "scale", "K", "Kprime", "lhs", "rhs",
 
 @dataclass
 class RunConfig:
-    """Everything a run needs; serializable, embedded into every record."""
+    """Everything a run needs; a record embeds the fields its run reads."""
 
     command: str = ""
     map_spec: str = ""
@@ -118,7 +118,6 @@ class RunConfig:
     radial: int = DEFAULT_RADIAL
     angular: int = DEFAULT_ANGULAR
     tol: float = DEFAULT_VERIFY_TOL
-    threads: int = 1
     out: str = ""
     search_max_j: int = RADIUS_CAP_J
     search_angles: int = SupSearchSpec.angles_per_radius
@@ -127,8 +126,10 @@ class RunConfig:
     maps: list = field(default_factory=list)
     cells: list = field(default_factory=list)
 
-    def to_dict(self):
-        return dataclasses.asdict(self)
+    def record(self) -> dict:
+        """The fields this run reads (``run_fields``): a record's ``config``."""
+        return {name: getattr(self, name)
+                for name in run_fields(self.command, self.theorem)}
 
 
 # --- map and scale parsing -----------------------------------------------------
@@ -312,7 +313,7 @@ def _norm_record(cfg: RunConfig, res, scale_label: str) -> dict:
         "warnings": list(res.warnings),
         "grid": res.grid,
         "trace": [[a.real, a.imag, v] for a, v in res.trace],
-        "config": cfg.to_dict(),
+        "config": cfg.record(),
     }
 
 
@@ -392,7 +393,7 @@ def cmd_constants(cfg: RunConfig) -> int:
         "error_estimate": res.error_estimate,
         "trace": [[a.real, v] for a, v in res.trace],
         "engine_check": _engine_check(cfg, res),
-        "config": cfg.to_dict(),
+        "config": cfg.record(),
     }
     write_records(cfg.out, [rec])
     print(f"{cfg.constant}: {res.value:.12g} (maximizer rho = {abs(res.sup_a):.6g})")
@@ -414,8 +415,8 @@ SEARCHED_IDS = tuple(t for t in THEOREM_IDS if t not in MEMBERSHIP_IDS)
 # search the others (a membership check's truncation rules fix their own
 # radial nodes).  Set off its default by a flag or the config file for any
 # other theorem, such a field is an error, not ignored, as is a config-file
-# key that is no flag of the command (``resolve_config``).  The environment
-# may set the radial count for any run.
+# key that is no flag of the command (``run_fields``).  The environment may
+# set the radial count for any run.
 THEOREM_FIELDS = {"theorem": THEOREM_IDS,
                   "Kprime": ("3.5", "3.6", "cor3.4", "cor3.5", "cor3.6"),
                   "target": MEMBERSHIP_IDS, "alpha_K": MEMBERSHIP_IDS,
@@ -456,7 +457,7 @@ def run_verification(cfg: RunConfig):
 def cmd_verify(cfg: RunConfig) -> int:
     report = run_verification(cfg)
     rec = report.to_record()
-    rec["config"] = cfg.to_dict()
+    rec["config"] = cfg.record()
     write_records(cfg.out, [rec])
     status = "pass" if report.passed else "FAIL"
     print(f"[{report.theorem_id}] {report.map_description} in "
@@ -465,15 +466,13 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _sweep_cell(cfg: RunConfig, map_spec: str, cell) -> dict:
-    """One sweep row; a cell's error, an overflow included, goes into its
-    ``error`` column.  The error state is set here because a worker thread
-    does not inherit the one ``main`` sets."""
+    """One sweep row; a cell's error, an overflow included (``main`` makes
+    overflows raise), goes into its ``error`` column."""
     row = {c: "" for c in SWEEP_COLUMNS}
     row.update({"theorem": cfg.theorem, "map": map_spec, "scale": cell})
     try:
         cell_cfg = dataclasses.replace(cfg, map_spec=map_spec, scale_spec=cell)
-        with np.errstate(over="raise"):
-            report = run_verification(cell_cfg)
+        report = run_verification(cell_cfg)
         rec = report.to_record()
         for col in SWEEP_COLUMNS:
             if col in rec and rec[col] is not None:
@@ -485,14 +484,7 @@ def _sweep_cell(cfg: RunConfig, map_spec: str, cell) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig) -> int:
-    cells = [(m, c) for m in cfg.maps for c in cfg.cells]
-    if cfg.threads == 1:
-        # inline: a worker thread allocates from its own glibc malloc arena,
-        # which raises peak RSS by about 10 % after a large item in-process
-        rows = [_sweep_cell(cfg, m, c) for m, c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(lambda mc: _sweep_cell(cfg, *mc), cells))
+    rows = [_sweep_cell(cfg, m, c) for m in cfg.maps for c in cfg.cells]
 
     def emit(fh):
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
@@ -517,7 +509,7 @@ def cmd_growth(cfg: RunConfig) -> int:
         "monotone_warning": fit.monotone_warning,
         "radii": list(fit.radii),
         "values": list(fit.values),
-        "config": cfg.to_dict(),
+        "config": cfg.record(),
     }
     write_records(cfg.out, [rec])
     if cfg.gnuplot:
@@ -549,15 +541,15 @@ COMMAND_DEFAULTS = {
     "sweep": {"theorem": "3.1"},
     "growth": {"map_spec": "koebe"},
 }
-ENV_FIELDS = ("out", "radial", "angular", "tol", "threads")
+ENV_FIELDS = ("out", "radial", "angular", "tol")
 # The run settings each subcommand reads, each a flag of it, as are --config
 # and --out of every subcommand.
 GRID_SETTINGS = ("radial", "angular")
 SEARCH_SETTINGS = (*GRID_SETTINGS, "search_max_j", "search_angles")
 VERIFY_SETTINGS = (*SEARCH_SETTINGS, "tol", "truncation_max_j")
 COMMAND_SETTINGS = {"norm": SEARCH_SETTINGS, "constants": GRID_SETTINGS,
-                    "verify": VERIFY_SETTINGS,
-                    "sweep": (*VERIFY_SETTINGS, "threads"), "growth": ()}
+                    "verify": VERIFY_SETTINGS, "sweep": VERIFY_SETTINGS,
+                    "growth": ()}
 SETTING_HELP = {"truncation_max_j": "deepest truncation radius 1 - 2^-j (4.x)"}
 
 
@@ -658,12 +650,12 @@ MAX_RADIAL = 2048
 def _check_run_numbers(cfg: RunConfig):
     """K, K', the growth order and tol are finite and >= 0 (0 for K and the
     growth order means: estimate / use the default), and a given K is >= 1,
-    as quasiregularity defines it; threads is >= 1; the grid has
-    2..MAX_RADIAL radial nodes and an angular count on the ladder.  The
-    search depth is at most RADIUS_CAP_J, whose ring is the radius cap, the
-    truncation depth at most TRUNCATION_MAX_J, since deeper radii 1 - 2^-j
-    round to 1, and the lattice angles per radius at most the top rung of
-    the angular ladder, past which each angle is a direct kernel call."""
+    as quasiregularity defines it; the grid has 2..MAX_RADIAL radial nodes
+    and an angular count on the ladder.  The search depth is at most
+    RADIUS_CAP_J, whose ring is the radius cap, the truncation depth at most
+    TRUNCATION_MAX_J, since deeper radii 1 - 2^-j round to 1, and the
+    lattice angles per radius at most the top rung of the angular ladder,
+    past which each angle is a direct kernel call."""
     for name in ("K", "Kprime", "alpha_K", "tol"):
         value = getattr(cfg, name)
         if not math.isfinite(value) or value < 0:
@@ -673,10 +665,8 @@ def _check_run_numbers(cfg: RunConfig):
     if 0.0 < cfg.K < 1.0:
         raise InvalidParameterError(
             f"--K must be 0 (estimate) or >= 1, got {cfg.K!r}")
-    for name, least in (("threads", 1), ("radial", 2)):
-        if getattr(cfg, name) < least:
-            raise InvalidParameterError(
-                f"--{name} must be >= {least}, got {getattr(cfg, name)}")
+    if cfg.radial < 2:
+        raise InvalidParameterError(f"--radial must be >= 2, got {cfg.radial}")
     if cfg.angular not in ANGULAR_LADDER:
         raise InvalidParameterError(
             f"--angular must be one of {ANGULAR_LADDER}, got {cfg.angular}")
@@ -689,12 +679,25 @@ def _check_run_numbers(cfg: RunConfig):
                 f"got {getattr(cfg, name)}")
 
 
+def run_fields(command: str, theorem: str) -> tuple:
+    """The RunConfig fields a run reads, in field order: ``command`` and the
+    subcommand's flags, less the ``THEOREM_FIELDS`` its theorem does not
+    take.  Records embed exactly these; ``resolve_config`` rejects any other
+    field that a flag or the config file sets off its default."""
+    (sub,) = (a for a in build_parser()._actions if a.dest == "command")
+    flags = {"command"} | {a.dest for a in sub.choices[command]._actions}
+    if "theorem" in flags:
+        flags -= {name for name, takers in THEOREM_FIELDS.items()
+                  if theorem not in takers}
+    return tuple(f.name for f in dataclasses.fields(RunConfig) if f.name in flags)
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer, lowest first: RunConfig defaults, the subcommand's defaults,
     the environment, the --config file, the flags given."""
     given = dict(vars(args))
     command = given.pop("command")
-    defaults = RunConfig().to_dict()
+    defaults = dataclasses.asdict(RunConfig())
     merged = {**defaults, **COMMAND_DEFAULTS[command]}
     for name in ENV_FIELDS:
         raw = os.environ.get(ENV_PREFIX + name.upper())
@@ -709,25 +712,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged.update(file_cfg)
     cfg = RunConfig(**{**merged, **given, "command": command})
     _check_run_numbers(cfg)
-    # a config-file key off its default that no flag of the subcommand's own
-    # parser sets
-    (sub,) = (a for a in build_parser()._actions if a.dest == "command")
-    fields = {a.dest for a in sub.choices[command]._actions}
-    for name, value in file_cfg.items():
-        if name not in fields and name != "command" and value != defaults[name]:
+    if command in ("verify", "sweep") and cfg.theorem not in THEOREM_IDS:
+        raise InvalidParameterError(
+            f"unknown theorem id {cfg.theorem!r}; choose from {THEOREM_IDS}")
+    read = run_fields(command, cfg.theorem)
+    for name in {**file_cfg, **given}:
+        value = getattr(cfg, name)
+        if name not in read and value != defaults[name]:
             raise InvalidParameterError(
-                f"{command} takes no config key {name!r}, got {value!r}")
-    if command in ("verify", "sweep"):
-        if cfg.theorem not in THEOREM_IDS:
-            raise InvalidParameterError(
-                f"unknown theorem id {cfg.theorem!r}; choose from {THEOREM_IDS}")
-        for name, takers in THEOREM_FIELDS.items():
-            value = getattr(cfg, name)
-            if ((name in given or name in file_cfg) and cfg.theorem not in takers
-                    and value != defaults[name]):
-                raise InvalidParameterError(
-                    f"theorem {cfg.theorem} takes no "
-                    f"--{name.replace('_', '-')}, got {value!r}")
+                f"theorem {cfg.theorem} takes no --{name.replace('_', '-')}, "
+                f"got {value!r}" if "theorem" in read and name in THEOREM_FIELDS
+                else f"{command} takes no config key {name!r}, got {value!r}")
     if not cfg.out:
         cfg.out = (f"qrspaces-{cfg.command}.jsonl"
                    if cfg.command != "sweep" else "qrspaces-sweep.csv")

@@ -795,16 +795,21 @@ def _bloch_norm(f, scale: BlochAlpha, search: SupSearchSpec) -> NormResult:
     """|f(0)| + sup_z (1-|z|^2)^alpha Lambda_f(z), searched like a sup over a.
 
     A pointwise sup has no quadrature error: only the summation-noise floor
-    is reported.
+    is reported.  For a map with real coefficients Lambda_f is even in z, so
+    the search answers conj(z) from z (``kernel_evaluations``).
     """
     deriv_fn, f0 = _lambda_fn(f), abs(f(0.0))
+    evaluations = {"direct": 0, "conjugate": 0}
 
     def objective(z):
+        evaluations["direct"] += 1
         z = np.asarray(complex(z))
         return (float((1.0 - abs(complex(z)) ** 2) ** scale.alpha * deriv_fn(z)),)
 
-    (best,) = _sup_search(objective, search)
-    res = _norm_result(best, 0.0, 1.0, {"search_points": len(best[2])}, f0)
+    (best,) = _sup_search(objective, search,
+                          ledger=evaluations if real_coefficients(f) else None)
+    res = _norm_result(best, 0.0, 1.0, {"search_points": len(best[2]),
+                                        "kernel_evaluations": evaluations}, f0)
     return dataclasses.replace(res, value=f0 + res.value)
 
 

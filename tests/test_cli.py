@@ -1,11 +1,14 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +44,9 @@ from qrspaces.spaces import (
     _pow_tabulator,
 )
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import pools  # noqa: E402
+
 
 def read_jsonl(path):
     with open(path) as fh:
@@ -66,7 +72,7 @@ SHARED_FLAGS = {
     "verify": ("--radial", "--angular", "--search-max-j", "--search-angles",
                "--tol", "--truncation-max-j"),
     "sweep": ("--radial", "--angular", "--search-max-j", "--search-angles",
-              "--tol", "--truncation-max-j", "--threads"),
+              "--tol", "--truncation-max-j"),
     "growth": (),
 }
 
@@ -81,9 +87,9 @@ def _subparsers():
 def test_each_command_takes_only_the_shared_flags_it_reads(tmp_path, capsys,
                                                            command):
     # a shared flag a command does not read is a usage error, not ignored;
-    # --seed is no flag of any command
+    # --seed and --threads are no flag of any command
     every = {flag for flags in SHARED_FLAGS.values() for flag in flags}
-    for flag in sorted(every | {"--seed"}):
+    for flag in sorted(every | {"--seed", "--threads"}):
         argv = [command, flag, "3"]
         if flag in SHARED_FLAGS[command]:
             build_parser().parse_args(argv)  # no usage error
@@ -96,13 +102,13 @@ def test_each_command_takes_only_the_shared_flags_it_reads(tmp_path, capsys,
 
 def test_flag_count_over_the_subcommands():
     # --config and --out everywhere, the shared flags each command reads,
-    # and its own: 9 + 5 + 15 + 16 + 5
+    # and its own: 9 + 5 + 15 + 15 + 5
     counts = {name: sum(1 for a in p._actions if a.option_strings
                         and not isinstance(a, argparse._HelpAction))
               for name, p in _subparsers().items()}
-    assert counts == {"norm": 9, "constants": 5, "verify": 15, "sweep": 16,
+    assert counts == {"norm": 9, "constants": 5, "verify": 15, "sweep": 15,
                       "growth": 5}
-    assert sum(counts.values()) == 50
+    assert sum(counts.values()) == 49
 
 
 def test_parse_scale():
@@ -320,9 +326,9 @@ AFFINE_31 = ["--theorem", "3.1", "--map", "affine:k=0.5;sign=-1",
       "--K", "1"], {"radial": 8}),
     (["growth", "--map", "koebe"], {"radial": 8}),
     (["norm", "--map", "identity", "--scale", "Q(1,2,0)"],
-     {"tol": 0.5, "K": 3.0, "threads": 2}),
+     {"tol": 0.5, "K": 3.0, "growth_target": "f_itself"}),
     (["constants", "--constant", "qs:s=1"], {"map_spec": "koebe"}),
-    (["verify", *AFFINE_31], {"threads": 2}),
+    (["verify", *AFFINE_31], {"gnuplot": True}),
     (["growth", "--map", "koebe"], {"cells": ["Q(1,2,0)"]}),
 ], ids=["norm-green-morrey", "norm-green-config", "3.1-kprime",
         "cor3.1-kprime", "3.1-target", "3.5-alpha-k", "verify-green-config",
@@ -383,8 +389,8 @@ def test_unresolved_green_integral_exit_3(tmp_path, capsys, map_spec):
     ["verify", "--tol", "-1"],
     ["verify", "--tol", "inf"],
     ["sweep", "--K", "nan", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
-    ["sweep", "--threads", "0"],
-    ["sweep", "--threads", "-3", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
+    ["sweep", "--tol", "nan"],
+    ["sweep", "--alpha-K", "-3", "--maps", "identity", "--cells", "Q(1,1.5,0)"],
     ["norm", "--map", "cayley-shear:k=0.5", "--scale", "F(2,0,1)",
      "--search-max-j", "11"],
     ["norm", "--map", "cayley-shear:k=0.5", "--scale", "F(2,0,1)",
@@ -731,29 +737,16 @@ def test_sweep_empty_grid(tmp_path):
     assert rows == []
 
 
-def test_sweep_threads_deterministic(tmp_path):
-    args = ["sweep", "--theorem", "3.2",
-            "--maps", "affine:k=0.2;sign=-1", "affine:k=0.8;sign=-1",
-            "--cells", "F(2,0,1)", "--search-max-j", "3"]
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert main(args + ["--out", str(out1), "--threads", "1"]) == 0
-    assert main(args + ["--out", str(out2), "--threads", "4"]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-def test_sweep_overflow_is_a_cell_error_at_every_thread_count(tmp_path):
+def test_sweep_overflow_is_a_cell_error(tmp_path):
     # a base past the float range: each cell records the overflow in its
-    # error column, the sweep goes on and exits 0, with no RuntimeWarning,
-    # whether the cell runs inline or on a worker thread
-    args = ["sweep", "--theorem", "3.2", "--maps", "poly:coeffs=0,1e200",
-            "--cells", "F(2,0,1)", "--K", "1", "--search-max-j", "2"]
-    outs = [tmp_path / "one.csv", tmp_path / "two.csv"]
+    # error column, the sweep goes on and exits 0, with no RuntimeWarning
+    out = tmp_path / "sweep.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for out, threads in zip(outs, ("1", "2")):
-            assert main(args + ["--out", str(out), "--threads", threads]) == 0
-    assert outs[0].read_bytes() == outs[1].read_bytes()
-    with open(outs[0]) as fh:
+        assert main(["sweep", "--theorem", "3.2", "--maps",
+                     "poly:coeffs=0,1e200", "--cells", "F(2,0,1)", "--K", "1",
+                     "--search-max-j", "2", "--out", str(out)]) == 0
+    with open(out) as fh:
         (row,) = list(csv.DictReader(fh))
     assert row["error"].startswith("FloatingPointError: overflow")
     assert row["lhs"] == row["rhs"] == row["margin"] == ""
@@ -785,6 +778,58 @@ def test_config_round_trip(tmp_path):
     assert rec2["trace"] == rec1["trace"]
 
 
+def without_out(rec):
+    return {**rec, "config": {k: v for k, v in rec["config"].items()
+                              if k != "out"}}
+
+
+def replay(rec, tmp_path):
+    """The exit code and record of a run of ``rec``'s own ``config``, fed
+    back through --config with a fresh --out, without ``config.out``."""
+    cfg_path, out = tmp_path / "replay.json", tmp_path / "replay.jsonl"
+    cfg_path.write_text(json.dumps(rec["config"]))
+    code = main([rec["config"]["command"], "--config", str(cfg_path),
+                 "--out", str(out)])
+    (again,) = read_jsonl(out)
+    return code, without_out(again)
+
+
+def test_every_pool_record_re_runs_from_its_config(tmp_path):
+    # every benchmark pool item that writes a JSON record (a sweep's CSV
+    # embeds no config) re-runs from that record to the same exit code and
+    # an identical record
+    items = [argv for argv in pools.all_items() if argv[0] != "sweep"]
+    assert len(items) > 100
+    for i, argv in enumerate(items):
+        out = tmp_path / f"item-{i}.jsonl"
+        code = main([*argv, "--out", str(out)])
+        (rec,) = read_jsonl(out)
+        assert replay(rec, tmp_path) == (code, without_out(rec)), argv
+
+
+@pytest.mark.parametrize("name, value, argv, code", [
+    ("THREADS", "2", ["norm", "--map", "identity", "--scale", "Q(1,2,0)",
+                      "--search-max-j", "3"], 0),
+    ("RADIAL", "64", ["growth", "--map", "koebe"], 0),
+    ("TOL", "0.001", ["constants", "--constant", "qs:s=1"], 0),
+    ("RADIAL", "8", ["verify", "--theorem", "4.1", "--map", "koebe",
+                     "--scale", "M(0.8,0,1)", "--K", "1",
+                     "--truncation-max-j", "4"], 1),
+], ids=["threads-norm", "radial-growth", "tol-constants", "radial-4.1"])
+def test_a_record_re_runs_whatever_the_environment_set(tmp_path, monkeypatch,
+                                                       name, value, argv,
+                                                       code):
+    # the environment may set what a run does not read (QRSPACES_THREADS
+    # is no variable at all); the record holds only what it read, so it
+    # re-runs from itself with the environment gone
+    monkeypatch.setenv("QRSPACES_" + name, value)
+    out = tmp_path / "first.jsonl"
+    assert main([*argv, "--out", str(out)]) == code
+    (rec,) = read_jsonl(out)
+    monkeypatch.delenv("QRSPACES_" + name)
+    assert replay(rec, tmp_path) == (code, without_out(rec))
+
+
 def test_env_override(tmp_path, monkeypatch):
     # precedence: flags given > config file > environment > defaults
     out = tmp_path / "n.jsonl"
@@ -811,13 +856,17 @@ def test_env_override(tmp_path, monkeypatch):
 
 def test_environment_radial_reaches_a_membership_check(tmp_path, monkeypatch):
     # QRSPACES_RADIAL sets the radial count of every run, so a 4.x check
-    # accepts it from there, though its truncation rules never read it
+    # accepts it from there, though its truncation rules never read it; so
+    # its record does not carry it, and re-runs from itself
     monkeypatch.setenv("QRSPACES_RADIAL", "8")
     out = tmp_path / "v.jsonl"
-    assert main(["verify", "--theorem", "4.1", "--map", "koebe", "--scale",
+    code = main(["verify", "--theorem", "4.1", "--map", "koebe", "--scale",
                  "M(0.8,0,1)", "--K", "1", "--truncation-max-j", "4",
-                 "--out", str(out)]) in (0, 1)
-    assert read_jsonl(out)[0]["config"]["radial"] == 8
+                 "--out", str(out)])
+    assert code in (0, 1)
+    (rec,) = read_jsonl(out)
+    assert "radial" not in rec["config"]
+    assert replay(rec, tmp_path) == (code, without_out(rec))
 
 
 @pytest.mark.parametrize("content, command", [
@@ -828,6 +877,7 @@ def test_environment_radial_reaches_a_membership_check(tmp_path, monkeypatch):
     pytest.param({"maps": ["identity", 5], "cells": ["Q(1,1.5,0)"]}, "sweep",
                  id="int-in-list"),
     pytest.param({"gnuplot": "no"}, "growth", id="str-for-bool"),
+    # threads is no RunConfig field: an unknown key
     pytest.param({"threads": 0}, "sweep", id="zero-threads"),
     pytest.param(5, "norm", id="scalar"),
     pytest.param([], "norm", id="array"),
@@ -844,7 +894,7 @@ def test_bad_config_file_exit_2(tmp_path, capsys, content, command):
 
 
 @pytest.mark.parametrize("name, value", [
-    ("RADIAL", "abc"), ("ANGULAR", "1.5"), ("TOL", "x"), ("THREADS", "0"),
+    ("RADIAL", "abc"), ("ANGULAR", "1.5"), ("TOL", "x"),
 ])
 def test_bad_environment_exit_2(tmp_path, monkeypatch, capsys, name, value):
     monkeypatch.setenv("QRSPACES_" + name, value)
@@ -890,7 +940,7 @@ ACCEPTED_KINDS = {str: {"str"}, int: {"int"}, float: {"int", "float"},
 
 @st.composite
 def wrongly_typed_config(draw):
-    name, default = draw(st.sampled_from(sorted(RunConfig().to_dict().items())))
+    name, default = draw(st.sampled_from(sorted(dataclasses.asdict(RunConfig()).items())))
     kinds = sorted(set(JSON_KINDS) - ACCEPTED_KINDS[type(default)])
     value = draw(JSON_KINDS[draw(st.sampled_from(kinds))])
     return {name: value}
@@ -915,7 +965,7 @@ def test_wrong_json_type_exit_2(tmp_path_factory, cfg, command):
 # --truncation-max-j 53, which only cost time)
 NUMBERS = ["-1", "0", "1", "2", "3", "0.5", "nan", "inf", "1e308", "abc"]
 SETTING_VALUES = {flag: NUMBERS for flag in (
-    "--radial", "--tol", "--threads", "--search-max-j", "--search-angles",
+    "--radial", "--tol", "--search-max-j", "--search-angles",
     "--truncation-max-j")}
 SETTING_VALUES["--angular"] = [*NUMBERS, "4", "100", "256", "4096"]
 MAPS = ["koebe", "fold", "affine:k=2", "affine:k=0.5;sign=1",
