@@ -77,7 +77,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import AccuracyError, InvalidParameterError
 from .mobius import MobiusMap
@@ -114,12 +113,157 @@ class IntegralResult:
     refinements_used: int
 
 
+def _jacobi_recurrence(n: int, a: float, b: float, x):
+    """P_n^(a,b)(x) / binom(n + a, n), n >= 1, by the integer-n recurrence
+    of SciPy's ``eval_jacobi``, operation for operation."""
+    xm1 = x - 1
+    d = (a + b + 2) * xm1 / (2 * (a + 1))
+    p = d + 1
+    for k in range(1, n):
+        t = 2 * k + a + b
+        d = ((t * (t + 1) * (t + 2)) * xm1 * p + 2 * k * (k + b) * (t + 2) * d) / (
+            2 * (k + a + 1) * (k + a + b + 1) * t)
+        p = d + p
+    return p
+
+
+def _legendre_recurrence(n: int, x):
+    """P_n(x), n >= 1, by the recurrence of SciPy's integer-n
+    ``eval_legendre``, operation for operation (SciPy sums a power series
+    for |x| < 1e-5 instead)."""
+    if n == 1:
+        return x.copy()
+    xm1 = x - 1
+    d, p = xm1, x
+    for k in range(1, n):
+        d = ((2 * k + 1) / (k + 1)) * xm1 * p + (k / (k + 1)) * d
+        p = d + p
+    return p
+
+
+def _dense_eigenvalues(d, e):
+    """``eigvalsh`` of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, built in one n x n buffer."""
+    n = d.size
+    jac = np.zeros((n, n))
+    flat = jac.reshape(-1)
+    flat[::n + 1] = d
+    flat[1::n + 1] = e
+    flat[n::n + 1] = e
+    return np.linalg.eigvalsh(jac)
+
+
+def _call_dsterf(dsterf, d, e):
+    """dsterf on copies of d and e: the ascending eigenvalues, or None if
+    it reports a failure.  n and info are passed as 8-byte integers; an
+    LP64 build reads and writes their low 4 bytes, which hold the same
+    values on a little-endian machine (and on another the probe in
+    ``_lapack_dsterf`` fails)."""
+    d = np.array(d, dtype=np.float64)
+    e = np.array(e, dtype=np.float64)
+    if d.ndim != 1 or e.shape != (d.size - 1,):
+        raise ValueError("dsterf takes n diagonal and n - 1 off-diagonal values")
+    n_info = np.array([d.size, 0], dtype=np.int64)
+    dsterf(n_info.ctypes.data, d.ctypes.data, e.ctypes.data,
+           n_info.ctypes.data + n_info.itemsize)
+    return None if n_info[1] else d
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack_dsterf():
+    """LAPACK's dsterf from the library behind ``numpy.linalg``, or None.
+
+    ``eigvalsh`` calls the same routine through dsyevd, after a dsytrd
+    that leaves a tridiagonal matrix as it is but costs O(n^3) in BLAS-2
+    calls, which OpenBLAS threads at n = 256: 0.13 s at n = 1024, and on
+    a 2-vCPU virtual machine the first two calls at n = 256 after an idle
+    spell took 0.5 s each.  dsterf alone is O(n^2) and runs on one
+    thread.  A symbol is taken only if it gives ``eigvalsh``'s bits on a
+    probe matrix; where none is (a library that exports dsterf under
+    another name, or not at all), ``eigvalsh`` is the one path.
+    """
+    import ctypes
+
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    d = np.array([0.3, -1.2, 2.5, 0.7, -0.4])
+    e = np.array([1.1, -0.6, 0.9, 2.0])
+    for name in ("scipy_dsterf_64_", "dsterf_64_", "dsterf_"):
+        dsterf = getattr(lib, name, None)
+        if dsterf is None:
+            continue
+        dsterf.restype = None
+        dsterf.argtypes = [ctypes.c_void_p] * 4
+        values = _call_dsterf(dsterf, d, e)
+        if values is not None and np.array_equal(values, _dense_eigenvalues(d, e)):
+            return dsterf
+    return None
+
+
+def _tridiagonal_eigenvalues(d, e):
+    """Ascending eigenvalues of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, bit for bit as ``eigvalsh`` gives them:
+    by LAPACK's dsterf where ``_lapack_dsterf`` finds it."""
+    dsterf = _lapack_dsterf()
+    values = None if dsterf is None else _call_dsterf(dsterf, d, e)
+    return _dense_eigenvalues(d, e) if values is None else values
+
+
 @functools.lru_cache(maxsize=128)
 def _jacobi_01(n: int, alpha: float):
-    """Nodes/weights for int_0^1 (1-t)^alpha h(t) dt on (0,1)."""
-    x, w = roots_jacobi(n, alpha, 0.0)
+    """Nodes/weights for int_0^1 (1-t)^alpha h(t) dt on (0,1), n >= 2 and
+    alpha > -1.
+
+    The Gauss-Jacobi(alpha, 0) rule on [-1, 1] is built as SciPy 1.17's
+    ``roots_jacobi`` builds it (Legendre's own branch at alpha = 0), step
+    for step: the eigenvalues of the Jacobi matrix, one Newton step on the
+    three-term recurrence, weights 1/(P_(n-1) P_n') log-normalized and
+    scaled to the zeroth moment 2^(alpha+1)/(alpha+1).  The binomial
+    factors of SciPy's polynomials cancel to the ratio (alpha+1)/n here.
+    So the nodes are SciPy's bit for bit and the weights within a few
+    ulps, and the values the benchmark gates keep their bits: nodes moved
+    by 2 ulps move koebe Q(2,1,1) by 8e-12, past the gate's 1e-12.  That
+    needs the eigenvalues of LAPACK's dsterf, which SciPy's banded solver
+    ends in too; eigenvalues 1 ulp off move the final nodes by up to 64
+    ulps (n = 1024).
+    """
+    a = float(alpha)
+    n1 = n - 1
+    k = np.arange(1.0, n)
+    if a == 0.0:
+        diag = np.zeros(n)
+        off = k * np.sqrt(1.0 / (4 * k * k - 1))
+    else:
+        diag = np.empty(n)
+        diag[0] = -a / (2 + a)
+        diag[1:] = -(a * a) / ((2.0 * k + a) * (2.0 * k + a + 2))
+        off = (2.0 / (2.0 * k + a) * np.sqrt((k + a) * k / (2 * k + a + 1))
+               * np.where(k == 1, 1.0, np.sqrt(k * (k + a) / (2.0 * k + a - 1))))
+    x = _tridiagonal_eigenvalues(diag, off)
+    if a == 0.0:
+        y = _legendre_recurrence(n, x)
+        dy = (-n * x * y + n * _legendre_recurrence(n1, x)) / (1 - x ** 2)
+        x -= y / dy
+        fm = _legendre_recurrence(n1, x)
+    else:
+        dy = 0.5 * (n + a + 1) * _jacobi_recurrence(n1, a + 1, 1.0, x)
+        x -= (a + 1) / n * _jacobi_recurrence(n, a, 0.0, x) / dy
+        fm = _jacobi_recurrence(n1, a, 0.0, x)
+    # fm and dy may hold very large or small values: scale each by the
+    # geometric mean of its extremes before the product
+    for v in (fm, dy):
+        logs = np.log(np.abs(v))
+        v /= np.exp((logs.max() + logs.min()) / 2.0)
+    w = 1.0 / (fm * dy)
+    if a == 0.0:
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+    w *= 2.0 ** (a + 1) / (a + 1) / w.sum()
     t = 0.5 * (x + 1.0)
-    w = w * 0.5 ** (alpha + 1.0)
+    w = w * 0.5 ** (a + 1.0)
     return t, w
 
 
@@ -530,7 +674,8 @@ class PolarTable:
 def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
                                 radial: int = DEFAULT_RADIAL,
                                 angular: int = DEFAULT_ANGULAR,
-                                tol: float = DEFAULT_REL_TOL) -> IntegralResult:
+                                tol: float = DEFAULT_REL_TOL,
+                                even: bool = False) -> IntegralResult:
     """int_D integrand(z) (1-|z|^2)^q (1-|sigma_a z|^2)^s dA(z), s >= 0.
 
     The rule absorbs (1-t)^(q+s) radially; the remaining bounded factor is
@@ -540,16 +685,22 @@ def disk_integral_mobius_weight(integrand, q: float, s: float, m: MobiusMap,
     ``DEFAULT_REFINE_CAP`` times, until the value changes by at most ``tol``
     of itself; that change, floored at 1e-12 of the value, is the error
     estimate, and ``refinements_used`` the doublings taken.
+
+    ``even`` says that the integrand is even in theta, as in
+    ``disk_integral_green``: at a real a each table then holds the half
+    circle and folds onto it.
     """
     _check_mobius_params(q, s)
     a = m.param
+    fold = even and complex(a).imag == 0.0
     angular = angular_count_for(abs(a), s, angular)
     previous = None
     for k in range(DEFAULT_REFINE_CAP + 1):
         nr, na = radial * 2 ** k, angular * 2 ** k
         grid = build_grid(nr, q + s, na)
         value = PolarTable(lambda z: (integrand(z),), np.sqrt(grid.radial_nodes),
-                           grid.radial_weights, na).integrals(a, s, na)[0]
+                           grid.radial_weights, na,
+                           even=fold).integrals(a, s, na)[0]
         if previous is not None:
             err = abs(value - previous)
             if err <= max(tol * abs(value), 1e-300):

@@ -573,8 +573,7 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
     of the observed ratios over the supplied automorphism parameters, of
     which there must be at least one.  q and s are checked as both
     integrals check them, before either runs.  A map with real
-    coefficients folds the Green integral at a real a onto the half circle
-    (``disk_integral_green``).
+    coefficients folds both integrals at a real a onto the half circle.
     """
     _check_mobius_params(q, s)
     a_grid = list(a_grid)
@@ -591,7 +590,8 @@ def equivalence_ratio(f: AnalyticFn, p: float, q: float, s: float,
     for a in a_grid:
         m = MobiusMap(a)
         gval = disk_integral_green(base, q, s, m, even=even).value
-        wval = disk_integral_mobius_weight(base, q, s, m, tol=1e-9).value
+        wval = disk_integral_mobius_weight(base, q, s, m, tol=1e-9,
+                                           even=even).value
         entries.append((complex(a), gval, wval, gval / wval))
     ratios = [e[3] for e in entries]
     return RatioReport(tuple(entries), min(ratios), max(ratios))

@@ -8,9 +8,9 @@ oracles (Beta moments, series sums, hand-evaluated identities).
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import beta as beta_fn
 
 from qrspaces.analytic import compose_mobius, derivative, koebe, poly
 from qrspaces.families import (
@@ -71,7 +71,7 @@ def test_criterion_1_quadrature_oracles():
             res = disk_integral_alpha(
                 lambda z, m=m: (z.real ** 2 + z.imag ** 2) ** m, alpha
             )
-            oracle = math.pi * beta_fn(m + 1, alpha + 1)
+            oracle = math.pi * float(mpmath.beta(m + 1, alpha + 1))
             worst = max(worst, abs(res.value - oracle) / oracle)
     elapsed = time.time() - t0
     report(1, f"Beta-moment oracles (worst rel {worst:.2e}, {elapsed:.2f}s)",

@@ -5,6 +5,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -144,6 +146,32 @@ def test_build_map_families():
         build_map("unknown-map")
     with pytest.raises(InvalidParameterError):
         build_map("affine:wrong")
+
+
+def fresh_python(code, cwd):
+    """Run ``code`` in a fresh interpreter on this checkout's package."""
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
+def test_importing_the_cli_loads_no_scipy(tmp_path):
+    run = fresh_python("import sys, qrspaces.cli; "
+                       "print([m for m in sys.modules if m.startswith('scipy')])",
+                       tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_a_verify_runs_where_scipy_cannot_be_imported(tmp_path):
+    # a None entry in sys.modules makes every import of the package fail
+    argv = ["verify", "--theorem", "3.2", "--map", "cayley-shear:k=0.5",
+            "--scale", "F(2,0,1)", "--K", "3"]
+    run = fresh_python("import sys; sys.modules['scipy'] = None; "
+                       "from qrspaces.cli import main; "
+                       f"sys.exit(main({argv!r}))", tmp_path)
+    assert run.returncode == 0, run.stderr
 
 
 def test_norm_command_identity(tmp_path, capsys):

@@ -8,7 +8,6 @@ import pytest
 from conftest import column_spy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import beta as beta_fn
 
 import qrspaces.spaces
 from qrspaces import quadrature
@@ -75,8 +74,72 @@ def test_moment_beta_oracle():
     for alpha in (0.0, 0.5, 1.0, 2.0):
         for m in range(11):
             res = disk_integral_alpha(lambda z, m=m: np.abs(z) ** (2 * m), alpha)
-            oracle = math.pi * beta_fn(m + 1, alpha + 1)
+            oracle = math.pi * float(mpmath.beta(m + 1, alpha + 1))
             assert res.value == pytest.approx(oracle, rel=1e-12)
+
+
+# the rules the benchmark pools build, as (n, alpha)
+POOL_RULES = ([(8, 1.0), (16, 1.0)]
+              + [(128, alpha) for alpha in (-0.5, 0.0, 0.5, 1.0, 1.5, 1.8, 2.0)]
+              + [(256, alpha) for alpha in (0.0, 1.0, 2.0)])
+RULE_GRID = ([(n, alpha) for n in (2, 3, 5, 31, 64, 127, 131, 257, 512)
+              for alpha in (-0.99, -0.5, 0.0, 0.3, 2.5, 12.0)]
+             + [(1024, 0.0), (1024, 2.5)])
+
+
+@pytest.mark.parametrize("n, alpha, solver",
+                         [(n, alpha, "dsterf") for n, alpha in POOL_RULES + RULE_GRID]
+                         + [(n, alpha, "eigvalsh") for n, alpha in POOL_RULES])
+def test_jacobi_rule_is_scipys(monkeypatch, n, alpha, solver):
+    # the nodes are SciPy's bit for bit, so every gated value keeps its
+    # bits; the weights, scaled to the zeroth moment in another order, stay
+    # within 32 ulps.  So they are where no dsterf is found, too.
+    special = pytest.importorskip("scipy.special")
+    if solver == "eigvalsh":
+        monkeypatch.setattr(quadrature, "_lapack_dsterf", lambda: None)
+    x, w = special.roots_jacobi(n, alpha, 0.0)
+    t, wt = _jacobi_01.__wrapped__(n, alpha)
+    assert np.array_equal(t, 0.5 * (x + 1.0))
+    w = w * 0.5 ** (alpha + 1.0)
+    assert np.all(np.abs(wt - w) <= 32 * np.spacing(w))
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 256])
+def test_tridiagonal_eigenvalues_are_eigvalshs(n):
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    d0, e0 = d.copy(), e.copy()
+    assert np.array_equal(quadrature._tridiagonal_eigenvalues(d, e),
+                          np.linalg.eigvalsh(dense))
+    assert np.array_equal(d, d0) and np.array_equal(e, e0)
+
+
+# Where the moments of the Jacobi rule miss 1e-13: SciPy's rule misses by
+# as much (3.6e-12, 2.2e-10, 4.4e-13 and 3.9e-13 at k = 39).  The weights
+# of the nodes nearest t = 1 carry it, and at alpha = -0.9 the last node
+# holds about a third of the mass.
+JACOBI_MOMENT_TOL = {(128, -0.9): 1e-11, (256, -0.9): 5e-10,
+                     (128, 0.0): 1e-12, (256, 0.0): 1e-12}
+
+
+@pytest.mark.parametrize("alpha", [-0.9, 0.0, 2.5])
+@pytest.mark.parametrize("n", [2, 8, 128, 256])
+def test_jacobi_rule_moments(n, alpha):
+    # an n-node Gauss rule integrates t^k (1-t)^alpha exactly for k < 2n:
+    # sum w t^k = B(k+1, alpha+1), with the sums at 30 digits so only the
+    # rule's own nodes and weights are judged
+    tol = JACOBI_MOMENT_TOL.get((n, alpha), 1e-13)
+    t, w = _jacobi_01(n, alpha)
+    assert np.all(np.diff(t) > 0.0) and 0.0 < t[0] and t[-1] < 1.0
+    assert np.all(w > 0.0)
+    with mpmath.workdps(30):
+        t = [mpmath.mpf(float(x)) for x in t]
+        terms = [mpmath.mpf(float(x)) for x in w]
+        for k in range(min(2 * n, 40)):
+            exact = mpmath.beta(k + 1, alpha + 1)
+            assert abs(mpmath.fsum(terms) / exact - 1) <= tol, k
+            terms = [term * ti for term, ti in zip(terms, t)]
 
 
 def test_grid_weight_sum_invariant():
@@ -823,6 +886,26 @@ def test_green_folds_onto_the_half_circle_at_a_real_a(monkeypatch, spec, a,
     assert grids == [(160, na // 2 + 1), (320, na // 2 + 1)]
     full = value(False)
     assert grids[2:] == [(160, na), (320, na)]
+    assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("a", [0.0, 0.5, 0.5j])
+def test_mobius_weight_folds_onto_the_half_circle_at_a_real_a(monkeypatch, a):
+    # every rule of the node doubling tabulates the half circle at a real
+    # a, and the whole circle off the axis, within 1e-14 of the unfolded
+    base = _pow_tabulator(_lambda_fn(koebe()), 0.5)
+    grids = column_spy(monkeypatch)
+
+    def value(even):
+        return disk_integral_mobius_weight(lambda z: base(z)[0], 0.0, 4.0,
+                                           MobiusMap(a), even=even).value
+
+    folded = value(True)
+    walks = len(grids)
+    full = value(False)
+    assert walks > 1
+    assert grids[:walks] == [(rows, count if complex(a).imag else count // 2 + 1)
+                             for rows, count in grids[walks:]]
     assert folded == pytest.approx(full, rel=1e-14, abs=0.0)
 
 
