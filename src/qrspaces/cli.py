@@ -55,6 +55,7 @@ from .families import (
 from .harmonic import HarmonicMap, analytic_as_harmonic, estimate_quasiregularity
 from .quadrature import ANGULAR_LADDER, DEFAULT_ANGULAR, DEFAULT_RADIAL
 from .spaces import (
+    KERNEL_ROUTES,
     RADIUS_CAP_J,
     BergmanMorrey,
     BlochAlpha,
@@ -379,7 +380,8 @@ def _engine_check(cfg: RunConfig, res) -> dict:
                             res.grid["s_eff"], cfg.radial, cfg.angular)
     (value,) = pr.integral_at(res.sup_a)
     return {"value": value, "rel_dev": abs(value / res.value - 1.0),
-            **pr.grid_metadata()}
+            **pr.grid_metadata(),
+            "kernel_evaluations": dict(dict.fromkeys(KERNEL_ROUTES, 0), direct=1)}
 
 
 def cmd_constants(cfg: RunConfig) -> int:
@@ -467,19 +469,19 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _sweep_cell(cfg: RunConfig, map_spec: str, cell) -> dict:
     """One sweep row; a cell's error, an overflow included (``main`` makes
-    overflows raise), goes into its ``error`` column."""
+    overflows raise), goes into its ``error`` column.  Every row gives the
+    map spec and the cell as given, so it re-runs as ``verify --theorem T
+    --map M --scale S`` with the sweep's other flags."""
     row = {c: "" for c in SWEEP_COLUMNS}
-    row.update({"theorem": cfg.theorem, "map": map_spec, "scale": cell})
     try:
         cell_cfg = dataclasses.replace(cfg, map_spec=map_spec, scale_spec=cell)
-        report = run_verification(cell_cfg)
-        rec = report.to_record()
+        rec = run_verification(cell_cfg).to_record()
         for col in SWEEP_COLUMNS:
             if col in rec and rec[col] is not None:
                 row[col] = rec[col]
-        row["scale"] = report.scale_label
     except (QrspacesError, OverflowError, FloatingPointError) as exc:
         row["error"] = f"{type(exc).__name__}: {exc}"
+    row.update({"theorem": cfg.theorem, "map": map_spec, "scale": cell})
     return row
 
 

@@ -210,9 +210,11 @@ def estimate_quasiregularity(f: HarmonicMap, grid: Optional[SampleGrid] = None,
     """Estimate the distortion of f on a polar sample grid.
 
     K_est is the max of D_f = Lambda/lambda over samples with J > 0, sharpened
-    by a compass refinement around the maximizer.  With no J > 0 sample it is
-    inf when some sample reverses sense (J < 0) or is degenerate, and 1 for a
-    constant map (J = 0 everywhere).  The residual reports
+    by a compass refinement around the maximizer.  It is inf when some
+    sample reverses sense beyond rounding, J < -1e-12 Lambda^2, since no K
+    bounds a map that does, or when no sample has J > 0 and some sample is
+    degenerate; it is 1 for a constant map (J = 0 everywhere).  The
+    residual reports
     max(Lambda^2 - K J) for the supplied K (default: the estimated K).  With
     ``require_k`` set, samples where lambda vanishes while Lambda does not
     raise :class:`NonQuasiregularError` (D_f unbounded there).
@@ -239,9 +241,10 @@ def estimate_quasiregularity(f: HarmonicMap, grid: Optional[SampleGrid] = None,
             "lambda = 0 with Lambda > 0"
         )
     ratio = lam_big / np.maximum(lam_small, _RATIO_GUARD)
-    usable = w.jacobian > 0
-    if not np.any(usable):
-        K_est = math.inf if n_degenerate or np.any(w.jacobian < 0) else 1.0
+    jac = w.jacobian
+    usable = jac > 0
+    if not np.any(usable) or np.any(jac < -1e-12 * lam_big ** 2):
+        K_est = math.inf if n_degenerate or np.any(jac < 0) else 1.0
         argmax = 0j
     else:
         idx = int(np.argmax(np.where(usable, ratio, -np.inf)))
@@ -269,7 +272,7 @@ def estimate_quasiregularity(f: HarmonicMap, grid: Optional[SampleGrid] = None,
         K_est, argmax = best, complex(best_z)
 
     K_used = K_for_residual if K_for_residual is not None else min(K_est, 1e12)
-    residual = float(np.max(lam_big ** 2 - K_used * w.jacobian))
+    residual = float(np.max(lam_big ** 2 - K_used * jac))
     return QrEstimate(K_est, residual, argmax, n_degenerate, grid)
 
 

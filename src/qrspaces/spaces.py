@@ -40,18 +40,20 @@ pairs, so every off-axis lattice pair costs one evaluation.
 Every sup over a in the disk (engine, composition, Green, Bloch, and the u/v
 pairs of the conjugate checks) runs through ``_sup_search``: one lattice, one
 compass ascent per component of a joint objective, every component on the
-union of the compass points, one joint evaluation per distinct a.  An engine
+union of the compass points, one joint evaluation per distinct a; it keeps
+every per-a value and counts each by its route (``KERNEL_ROUTES``).  An engine
 problem carries every base that shares its weight and grid, tabulated by one
 call (|F'|^p and |G'|^p of a conjugate pair, from one jet of h and one of g),
 so one Mobius factor per a serves all of them; scalar sups are the
 one-component case.  The engine's lattice is computed one ring
 at a time: one Mobius factor per distinct lattice radius r, at a = r, whose
 column shifts give the other angles of the ring (``ring_integrals``).  Direct
-per-a calls remain for a = 0, the compass points, s_eff = 0 and angle counts
-that do not divide the rung.  ``_norm_result`` builds every NormResult;
-its error is node doubling at the maximizer (engine and composition: radial
-nodes and angles; Green: radial nodes alone), or only the 1e-12 floor (Bloch
-and the constants), and it flags a maximizer on RADIUS_CAP (``sup_on_cap``).
+per-a calls remain for a = 0, the compass points and angle counts that do
+not divide the rung; at s_eff = 0 the one integral at a = 0 is the sup.
+Every norm ends in ``_finish``: the search, its error at the maximizer
+(engine and composition: node doubling in radial nodes and angles; Green:
+that integral's own doubling), or only the 1e-12 floor (Bloch and the
+closed forms), and ``_norm_result``, which flags a maximizer on RADIUS_CAP.
 
 The sup-type constants of Theorems 3.5/3.6 are the engine integral of base 1,
 which has a closed form (Forelli-Rudin; Hedenmalm, Korenblum & Zhu, Theory of
@@ -65,7 +67,7 @@ weighted average of (1 - t x/(x-1))^(-s), which falls as x grows.  So
 sup_a I = I(0) = pi/(q+s+1) for s >= 0 (s = 0 does not depend on a).  For
 s < 0 the sup is infinite: (1-x)^s grows without bound while 2F1(s, s; c; 1)
 stays positive and finite.  The constants and constant derivative bases
-(``_derivative_sups``) take that closed form: no search and no quadrature.
+(``_derivative_norms``) take that closed form: no search and no quadrature.
 """
 
 from __future__ import annotations
@@ -339,41 +341,48 @@ def _compass_max(objective: Callable[[complex], float], start: complex,
 
 
 def _sup_search(objective: Callable[[complex], Sequence[float]],
-                search: SupSearchSpec, ring: Optional[Callable] = None,
-                ledger: Optional[dict] = None):
+                search: Optional[SupSearchSpec],
+                ring: Optional[Callable] = None, even: bool = False,
+                routes: Optional[dict] = None):
     """One (argmax, value, trace) per component of a joint objective.
 
     ``objective(a)`` returns one value per component (a one-tuple for a
     scalar sup).  Lattice, one compass ascent per component, then every
     component on the union of all compass points, so pointwise-dominated
-    components come out with dominated sups.  Memoized: one joint evaluation
-    per distinct a.  ``ring(r, turns)``, if given, returns the objective at
-    every lattice point of the radius r at once, or None to leave them to
-    ``objective``; its values seed the memo.  ``ledger`` is the route ledger
-    of an objective even in a, I(conj a) = I(a) (built from a map with real
-    coefficients), or None: for an even objective an a off the real axis is
-    evaluated at the one of a, conj(a) in the upper half-plane, and the
-    second of a pair takes the first one's values, counted as
-    ``conjugate``.  The argmax is the first trace point with the largest
-    value.
+    components come out with dominated sups.  ``search`` None: the
+    objective does not depend on a, and its value at a = 0 is the sup.
+    Memoized: one joint evaluation per distinct a.  ``ring(r, turns)``, if
+    given, returns the objective at every lattice point of the radius r at
+    once, or None to leave them to ``objective``; its values seed the memo.
+    ``even``: the objective is even in a, I(conj a) = I(a) (built from a
+    map with real coefficients), so an a below the real axis is evaluated
+    at conj(a), and the second of a pair takes the first one's values.
+    ``routes`` (``KERNEL_ROUTES``) counts each distinct a by how it got
+    its values: ``direct``, ``ring_turns`` or ``conjugate``.  The argmax is
+    the first trace point with the largest value.
     """
+    routes = dict.fromkeys(KERNEL_ROUTES, 0) if routes is None else routes
     memo = {}
+
+    def joint(a):
+        if a not in memo:
+            if even and a.conjugate() in memo:
+                routes["conjugate"] += 1
+                memo[a] = memo[a.conjugate()]
+            else:
+                routes["direct"] += 1
+                memo[a] = objective(complex(a).conjugate()
+                                    if even and a.imag < 0 else complex(a))
+        return memo[a]
+
+    if search is None:
+        return [(0j, v, [(0j, v)]) for v in joint(0j)]
     if ring is not None:
         for r, points in search.rings().items():
             values = ring(r, len(points))
             if values is not None:
+                routes["ring_turns"] += len(points)
                 memo.update(zip(points, values))
-
-    def joint(a):
-        if a not in memo:
-            if ledger is None or not a.imag:
-                memo[a] = objective(complex(a))
-            elif a.conjugate() in memo:
-                ledger["conjugate"] += 1
-                memo[a] = memo[a.conjugate()]
-            else:
-                memo[a] = objective(complex(a.real, abs(a.imag)))
-        return memo[a]
 
     lattice = search.candidates()
     values = [joint(a) for a in lattice]
@@ -415,6 +424,23 @@ def _norm_result(best, err_raw: float, p_root: float, grid: dict,
     )
 
 
+def _finish(objective, search: Optional[SupSearchSpec], p_root: float,
+            grid: Callable[[], dict], error: Optional[Callable] = None,
+            ring: Optional[Callable] = None, even: bool = False,
+            value_at_zero=None, warnings=()) -> list:
+    """One NormResult per component of a sup: ``_sup_search`` (``search``,
+    ``ring`` and ``even`` as there), ``error(a, value)`` at each argmax,
+    counted as ``refined`` (none: only the 1e-12 floor), ``_norm_result``.
+    ``grid()`` gives the grid once that work is done, with the routes."""
+    routes = dict.fromkeys(KERNEL_ROUTES, 0)
+    sups = _sup_search(objective, search, ring, even, routes)
+    errors = [error(a, value) if error else 0.0 for a, value, _ in sups]
+    routes["refined"] = len(sups) if error else 0
+    grid = {**grid(), "kernel_evaluations": routes}
+    return [_norm_result(best, err, p_root, grid, value_at_zero, warnings)
+            for best, err in zip(sups, errors)]
+
+
 # --- the weighted sup engine --------------------------------------------------
 
 
@@ -433,17 +459,14 @@ class WeightedSupProblem:
     ``integrals`` at a, one Mobius factor for every base, and
     ``ring_integrals`` serves a whole lattice ring from the table's
     ``ring_integrals`` of one factor.  ``base_angular`` must be a rung,
-    since every a != 0 gets at least the first one.  ``evaluations`` counts
-    the per-a evaluations by route: ``direct`` (each kernel run of
-    ``integral_at``), ``conjugate`` (an a the search answered from conj(a)),
-    ``ring_turns`` (the lattice points ``ring_integrals`` served) and
-    ``refined`` (``refined_integral_at``); ``work`` is the one ledger of the
-    master table and every node-doubling table.  ``even``, for bases built
-    from a map with real coefficients, makes every table tabulate half the
-    circle and fold the kernel at real a (``quadrature.PolarTable``); the
-    integrals of even bases are even in a too, I(conj a) = I(a), and a
-    search given ``evaluations`` as its ledger (``_sup_search``) evaluates
-    one a of each conjugate pair.
+    since every a != 0 gets at least the first one.  At s_eff = 0 the
+    weight does not depend on a, and every integral takes all the master
+    grid's angles.  ``work`` is the one ledger of the master table and
+    every node-doubling table.  ``even``, for bases built from a map with
+    real coefficients, makes every table tabulate half the circle and fold
+    the kernel at real a (``quadrature.PolarTable``); the integrals of even
+    bases are even in a too, I(conj a) = I(a), and an ``even`` search
+    (``_sup_search``) evaluates one a of each conjugate pair.
     """
 
     def __init__(self, tabulate: Callable, q_eff: float, s_eff: float,
@@ -465,8 +488,6 @@ class WeightedSupProblem:
         self.even = even
         self.work = table_work()
         self._table = self._tabulate(self.radial, self.max_angular)
-        self._const_value = None
-        self.evaluations = dict.fromkeys(KERNEL_ROUTES, 0)
 
     def _tabulate(self, radial: int, count: int) -> PolarTable:
         """The ``PolarTable`` of the problem's (radial, count) rule."""
@@ -481,86 +502,79 @@ class WeightedSupProblem:
             "grid_angular_max": self.max_angular,
             "q_eff": self.q_eff,
             "s_eff": self.s_eff,
-            "kernel_evaluations": dict(self.evaluations),
             "table_work": dict(self.work),
             "closed_form": False,
         }
 
     def _count_for(self, rho: float) -> int:
+        if not self.s_eff:
+            return self.max_angular
         return min(angular_count_for(rho, abs(self.s_eff), self.base_angular),
                    self.max_angular)
 
     def integral_at(self, a: complex) -> tuple:
         """One integral per base at the automorphism parameter a."""
         a = complex(a)
-        self.evaluations["direct"] += 1
-        if self.s_eff != 0.0:
-            return tuple(self._table.integrals(a, self.s_eff,
-                                               self._count_for(abs(a))))
-        if self._const_value is None:
-            self._const_value = tuple(self._table.integrals(
-                a, 0.0, self.max_angular))
-        return self._const_value
+        return tuple(self._table.integrals(a, self.s_eff,
+                                           self._count_for(abs(a))))
 
     def ring_integrals(self, r: float, turns: int):
         """``integral_at(r e^(2 pi i k/turns))`` for k < turns, from one Mobius
-        factor on the rung ``integral_at(r)`` uses (k = 0 is bit-identical).
+        factor on the rung ``integral_at(r)`` uses (k = 0 is bit-identical;
+        s_eff != 0, as a search needs).
 
-        None where a ring cannot stand in for direct calls: s_eff = 0, whose
-        one value ``integral_at`` caches, a rung that ``turns`` does not
-        divide, or turns^2 > count, where the ring's (radial, turns, turns)
-        product would outgrow the grid (``--search-angles 2048`` would ask
-        for 4 GB on the top rung).
+        None where a ring cannot stand in for direct calls: a rung that
+        ``turns`` does not divide, or turns^2 > count, where the ring's
+        (radial, turns, turns) product would outgrow the grid
+        (``--search-angles 2048`` would ask for 4 GB on the top rung).
         """
         count = self._count_for(r)
-        if self.s_eff == 0.0 or count % turns or turns * turns > count:
+        if count % turns or turns * turns > count:
             return None
-        self.evaluations["ring_turns"] += turns
         return list(zip(*self._table.ring_integrals(r, self.s_eff, count,
                                                     turns)))
 
     def refined_integral_at(self, a: complex) -> tuple:
         """One-off evaluation with doubled node counts (error estimation):
-        twice the radial nodes and twice the angles ``integral_at(a)`` used,
-        all of the master grid's at s_eff = 0."""
+        twice the radial nodes and twice the angles ``integral_at(a)`` used."""
         a = complex(a)
-        self.evaluations["refined"] += 1
-        count = 2 * (self._count_for(abs(a)) if self.s_eff else self.max_angular)
+        count = 2 * self._count_for(abs(a))
         return tuple(self._tabulate(2 * self.radial, count).integrals(
             a, self.s_eff, count))
 
 
-def _finish_norm(problem: WeightedSupProblem, search: SupSearchSpec,
-                 p_root: float, value_at_zero=None, warnings=()) -> NormResult:
-    """Sup of a one-base engine problem, node-doubling error at the argmax."""
-    (best,) = _sup_search(problem.integral_at, search, problem.ring_integrals,
-                          problem.evaluations if problem.even else None)
-    (refined,) = problem.refined_integral_at(best[0])
-    return _norm_result(best, abs(refined - best[1]), p_root,
-                        problem.grid_metadata(), value_at_zero, warnings)
+def _engine_norms(problem: WeightedSupProblem, search: SupSearchSpec,
+                  p_root: float, refine: bool = True, value_at_zero=None,
+                  warnings=()) -> list:
+    """One NormResult per base of an engine problem: its sup search, or at
+    s_eff = 0 its one integral at a = 0, then, if ``refine``, node doubling
+    at the argmax of its one base."""
+    def error(a, value):
+        return abs(problem.refined_integral_at(a)[0] - value)
+    return _finish(problem.integral_at, search if problem.s_eff else None,
+                   p_root, problem.grid_metadata, error if refine else None,
+                   problem.ring_integrals, problem.even, value_at_zero,
+                   warnings)
 
 
-def _derivative_sups(f, tabulate, q_eff, s_eff, radial, angular):
-    """(sups, grid, problem) for the bases ``tabulate`` builds from f's derivatives:
-    the engine problem alone, for the caller to search, or for constant bases c
-    (``constant_bases``, read at z = 0) c times base 1's closed form, no problem."""
+def _derivative_norms(f, tabulate, q_eff, s_eff, search, radial, angular,
+                      p_root, refine=True, value_at_zero=None,
+                      warnings=()) -> list:
+    """One NormResult per base ``tabulate`` builds from f's derivatives: the
+    ``_engine_norms`` of their problem, or for constant bases c
+    (``constant_bases``, read at z = 0) c times base 1's closed form."""
     if not constant_bases(f):
-        return None, None, WeightedSupProblem(
-            tabulate, q_eff, s_eff, radial, angular, real_coefficients(f))
+        return _engine_norms(
+            WeightedSupProblem(tabulate, q_eff, s_eff, radial, angular,
+                               real_coefficients(f)),
+            search, p_root, refine, value_at_zero, warnings)
     values = [float(c) for (c,) in tabulate(np.zeros(1, complex))]
     unit = _closed_form_constant(q_eff, s_eff, "a norm").value if any(values) else 0.0
     grid = {"grid_radial": radial, "grid_angular": angular, "q_eff": q_eff,
             "s_eff": s_eff, "kernel_evaluations": dict.fromkeys(KERNEL_ROUTES, 0),
             "table_work": table_work(), "closed_form": True}
-    return [(0.0, c * unit, [(0.0, c * unit)]) for c in values], grid, None
-
-
-def _derivative_norm(f, tabulate, q_eff, s_eff, search, radial, angular, p_root, *rest):
-    """``_finish_norm`` of the engine problem, or the exact closed form."""
-    sups, grid, pr = _derivative_sups(f, tabulate, q_eff, s_eff, radial, angular)
-    if pr is None:
-        return _norm_result(sups[0], 0.0, p_root, grid, *rest)
-    return _finish_norm(pr, search, p_root, *rest)
+    return [_norm_result((0.0, c * unit, [(0.0, c * unit)]), 0.0, p_root, grid,
+                         value_at_zero, warnings) for c in values]
 
 
 # --- base tabulators ----------------------------------------------------------
@@ -621,9 +635,10 @@ def _q_norm(f, parts, params: Qnpa, search, radial, angular) -> NormResult:
         )
     f0 = abs(f(0.0))
     if params.n == 1:
-        return _derivative_norm(f, _pow_tabulator(_lambda_fn(f), params.p),
-                                *pullback_exponents(params.p, params.alpha),
-                                search, radial, angular, params.p, f0, warnings)
+        return _derivative_norms(f, _pow_tabulator(_lambda_fn(f), params.p),
+                                 *pullback_exponents(params.p, params.alpha),
+                                 search, radial, angular, params.p,
+                                 value_at_zero=f0, warnings=warnings)[0]
     parts = [p for p in parts if p.constant_value is None] or parts[:1]
     return _q_norm_composed(parts, params, search, radial, angular, f0, warnings)
 
@@ -662,42 +677,30 @@ def composed_integral(parts, n: int, p: float, a: complex, rule,
 def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings):
     """Composition path for jet orders n >= 2.
 
-    Each per-a integral is a ``composed_integral`` at the angular count
-    that the aliasing bound of the pole order p(n+1)/2 picks for |a|; the
-    rule of each (radial, count) is built once.  The error is node doubling
-    at the argmax: twice the radial nodes and twice the count it used.
-    Parts with real coefficients fold each integral at a real a onto the
-    half circle, and the search takes I(conj a) from I(a) (``_sup_search``).
-    ``kernel_evaluations`` counts the per-a integrals: ``direct`` (kernel
-    runs), ``conjugate`` (an a the search answered from conj(a)) and
-    ``refined``; ``points`` the integrand points of them all.
+    Each per-a integral is a ``composed_integral`` on the ``composed_rule``
+    of the angular count that the aliasing bound of the pole order
+    p(n+1)/2 picks for |a|.  The error is node doubling at the argmax:
+    twice the radial nodes and twice the count it used.  Parts with real
+    coefficients fold each integral at a real a onto the half circle, and
+    the search takes I(conj a) from I(a) (``_sup_search``).  ``points``
+    counts the integrand points of every integral.
     """
     check_angular(angular)
     n, p = params.n, params.p
     pole = 0.5 * p * (n + 1)
-    rules = {}
-    evaluations = {"direct": 0, "conjugate": 0, "refined": 0}
     work = {"points": 0}
 
-    def count_for(a):
-        return angular_count_for(abs(complex(a)), pole, angular)
+    def integral(a, doubling=1):
+        count = doubling * angular_count_for(abs(complex(a)), pole, angular)
+        rule = composed_rule(doubling * radial, params.alpha, count)
+        return composed_integral(parts, n, p, a, rule, work)
 
-    def integral(a, nr, count):
-        if (nr, count) not in rules:
-            rules[nr, count] = composed_rule(nr, params.alpha, count)
-        return composed_integral(parts, n, p, a, rules[nr, count], work)
-
-    def direct(a):
-        evaluations["direct"] += 1
-        return (integral(a, radial, count_for(a)),)
-
-    even = all(map(real_coefficients, parts))
-    (best,) = _sup_search(direct, search, ledger=evaluations if even else None)
-    evaluations["refined"] += 1
-    refined = integral(best[0], 2 * radial, 2 * count_for(best[0]))
-    grid = {"grid_radial": radial, "grid_angular": angular, "jet_order": n,
-            "kernel_evaluations": evaluations, "points": work["points"]}
-    return _norm_result(best, abs(refined - best[1]), p, grid, f0, warnings)
+    return _finish(lambda a: (integral(a),), search, p,
+                   lambda: {"grid_radial": radial, "grid_angular": angular,
+                            "jet_order": n, "points": work["points"]},
+                   lambda a, value: abs(integral(a, 2) - value),
+                   even=all(map(real_coefficients, parts)),
+                   value_at_zero=f0, warnings=warnings)[0]
 
 
 def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
@@ -714,34 +717,31 @@ def fh_pqs_norm(f: HarmonicMap, params: Fpqs,
     search = search or SupSearchSpec()
     tabulate = _pow_tabulator(_lambda_fn(f), params.p)
     if weight_form == "mobius":
-        return _derivative_norm(f, tabulate, params.q, params.s, search,
-                                radial, angular, params.p)
+        return _derivative_norms(f, tabulate, params.q, params.s, search,
+                                 radial, angular, params.p)[0]
     if weight_form != "green":
         raise InvalidParameterError(f"unknown weight form {weight_form!r}")
     check_angular(angular)
 
-    # the node-doubling error of each per-a integral, by the a evaluated
-    errors = {}
-    evaluations = {"direct": 0, "conjugate": 0}
     work = {"points": 0}
     even = real_coefficients(f)
 
-    def direct(a):
-        res = disk_integral_green(lambda z: tabulate(z)[0], params.q,
-                                  params.s, MobiusMap(a), radial=radial,
-                                  angular=angular, even=even, work=work)
-        evaluations["direct"] += 1
-        errors[a] = res.abs_error_estimate
-        return (res.value,)
+    def green(a):
+        return disk_integral_green(lambda z: tabulate(z)[0], params.q,
+                                   params.s, MobiusMap(a), radial=radial,
+                                   angular=angular, even=even, work=work)
 
-    (best,) = _sup_search(direct, search, ledger=evaluations if even else None)
-    grid = {"grid_radial": radial, "grid_angular": angular,
-            "grid_cap": GREEN_CAP_NODES, "weight": "green",
-            "kernel_evaluations": evaluations, "points": work["points"]}
-    a = complex(best[0])
-    # an a answered by conj(a) has the error of conj(a)
-    err = errors[a] if a in errors else errors[a.conjugate()]
-    return _norm_result(best, err, params.p, grid)
+    def error(a, value):
+        # the doubling of the integral the search ran, at a or, for an even
+        # search, at the member of a's conjugate pair above the real axis
+        a = complex(a)
+        return green(a.conjugate() if even and a.imag < 0 else a).abs_error_estimate
+
+    return _finish(lambda a: (green(a).value,), search, params.p,
+                   lambda: {"grid_radial": radial, "grid_angular": angular,
+                            "grid_cap": GREEN_CAP_NODES, "weight": "green",
+                            "points": work["points"]},
+                   error, even=even)[0]
 
 
 def m_pqs_norm(f, params: Mpqs, search: Optional[SupSearchSpec] = None,
@@ -757,7 +757,7 @@ def m_pqs_norm(f, params: Mpqs, search: Optional[SupSearchSpec] = None,
     pr = WeightedSupProblem(_pow_tabulator(f, params.p), params.q, params.s,
                             radial, angular, real_coefficients(f))
     f0 = abs(f(0.0))
-    res = _finish_norm(pr, search, params.p, value_at_zero=f0)
+    res = _engine_norms(pr, search, params.p, value_at_zero=f0)[0]
     return dataclasses.replace(res, value=f0 + res.value)
 
 
@@ -799,17 +799,13 @@ def _bloch_norm(f, scale: BlochAlpha, search: SupSearchSpec) -> NormResult:
     the search answers conj(z) from z (``kernel_evaluations``).
     """
     deriv_fn, f0 = _lambda_fn(f), abs(f(0.0))
-    evaluations = {"direct": 0, "conjugate": 0}
 
     def objective(z):
-        evaluations["direct"] += 1
         z = np.asarray(complex(z))
         return (float((1.0 - abs(complex(z)) ** 2) ** scale.alpha * deriv_fn(z)),)
 
-    (best,) = _sup_search(objective, search,
-                          ledger=evaluations if real_coefficients(f) else None)
-    res = _norm_result(best, 0.0, 1.0, {"search_points": len(best[2]),
-                                        "kernel_evaluations": evaluations}, f0)
+    res = _finish(objective, search, 1.0, dict, even=real_coefficients(f),
+                  value_at_zero=f0)[0]
     return dataclasses.replace(res, value=f0 + res.value)
 
 

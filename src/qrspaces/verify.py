@@ -61,10 +61,9 @@ from .spaces import (
     Qs,
     Qnpa,
     SupSearchSpec,
-    _derivative_sups,
+    _derivative_norms,
     _lambda_fn,
     _pow_tabulator,
-    _sup_search,
     dyadic_radii,
     on_cap,
     pullback_exponents,
@@ -155,7 +154,8 @@ def _require_kkprime(f: HarmonicMap, K: float, Kprime: float):
 
 def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
                          search: SupSearchSpec, radial: int, angular: int):
-    """(norm_u, norm_v) on the shared candidate set; values on the 1/p scale.
+    """(norm, argmax, trace) of u and of v on the shared candidate set, the
+    norms on the 1/p scale, and their grid.
 
     The bases |F'|^p and |G'|^p are tabulated together from one jet of h and
     one of g per node; the (1-t)^q_eff part belongs to the rule, and one
@@ -164,12 +164,9 @@ def _conjugate_norm_pair(f: HarmonicMap, q_eff: float, s_eff: float, p: float,
     def tabulate(z):
         return [m ** p for m in wirtinger(f, z).conjugate_moduli]
 
-    sups, grid, pr = _derivative_sups(f, tabulate, q_eff, s_eff, radial, angular)
-    if pr is not None:
-        sups = _sup_search(pr.integral_at, search, pr.ring_integrals,
-                           pr.evaluations if pr.even else None)
-        grid = pr.grid_metadata()
-    return (*((sup ** (1.0 / p), a, trace) for a, sup, trace in sups), grid)
+    u, v = _derivative_norms(f, tabulate, q_eff, s_eff, search, radial,
+                             angular, p, refine=False)
+    return (u.value, u.sup_a, u.trace), (v.value, v.sup_a, v.trace), u.grid
 
 
 def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
@@ -197,7 +194,6 @@ def _conjugate_check(theorem_id: str, f: HarmonicMap, scale_label: str,
     (nu, au, _), (nv, av, _), grid = _conjugate_norm_pair(
         f, q_eff, s_eff, p, search or SupSearchSpec(), radial, angular
     )
-    au, av = complex(au), complex(av)
     # both norms, their argmaxes as [re, im], whether each sat on the radius
     # cap, and the kernel counts, table work and route of the u/v problem
     extra = {"norm_u": nu, "norm_v": nv,

@@ -37,12 +37,13 @@ from qrspaces.errors import (
 from qrspaces.harmonic import analytic_as_harmonic
 from qrspaces.quadrature import angular_count_for
 from qrspaces.spaces import (
+    KERNEL_ROUTES,
     Fpqs,
     Morrey,
     Qnpa,
     SupSearchSpec,
     WeightedSupProblem,
-    _finish_norm,
+    _engine_norms,
     _pow_tabulator,
 )
 
@@ -196,9 +197,9 @@ def test_m_scale_norm_tabulates_half_the_circle(tmp_path):
     count = angular_count_for(math.hypot(*rec["sup_a"]), 1.0)
     assert rec["grid"]["table_work"]["points"] == 8 * 1025 + 16 * (count + 1)
     f = build_map("koebe-shear:k=0.3")
-    full = _finish_norm(WeightedSupProblem(_pow_tabulator(lambda z: f(z), 1.0),
-                                           0.0, 1.0, radial=8),
-                        SupSearchSpec(), 1.0)
+    (full,) = _engine_norms(WeightedSupProblem(
+        _pow_tabulator(lambda z: f(z), 1.0), 0.0, 1.0, radial=8),
+        SupSearchSpec(), 1.0)
     assert full.grid["table_work"]["points"] == 8 * 2048 + 16 * 2 * count
     assert rec["value"] == pytest.approx(abs(f(0.0)) + full.value, rel=1e-13)
 
@@ -576,6 +577,57 @@ def test_base_error_on_one_row_block_keeps_its_exit_code(tmp_path, monkeypatch,
         "accuracy error: power series tail is not decreasing")
 
 
+# one CLI item per sup path, each on a small lattice
+SUP_PATHS = {
+    "engine": ["norm", "--map", "cayley-shear:k=0.5", "--scale", "Q(1,1.5,0)"],
+    "conjugate-check": ["verify", "--theorem", "3.2", "--map",
+                        "cayley-shear:k=0.5", "--scale", "F(2,0,1)", "--K", "3"],
+    "composition": ["norm", "--map", "koebe", "--scale", "Q(2,1,1)"],
+    "green": ["norm", "--map", "identity", "--scale", "F(2,0,1)",
+              "--weight-form", "green"],
+    "bloch": ["norm", "--map", "cayley-shear:k=0.5", "--scale", "Bloch(1)"],
+    "closed-form": ["norm", "--map", "affine:k=0.5", "--scale", "F(2,0,1)"],
+    "s-eff-0": ["norm", "--map", "koebe", "--scale", "Q(1,2,0)"],
+}
+
+
+@pytest.mark.parametrize("path", SUP_PATHS)
+def test_every_sup_record_counts_the_four_routes(tmp_path, path):
+    # the search counts every route itself: one count per distinct a of the
+    # trace, by the route that gave it its values (a conjugate check keeps
+    # no trace); a closed form searches nothing
+    out = tmp_path / "r.jsonl"
+    assert main([*SUP_PATHS[path], "--search-max-j", "2", "--search-angles",
+                 "4", "--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    routes = rec["kernel_evaluations"] if "trace" not in rec \
+        else rec["grid"]["kernel_evaluations"]
+    assert tuple(routes) == KERNEL_ROUTES
+    if path == "closed-form":
+        assert set(routes.values()) == {0} and len(rec["trace"]) == 1
+    elif "trace" in rec:
+        distinct = {complex(re, im) for re, im, _ in rec["trace"]}
+        assert routes["direct"] + routes["ring_turns"] + routes["conjugate"] \
+            == len(distinct)
+
+
+def test_s_eff_0_norm_is_the_one_integral_at_0(tmp_path):
+    # at s_eff = 0 no integral depends on a: the record is the integral at
+    # a = 0 and its node doubling, with the bits a search over the lattice
+    # gave, and a one-point trace
+    out = tmp_path / "k.jsonl"
+    assert main(["norm", "--map", "koebe", "--scale", "Q(1,2,0)",
+                 "--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    assert rec["value"] == 13994259191.023397
+    assert rec["raw_sup"] == 1.958392903055428e+20
+    assert rec["error_estimate"] == 3506528524010.099
+    assert rec["sup_a"] == [0.0, 0.0]
+    assert rec["trace"] == [[0.0, 0.0, rec["raw_sup"]]]
+    assert rec["grid"]["kernel_evaluations"] == {
+        "direct": 1, "ring_turns": 0, "refined": 1, "conjugate": 0}
+
+
 def test_constants_record_is_the_closed_form_with_an_engine_check(tmp_path):
     out = tmp_path / "c.jsonl"
     assert main(["constants", "--constant", "morrey:lam=0.3",
@@ -710,6 +762,17 @@ def test_verify_estimates_K_when_omitted(tmp_path):
     assert rec["K"] == pytest.approx(1.2 / 0.8, rel=1e-6)
 
 
+@pytest.mark.parametrize("K", ["100000", "0"], ids=["K-1e5", "estimated-K"])
+def test_verify_map_reversing_sense_off_a_disk_exit_2(tmp_path, capsys, K):
+    # z + conj(z)^2: J = 1 - 4|z|^2 is positive on |z| < 1/2 but negative
+    # beyond, so no K bounds the map, however large
+    assert main(["verify", "--theorem", "3.2", "--map", "hpoly:h=0,1;g=0,0,1",
+                 "--scale", "F(2,0,1)", "--K", K,
+                 "--out", str(tmp_path / "v.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args", [
     ["--theorem", "3.1", "--scale", "Q(1,1.5,0)"],
     ["--theorem", "3.1", "--scale", "Q(1,1.5,0)", "--K", "inf"],
@@ -741,6 +804,33 @@ def test_sweep_command(tmp_path):
           "--cells", "Q(1,1.5,0)", "Q(1,2.5,1)",
           "--out", str(out2), "--search-max-j", "3"])
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_sweep_rows_re_run_as_verify(tmp_path):
+    # every row gives the map spec and the cell as given, an error row too,
+    # so each re-runs as verify with the sweep's flags, to the row's verdict
+    # or to its error
+    flags = ["--theorem", "3.2", "--K", "3", "--search-max-j", "2",
+             "--search-angles", "4"]
+    maps, cells = ["affine:k=0.5", "cayley-shear:k=0.5"], ["F(2,0,1)", "F(2,0,-1)"]
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--maps", *maps, "--cells", *cells,
+                 "--out", str(out)]) == 0
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["map"], r["scale"]) for r in rows] == [
+        (m, c) for m in maps for c in cells]
+    for n, row in enumerate(rows):
+        rec_out = tmp_path / f"v{n}.jsonl"
+        code = main(["verify", *flags, "--map", row["map"], "--scale",
+                     row["scale"], "--out", str(rec_out)])
+        if row["error"]:
+            assert code == 2 and not rec_out.exists()
+            continue
+        assert code == 0
+        rec = read_jsonl(rec_out)[0]
+        for key in ("lhs", "rhs", "margin", "pass"):
+            assert row[key] == str(rec[key])
 
 
 def test_sweep_records_cell_errors_and_continues(tmp_path):

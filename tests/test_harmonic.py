@@ -186,6 +186,10 @@ def test_estimate_quasiregularity():
     # z + 2 conj(z): J = 1 - 4 < 0 at every sample, so no K bounds it
     est = estimate_quasiregularity(HarmonicMap(identity(), poly([0.0, 2.0])))
     assert est.K_est == math.inf
+    # z + conj(z)^2: J = 1 - 4|z|^2 < 0 on the samples beyond |z| = 1/2
+    est = estimate_quasiregularity(HarmonicMap(identity(),
+                                               poly([0.0, 0.0, 1.0])))
+    assert est.K_est == math.inf
     # a constant map has J = 0 everywhere and keeps K = 1
     est = estimate_quasiregularity(HarmonicMap(poly([1.0]), poly([0.0])))
     assert est.K_est == 1.0

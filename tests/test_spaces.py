@@ -29,6 +29,7 @@ from qrspaces.harmonic import (
 from qrspaces.mobius import MobiusMap
 from qrspaces.quadrature import angular_count_for
 from qrspaces.spaces import (
+    KERNEL_ROUTES,
     RADIUS_CAP,
     RADIUS_CAP_J,
     BergmanMorrey,
@@ -42,7 +43,7 @@ from qrspaces.spaces import (
     WeightedSupProblem,
     _by_value,
     _compass_max,
-    _finish_norm,
+    _engine_norms,
     _lambda_fn,
     _pow_tabulator,
     _sup_search,
@@ -160,7 +161,7 @@ def test_fh_green_form_close_to_mobius_form():
     # measured node-doubling error, not a fixed fraction of the value
     assert g.error_estimate < 1e-7 * g.value
     assert g.grid["grid_cap"] == 32
-    assert set(g.grid["kernel_evaluations"]) == {"direct", "conjugate"}
+    assert tuple(g.grid["kernel_evaluations"]) == KERNEL_ROUTES
 
 
 # the two per-a paths outside the engine, as the cli-mix pool runs them
@@ -173,9 +174,9 @@ PER_A_NORMS = {
 
 @pytest.mark.parametrize("path, f, search, expected", [
     ("composition", analytic_as_harmonic(koebe()), SupSearchSpec(4, 8),
-     {"direct": 33, "conjugate": 18, "refined": 1}),
+     {"direct": 33, "ring_turns": 0, "refined": 1, "conjugate": 18}),
     ("green", analytic_as_harmonic(identity()), SupSearchSpec(3, 4),
-     {"direct": 34, "conjugate": 11}),
+     {"direct": 34, "ring_turns": 0, "refined": 1, "conjugate": 11}),
 ], ids=["composition", "green"])
 def test_per_a_paths_take_i_conj_a_from_i_a(monkeypatch, path, f, search,
                                             expected):
@@ -598,7 +599,7 @@ def test_affine_norm_is_the_closed_form_of_the_engine_search(sign, cell):
     assert set(res.grid["kernel_evaluations"].values()) == {0}
     assert set(res.grid["table_work"].values()) == {0}
     assert res.error_estimate == 1e-12 * res.value
-    engine = _finish_norm(WeightedSupProblem(
+    (engine,) = _engine_norms(WeightedSupProblem(
         _pow_tabulator(_lambda_fn(f), cell.p), q_eff, s_eff, even=True),
         SupSearchSpec(), cell.p)
     assert not engine.grid["closed_form"]
@@ -689,7 +690,7 @@ class _PairLattice:
 
 @pytest.mark.parametrize("a", [0.3 + 0.4j, -0.6 - 0.7j, 0.95j])
 def test_even_problem_takes_i_conj_a_from_i_a(monkeypatch, a):
-    # bases even in theta, searched with the problem's ledger: a conjugate
+    # bases even in theta, searched as even in a: a conjugate
     # pair costs one kernel run, at the member in the upper half-plane, and
     # one factor, whichever member comes first, and both get the same bits,
     # within 1e-13 of the kernel run at each; the counters say which ran
@@ -707,31 +708,33 @@ def test_even_problem_takes_i_conj_a_from_i_a(monkeypatch, a):
             asked.append(b)
             return pr.integral_at(b)
 
-        sups = _sup_search(objective, _PairLattice(first), ledger=pr.evaluations)
+        routes = dict.fromkeys(KERNEL_ROUTES, 0)
+        sups = _sup_search(objective, _PairLattice(first), even=True,
+                           routes=routes)
         assert asked == [upper]
         assert pr.work["factor_nodes"] == one_run.work["factor_nodes"] > 0
-        assert pr.evaluations == {"direct": 1, "ring_turns": 0, "refined": 0,
-                                  "conjugate": 1}
+        assert routes == {"direct": 1, "ring_turns": 0, "refined": 0,
+                          "conjugate": 1}
         for i, (_, _, trace) in enumerate(sups):
             assert [b for b, _ in trace] == [first, first.conjugate()]
             assert trace[0][1] == trace[1][1]
             for b, value in trace:
                 assert value == pytest.approx(plain.integral_at(b)[i],
                                               rel=1e-13, abs=0.0)
-    assert plain.evaluations["conjugate"] == 0
 
 
 def test_uneven_search_never_pairs(monkeypatch):
-    # no ledger: each member of a conjugate pair is its own kernel run, at
+    # not even: each member of a conjugate pair is its own kernel run, at
     # the member itself
     monkeypatch.setattr(qrspaces.spaces, "_compass_max", lambda *args: [])
     pr = WeightedSupProblem(lambda z: (np.abs(1.0 + 0.5 * z) ** 2.5,), 0.0, 1.0,
                             radial=32, even=True)
     asked = []
+    routes = dict.fromkeys(KERNEL_ROUTES, 0)
     _sup_search(lambda b: asked.append(b) or pr.integral_at(b),
-                _PairLattice(0.3 - 0.4j))
+                _PairLattice(0.3 - 0.4j), routes=routes)
     assert asked == [0.3 - 0.4j, 0.3 + 0.4j]
-    assert pr.evaluations["direct"] == 2 and pr.evaluations["conjugate"] == 0
+    assert routes["direct"] == 2 and routes["conjugate"] == 0
 
 
 @pytest.mark.parametrize("angles", [3, 4])
