@@ -34,6 +34,14 @@ rule order, keep the forward-error bound of recursive summation,
 n u sum |b mob| (Higham, Accuracy and Stability of Numerical Algorithms,
 2002, sec. 3.1), far inside the 1e-12 the values are held to.
 
+The error of a value on N radial nodes and c angles comes from the levels
+nested in its own grid (``nested_grid_error``): the angular sequence c/4,
+c/2, c, which on a table are rungs of its ladder, and the radial sequence
+N/4, N/2, N on c angles.  Gauss rules do not nest in their nodes, but each
+level halves the rule's degree of exactness, so successive differences
+track the error; the radial levels tabulate 3/4 of the grid's rows, and
+no rule is larger than the value's own.
+
 The Green weight g(z,a)^s has one fixed rule in t, split at 1/2: a Gauss
 rule for its own log-singular weight on the cap (``green_cap_rule``) and
 Gauss-Jacobi beyond, with node doubling on the same angles as its error.
@@ -46,9 +54,10 @@ Every integrand on a polar grid z[i, j] = rho_i e^(i theta_j) is evaluated
 by one walker, ``_row_blocks``, which hands out the grid in blocks of
 max(1, ``ROW_BLOCK_POINTS`` // count) rows.  ``polar_tabulate`` writes
 each block's base values straight into preallocated (rows, count) arrays,
-the bases of a ``PolarTable``: the sup engine's master and node-doubling
-grids, the truncation ladder's panels and the Mobius-weight integral (and
-so ``disk_integral_alpha``, its s = 0 case) each build one.  A table's
+the bases of a ``PolarTable``: the sup engine's master grid and its error
+estimate's radial levels, the truncation ladder's panels and the
+Mobius-weight integral (and so ``disk_integral_alpha``, its s = 0 case)
+each build one.  A table's
 bases and its Mobius factor buffer are the planes of one array, so that
 the largest block a sup problem frees is more than half of all it frees
 (the reason is in ``PolarTable``).  Bases built
@@ -214,10 +223,14 @@ def _tridiagonal_eigenvalues(d, e):
 
 @functools.lru_cache(maxsize=128)
 def _jacobi_01(n: int, alpha: float):
-    """Nodes/weights for int_0^1 (1-t)^alpha h(t) dt on (0,1), n >= 2 and
+    """Nodes/weights for int_0^1 (1-t)^alpha h(t) dt on (0,1), n >= 0 and
     alpha > -1.
 
-    The Gauss-Jacobi(alpha, 0) rule on [-1, 1] is built as SciPy 1.17's
+    Below two nodes the rule is the empty one (n = 0: its sum is 0) or the
+    one-node Gauss rule, the weight's mass 1/(alpha+1) at its mean
+    1/(alpha+2): the coarse radial levels (N/2 and N/4 nodes) of an error
+    estimate (``nested_grid_error``) on N < 8 radial nodes.  From n = 2 the
+    Gauss-Jacobi(alpha, 0) rule on [-1, 1] is built as SciPy 1.17's
     ``roots_jacobi`` builds it (Legendre's own branch at alpha = 0), step
     for step: the eigenvalues of the Jacobi matrix, one Newton step on the
     three-term recurrence, weights 1/(P_(n-1) P_n') log-normalized and
@@ -231,6 +244,8 @@ def _jacobi_01(n: int, alpha: float):
     ulps (n = 1024).
     """
     a = float(alpha)
+    if n < 2:
+        return np.full(n, 1.0 / (a + 2.0)), np.full(n, 1.0 / (a + 1.0))
     n1 = n - 1
     k = np.arange(1.0, n)
     if a == 0.0:
@@ -526,6 +541,30 @@ def _folded_diagonals(turns: int) -> np.ndarray:
     sign = np.repeat([1, -1], half)
     k = np.arange(half + 1)[:, None]
     return (q + sign * k) % turns * half + q
+
+
+def nested_error(coarse: float, mid: float, fine: float) -> float:
+    """The error of ``fine`` from two coarser levels nested in its rule, each
+    with half the nodes of the next (in radius or in angle): the last
+    difference d2 = fine - mid or, when the differences grow, the next one
+    that their ratio predicts, max(|d2|, |d2| |d2/d1|), d1 = mid - coarse.
+    So an integral that diverges as the rule refines reports an error above
+    its value, which |d2| alone can never do for a positive growing
+    sequence.  Equal coarse levels (d1 = 0) show no trend: |d2|."""
+    d1, d2 = abs(mid - coarse), abs(fine - mid)
+    return d2 * max(1.0, d2 / d1) if d1 else d2
+
+
+def nested_grid_error(level, values) -> tuple:
+    """The error of each of ``values``, integrals on N radial nodes and c
+    angles, from the levels nested in that grid: ``level(m, k)`` returns
+    the same integrals on N // m radial nodes and c // k angles, asked for
+    at (1, 4), (1, 2), (4, 1) and (2, 1), in that order.  Each error is the
+    angular ``nested_error`` plus the radial one."""
+    angular = [level(1, k) for k in (4, 2)]
+    radial = [level(m, 1) for m in (4, 2)]
+    return tuple(nested_error(*ang, v) + nested_error(*rad, v)
+                 for v, ang, rad in zip(values, zip(*angular), zip(*radial)))
 
 
 def table_work() -> dict:

@@ -17,11 +17,15 @@ through z = sigma_a(w) (the automorphism derivative |sigma_a'| equals
 standard Mobius weight).  This keeps the moving part of every per-a integral
 a bounded rational factor and makes the sup search cheap: base values are
 tabulated once on a master grid whose angular resolution nests the ladder
-used near the boundary.  That grid, and the node-doubling grid of the error
-estimate, is a ``quadrature.PolarTable``: the bases, tabulated a row block
-of ``quadrature.ROW_BLOCK_POINTS`` points at a time, with the radial
-weights of their rule, and the per-base integrals against each per-a Mobius
-factor.
+used near the boundary.  That grid is a ``quadrature.PolarTable``: the
+bases, tabulated a row block of ``quadrature.ROW_BLOCK_POINTS`` points at a
+time, with the radial weights of their rule, and the per-base integrals
+against each per-a Mobius factor.  The error estimate at the maximizer
+compares the value with the coarser levels nested in its grid
+(``quadrature.nested_grid_error``): the table's rungs at half and a
+quarter of the angles the value used, and two small tables of half and a
+quarter of its radial nodes, so no run builds a rule beyond its own
+``radial``.
 
 Composition-based evaluation (Faa di Bruno, ``composed_integral``) remains
 the path for jet orders n >= 2 until their pullback (ROADMAP item 11) is
@@ -51,9 +55,10 @@ column shifts give the other angles of the ring (``ring_integrals``).  Direct
 per-a calls remain for a = 0, the compass points and angle counts that do
 not divide the rung; at s_eff = 0 the one integral at a = 0 is the sup.
 Every norm ends in ``_finish``: the search, its error at the maximizer
-(engine and composition: node doubling in radial nodes and angles; Green:
-that integral's own doubling), or only the 1e-12 floor (Bloch and the
-closed forms), and ``_norm_result``, which flags a maximizer on RADIUS_CAP.
+(engine and composition: the nested levels of its grid, half and a quarter
+of its angles and of its radial nodes; Green: that integral's own node
+doubling), or only the 1e-12 floor (Bloch and the closed forms), and
+``_norm_result``, which flags a maximizer on RADIUS_CAP.
 
 The sup-type constants of Theorems 3.5/3.6 are the engine integral of base 1,
 which has a closed form (Forelli-Rudin; Hedenmalm, Korenblum & Zhu, Theory of
@@ -93,9 +98,9 @@ from .quadrature import (
     _radial_contract,
     angular_count_for,
     angular_nodes,
-    build_grid,
     check_angular,
     disk_integral_green,
+    nested_grid_error,
     polar_row_means,
     table_work,
 )
@@ -462,7 +467,7 @@ class WeightedSupProblem:
     since every a != 0 gets at least the first one.  At s_eff = 0 the
     weight does not depend on a, and every integral takes all the master
     grid's angles.  ``work`` is the one ledger of the master table and
-    every node-doubling table.  ``even``, for bases built from a map with
+    the error estimate's tables.  ``even``, for bases built from a map with
     real coefficients, makes every table tabulate half the circle and fold
     the kernel at real a (``quadrature.PolarTable``); the integrals of even
     bases are even in a too, I(conj a) = I(a), and an ``even`` search
@@ -534,23 +539,37 @@ class WeightedSupProblem:
         return list(zip(*self._table.ring_integrals(r, self.s_eff, count,
                                                     turns)))
 
-    def refined_integral_at(self, a: complex) -> tuple:
-        """One-off evaluation with doubled node counts (error estimation):
-        twice the radial nodes and twice the angles ``integral_at(a)`` used."""
+    def refined_integral_at(self, a: complex, values) -> tuple:
+        """The error estimate of each base's ``values = integral_at(a)``,
+        from the levels nested in its grid (``quadrature.nested_grid_error``):
+        c/4 and c/2 of the c angles ``integral_at(a)`` used, rungs of the
+        master table, and N/4 and N/2 radial nodes on c angles, two tables
+        with 3/4 of the master's rows, built one after the other (the empty
+        rule, below 1 node, has the value 0).  The name is the one the
+        benchmark's tracer times as ``spaces.refine``."""
         a = complex(a)
-        count = 2 * self._count_for(abs(a))
-        return tuple(self._tabulate(2 * self.radial, count).integrals(
-            a, self.s_eff, count))
+        count = self._count_for(abs(a))
+
+        def level(rows, split):
+            if rows == 1:
+                return self._table.integrals(a, self.s_eff, count // split)
+            if self.radial < rows:
+                return [0.0] * len(values)
+            return self._tabulate(self.radial // rows, count).integrals(
+                a, self.s_eff, count)
+
+        return nested_grid_error(level, values)
 
 
 def _engine_norms(problem: WeightedSupProblem, search: SupSearchSpec,
                   p_root: float, refine: bool = True, value_at_zero=None,
                   warnings=()) -> list:
     """One NormResult per base of an engine problem: its sup search, or at
-    s_eff = 0 its one integral at a = 0, then, if ``refine``, node doubling
-    at the argmax of its one base."""
+    s_eff = 0 its one integral at a = 0, then, if ``refine``, the error of
+    its one base at the argmax from the coarser levels nested in its grid
+    (``WeightedSupProblem.refined_integral_at``)."""
     def error(a, value):
-        return abs(problem.refined_integral_at(a)[0] - value)
+        return problem.refined_integral_at(a, (value,))[0]
     return _finish(problem.integral_at, search if problem.s_eff else None,
                    p_root, problem.grid_metadata, error if refine else None,
                    problem.ring_integrals, problem.even, value_at_zero,
@@ -645,10 +664,10 @@ def _q_norm(f, parts, params: Qnpa, search, radial, angular) -> NormResult:
 
 def composed_rule(radial: int, alpha: float, count: int) -> tuple:
     """(rho, w, eig) of the Jacobi(alpha) x ``count``-angle trapezoid rule:
-    the node radii, the radial weights and the unit-circle nodes."""
-    grid = build_grid(radial, alpha, count)
-    return (np.sqrt(grid.radial_nodes), grid.radial_weights,
-            np.exp(1j * angular_nodes(count)))
+    the node radii, the radial weights and the unit-circle nodes.  Fewer
+    than 2 radial nodes give ``_jacobi_01``'s empty or one-node rule."""
+    t, w = _jacobi_01(radial, float(alpha))
+    return np.sqrt(t), w, np.exp(1j * angular_nodes(count))
 
 
 def composed_integral(parts, n: int, p: float, a: complex, rule,
@@ -678,28 +697,36 @@ def _q_norm_composed(parts, params: Qnpa, search, radial, angular, f0, warnings)
     """Composition path for jet orders n >= 2.
 
     Each per-a integral is a ``composed_integral`` on the ``composed_rule``
-    of the angular count that the aliasing bound of the pole order
-    p(n+1)/2 picks for |a|.  The error is node doubling at the argmax:
-    twice the radial nodes and twice the count it used.  Parts with real
-    coefficients fold each integral at a real a onto the half circle, and
-    the search takes I(conj a) from I(a) (``_sup_search``).  ``points``
-    counts the integrand points of every integral.
+    of the radial nodes N and the angular count c that the aliasing bound
+    of the pole order p(n+1)/2 picks for |a|.  The error at the argmax
+    takes the engine's four nested levels (``quadrature.nested_grid_error``):
+    c/4 and c/2 angles on N radial nodes, N/4 and N/2 radial nodes on c
+    angles.  Parts with real coefficients fold each integral at a real a
+    onto the half circle, and the search takes I(conj a) from I(a)
+    (``_sup_search``).  ``points`` counts the integrand points of every
+    integral.
     """
     check_angular(angular)
+    if radial < 2:
+        raise InvalidParameterError(f"need at least 2 radial nodes, got {radial}")
     n, p = params.n, params.p
     pole = 0.5 * p * (n + 1)
     work = {"points": 0}
 
-    def integral(a, doubling=1):
-        count = doubling * angular_count_for(abs(complex(a)), pole, angular)
-        rule = composed_rule(doubling * radial, params.alpha, count)
+    def integral(a, nodes=radial, split=1):
+        count = angular_count_for(abs(complex(a)), pole, angular) // split
+        rule = composed_rule(nodes, params.alpha, count)
         return composed_integral(parts, n, p, a, rule, work)
+
+    def error(a, value):
+        return nested_grid_error(
+            lambda rows, split: (integral(a, radial // rows, split),),
+            (value,))[0]
 
     return _finish(lambda a: (integral(a),), search, p,
                    lambda: {"grid_radial": radial, "grid_angular": angular,
                             "jet_order": n, "points": work["points"]},
-                   lambda a, value: abs(integral(a, 2) - value),
-                   even=all(map(real_coefficients, parts)),
+                   error, even=all(map(real_coefficients, parts)),
                    value_at_zero=f0, warnings=warnings)[0]
 
 

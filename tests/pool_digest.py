@@ -11,9 +11,11 @@ captured stdout and stderr, the sha256 of the output file (null when the
 item wrote none), as ``out_keys``, a sha256 of each top-level key of the
 output's records (each column of a sweep's CSV) over all its records, as
 ``outcome``, the fields the benchmark gates (``bench/worker.parse_outcome``),
-and, as ``kernel_evaluations``, the item's per-a evaluations by route,
+as ``kernel_evaluations``, the item's per-a evaluations by route,
 summed over its records (null when no record counts them: a sweep, a
-growth fit, a membership check, an error exit).
+growth fit, a membership check, an error exit), and, as
+``error_estimates``, the ``[value, error_estimate]`` of each record that
+carries an error estimate (null when none does).
 Records embed the ``--out`` path, so the path depends only on the item's
 position.  Two checkouts behave identically on the pools when their digests
 are identical: run the script in one checkout, then in the other with
@@ -24,9 +26,11 @@ differ and the record keys whose values differ, then how far its gated
 fields moved: the largest relative change of each numeric field that
 differs (over a sweep's rows and a list's entries), or ``changed`` for any
 other, and how each route of its kernel evaluations changed
-(``direct 51 -> 45, conjugate 0 -> 6``); a last line sums the routes over
-the items both digests count, so the work a change saves shows.  It exits
-1 if any item differs.
+(``direct 51 -> 45, conjugate 0 -> 6``), and, where its error estimates
+moved, each old and new estimate with its ratio to the value
+(``4.77e+05 -> 1.49e+06 (4.18x -> 13.1x the value)``); a last line sums
+the routes over the items both digests count, so the work a change saves
+shows.  It exits 1 if any item differs.
 
 ``--gate`` judges the same runs the way the benchmark does, for changes that
 move values in their last bits: each outcome goes through
@@ -103,6 +107,17 @@ def kernel_evaluations(path: Path):
     return totals
 
 
+def error_estimates(path: Path):
+    """``[value, error_estimate]`` of each record of a JSON lines output that
+    carries an error estimate; None for a CSV or when no record does."""
+    if path.suffix == ".csv":
+        return None
+    with open(path) as fh:
+        pairs = [[r.get("value"), r["error_estimate"]]
+                 for r in map(json.loads, fh) if "error_estimate" in r]
+    return pairs or None
+
+
 def digest_item(index: int, argv):
     """(digest entry, gate outcome) of one item."""
     suffix = ".csv" if argv[0] == "sweep" else ".jsonl"
@@ -113,15 +128,17 @@ def digest_item(index: int, argv):
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         code = qrspaces.cli.main(list(argv) + ["--out", str(out_path)])
     outcome = worker.parse_outcome(argv, code, str(out_path))
-    sha, keys, routes = None, {}, None
+    sha, keys, routes, estimates = None, {}, None, None
     if out_path.exists():
         sha, keys = _sha256(out_path.read_bytes()), record_keys(out_path)
         routes = kernel_evaluations(out_path)
+        estimates = error_estimates(out_path)
         out_path.unlink()
     return {"argv": argv, "exit": code, "stdout": stdout.getvalue(),
             "stderr": stderr.getvalue(), "out_sha256": sha,
             "out_keys": keys, "outcome": outcome,
-            "kernel_evaluations": routes}, outcome
+            "kernel_evaluations": routes,
+            "error_estimates": estimates}, outcome
 
 
 def excluded_report(entries) -> int:
@@ -220,6 +237,22 @@ def route_changes(routes, old_routes) -> str:
         if routes.get(route, 0) != old_routes.get(route, 0))
 
 
+def estimate_changes(estimates, old_estimates) -> str:
+    """``4.77e+05 -> 1.49e+06 (4.18x -> 13.1x the value)`` for each record
+    whose error estimate differs between two ``error_estimates``, the
+    ratios to the new and old values; empty when they agree or either is
+    None."""
+    if estimates is None or old_estimates is None:
+        return ""
+    return ", ".join(
+        f"{old_err:.3g} -> {err:.3g} ("
+        + " -> ".join(f"{e / v:.3g}x" if v else "-"
+                      for v, e in ((old_value, old_err), (value, err)))
+        + " the value)"
+        for (value, err), (old_value, old_err) in zip(estimates, old_estimates)
+        if err != old_err)
+
+
 def route_totals(entries, old_entries) -> tuple:
     """The ``kernel_evaluations`` of both digests summed route by route over
     the items at the same position and argv that both count."""
@@ -236,7 +269,9 @@ def route_totals(entries, old_entries) -> tuple:
 
 def differences(entries, old_entries) -> list:
     """(argv, differing fields, differing record keys, moved gated fields,
-    route changes) of every item whose outcome differs; an item present in
+    route changes, estimate changes) of every item whose outcome differs;
+    the estimate changes are ``estimate_changes``, empty when a digest
+    lacks the item's ``error_estimates``; an item present in
     one digest only differs in every field.  A key differs when its hash
     differs or one digest lacks it (a digest made before ``out_keys`` lacks
     them all); the moved fields are ``moved_fields``, empty when a digest
@@ -256,9 +291,11 @@ def differences(entries, old_entries) -> list:
             moved = moved_fields(new["outcome"], old["outcome"])
         routes = route_changes(new.get("kernel_evaluations"),
                                old.get("kernel_evaluations"))
+        estimates = estimate_changes(new.get("error_estimates"),
+                                     old.get("error_estimates"))
         if fields:
             diffs.append((new.get("argv") or old.get("argv"), fields, keys,
-                          moved, routes))
+                          moved, routes, estimates))
     return diffs
 
 
@@ -268,7 +305,7 @@ def diff_report(entries, old_path) -> int:
     with open(old_path) as fh:
         old_entries = json.load(fh)
     diffs = differences(entries, old_entries)
-    for item_argv, fields, keys, moved, routes in diffs:
+    for item_argv, fields, keys, moved, routes, estimates in diffs:
         in_keys = f" (keys {', '.join(keys)})" if keys else ""
         print(f"differs in {', '.join(fields)}{in_keys}: {json.dumps(item_argv)}")
         if moved:
@@ -277,6 +314,8 @@ def diff_report(entries, old_path) -> int:
                 for key, change in moved))
         if routes:
             print(f"  kernel evaluations: {routes}")
+        if estimates:
+            print(f"  error estimate: {estimates}")
     print(f"{len(diffs)} of {len(entries)} items differ from {old_path}")
     totals, old_totals = route_totals(entries, old_entries)
     if totals or old_totals:

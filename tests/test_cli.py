@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qrspaces import cli
+from qrspaces import cli, quadrature, spaces
 from qrspaces.analytic import power_series
 from qrspaces.cli import (
     COMMANDS,
@@ -188,19 +188,20 @@ def test_norm_command_identity(tmp_path, capsys):
 
 def test_m_scale_norm_tabulates_half_the_circle(tmp_path):
     # every CLI map has real coefficients, so the M-scale's tables hold
-    # rows x (count/2 + 1) points: the 8 x 2048 master grid and the node
-    # doubling at the argmax; the value is within 1e-13 of the full circle
+    # rows x (count/2 + 1) points: the 8 x 2048 master grid and the error
+    # estimate's 4- and 2-row tables at the argmax's count; the value is
+    # within 1e-13 of the full circle
     out = tmp_path / "m.jsonl"
     assert main(["norm", "--map", "koebe-shear:k=0.3", "--scale", "M(1,0,1)",
                  "--radial", "8", "--out", str(out)]) == 0
     rec = read_jsonl(out)[0]
     count = angular_count_for(math.hypot(*rec["sup_a"]), 1.0)
-    assert rec["grid"]["table_work"]["points"] == 8 * 1025 + 16 * (count + 1)
+    assert rec["grid"]["table_work"]["points"] == 8 * 1025 + 6 * (count // 2 + 1)
     f = build_map("koebe-shear:k=0.3")
     (full,) = _engine_norms(WeightedSupProblem(
         _pow_tabulator(lambda z: f(z), 1.0), 0.0, 1.0, radial=8),
         SupSearchSpec(), 1.0)
-    assert full.grid["table_work"]["points"] == 8 * 2048 + 16 * 2 * count
+    assert full.grid["table_work"]["points"] == 8 * 2048 + 6 * count
     assert rec["value"] == pytest.approx(abs(f(0.0)) + full.value, rel=1e-13)
 
 
@@ -563,6 +564,60 @@ def test_radial_above_the_cap_exit_2_before_any_grid(tmp_path, capsys, args,
     assert not (tmp_path / "x.out").exists()
 
 
+@pytest.mark.parametrize("radial", [2, 3, 5])
+def test_small_grids_give_a_finite_estimate(tmp_path, radial):
+    # the estimate's radial levels have radial // 2 and radial // 4 nodes:
+    # below 2 nodes they are the one-node Gauss rule and the empty rule (0)
+    out = tmp_path / "n.jsonl"
+    assert main(["norm", "--map", "cayley-shear:k=0.5", "--scale", "Qs(1)",
+                 "--radial", str(radial), "--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    assert rec["grid"]["grid_radial"] == radial
+    assert 0.0 < rec["error_estimate"] < math.inf
+
+
+@pytest.mark.parametrize("args, most", [
+    (["norm", "--map", "cayley-shear:k=0.5", "--scale", "Qs(1)",
+      "--radial", "256"], 256),
+    (["norm", "--map", "koebe", "--scale", "Q(2,1,1)", "--search-max-j", "4",
+      "--search-angles", "8"], 128),
+], ids=["engine", "composition"])
+def test_no_rule_beyond_the_run_radial(tmp_path, monkeypatch, args, most):
+    # the error estimate nests in the grid: its radial rules have half and a
+    # quarter of the run's nodes, so --radial 2048 builds no 4096-node rule
+    asked = []
+    rule = quadrature._jacobi_01
+
+    def spy(n, alpha):
+        asked.append(n)
+        return rule(n, alpha)
+
+    monkeypatch.setattr(quadrature, "_jacobi_01", spy)
+    monkeypatch.setattr(spaces, "_jacobi_01", spy)
+    assert main([*args, "--out", str(tmp_path / "n.jsonl")]) == 0
+    assert max(asked) == most
+    assert {most // 2, most // 4} <= set(asked)
+
+
+@pytest.mark.parametrize("args", [
+    ["--map", "cayley-shear:k=0.5", "--scale", "Q(1,1.5,0)"],
+    *(["--map", f"cayley-shear:k={k}", "--scale", scale]
+      for scale in ("Qs(1)", "Morrey(0.5)") for k in ("0.3", "0.5", "0.7")),
+    ["--map", "koebe", "--scale", "Q(2,1,1)", "--search-max-j", "4",
+     "--search-angles", "8"],
+], ids=lambda args: " ".join(args[1:4:2]))
+def test_divergent_norm_reports_an_error_above_its_value(tmp_path, args):
+    # these integrals grow without bound as the grid refines (the maps are
+    # singular at z = 1), so each level's difference outgrows the last, and
+    # the estimate predicts the next one: an error above the value says the
+    # value is not resolved.  The last difference alone stays below it on
+    # the Qs and Morrey norms
+    out = tmp_path / "n.jsonl"
+    assert main(["norm", *args, "--out", str(out)]) == 0
+    rec = read_jsonl(out)[0]
+    assert rec["value"] < rec["error_estimate"] < math.inf
+
+
 def test_base_error_on_one_row_block_keeps_its_exit_code(tmp_path, monkeypatch,
                                                          capsys):
     # a power series of radius of convergence 1/2 raises AccuracyError on
@@ -613,15 +668,18 @@ def test_every_sup_record_counts_the_four_routes(tmp_path, path):
 
 def test_s_eff_0_norm_is_the_one_integral_at_0(tmp_path):
     # at s_eff = 0 no integral depends on a: the record is the integral at
-    # a = 0 and its node doubling, with the bits a search over the lattice
-    # gave, and a one-point trace
+    # a = 0 and its error estimate, with the bits a search over the lattice
+    # gave, and a one-point trace.  The integral diverges (|f'|^2 of koebe
+    # is not integrable), and the estimate says so: finite, and above the
+    # value
     out = tmp_path / "k.jsonl"
     assert main(["norm", "--map", "koebe", "--scale", "Q(1,2,0)",
                  "--out", str(out)]) == 0
     rec = read_jsonl(out)[0]
     assert rec["value"] == 13994259191.023397
     assert rec["raw_sup"] == 1.958392903055428e+20
-    assert rec["error_estimate"] == 3506528524010.099
+    assert rec["error_estimate"] == 6893089823029.264
+    assert rec["value"] < rec["error_estimate"] < math.inf
     assert rec["sup_a"] == [0.0, 0.0]
     assert rec["trace"] == [[0.0, 0.0, rec["raw_sup"]]]
     assert rec["grid"]["kernel_evaluations"] == {

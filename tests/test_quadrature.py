@@ -650,8 +650,8 @@ def test_even_table_matches_full_tabulation(family):
 
 def test_complex_coefficient_map_keeps_full_tabulation(monkeypatch):
     # hpoly:h=0,1,0.3j has uneven bases: the engine tabulates every column
-    # of its master and node-doubling grids, and the master bases hold the
-    # bits of a table built with no evenness
+    # of its master grid and of the error estimate's two radial levels, and
+    # the master bases hold the bits of a table built with no evenness
     f = build_map("hpoly:h=0,1,0.3j")
     assert not real_coefficients(f)
     shapes, tabulated = [], []
@@ -665,9 +665,11 @@ def test_complex_coefficient_map_keeps_full_tabulation(monkeypatch):
     monkeypatch.setattr(quadrature, "polar_tabulate", spy)
     search = SupSearchSpec(max_j=1, angles_per_radius=4)
     res = fh_pqs_norm(f, Fpqs(2.0, 0.0, 1.0), search, radial=32)
-    master, (width, count, _) = shapes  # the master and refined tables
-    assert master == (2048, 2048, 32) and width == count
-    assert res.grid["table_work"]["points"] == 32 * 2048 + 64 * count
+    master, *levels = shapes  # the master table and the radial levels
+    count = levels[0][1]
+    assert master == (2048, 2048, 32)
+    assert levels == [(count, count, 8), (count, count, 16)]
+    assert res.grid["table_work"]["points"] == 32 * 2048 + 24 * count
     monkeypatch.undo()
     t, w = _jacobi_01(32, 1.0)
     table = PolarTable(_pow_tabulator(_lambda_fn(f), 2.0), np.sqrt(t), w, 2048)
@@ -925,7 +927,8 @@ def _master_grid(even):
 def _refined_grid(even):
     pr = WeightedSupProblem(_conjugate_tabulator, 0.0, 1.0, radial=131,
                             even=even)
-    return pr.refined_integral_at(0.9 + 0.05j)
+    a = 0.9 + 0.05j
+    return pr.refined_integral_at(a, pr.integral_at(a))
 
 
 def _ladder_panel(even):
@@ -943,8 +946,9 @@ def _ladder_panel(even):
          "master-half", "refined-half", "ladder-panel-half"])
 def test_row_blocks_leave_no_trace_in_tabulation(monkeypatch, path, even):
     # 131 radial nodes leave a short last block: 2 rows a block at 2048
-    # angles (3 on the 1025 columns of half the circle), 4 on the refined
-    # 262 x 1024 grid (7 on 513); the ladder's 24-row panels take 8 + 8 + 8
+    # angles (3 on the 1025 columns of half the circle), 8 on the error
+    # estimate's 65 x 512 and 32 x 512 grids (15 on 257, short on both);
+    # the ladder's 24-row panels take 8 + 8 + 8
     # at 512 angles (15 + 9 on 257).  One block of the whole grid is the
     # unblocked tabulation, and every base bit and every value must match
     # it.  KOEBE_SHEAR's coefficients are real, so its bases are even
